@@ -164,10 +164,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             return flag_value
         return file_values.get(key, default)
 
+    def pick_text(flag_value, key, default=None):
+        value = pick(flag_value, key, default)
+        if value is not None and not isinstance(value, str):
+            raise UsageError(f"config key {key!r} must be a string, got {value!r}")
+        return value
+
     n_sites = pick(args.n, "n")
     if n_sites is None:
         raise UsageError("--n is required (flag or config)")
-    n_sites = int(n_sites)
+    if isinstance(n_sites, float) and not n_sites.is_integer():
+        raise UsageError(f"--n must be an integer, got {n_sites!r}")
+    try:
+        n_sites = int(n_sites)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--n must be an integer, got {n_sites!r}") from exc
     if n_sites < 2:
         raise UsageError(f"--n must be at least 2, got {n_sites}")
 
@@ -192,31 +203,36 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("provide at least one alpha via --alpha or --grid")
     alphas = tuple(sorted(set(alphas)))
 
-    output_format = pick(args.format, "format")
+    output_format = pick_text(args.format, "format")
     if output_format is None:
         output_format = "json" if args.command == "report" else "csv"
+    if output_format not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {output_format!r}")
     if args.command == "report" and output_format != "json":
         raise UsageError("report output is a JSON document; use --format json")
 
-    variant_text = pick(args.variant, "variant", "standard")
+    variant_text = pick_text(args.variant, "variant", "standard")
     try:
         variant = Variant.parse(variant_text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    cache_dir = pick(args.cache_dir, "cache_dir")
+    cache_dir = pick_text(args.cache_dir, "cache_dir")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV) or None
 
-    oliveira = pick(args.oliveira_normalization, "oliveira_normalization",
-                    "as-printed")
+    oliveira = pick_text(args.oliveira_normalization, "oliveira_normalization",
+                         "as-printed")
     if oliveira not in ("as-printed", "over-n"):
         raise UsageError(f"oliveira_normalization must be as-printed or over-n, "
                          f"got {oliveira!r}")
 
     def positive(flag_value, key, default):
         value = pick(flag_value, key, default)
-        value = float(value)
+        try:
+            value = float(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{key} must be a number, got {value!r}") from exc
         if not value > 0 or math.isnan(value):
             raise UsageError(f"{key} must be positive, got {value!r}")
         return value
@@ -235,8 +251,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                                        "concurrence_threshold",
                                        CONCURRENCE_THRESHOLD_DEFAULT),
         resolution=positive(args.resolution, "resolution", RESOLUTION_DEFAULT),
-        output_format=str(output_format),
-        output_path=pick(args.output, "output"),
+        output_format=output_format,
+        output_path=pick_text(args.output, "output"),
         cache_dir=cache_dir,
         oliveira_inner_over_n=(oliveira == "over-n"),
     )

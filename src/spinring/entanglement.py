@@ -6,6 +6,12 @@ form diag(a, b, b, a) with a single real off-diagonal entry c coupling
 the anti-aligned pair states.  The concurrence of such a state has the
 closed form max{2(|c| - a), 0}; an X-state evaluation of the same matrix
 serves as an independent cross-check.
+
+A level state (``UniformEigenstate``) is reduced straight from its
+eigenvector block V: with the kept sites moved to the front, V becomes a
+2^k x 2^(N-k) m matrix X and the reduction is X Xᵀ / m, O(4^k m 2^N) work
+and nothing of size 4^N.  An explicit density matrix takes the dense
+partial trace, which also serves as the oracle for the block path.
 """
 
 from __future__ import annotations
@@ -28,23 +34,24 @@ class PairStateWarning(UserWarning):
     """A pair reduction violates an expected inequality (reported, not clamped)."""
 
 
-def _as_rho(state) -> tuple[np.ndarray, int]:
+def _site_count(state) -> int:
     if isinstance(state, UniformEigenstate):
-        return state.rho, state.n_sites
-    rho = np.asarray(state, dtype=float)
-    n = int(round(np.log2(rho.shape[0])))
-    if rho.shape != (2 ** n, 2 ** n):
-        raise ValueError(f"density matrix has non-power-of-two shape {rho.shape}")
-    return rho, n
+        return state.n_sites
+    shape = np.shape(state)
+    n = int(round(np.log2(shape[0])))
+    if shape != (2 ** n, 2 ** n):
+        raise ValueError(f"density matrix has non-power-of-two shape {shape}")
+    return n
 
 
 def reduce_sites(state, sites) -> np.ndarray:
     """Partial trace keeping the listed sites (1-indexed), all others summed out.
 
     The result is ordered with the first listed site as the leading tensor
-    factor, and each local factor in the basis {|+>, |->}.
+    factor, and each local factor in the basis {|+>, |->}.  A level state is
+    reduced from its eigenvector block, any other input as a dense matrix.
     """
-    rho, n = _as_rho(state)
+    n = _site_count(state)
     sites = list(sites)
     if len(set(sites)) != len(sites):
         raise ValueError(f"sites must be distinct, got {sites}")
@@ -52,11 +59,18 @@ def reduce_sites(state, sites) -> np.ndarray:
         raise ValueError(f"sites must lie in 1..{n}, got {sites}")
     k = len(sites)
     row_axes = [n - s for s in sites]
-    rest_rows = [a for a in range(n) if a not in row_axes]
-    perm = row_axes + [a + n for a in row_axes] + rest_rows + [a + n for a in rest_rows]
-    tensor = rho.reshape((2,) * (2 * n)).transpose(perm)
-    tensor = tensor.reshape(2 ** k, 2 ** k, 2 ** (n - k), 2 ** (n - k))
-    reduced = np.trace(tensor, axis1=2, axis2=3)
+    if isinstance(state, UniformEigenstate):
+        m = state.level.multiplicity
+        amplitudes = state.vectors.reshape((2,) * n + (m,))
+        block = np.moveaxis(amplitudes, row_axes, range(k)).reshape(2 ** k, -1)
+        reduced = block @ block.T / m
+    else:
+        rho = np.asarray(state, dtype=float)
+        rest_rows = [a for a in range(n) if a not in row_axes]
+        perm = row_axes + [a + n for a in row_axes] + rest_rows + [a + n for a in rest_rows]
+        tensor = rho.reshape((2,) * (2 * n)).transpose(perm)
+        tensor = tensor.reshape(2 ** k, 2 ** k, 2 ** (n - k), 2 ** (n - k))
+        reduced = np.trace(tensor, axis1=2, axis2=3)
     # basis index 0 must be all-up; bit value 1 means up, so reverse both axes
     return np.ascontiguousarray(reduced[::-1, ::-1])
 
@@ -173,7 +187,7 @@ def pair_concurrence(state, j: int, k: int,
 
 def meyer_wallach(state) -> float:
     """Global measure 2 - (2/N) sum_j tr(rho_j^2) over all single-site reductions."""
-    _, n = _as_rho(state)
+    n = _site_count(state)
     total = 0.0
     for j in range(1, n + 1):
         rho_j = reduce_one_site(state, j)
@@ -189,7 +203,7 @@ def oliveira_global(state, inner_over_n: bool = False) -> float:
     The inner 1/(N-1) weight is kept as published even though the inner sum
     has N terms; pass ``inner_over_n=True`` to use 1/N instead.
     """
-    _, n = _as_rho(state)
+    n = _site_count(state)
     if n < 3 and not inner_over_n:
         warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
                       PairStateWarning, stacklevel=2)

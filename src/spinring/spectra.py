@@ -10,7 +10,6 @@ is materialized on demand from the eigenvector columns.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -175,20 +174,26 @@ def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformEigenstate:
-    """Maximally mixed state on one eigenspace: projector over multiplicity."""
+    """Maximally mixed state V Vᵀ / m on one eigenspace.
+
+    Held as the level's orthonormal eigenvector block V (2^N x m), so a
+    reduction never needs the 2^N x 2^N matrix; ``rho`` builds it on demand.
+    """
 
     level: Level
-    rho: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
 
     @property
     def n_sites(self) -> int:
-        return int(round(math.log2(self.rho.shape[0])))
+        return self.vectors.shape[0].bit_length() - 1
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.vectors @ self.vectors.T / self.level.multiplicity
 
 
 def uniform_state(level: Level, decomposition: SpectralDecomposition) -> UniformEigenstate:
-    rho = projector(level, decomposition) / level.multiplicity
-    rho.setflags(write=False)
-    return UniformEigenstate(level=level, rho=rho)
+    return UniformEigenstate(level=level, vectors=decomposition.level_vectors(level))
 
 
 def lagrange_projector(hamiltonian: HamiltonianMatrix | np.ndarray,
@@ -309,9 +314,19 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
 # ---------------------------------------------------------------------------
 # On-disk cache: JSON header line + raw float64 payload (eigenvalues, then
 # eigenvector columns in row-major order).  Purely an accelerator; a loaded
-# decomposition is bit-identical to a freshly computed one.
+# decomposition is bit-identical to a freshly computed one, and an entry with
+# a foreign header or the wrong length is a miss that ``get`` overwrites.
 
 _CACHE_MAGIC = "spinring-decomposition-v1"
+
+# header fields that must match the requested spec for an entry to load
+_CACHE_IDENTITY = ("magic", "n_sites", "variant", "alpha", "dimension")
+
+
+def _cache_header(spec: RingSpec, tolerance: float) -> dict:
+    return {"magic": _CACHE_MAGIC, "n_sites": spec.n_sites,
+            "alpha": repr(spec.alpha), "variant": spec.variant.value,
+            "tolerance": tolerance, "dimension": spec.dimension}
 
 
 class DecompositionCache:
@@ -324,14 +339,24 @@ class DecompositionCache:
         return os.path.join(self.directory, name)
 
     def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:
+        """The stored decomposition, or None when the entry is missing, was
+        written for another spec, or is corrupt or truncated."""
         path = self._path(spec, tolerance)
         if not os.path.exists(path):
             return None
+        expected = _cache_header(spec, tolerance)
+        dim = spec.dimension
         with open(path, "rb") as handle:
-            header = json.loads(handle.readline().decode("utf-8"))
-            if header.get("magic") != _CACHE_MAGIC:
+            line = handle.readline(4096)  # a header is one short JSON line
+            try:
+                header = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 return None
-            dim = header["dimension"]
+            if not isinstance(header, dict) or any(
+                    header.get(key) != expected[key] for key in _CACHE_IDENTITY):
+                return None
+            if os.fstat(handle.fileno()).st_size != len(line) + 8 * dim + 8 * dim * dim:
+                return None
             values = np.frombuffer(handle.read(8 * dim), dtype=np.float64).copy()
             vectors = np.frombuffer(handle.read(8 * dim * dim),
                                     dtype=np.float64).reshape(dim, dim).copy()
@@ -345,10 +370,7 @@ class DecompositionCache:
     def store(self, decomposition: SpectralDecomposition) -> str:
         spec = decomposition.spec
         path = self._path(spec, decomposition.cluster_tolerance)
-        header = {"magic": _CACHE_MAGIC, "n_sites": spec.n_sites,
-                  "alpha": repr(spec.alpha), "variant": spec.variant.value,
-                  "tolerance": decomposition.cluster_tolerance,
-                  "dimension": int(decomposition.eigenvalues.size)}
+        header = _cache_header(spec, decomposition.cluster_tolerance)
         fd, tmp = tempfile.mkstemp(dir=self.directory)
         try:
             with os.fdopen(fd, "wb") as handle:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from spinring.cli import main
+from spinring.spectra import UniformEigenstate
 
 REPORT_KEYS = {
     "schema_version", "command", "n_sites", "variant", "settings", "alpha_grid",
@@ -66,7 +67,7 @@ def test_concurrence_rows(capsys):
     assert a + b == pytest.approx(0.5, abs=1e-12)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "spectrum", "--n", "4")[0] == 2
     assert run(capsys, "spectrum", "--n", "1", "--alpha", "1")[0] == 2
     assert run(capsys, "spectrum", "--n", "4", "--alpha", "-1")[0] == 2
@@ -74,6 +75,19 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "spectrum", "--n", "4", "--grid", "1:2:5:cubic")[0] == 2
     assert run(capsys, "report", "--n", "4", "--alpha", "1", "--format", "csv")[0] == 2
     assert run(capsys, "spectrum", "--n", "20", "--alpha", "1")[0] == 2
+    config = tmp_path / "bad.json"
+    for values in ({"n": "abc", "alpha": [1]},
+                   {"n": 4.5, "alpha": [1]},
+                   {"n": 4, "alpha": [1], "resolution": "x"},
+                   {"n": 4, "alpha": [1], "cluster_tolerance": None},
+                   {"n": 4, "alpha": [1], "variant": 5},
+                   {"n": 4, "alpha": [1], "format": "xml"},
+                   {"n": 4, "alpha": [1], "output": 7},
+                   {"n": 4, "alpha": [1], "cache_dir": 5}):
+        config.write_text(json.dumps(values))
+        code, _, err = run(capsys, "spectrum", "--config", str(config))
+        assert code == 2, values
+        assert err.startswith("spinring: ") and "Traceback" not in err
 
 
 def test_unparseable_flags_exit_2(capsys):
@@ -130,6 +144,13 @@ def test_cache_dir_flag_and_env(capsys, tmp_path, monkeypatch):
     code, out2, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1",
                         "--cache-dir", str(cache_a))
     assert out2 == out
+    # a truncated or overwritten entry is recomputed, not a crash
+    (entry,) = cache_a.iterdir()
+    for bad in (entry.read_bytes()[:100], b"garbage"):
+        entry.write_bytes(bad)
+        code, out3, err = run(capsys, "spectrum", "--n", "4", "--alpha", "1",
+                              "--cache-dir", str(cache_a))
+        assert code == 0 and err == "" and out3 == out
     cache_b = tmp_path / "b"
     monkeypatch.setenv("SPINRING_CACHE_DIR", str(cache_b))
     code, _, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
@@ -137,7 +158,12 @@ def test_cache_dir_flag_and_env(capsys, tmp_path, monkeypatch):
     assert len(list(cache_b.iterdir())) == 1
 
 
-def test_report_document_shape(capsys):
+def test_report_document_shape(capsys, monkeypatch):
+    def dense_rho(state):
+        raise AssertionError("a level state was expanded to its dense rho")
+
+    # every reduction on the report path works from the eigenvector block
+    monkeypatch.setattr(UniformEigenstate, "rho", property(dense_rho))
     code, out, _ = run(capsys, "report", "--n", "4",
                        "--grid", "0.5:6:12:log", "--extra", "2", "--extra", "inf")
     assert code == 0

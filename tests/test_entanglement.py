@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,25 @@ def random_density(n, seed):
     return rho / np.trace(rho)
 
 
-@pytest.mark.parametrize("sites", [(1,), (3,), (2, 4), (4, 1), (1, 2, 3)])
-def test_reduce_sites_matches_bit_oracle(sites):
-    rho = random_density(4, seed=7)
+@pytest.mark.parametrize("sites", [(1,), (3,), (2, 4), (4, 1), (1, 2, 3),
+                                   (1, 2), (3, 1), (1, 4), (2, 5, 3)])
+def test_reduce_sites_matches_bit_oracle(dec, sites):
+    n = max(4, *sites)
+    rho = random_density(n, seed=7)
     reduced = reduce_sites(rho, sites)
-    oracle = brute_reduce(rho, 4, list(sites))
+    oracle = brute_reduce(rho, n, list(sites))
     assert np.max(np.abs(reduced - oracle)) < 1e-13
     assert np.trace(reduced) == pytest.approx(1.0, abs=1e-12)
+    # level states reduce from their eigenvector block; the dense partial
+    # trace of the same state, checked above, is the oracle
+    for n_sites in (5, 6, 7):
+        for alpha in (0.5, 2.0, math.inf):
+            d = dec(n_sites, alpha)
+            for level in d.levels:
+                state = uniform_state(level, d)
+                assert state.vectors.shape == (2 ** n_sites, level.multiplicity)
+                block = reduce_sites(state, sites)
+                assert np.max(np.abs(block - reduce_sites(state.rho, sites))) < 1e-13
 
 
 def test_reduce_sites_validation():

@@ -100,6 +100,7 @@ def test_uniform_state_normalization(dec):
         assert state.n_sites == 4
         vecs = d.level_vectors(level)
         assert np.max(np.abs(state.rho - vecs @ vecs.T / level.multiplicity)) == 0.0
+        assert state.vectors.shape == (16, level.multiplicity)
 
 
 def test_lagrange_projector_matches_eigenprojector(dec):
@@ -185,6 +186,26 @@ def test_cache_ignores_foreign_files(tmp_path):
         handle.write(b'{"magic": "something-else"}\n')
     assert cache.load(spec, 1e-9) is None
     assert cache.get(spec).eigenvalues.size == 16
+    with open(path, "rb") as handle:
+        good = handle.read()
+    header_end = good.index(b"\n") + 1
+    other = RingSpec(4, 0.9)
+    with open(cache.store(diagonalize(other)), "rb") as handle:
+        foreign = handle.read()
+    fresh = diagonalize(spec)
+    for bad in (good[:header_end + 8 * 16 + 40],        # truncated payload
+                b"garbage" + good[header_end - 1:],     # garbage header
+                foreign,                                # entry of another spec
+                good + b"\0"):                         # trailing bytes
+        with open(path, "wb") as handle:
+            handle.write(bad)
+        assert cache.load(spec, 1e-9) is None
+        recovered = cache.get(spec)
+        assert np.array_equal(recovered.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(recovered.eigenvectors, fresh.eigenvectors)
+        assert recovered.levels == fresh.levels
+        with open(path, "rb") as handle:
+            assert handle.read() == good
 
 
 def test_shifted_total_trace(dec):
