@@ -1,10 +1,10 @@
 """Exact diagonalization and two-spin entanglement for spin-1/2 rings
 with power-law pair couplings."""
 
-from .model import (INFINITY, CouplingTable, HamiltonianMatrix, RingSizeError,
-                    RingSpec, SectorBlock, Variant, build_hamiltonian,
-                    build_sector_blocks, chord_distance, coupling_table,
-                    coupling_weight, top_eigenspace_basis)
+from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
+                    SectorBlock, Variant, build_hamiltonian, build_sector_blocks,
+                    chord_distance, coupling_weight, separation_weights,
+                    top_eigenspace_basis, total_weight, variant_map)
 from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
                       Level, LevelPairing, SpectralDecomposition, UniformEigenstate,
                       cluster_levels, diagonalize, lagrange_projector, match_levels,

@@ -294,6 +294,8 @@ def _bisect_order_swap(n_sites: int, variant: Variant, tolerance: float,
     width0 = hi - lo
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # no float strictly inside: the bracket cannot shrink
         tol = _shrunk_tolerance(tolerance, hi - lo, width0)
         dec = diagonalize(RingSpec(n_sites, mid, variant), cluster_tolerance=tol)
         ja, ova = match_single_level(ref_dec, level_a, dec)
@@ -301,6 +303,8 @@ def _bisect_order_swap(n_sites: int, variant: Variant, tolerance: float,
         if ja == jb or min(ova, ovb) < 0.5:
             # the pair is merged at this resolution; the crossing is here
             half = 0.25 * (hi - lo)
+            if (mid - half, mid + half) == (lo, hi):
+                break  # the halved bracket rounds back to the same floats
             lo, hi = mid - half, mid + half
             continue
         f_mid = dec.levels[ja].energy - dec.levels[jb].energy
@@ -474,6 +478,8 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
         edge_value = values[pos] if state_lo else values[pos + 1]
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # no float strictly inside: the bracket cannot shrink
             tol = _shrunk_tolerance(curve.cluster_tolerance, hi - lo, width0)
             c_mid = _curve_concurrence_at(curve, mid, tol, ref, ref_level, separation)
             if (c_mid > threshold) == state_lo:
@@ -549,14 +555,10 @@ def entangled_level_census(n_sites: int, alpha: float, *,
     """Per-separation count of levels with positive concurrence."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    n_seps = max(n_sites // 2, 1)
-    counts = {sep: 0 for sep in range(1, n_seps + 1)}
-    for level in dec.levels:
-        state = uniform_state(level, dec)
-        for sep in range(1, n_seps + 1):
-            value = concurrence_structured(pair_concurrence(state, 1, 1 + sep))
-            if value > threshold:
-                counts[sep] += 1
+    counts = {sep: 0 for sep in range(1, max(n_sites // 2, 1) + 1)}
+    for record in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT):
+        if record.concurrence > threshold:
+            counts[record.separation] += 1
     return counts
 
 
@@ -647,14 +649,10 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
     """Fit the nearest-neighbor concurrence against level energy."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    energies = []
-    values = []
-    for level in dec.levels:
-        state = uniform_state(level, dec)
-        value = concurrence_structured(pair_concurrence(state, 1, 2))
-        if value > threshold:
-            energies.append(level.energy)
-            values.append(value)
+    nn = [r for r in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT)
+          if r.separation == 1 and r.concurrence > threshold]
+    energies = [r.level_energy for r in nn]
+    values = [r.concurrence for r in nn]
     if len(values) < 2:
         raise InsufficientDataError(
             f"{len(values)} positive nearest-neighbor points at alpha={alpha!r}; need 2")
@@ -674,12 +672,9 @@ def distance_selectivity_check(n_sites: int, alpha: float, *,
     coexistence limited to separations 3 and 4 alone is not reported."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    n_seps = max(n_sites // 2, 1)
-    violations = []
-    for li, level in enumerate(dec.levels):
-        state = uniform_state(level, dec)
-        positive = tuple(sep for sep in range(1, n_seps + 1)
-                         if concurrence_structured(pair_concurrence(state, 1, 1 + sep)) > threshold)
-        if len(positive) > 1 and any(sep in (1, 2) for sep in positive):
-            violations.append((li, positive))
-    return violations
+    positive = {li: [] for li in range(len(dec.levels))}
+    for record in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT):
+        if record.concurrence > threshold:
+            positive[record.level_index].append(record.separation)
+    return [(li, tuple(seps)) for li, seps in positive.items()
+            if len(seps) > 1 and any(sep in (1, 2) for sep in seps)]

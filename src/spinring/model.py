@@ -1,10 +1,12 @@
 """Ring geometry, coupling weights and Hamiltonian matrices.
 
-The system is a ring of N spins 1/2 with an isotropic pair coupling that
-falls off as the inverse chord distance to the power ``alpha``.  Basis
-states are the products of local sigma^z eigenstates, encoded as N-bit
-integers: bit (j-1) of the index is 1 when site j is "up" (+), so site 1
-sits at the least significant bit.
+A ring of N spins 1/2 couples every pair isotropically with the inverse
+chord distance to the power ``alpha``.  The distance depends only on the
+ring separation d, so H(alpha) = sum_d w_d(alpha) K_d over d = 1 .. N//2,
+with K_d the alpha-independent bond sum at separation d; the variants are
+affine maps scale * H + shift * I of it (``variant_map``).  Basis states
+are products of local sigma^z eigenstates, encoded as N-bit integers: bit
+(j-1) is 1 when site j is "up" (+), so site 1 is the least significant bit.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ class RingSizeError(ValueError):
 class Variant(enum.Enum):
     """Which Hamiltonian matrix to build.
 
-    STANDARD is the plain pair-coupling sum, SHIFTED subtracts the
-    constant that makes the fully symmetric states have energy zero,
-    FERROMAGNETIC is the negation of STANDARD.
+    STANDARD is the plain pair-coupling sum; the others are the affine
+    maps of it given by ``variant_map``.
     """
 
     STANDARD = "standard"
@@ -105,29 +106,36 @@ def coupling_weight(n_sites: int, separation: int, alpha: float) -> float:
     return chord_distance(n_sites, d) ** (-alpha)
 
 
-@dataclass(frozen=True)
-class CouplingTable:
-    """All pair weights of a ring, keyed by the site pair (j, k), j < k."""
-
-    n_sites: int
-    alpha: float
-    weights: dict = field(repr=False)
-
-    @property
-    def distinct_distances(self) -> int:
-        return self.n_sites // 2
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(self.weights.values()))
+def separation_weights(n_sites: int, alpha: float) -> np.ndarray:
+    """Coupling weights w_d for the ring separations d = 1 .. n_sites//2."""
+    return np.array([coupling_weight(n_sites, d, alpha)
+                     for d in range(1, n_sites // 2 + 1)])
 
 
-def coupling_table(n_sites: int, alpha: float) -> CouplingTable:
-    weights = {}
-    for j in range(1, n_sites + 1):
-        for k in range(j + 1, n_sites + 1):
-            weights[(j, k)] = coupling_weight(n_sites, k - j, alpha)
-    return CouplingTable(n_sites=n_sites, alpha=float(alpha), weights=weights)
+def _ring_pairs(n_sites: int):
+    """Bit positions (j, k), j < k, of every site pair, and the index d-1
+    of its ring separation d into ``separation_weights``."""
+    bj, bk = np.triu_indices(n_sites, 1)
+    return bj, bk, np.minimum(bk - bj, n_sites - bk + bj) - 1
+
+
+def total_weight(n_sites: int, alpha: float) -> float:
+    """Sum of all pair weights, W = sum_d n_d w_d with n_d pairs at separation d."""
+    counts = np.bincount(_ring_pairs(n_sites)[2])
+    return float(counts @ separation_weights(n_sites, alpha))
+
+
+def variant_map(spec: RingSpec) -> tuple[float, float]:
+    """(scale, shift) with H_variant = scale * H_standard + shift * I.
+
+    SHIFTED is (H - W)/4, which puts the fully symmetric states at energy
+    zero; FERROMAGNETIC is -H.
+    """
+    if spec.variant is Variant.SHIFTED:
+        return 0.25, -0.25 * total_weight(spec.n_sites, spec.alpha)
+    if spec.variant is Variant.FERROMAGNETIC:
+        return -1.0, 0.0
+    return 1.0, 0.0
 
 
 def popcounts(n_sites: int) -> np.ndarray:
@@ -136,14 +144,6 @@ def popcounts(n_sites: int) -> np.ndarray:
     for _ in range(n_sites):
         counts = np.concatenate([counts, counts + 1])
     return counts
-
-
-def _pair_terms(spec: RingSpec):
-    """Yield (bit_j, bit_k, weight) for every coupled pair, fixed order."""
-    table = coupling_table(spec.n_sites, spec.alpha)
-    for (j, k), w in sorted(table.weights.items()):
-        if w != 0.0:
-            yield j - 1, k - 1, w
 
 
 @dataclass(frozen=True)
@@ -156,55 +156,6 @@ class HamiltonianMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def total_weight(self) -> float:
-        table = coupling_table(self.spec.n_sites, self.spec.alpha)
-        return table.total_weight
-
-
-def _add_pair(matrix: np.ndarray, states: np.ndarray, positions: np.ndarray | None,
-              bj: int, bk: int, w: float, variant: Variant):
-    """Accumulate one coupled pair into ``matrix`` over the given basis states.
-
-    ``positions`` maps basis integers to row indices (identity when None).
-    The entries follow from the swap decomposition of the coupling: aligned
-    pairs contribute +w (0 for SHIFTED) on the diagonal, anti-aligned pairs
-    -w (-w/2) plus 2w (w/2) on the partner obtained by swapping the bits.
-    """
-    bits_j = (states >> bj) & 1
-    bits_k = (states >> bk) & 1
-    aligned = bits_j == bits_k
-    anti = ~aligned
-    rows = np.arange(states.size)
-    if variant is Variant.SHIFTED:
-        d_aligned, d_anti, off = 0.0, -0.5 * w, 0.5 * w
-    else:
-        d_aligned, d_anti, off = w, -w, 2.0 * w
-    matrix[rows[aligned], rows[aligned]] += d_aligned
-    matrix[rows[anti], rows[anti]] += d_anti
-    partners = states[anti] ^ ((1 << bj) | (1 << bk))
-    cols = partners if positions is None else positions[partners]
-    matrix[rows[anti], cols] += off
-
-
-def build_hamiltonian(spec: RingSpec) -> HamiltonianMatrix:
-    """Dense 2^N x 2^N matrix of the requested variant.
-
-    Entries are generated from the integer swap structure times the pair
-    weights, so the matrix is exactly symmetric and exactly block-diagonal
-    over total-magnetization sectors.
-    """
-    dim = spec.dimension
-    states = np.arange(dim, dtype=np.int64)
-    matrix = np.zeros((dim, dim))
-    build_variant = Variant.SHIFTED if spec.variant is Variant.SHIFTED else Variant.STANDARD
-    for bj, bk, w in _pair_terms(spec):
-        _add_pair(matrix, states, None, bj, bk, w, build_variant)
-    if spec.variant is Variant.FERROMAGNETIC:
-        np.negative(matrix, out=matrix)
-    matrix.setflags(write=False)
-    return HamiltonianMatrix(spec=spec, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -228,22 +179,41 @@ def build_sector_blocks(spec: RingSpec) -> list[SectorBlock]:
 
     The direct sum of the blocks is the full matrix conjugated by the
     permutation that sorts the basis by up-spin count; block sizes are the
-    binomial coefficients C(N, s).
+    binomial coefficients C(N, s).  A pair of weight w adds +w (-w) to the
+    diagonal where its spins are aligned (anti-aligned), and 2w between an
+    anti-aligned state and its swap partner, the state XOR the pair's bit
+    mask; so every off-diagonal entry belongs to exactly one pair.
     """
-    blocks = []
+    scale, shift = variant_map(spec)
+    bj, bk, sep = _ring_pairs(spec.n_sites)
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)[sep]
+    masks = (1 << bj) | (1 << bk)
     positions = np.empty(spec.dimension, dtype=np.int64)
-    build_variant = Variant.SHIFTED if spec.variant is Variant.SHIFTED else Variant.STANDARD
-    terms = list(_pair_terms(spec))
+    blocks = []
     for s, states in enumerate(sector_states(spec.n_sites)):
         positions[states] = np.arange(states.size)
+        anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
+        rows, pairs = np.nonzero(anti)
         block = np.zeros((states.size, states.size))
-        for bj, bk, w in terms:
-            _add_pair(block, states, positions, bj, bk, w, build_variant)
-        if spec.variant is Variant.FERROMAGNETIC:
-            np.negative(block, out=block)
+        block[rows, positions[states[rows] ^ masks[pairs]]] = 2.0 * weights[pairs]
+        # cumsum adds the pairs in their fixed order; a matrix product would
+        # leave the summation order, and so the last bit, to the BLAS build
+        diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
+        np.fill_diagonal(block, diagonal + shift)
         block.setflags(write=False)
         blocks.append(SectorBlock(sector=s, states=states, block=block))
     return blocks
+
+
+def build_hamiltonian(spec: RingSpec) -> HamiltonianMatrix:
+    """Dense 2^N x 2^N matrix of the requested variant, the sector blocks
+    placed at their basis states; exactly symmetric and exactly
+    block-diagonal over total-magnetization sectors."""
+    matrix = np.zeros((spec.dimension, spec.dimension))
+    for block in build_sector_blocks(spec):
+        matrix[np.ix_(block.states, block.states)] = block.block
+    matrix.setflags(write=False)
+    return HamiltonianMatrix(spec=spec, matrix=matrix)
 
 
 def top_eigenspace_basis(n_sites: int) -> np.ndarray:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (HamiltonianMatrix, RingSpec, Variant, build_hamiltonian,
-                    build_sector_blocks)
+from .model import (HamiltonianMatrix, RingSpec, Variant, build_sector_blocks,
+                    variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -123,30 +123,19 @@ def diagonalize(spec: RingSpec,
                 cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> SpectralDecomposition:
     """Full eigensystem assembled from per-sector eigendecompositions.
 
-    Sectors are solved in ascending magnetization order and merged with a
-    stable sort, so repeated runs on the same spec give bitwise-identical
-    output.  The FERROMAGNETIC variant reuses the STANDARD eigensystem
-    with negated, re-sorted eigenvalues.
+    Every variant is an affine map scale * H + shift * I of the STANDARD
+    Hamiltonian (``variant_map``) and shares its eigenvectors, so the
+    STANDARD blocks are solved and their eigenvalues mapped; a negative
+    scale reverses the order.  Sectors are solved in ascending
+    magnetization order and merged with a stable sort, so repeated runs on
+    the same spec give bitwise-identical output.
     """
-    if spec.variant is Variant.FERROMAGNETIC:
-        base = diagonalize(RingSpec(spec.n_sites, spec.alpha, Variant.STANDARD,
-                                    max_sites=spec.max_sites), cluster_tolerance)
-        values = -base.eigenvalues[::-1]
-        vectors = base.eigenvectors[:, ::-1]
-        levels, warns = cluster_levels(values, cluster_tolerance)
-        values = values.copy()
-        vectors = np.ascontiguousarray(vectors)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return SpectralDecomposition(spec=spec, eigenvalues=values, eigenvectors=vectors,
-                                     levels=levels, cluster_tolerance=cluster_tolerance,
-                                     warnings=warns)
-
+    scale, shift = variant_map(spec)
     dim = spec.dimension
     values = np.empty(dim)
     vectors = np.zeros((dim, dim))
     offset = 0
-    for block in build_sector_blocks(spec):
+    for block in build_sector_blocks(replace(spec, variant=Variant.STANDARD)):
         try:
             w, v = np.linalg.eigh(block.block)
         except np.linalg.LinAlgError as exc:
@@ -156,8 +145,11 @@ def diagonalize(spec: RingSpec,
         vectors[np.ix_(block.states, np.arange(offset, offset + size))] = v
         offset += size
     order = np.argsort(values, kind="stable")
-    values = values[order]
+    values = scale * values[order] + shift
     vectors = _fix_signs(vectors[:, order])
+    if scale < 0:
+        values = values[::-1].copy()
+        vectors = np.ascontiguousarray(vectors[:, ::-1])
     levels, warns = cluster_levels(values, cluster_tolerance)
     values.setflags(write=False)
     vectors.setflags(write=False)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spinring.analysis as analysis_module
 from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       all_crossings, count_distinct_levels, default_alpha_grid,
                       diagonalize, distance_selectivity_check,
@@ -10,6 +11,7 @@ from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       projector_dimension_histogram, RingSpec,
                       separation_existence_intervals, separation_gaps, sweep,
                       uniform_state, pair_concurrence, concurrence_structured)
+from spinring.cli import main
 
 THRESHOLD = 1e-10
 
@@ -196,6 +198,35 @@ def test_entanglement_boundaries_events(sweep8):
     assert abs(offsets[0].alpha - 2.547) < 2e-3
     assert entanglement_boundaries(sweep8.curves[0], 1) == ()
 
+
+
+def _bounded_diagonalize(monkeypatch, limit):
+    """Make the analysis layer's diagonalize raise after ``limit`` calls, so a
+    bisection that stops shrinking fails the test instead of hanging it."""
+    real = analysis_module.diagonalize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} diagonalizations")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "diagonalize", counted)
+
+
+def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
+    # below the spacing of floats the midpoint rounds to an endpoint and the
+    # merged-pair step rounds back to the same bracket
+    _bounded_diagonalize(monkeypatch, 3000)
+    assert main(["report", "--n", "6", "--grid", "0.5:12:12",
+                 "--resolution", "1e-300"]) == 0
+    capsys.readouterr()
+    res = sweep(7, np.linspace(0.5, 12, 12))
+    _bounded_diagonalize(monkeypatch, 500)
+    events = entanglement_boundaries(res.curves[2], 2, 1e-300)
+    assert len(events) == 1
+    assert 0 < events[0].width < 1e-15
 
 def test_separation_existence_and_gaps(sweep8):
     sep1 = separation_existence_intervals(sweep8, 1)

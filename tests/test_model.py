@@ -5,7 +5,8 @@ import pytest
 
 from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
-                      coupling_table, coupling_weight, top_eigenspace_basis)
+                      coupling_weight, separation_weights, top_eigenspace_basis,
+                      total_weight)
 from spinring.model import (popcounts, sector_states, spin_flip_permutation,
                             translation_permutation)
 
@@ -69,12 +70,16 @@ def test_coupling_weight_limits():
     assert coupling_weight(8, 2, 2.0) == pytest.approx(chord_distance(8, 2) ** -2)
 
 
-def test_coupling_table_shape():
-    table = coupling_table(6, 1.5)
-    assert len(table.weights) == 15
-    assert table.distinct_distances == 3
-    assert all(j < k for (j, k) in table.weights)
-    assert table.total_weight == pytest.approx(sum(table.weights.values()))
+def test_separation_weights_match_pair_sum():
+    for n in range(2, 9):
+        for alpha in (0.0, 1.5, 2.0, INFINITY):
+            weights = separation_weights(n, alpha)
+            assert len(weights) == n // 2
+            assert weights.tolist() == [coupling_weight(n, d, alpha)
+                                        for d in range(1, n // 2 + 1)]
+            explicit = sum(coupling_weight(n, k - j, alpha)
+                           for j in range(1, n + 1) for k in range(j + 1, n + 1))
+            assert total_weight(n, alpha) == pytest.approx(explicit, rel=1e-14)
 
 
 def test_ringspec_validation():
@@ -97,7 +102,8 @@ def test_popcounts():
     assert counts.tolist() == [bin(i).count("1") for i in range(16)]
 
 
-@pytest.mark.parametrize("n,alpha", [(3, 1.3), (4, 2.0), (4, INFINITY), (5, 0.0)])
+@pytest.mark.parametrize("n,alpha", [(3, 1.3), (4, 2.0), (4, INFINITY), (5, 0.0),
+                                     (6, 0.37), (6, INFINITY), (7, 3.1)])
 def test_hamiltonian_matches_pauli_oracle(n, alpha):
     built = build_hamiltonian(RingSpec(n, alpha)).matrix
     oracle = pauli_hamiltonian(n, alpha)
@@ -118,7 +124,7 @@ def test_variant_relations():
     ferro = build_hamiltonian(RingSpec(5, 1.3, Variant.FERROMAGNETIC)).matrix
     shifted = build_hamiltonian(RingSpec(5, 1.3, Variant.SHIFTED)).matrix
     assert np.array_equal(ferro, -standard)
-    total = coupling_table(5, 1.3).total_weight
+    total = total_weight(5, 1.3)
     expected = (standard - total * np.eye(32)) / 4.0
     assert np.max(np.abs(shifted - expected)) < 1e-12
 

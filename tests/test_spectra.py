@@ -3,10 +3,10 @@ import pytest
 
 import spinring.spectra as spectra_module
 from spinring import (DecompositionCache, IllConditionedError, RingSpec,
-                      Variant, build_hamiltonian, cluster_levels, coupling_table,
+                      Variant, build_hamiltonian, cluster_levels,
                       diagonalize, lagrange_projector, match_levels,
                       match_single_level, overlap_matrix, projector,
-                      uniform_state)
+                      total_weight, uniform_state)
 
 
 def test_cluster_levels_groups_degeneracies():
@@ -210,5 +210,5 @@ def test_cache_ignores_foreign_files(tmp_path):
 
 def test_shifted_total_trace(dec):
     d = dec(5, 2.2, Variant.SHIFTED)
-    total = coupling_table(5, 2.2).total_weight
+    total = total_weight(5, 2.2)
     assert d.eigenvalues.sum() == pytest.approx(-32 * total / 4, rel=1e-12)
