@@ -274,9 +274,10 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 # ---------------------------------------------------------------------------
 # Crossing location.  The scan flags grid intervals where the energy order of
 # matched levels swaps (or where the count dips at a grid point); bisection
-# then follows the two participating levels by projector overlap from the
-# left endpoint, with the cluster tolerance shrinking with the bracket so
-# near-degenerate levels stay resolved.
+# then follows each swapped pair by projector overlap from the left endpoint,
+# with the cluster tolerance shrinking with the bracket so near-degenerate
+# levels stay resolved.  All pairs of an interval start from its bracket, and
+# pairs whose brackets coincide share that step's diagonalization.
 
 
 def _shrunk_tolerance(base: float, width: float, width0: float) -> float:
@@ -285,41 +286,62 @@ def _shrunk_tolerance(base: float, width: float, width0: float) -> float:
     return max(1e-12, min(base, base * width / width0))
 
 
-def _bisect_order_swap(n_sites: int, variant: Variant, tolerance: float,
-                       ref_dec: SpectralDecomposition, level_a: int, level_b: int,
-                       lo: float, hi: float, resolution: float) -> tuple:
-    """Shrink [lo, hi] around the alpha where levels a and b of ``ref_dec``
-    (taken at lo) exchange energy order.  Returns the final bracket."""
-    f_lo = ref_dec.levels[level_a].energy - ref_dec.levels[level_b].energy
+def _bisect_order_swaps(n_sites: int, variant: Variant, tolerance: float,
+                        ref_dec: SpectralDecomposition, pairs, lo: float,
+                        hi: float, resolution: float) -> list:
+    """Shrink [lo, hi] around the alpha where each pair (a, b) of levels of
+    ``ref_dec`` (taken at lo) exchanges energy order.  Returns the final
+    bracket of every pair, in pair order."""
     width0 = hi - lo
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # no float strictly inside: the bracket cannot shrink
-        tol = _shrunk_tolerance(tolerance, hi - lo, width0)
-        dec = diagonalize(RingSpec(n_sites, mid, variant), cluster_tolerance=tol)
-        ja, ova = match_single_level(ref_dec, level_a, dec)
-        jb, ovb = match_single_level(ref_dec, level_b, dec)
-        if ja == jb or min(ova, ovb) < 0.5:
-            # the pair is merged at this resolution; the crossing is here
-            half = 0.25 * (hi - lo)
-            if (mid - half, mid + half) == (lo, hi):
-                break  # the halved bracket rounds back to the same floats
-            lo, hi = mid - half, mid + half
-            continue
-        f_mid = dec.levels[ja].energy - dec.levels[jb].energy
-        if f_mid == 0.0:
-            return (mid, mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
+    brackets = [(lo, hi)] * len(pairs)
+    active = list(range(len(pairs)))
+    while active:
+        groups: dict = {}
+        for k in active:
+            groups.setdefault(brackets[k], []).append(k)
+        active = []
+        for (lo, hi), members in groups.items():
+            mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
+            if hi - lo <= resolution or not lo < mid < hi:
+                continue  # resolved, or no float strictly inside: cannot shrink
+            dec = diagonalize(RingSpec(n_sites, mid, variant),
+                              cluster_tolerance=_shrunk_tolerance(tolerance, hi - lo, width0))
+            for k in members:
+                a, b = pairs[k]
+                (ja, ova), (jb, ovb) = (match_single_level(ref_dec, a, dec),
+                                        match_single_level(ref_dec, b, dec))
+                f_lo = ref_dec.levels[a].energy - ref_dec.levels[b].energy
+                f_mid = dec.levels[ja].energy - dec.levels[jb].energy
+                if ja == jb or min(ova, ovb) < 0.5:
+                    # the pair is merged at this resolution; the crossing is here
+                    brackets[k] = (mid - half, mid + half)
+                elif f_mid == 0.0:
+                    brackets[k] = (mid, mid)
+                else:
+                    brackets[k] = (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
+                if brackets[k] != (lo, hi):  # else the halving rounded back
+                    active.append(k)
+    return brackets
+
+
+def _crossings_in(ring, lo: float, hi: float, pairs, labels,
+                  resolution: float) -> list:
+    """Crossing events of the level pairs (indexed at ``lo``) that swap order
+    inside [lo, hi], each labelled with its curve indices from ``labels``.
+    ``ring`` is the SweepResult or LevelCurve giving the ring size, variant
+    and cluster tolerance."""
+    tolerance = ring.cluster_tolerance
+    ref = diagonalize(RingSpec(ring.n_sites, lo, ring.variant), cluster_tolerance=tolerance)
+    brackets = _bisect_order_swaps(ring.n_sites, ring.variant, tolerance, ref, pairs,
+                                   lo, hi, resolution)
+    return [CrossingEvent(alpha=0.5 * (a + b), bracket=(a, b), kind="crossing",
+                          curve_indices=label) for (a, b), label in zip(brackets, labels)]
 
 
 def _scan_swaps(sweep_result: SweepResult):
-    """Yield (interval_index, [(level_a, level_b), ...]) for every consecutive
-    backbone interval whose pairing swaps energy order."""
+    """Yield (alpha_lo, alpha_hi, pairs, labels) for every consecutive
+    backbone interval whose pairing swaps energy order: the swapped level
+    pairs, indexed at alpha_lo, and the curve indices of each pair."""
     backbone = [int(b) for b in sweep_result.backbone]
     for pos in range(len(backbone) - 1):
         i, j = backbone[pos], backbone[pos + 1]
@@ -336,7 +358,23 @@ def _scan_swaps(sweep_result: SweepResult):
         swapped = [(k, l) for k in range(len(perm)) for l in range(k + 1, len(perm))
                    if perm[k] >= 0 and perm[l] >= 0 and perm[k] > perm[l]]
         if swapped:
-            yield i, j, swapped
+            # the lowest-indexed curve holding a level owns it
+            owner = {int(c.level_indices[i]): c.curve_index
+                     for c in reversed(sweep_result.curves)}
+            yield (sweep_result.points[i].alpha, sweep_result.points[j].alpha, swapped,
+                   [tuple(owner[li] for li in pair if li in owner) for pair in swapped])
+
+
+def _last_crossing(sweep_result: SweepResult, crossings,
+                   alpha_max_search: float) -> CrossingEvent | None:
+    """The highest of the located ``crossings`` and of the exact crossings on
+    non-backbone grid points at or below ``alpha_max_search``."""
+    on_grid = [CrossingEvent(alpha=p.alpha, bracket=(p.alpha, p.alpha),
+                             kind="crossing", curve_indices=())
+               for p in sweep_result.points
+               if p.count < sweep_result.generic_count
+               and 0.0 < p.alpha < INFINITY and p.alpha <= alpha_max_search]
+    return max([*crossings, *on_grid], key=lambda e: e.alpha, default=None)
 
 
 def find_last_crossing(n_sites: int, alpha_max_search: float,
@@ -351,65 +389,17 @@ def find_last_crossing(n_sites: int, alpha_max_search: float,
         grid = default_alpha_grid(lo=lo, hi=alpha_max_search, extras=())
         sweep_result = sweep(n_sites, grid, variant,
                              cluster_tolerance=cluster_tolerance)
-    events = []
-    for i, j, swapped in _scan_swaps(sweep_result):
-        if sweep_result.alpha_grid[i] > alpha_max_search:
-            continue
-        events.append((i, j, swapped))
-    # exact crossings sitting on a non-backbone grid point
-    on_grid = [int(i) for i in range(sweep_result.n_points)
-               if sweep_result.points[i].count < sweep_result.generic_count
-               and 0.0 < sweep_result.points[i].alpha < INFINITY
-               and sweep_result.points[i].alpha <= alpha_max_search]
-    if not events and not on_grid:
-        return None
-    best = None
-    if events:
-        i, j, swapped = events[-1]
-        ref = diagonalize(RingSpec(n_sites, sweep_result.points[i].alpha, variant),
-                          cluster_tolerance=sweep_result.cluster_tolerance)
-        for (ka, kb) in swapped:
-            lo, hi = _bisect_order_swap(
-                n_sites, variant, sweep_result.cluster_tolerance, ref, ka, kb,
-                sweep_result.points[i].alpha, sweep_result.points[j].alpha, resolution)
-            event = CrossingEvent(alpha=0.5 * (lo + hi), bracket=(lo, hi),
-                                  kind="crossing", curve_indices=_curves_of(sweep_result, i, (ka, kb)))
-            if best is None or event.alpha > best.alpha:
-                best = event
-    for i in on_grid:
-        a = sweep_result.points[i].alpha
-        if best is None or a > best.alpha:
-            best = CrossingEvent(alpha=a, bracket=(a, a), kind="crossing",
-                                 curve_indices=())
-    return best
-
-
-def _curves_of(sweep_result: SweepResult, point_index: int, level_indices) -> tuple:
-    out = []
-    for li in level_indices:
-        for curve in sweep_result.curves:
-            if curve.level_indices[point_index] == li:
-                out.append(curve.curve_index)
-                break
-    return tuple(out)
+    intervals = [s for s in _scan_swaps(sweep_result) if s[0] <= alpha_max_search]
+    located = _crossings_in(sweep_result, *intervals[-1], resolution) if intervals else []
+    return _last_crossing(sweep_result, located, alpha_max_search)
 
 
 def all_crossings(sweep_result: SweepResult,
                   resolution: float = RESOLUTION_DEFAULT) -> tuple:
     """Bisect every order swap flagged by the scan, ascending in alpha."""
     events = []
-    for i, j, swapped in _scan_swaps(sweep_result):
-        ref = diagonalize(RingSpec(sweep_result.n_sites, sweep_result.points[i].alpha,
-                                   sweep_result.variant),
-                          cluster_tolerance=sweep_result.cluster_tolerance)
-        for (ka, kb) in swapped:
-            lo, hi = _bisect_order_swap(
-                sweep_result.n_sites, sweep_result.variant,
-                sweep_result.cluster_tolerance, ref, ka, kb,
-                sweep_result.points[i].alpha, sweep_result.points[j].alpha, resolution)
-            events.append(CrossingEvent(
-                alpha=0.5 * (lo + hi), bracket=(lo, hi), kind="crossing",
-                curve_indices=_curves_of(sweep_result, i, (ka, kb))))
+    for interval in _scan_swaps(sweep_result):
+        events.extend(_crossings_in(sweep_result, *interval, resolution))
     return tuple(sorted(events, key=lambda e: e.alpha))
 
 
@@ -426,15 +416,11 @@ def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,
         return None
     pos = changes[0]
     i, j = int(idx[pos]), int(idx[pos + 1])
-    alpha_i = float(curve_a.alpha_grid[i])
-    ref = diagonalize(RingSpec(curve_a.n_sites, alpha_i, curve_a.variant),
-                      cluster_tolerance=curve_a.cluster_tolerance)
-    lo, hi = _bisect_order_swap(
-        curve_a.n_sites, curve_a.variant, curve_a.cluster_tolerance, ref,
-        int(curve_a.level_indices[i]), int(curve_b.level_indices[i]),
-        alpha_i, float(curve_a.alpha_grid[j]), resolution)
-    return CrossingEvent(alpha=0.5 * (lo + hi), bracket=(lo, hi), kind="crossing",
-                         curve_indices=(curve_a.curve_index, curve_b.curve_index))
+    pair = (int(curve_a.level_indices[i]), int(curve_b.level_indices[i]))
+    (event,) = _crossings_in(curve_a, float(curve_a.alpha_grid[i]),
+                             float(curve_a.alpha_grid[j]), [pair],
+                             [(curve_a.curve_index, curve_b.curve_index)], resolution)
+    return event
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +520,14 @@ def separation_gaps(sweep_result: SweepResult, separation: int,
         if separation in curve.distances(threshold):
             events.extend(entanglement_boundaries(
                 curve, separation, resolution, threshold=threshold))
+    return _gaps_between(intervals, events)
+
+
+def _gaps_between(intervals, events) -> tuple:
+    """Pair each hole between consecutive existence intervals with the last
+    offset and the first onset bracketed inside it; ``events`` are the
+    boundaries of one separation, and an alpha tie goes to the one listed
+    first."""
     gaps = []
     for (_, last_pos), (first_pos, _) in zip(intervals[:-1], intervals[1:]):
         offsets = [e for e in events if e.kind == "offset" and last_pos <= e.bracket[1] <= first_pos]

@@ -21,16 +21,15 @@ import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      EigensolverError, IllConditionedError, diagonalize,
-                      uniform_state)
+                      EigensolverError, diagonalize, uniform_state)
 from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, StructureError,
                            meyer_wallach, oliveira_global)
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
-                       InsufficientDataError, SweepError, _point_records,
-                       all_crossings, default_alpha_grid,
-                       entangled_projector_census, entanglement_boundaries,
-                       find_last_crossing, nn_linear_fit, separation_gaps,
-                       sweep)
+                       InsufficientDataError, SweepError, _gaps_between,
+                       _last_crossing, _point_records, all_crossings,
+                       default_alpha_grid, entangled_projector_census,
+                       entanglement_boundaries, nn_linear_fit,
+                       separation_existence_intervals, sweep)
 from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
                         write_output)
 
@@ -173,7 +172,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     n_sites = pick(args.n, "n")
     if n_sites is None:
         raise UsageError("--n is required (flag or config)")
-    if isinstance(n_sites, float) and not n_sites.is_integer():
+    if isinstance(n_sites, bool) or isinstance(n_sites, float) and not n_sites.is_integer():
         raise UsageError(f"--n must be an integer, got {n_sites!r}")
     try:
         n_sites = int(n_sites)
@@ -229,6 +228,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     def positive(flag_value, key, default):
         value = pick(flag_value, key, default)
+        if isinstance(value, bool):  # float(true) would be 1.0
+            raise UsageError(f"{key} must be a number, got {value!r}")
         try:
             value = float(value)
         except (TypeError, ValueError) as exc:
@@ -371,9 +372,7 @@ def cmd_report(config: RunConfig) -> str:
     }
 
     crossings = all_crossings(result, config.resolution)
-    last = find_last_crossing(config.n_sites, max(result.points[i].alpha for i in backbone),
-                              config.resolution, variant=config.variant,
-                              sweep_result=result)
+    last = _last_crossing(result, crossings, max(result.points[i].alpha for i in backbone))
 
     boundaries = []
     for entry in census.entangled:
@@ -386,8 +385,8 @@ def cmd_report(config: RunConfig) -> str:
 
     gaps_doc = {}
     for sep in range(1, n_seps + 1):
-        gaps = separation_gaps(result, sep, config.resolution,
-                               threshold=config.concurrence_threshold)
+        gaps = _gaps_between(separation_existence_intervals(result, sep),
+                             [e for e in boundaries if e.separation == sep])
         if gaps:
             gaps_doc[str(sep)] = [{"offset": _event_doc(off), "onset": _event_doc(on)}
                                   for off, on in gaps]
@@ -468,7 +467,7 @@ def main(argv=None) -> int:
     except (UsageError, RingSizeError) as exc:
         print(f"spinring: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SweepError, EigensolverError, IllConditionedError, StructureError,
+    except (SweepError, EigensolverError, StructureError,
             np.linalg.LinAlgError) as exc:
         print(f"spinring: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -20,11 +20,11 @@ import numpy as np
 INFINITY = math.inf
 
 # Dense 2^N matrices; above this the memory cost is no longer sensible.
-MAX_SITES_DEFAULT = 14
+MAX_SITES = 14
 
 
 class RingSizeError(ValueError):
-    """Site count exceeds the configured dense-matrix cap."""
+    """Site count exceeds the dense-matrix cap."""
 
 
 class Variant(enum.Enum):
@@ -59,14 +59,13 @@ class RingSpec:
     n_sites: int
     alpha: float
     variant: Variant = Variant.STANDARD
-    max_sites: int = MAX_SITES_DEFAULT
 
     def __post_init__(self):
         if not isinstance(self.n_sites, (int, np.integer)) or self.n_sites < 2:
             raise ValueError(f"n_sites must be an integer >= 2, got {self.n_sites!r}")
-        if self.n_sites > self.max_sites:
+        if self.n_sites > MAX_SITES:
             raise RingSizeError(
-                f"n_sites={self.n_sites} exceeds the cap of {self.max_sites} "
+                f"n_sites={self.n_sites} exceeds the cap of {MAX_SITES} "
                 f"(dense matrices scale as 4^N)")
         a = float(self.alpha)
         if math.isnan(a) or a < 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -307,18 +308,20 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
 # On-disk cache: JSON header line + raw float64 payload (eigenvalues, then
 # eigenvector columns in row-major order).  Purely an accelerator; a loaded
 # decomposition is bit-identical to a freshly computed one, and an entry with
-# a foreign header or the wrong length is a miss that ``get`` overwrites.
+# a foreign header, the wrong length or a payload that fails the header's
+# CRC-32 is a miss that ``get`` overwrites.  The entry holds the unclustered
+# eigensystem, so one entry serves every cluster tolerance.
 
-_CACHE_MAGIC = "spinring-decomposition-v1"
+_CACHE_MAGIC = "spinring-decomposition-v2"
 
 # header fields that must match the requested spec for an entry to load
 _CACHE_IDENTITY = ("magic", "n_sites", "variant", "alpha", "dimension")
 
 
-def _cache_header(spec: RingSpec, tolerance: float) -> dict:
+def _cache_header(spec: RingSpec) -> dict:
     return {"magic": _CACHE_MAGIC, "n_sites": spec.n_sites,
             "alpha": repr(spec.alpha), "variant": spec.variant.value,
-            "tolerance": tolerance, "dimension": spec.dimension}
+            "dimension": spec.dimension}
 
 
 class DecompositionCache:
@@ -326,17 +329,18 @@ class DecompositionCache:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    def _path(self, spec: RingSpec, tolerance: float) -> str:
-        name = f"dec_n{spec.n_sites}_{spec.variant.value}_a{spec.alpha!r}_t{tolerance!r}.bin"
+    def _path(self, spec: RingSpec) -> str:
+        name = f"dec_n{spec.n_sites}_{spec.variant.value}_a{spec.alpha!r}.bin"
         return os.path.join(self.directory, name)
 
     def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:
-        """The stored decomposition, or None when the entry is missing, was
-        written for another spec, or is corrupt or truncated."""
-        path = self._path(spec, tolerance)
+        """The stored decomposition clustered at ``tolerance``, or None when
+        the entry is missing, was written for another spec, or is corrupt or
+        truncated."""
+        path = self._path(spec)
         if not os.path.exists(path):
             return None
-        expected = _cache_header(spec, tolerance)
+        expected = _cache_header(spec)
         dim = spec.dimension
         with open(path, "rb") as handle:
             line = handle.readline(4096)  # a header is one short JSON line
@@ -347,28 +351,31 @@ class DecompositionCache:
             if not isinstance(header, dict) or any(
                     header.get(key) != expected[key] for key in _CACHE_IDENTITY):
                 return None
-            if os.fstat(handle.fileno()).st_size != len(line) + 8 * dim + 8 * dim * dim:
-                return None
-            values = np.frombuffer(handle.read(8 * dim), dtype=np.float64).copy()
-            vectors = np.frombuffer(handle.read(8 * dim * dim),
-                                    dtype=np.float64).reshape(dim, dim).copy()
+            size = 8 * dim * (dim + 1)
+            payload = handle.read(size + 1)  # a byte more exposes trailing data
+        if len(payload) != size or zlib.crc32(payload) != header.get("checksum"):
+            return None
+        # read-only views of the payload
+        values = np.frombuffer(payload, dtype=np.float64, count=dim)
+        vectors = np.frombuffer(payload, dtype=np.float64, offset=8 * dim).reshape(dim, dim)
         levels, warns = cluster_levels(values, tolerance)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
         return SpectralDecomposition(spec=spec, eigenvalues=values, eigenvectors=vectors,
                                      levels=levels, cluster_tolerance=tolerance,
                                      warnings=warns)
 
     def store(self, decomposition: SpectralDecomposition) -> str:
         spec = decomposition.spec
-        path = self._path(spec, decomposition.cluster_tolerance)
-        header = _cache_header(spec, decomposition.cluster_tolerance)
+        path = self._path(spec)
+        values = np.ascontiguousarray(decomposition.eigenvalues)
+        vectors = np.ascontiguousarray(decomposition.eigenvectors)
+        header = _cache_header(spec)
+        header["checksum"] = zlib.crc32(vectors, zlib.crc32(values))
         fd, tmp = tempfile.mkstemp(dir=self.directory)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write((json.dumps(header) + "\n").encode("utf-8"))
-                handle.write(np.ascontiguousarray(decomposition.eigenvalues).tobytes())
-                handle.write(np.ascontiguousarray(decomposition.eigenvectors).tobytes())
+                handle.write(values)
+                handle.write(vectors)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -1,7 +1,11 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
 import spinring.analysis as analysis_module
+import spinring.cli as cli_module
 from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       all_crossings, count_distinct_levels, default_alpha_grid,
                       diagonalize, distance_selectivity_check,
@@ -200,33 +204,74 @@ def test_entanglement_boundaries_events(sweep8):
 
 
 
-def _bounded_diagonalize(monkeypatch, limit):
-    """Make the analysis layer's diagonalize raise after ``limit`` calls, so a
-    bisection that stops shrinking fails the test instead of hanging it."""
-    real = analysis_module.diagonalize
+def _recording(monkeypatch, module, name, limit=INFINITY):
+    """Replace ``module.name`` with a wrapper that records each call's
+    arguments and raises after ``limit`` calls, so a bisection that stops
+    shrinking fails the test instead of hanging it; returns the list of
+    (args, kwargs)."""
+    real = getattr(module, name)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
         if len(calls) > limit:
-            raise RuntimeError(f"more than {limit} diagonalizations")
+            raise RuntimeError(f"more than {limit} calls of {name}")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis_module, "diagonalize", counted)
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
     # below the spacing of floats the midpoint rounds to an endpoint and the
     # merged-pair step rounds back to the same bracket
-    _bounded_diagonalize(monkeypatch, 3000)
+    _recording(monkeypatch, analysis_module, "diagonalize", 3000)
     assert main(["report", "--n", "6", "--grid", "0.5:12:12",
                  "--resolution", "1e-300"]) == 0
     capsys.readouterr()
     res = sweep(7, np.linspace(0.5, 12, 12))
-    _bounded_diagonalize(monkeypatch, 500)
+    _recording(monkeypatch, analysis_module, "diagonalize", 500)
     events = entanglement_boundaries(res.curves[2], 2, 1e-300)
     assert len(events) == 1
     assert 0 < events[0].width < 1e-15
+
+
+def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
+    res = sweep(6, np.linspace(0.5, 12, 12))
+    lo, hi, swapped, _ = next(s for s in analysis_module._scan_swaps(res) if len(s[2]) >= 8)
+    ref = diagonalize(RingSpec(6, lo), cluster_tolerance=res.cluster_tolerance)
+    bisect = functools.partial(analysis_module._bisect_order_swaps, 6,
+                               Variant.STANDARD, res.cluster_tolerance, ref)
+    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    grouped = bisect(swapped, lo, hi, 1e-6)
+    shared = len(calls)
+    single = [bisect([pair], lo, hi, 1e-6)[0] for pair in swapped]
+    assert grouped == single
+    assert len(set(grouped)) > 1              # the brackets do part ways
+    assert shared < len(calls) - shared
+
+
+def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
+    res = sweep(8, np.geomspace(0.5, 8, 15))
+    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    events = all_crossings(res, 0.1)
+    keys = [(args[0].alpha, kwargs["cluster_tolerance"]) for args, kwargs in calls]
+    assert len(events) > 100
+    assert len(keys) == len(set(keys))
+
+
+def test_report_locates_each_boundary_once(monkeypatch, capsys):
+    calls = _recording(monkeypatch, analysis_module, "entanglement_boundaries")
+    # the report binds it in cli; separation_gaps calls it through analysis
+    monkeypatch.setattr(cli_module, "entanglement_boundaries",
+                        analysis_module.entanglement_boundaries)
+    assert main(["report", "--n", "8", "--grid", "0.5:8:15",
+                 "--resolution", "0.1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["separation_gaps"]            # the report does pair a gap
+    keys = [(args[0].curve_index, args[1]) for args, _ in calls]
+    assert len(keys) == len(set(keys))
+
 
 def test_separation_existence_and_gaps(sweep8):
     sep1 = separation_existence_intervals(sweep8, 1)

@@ -80,6 +80,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                    {"n": 4.5, "alpha": [1]},
                    {"n": 4, "alpha": [1], "resolution": "x"},
                    {"n": 4, "alpha": [1], "cluster_tolerance": None},
+                   {"n": 4, "alpha": [1], "cluster_tolerance": True},
+                   {"n": True, "alpha": [1]},
                    {"n": 4, "alpha": [1], "variant": 5},
                    {"n": 4, "alpha": [1], "format": "xml"},
                    {"n": 4, "alpha": [1], "output": 7},

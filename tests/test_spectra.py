@@ -163,6 +163,11 @@ def test_cache_round_trip(tmp_path):
     assert np.array_equal(loaded.eigenvalues, first.eigenvalues)
     assert np.array_equal(loaded.eigenvectors, first.eigenvectors)
     assert loaded.levels == first.levels
+    # one entry serves every cluster tolerance: load re-clusters
+    coarse = cache.load(spec, 0.5)
+    assert coarse.levels == diagonalize(spec, 0.5).levels
+    assert len(coarse.levels) < len(first.levels)
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
@@ -181,7 +186,7 @@ def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
 def test_cache_ignores_foreign_files(tmp_path):
     cache = DecompositionCache(str(tmp_path))
     spec = RingSpec(4, 0.7)
-    path = cache._path(spec, 1e-9)
+    path = cache._path(spec)
     with open(path, "wb") as handle:
         handle.write(b'{"magic": "something-else"}\n')
     assert cache.load(spec, 1e-9) is None
@@ -193,7 +198,13 @@ def test_cache_ignores_foreign_files(tmp_path):
     with open(cache.store(diagonalize(other)), "rb") as handle:
         foreign = handle.read()
     fresh = diagonalize(spec)
+
+    def flipped(offset):  # one bit of the payload flipped
+        return good[:offset] + bytes([good[offset] ^ 1]) + good[offset + 1:]
+
     for bad in (good[:header_end + 8 * 16 + 40],        # truncated payload
+                flipped(header_end + 3),                # an eigenvalue
+                flipped(len(good) - 1),                 # an eigenvector
                 b"garbage" + good[header_end - 1:],     # garbage header
                 foreign,                                # entry of another spec
                 good + b"\0"):                         # trailing bytes
