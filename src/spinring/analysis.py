@@ -306,10 +306,11 @@ def _bisect_order_swaps(n_sites: int, variant: Variant, tolerance: float,
                 continue  # resolved, or no float strictly inside: cannot shrink
             dec = diagonalize(RingSpec(n_sites, mid, variant),
                               cluster_tolerance=_shrunk_tolerance(tolerance, hi - lo, width0))
+            levels = {level for k in members for level in pairs[k]}  # each matched once
+            matched = {level: match_single_level(ref_dec, level, dec) for level in levels}
             for k in members:
                 a, b = pairs[k]
-                (ja, ova), (jb, ovb) = (match_single_level(ref_dec, a, dec),
-                                        match_single_level(ref_dec, b, dec))
+                (ja, ova), (jb, ovb) = matched[a], matched[b]
                 f_lo = ref_dec.levels[a].energy - ref_dec.levels[b].energy
                 f_mid = dec.levels[ja].energy - dec.levels[jb].energy
                 if ja == jb or min(ova, ovb) < 0.5:

@@ -3,22 +3,24 @@
 Eigenvalues of the ring Hamiltonian come in exactly degenerate groups
 (total-spin and lattice symmetries), so the raw eigh output is clustered
 into levels before anything downstream looks at it.  A level owns a
-contiguous slice of the globally sorted eigenvalue list; its orthoprojector
-is materialized on demand from the eigenvector columns.
+contiguous slice of the globally sorted eigenvalue list; the eigenvectors stay
+in their magnetization blocks, and a level's 2^N x m block is embedded on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (HamiltonianMatrix, RingSpec, Variant, build_sector_blocks,
-                    variant_map)
+                    sector_states, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -53,13 +55,25 @@ class Level:
         return range(self.start, self.stop)
 
 
+class SectorEigensystem(NamedTuple):
+    """Eigenpairs of one total-magnetization block of the STANDARD Hamiltonian."""
+    states: np.ndarray   # basis integers, ascending
+    values: np.ndarray   # ascending, as eigh returns them
+    vectors: np.ndarray  # sign-fixed orthonormal columns
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Full eigensystem of one ring spec, clustered into levels."""
+    """Full eigensystem of one ring spec, clustered into levels, kept as its
+    magnetization blocks: sorted eigenvalue i is column ``columns[i]`` of block
+    ``sectors[i]``, and ``members[s]`` holds the level of each column of block s."""
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
-    eigenvectors: np.ndarray = field(repr=False)   # orthonormal columns
+    blocks: tuple = field(repr=False)              # SectorEigensystem, sector 0 .. N
+    sectors: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
+    members: tuple = field(repr=False)
     levels: tuple
     cluster_tolerance: float
     warnings: tuple = ()
@@ -77,7 +91,20 @@ class SpectralDecomposition:
         return np.array([lv.multiplicity for lv in self.levels], dtype=np.int64)
 
     def level_vectors(self, level: Level) -> np.ndarray:
-        return self.eigenvectors[:, level.start:level.stop]
+        """The level's eigenvectors as 2^N x m, in sorted order, with the strides of a
+        column slice of the 2^N x 2^N matrix, so reductions round as they would on it."""
+        dim, m = self.spec.dimension, level.multiplicity
+        reverse = variant_map(self.spec)[0] < 0  # row-major then, else column-major
+        vectors = np.zeros((dim, m + 1))[:, :-1] if reverse else np.zeros((m, dim)).T
+        for j, i in enumerate(level.member_indices):
+            block = self.blocks[self.sectors[i]]
+            vectors[block.states, j] = block.vectors[:, self.columns[i]]
+        return vectors
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense 2^N x 2^N eigenvector matrix, built on every access."""
+        return self.level_vectors(Level(0.0, self.spec.dimension, 0, 0.0))
 
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
@@ -124,39 +151,38 @@ def diagonalize(spec: RingSpec,
                 cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> SpectralDecomposition:
     """Full eigensystem assembled from per-sector eigendecompositions.
 
-    Every variant is an affine map scale * H + shift * I of the STANDARD
-    Hamiltonian (``variant_map``) and shares its eigenvectors, so the
-    STANDARD blocks are solved and their eigenvalues mapped; a negative
-    scale reverses the order.  Sectors are solved in ascending
-    magnetization order and merged with a stable sort, so repeated runs on
-    the same spec give bitwise-identical output.
+    Every variant is an affine map scale * H + shift * I of the STANDARD Hamiltonian
+    (``variant_map``) and shares its eigenvectors, so the STANDARD blocks are solved
+    and their eigenvalues mapped; a negative scale reverses the order.  Sectors are
+    solved in ascending magnetization order and merged with a stable sort, so repeated
+    runs on the same spec give bitwise-identical output.  Signs are fixed per block,
+    which is exact: a column is zero outside its sector.
     """
-    scale, shift = variant_map(spec)
-    dim = spec.dimension
-    values = np.empty(dim)
-    vectors = np.zeros((dim, dim))
-    offset = 0
+    blocks = []
     for block in build_sector_blocks(replace(spec, variant=Variant.STANDARD)):
         try:
             w, v = np.linalg.eigh(block.block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(block.sector, exc) from exc
-        size = block.states.size
-        values[offset:offset + size] = w
-        vectors[np.ix_(block.states, np.arange(offset, offset + size))] = v
-        offset += size
-    order = np.argsort(values, kind="stable")
-    values = scale * values[order] + shift
-    vectors = _fix_signs(vectors[:, order])
-    if scale < 0:
-        values = values[::-1].copy()
-        vectors = np.ascontiguousarray(vectors[:, ::-1])
-    levels, warns = cluster_levels(values, cluster_tolerance)
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return SpectralDecomposition(spec=spec, eigenvalues=values, eigenvectors=vectors,
-                                 levels=levels, cluster_tolerance=cluster_tolerance,
-                                 warnings=warns)
+        blocks.append(SectorEigensystem(block.states, w, _fix_signs(v)))
+    return _assemble(spec, tuple(blocks), cluster_tolerance)
+
+
+def _assemble(spec: RingSpec, blocks: tuple, tolerance: float) -> SpectralDecomposition:
+    scale, shift = variant_map(spec)
+    raw = np.concatenate([b.values for b in blocks])
+    order = np.argsort(raw, kind="stable")[::-1 if scale < 0 else 1]
+    values = scale * raw[order] + shift
+    sizes = [b.values.size for b in blocks]
+    sectors = np.repeat(np.arange(len(blocks)), sizes)[order]
+    columns = np.concatenate([np.arange(size) for size in sizes])[order]
+    for array in (values, sectors, columns, *(b.vectors for b in blocks)):
+        array.setflags(write=False)
+    levels, warns = cluster_levels(values, tolerance)
+    level_of = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
+    members = tuple(np.split(level_of[np.argsort(order)], np.cumsum(sizes)[:-1]))
+    return SpectralDecomposition(spec, values, blocks, sectors, columns, members, levels,
+                                 cluster_tolerance=tolerance, warnings=warns)
 
 
 def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -239,12 +265,12 @@ class LevelPairing:
 
 
 def overlap_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j)."""
-    gram = dec_a.eigenvectors.T @ dec_b.eigenvectors
-    np.square(gram, out=gram)
-    starts_a = np.array([lv.start for lv in dec_a.levels])
-    starts_b = np.array([lv.start for lv in dec_b.levels])
-    summed = np.add.reduceat(np.add.reduceat(gram, starts_a, axis=0), starts_b, axis=1)
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), block by block."""
+    summed = np.zeros((len(dec_a.levels), len(dec_b.levels)))
+    for block_a, block_b, levels_a, levels_b in zip(
+            dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
+        gram = block_a.vectors.T @ block_b.vectors
+        np.add.at(summed, np.ix_(levels_a, levels_b), np.square(gram, out=gram))
     norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
     return summed / norm
 
@@ -293,11 +319,10 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
                        dec_b: SpectralDecomposition) -> tuple[int, float]:
     """Best-overlap partner in ``dec_b`` for one level of ``dec_a``."""
     level = dec_a.levels[index_a]
-    gram = dec_a.level_vectors(level).T @ dec_b.eigenvectors
-    np.square(gram, out=gram)
-    row = gram.sum(axis=0)
-    starts_b = np.array([lv.start for lv in dec_b.levels])
-    sums = np.add.reduceat(row, starts_b)
+    sums = np.zeros(len(dec_b.levels))
+    for s in np.unique(dec_a.sectors[level.start:level.stop]):
+        gram = dec_a.blocks[s].vectors[:, dec_a.members[s] == index_a].T @ dec_b.blocks[s].vectors
+        np.add.at(sums, dec_b.members[s], np.square(gram, out=gram).sum(axis=0))
     norm = np.maximum(level.multiplicity, dec_b.multiplicities)
     overlaps = sums / norm
     j = int(np.argmax(overlaps))
@@ -305,14 +330,13 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
 
 
 # ---------------------------------------------------------------------------
-# On-disk cache: JSON header line + raw float64 payload (eigenvalues, then
-# eigenvector columns in row-major order).  Purely an accelerator; a loaded
-# decomposition is bit-identical to a freshly computed one, and an entry with
-# a foreign header, the wrong length or a payload that fails the header's
-# CRC-32 is a miss that ``get`` overwrites.  The entry holds the unclustered
-# eigensystem, so one entry serves every cluster tolerance.
+# On-disk cache: JSON header line + raw float64 payload (the STANDARD blocks'
+# eigenvalues, sector 0 .. N, then their eigenvectors, row-major).  Purely an
+# accelerator: ``load`` sorts and clusters as ``diagonalize`` does, so one entry
+# serves every cluster tolerance, bit-identically.  An entry with a foreign
+# header, the wrong length or a payload failing the header's CRC-32 is a miss.
 
-_CACHE_MAGIC = "spinring-decomposition-v2"
+_CACHE_MAGIC = "spinring-decomposition-v3"
 
 # header fields that must match the requested spec for an entry to load
 _CACHE_IDENTITY = ("magic", "n_sites", "variant", "alpha", "dimension")
@@ -341,7 +365,7 @@ class DecompositionCache:
         if not os.path.exists(path):
             return None
         expected = _cache_header(spec)
-        dim = spec.dimension
+        all_states = sector_states(spec.n_sites)
         with open(path, "rb") as handle:
             line = handle.readline(4096)  # a header is one short JSON line
             try:
@@ -351,31 +375,31 @@ class DecompositionCache:
             if not isinstance(header, dict) or any(
                     header.get(key) != expected[key] for key in _CACHE_IDENTITY):
                 return None
-            size = 8 * dim * (dim + 1)
+            size = 8 * sum(states.size * (states.size + 1) for states in all_states)
             payload = handle.read(size + 1)  # a byte more exposes trailing data
         if len(payload) != size or zlib.crc32(payload) != header.get("checksum"):
             return None
-        # read-only views of the payload
-        values = np.frombuffer(payload, dtype=np.float64, count=dim)
-        vectors = np.frombuffer(payload, dtype=np.float64, offset=8 * dim).reshape(dim, dim)
-        levels, warns = cluster_levels(values, tolerance)
-        return SpectralDecomposition(spec=spec, eigenvalues=values, eigenvectors=vectors,
-                                     levels=levels, cluster_tolerance=tolerance,
-                                     warnings=warns)
+        # read-only views of the payload: all blocks' values, then their vectors
+        sizes = np.array([states.size for states in all_states])
+        parts = np.split(np.frombuffer(payload, dtype=np.float64),
+                         np.cumsum(np.concatenate([sizes, sizes ** 2]))[:-1])
+        blocks = tuple(SectorEigensystem(states, w, v.reshape(w.size, w.size))
+                       for states, w, v in zip(all_states, parts, parts[sizes.size:]))
+        return _assemble(spec, blocks, tolerance)
 
     def store(self, decomposition: SpectralDecomposition) -> str:
         spec = decomposition.spec
         path = self._path(spec)
-        values = np.ascontiguousarray(decomposition.eigenvalues)
-        vectors = np.ascontiguousarray(decomposition.eigenvectors)
-        header = _cache_header(spec)
-        header["checksum"] = zlib.crc32(vectors, zlib.crc32(values))
+        blocks = decomposition.blocks
+        arrays = [b.values for b in blocks] + [b.vectors for b in blocks]
+        checksum = functools.reduce(lambda crc, array: zlib.crc32(array, crc), arrays, 0)
+        header = {**_cache_header(spec), "checksum": checksum}
         fd, tmp = tempfile.mkstemp(dir=self.directory)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write((json.dumps(header) + "\n").encode("utf-8"))
-                handle.write(values)
-                handle.write(vectors)
+                for array in arrays:
+                    handle.write(array)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

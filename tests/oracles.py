@@ -1,0 +1,109 @@
+"""Full-space reference implementations for tests (N <= 10).
+
+``diagonalize`` here scatters every magnetization block into one dense
+2^N x 2^N eigenvector matrix, sorts its columns and fixes their signs over
+the whole space; ``overlap_matrix`` and ``match_single_level`` form the full
+Gram matrix of two such decompositions.  The package keeps the blocks apart
+and never builds that matrix; these are the independent checks it is
+compared against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from spinring.model import RingSpec, Variant, build_sector_blocks, variant_map
+from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
+                              cluster_levels)
+
+
+@dataclass(frozen=True)
+class DenseDecomposition:
+    """Full eigensystem of one ring spec, clustered into levels."""
+
+    spec: RingSpec
+    eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
+    eigenvectors: np.ndarray = field(repr=False)   # orthonormal columns
+    levels: tuple
+    cluster_tolerance: float
+    warnings: tuple = ()
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.array([lv.multiplicity for lv in self.levels], dtype=np.int64)
+
+    def level_vectors(self, level: Level) -> np.ndarray:
+        return self.eigenvectors[:, level.start:level.stop]
+
+
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Make the first largest-magnitude component of each column positive."""
+    idx = np.argmax(np.abs(vectors), axis=0)
+    signs = np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors * signs
+
+
+def diagonalize(spec: RingSpec,
+                cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> DenseDecomposition:
+    """Full eigensystem assembled from per-sector eigendecompositions.
+
+    Every variant is an affine map scale * H + shift * I of the STANDARD
+    Hamiltonian (``variant_map``) and shares its eigenvectors, so the
+    STANDARD blocks are solved and their eigenvalues mapped; a negative
+    scale reverses the order.  Sectors are solved in ascending
+    magnetization order and merged with a stable sort, so repeated runs on
+    the same spec give bitwise-identical output.
+    """
+    scale, shift = variant_map(spec)
+    dim = spec.dimension
+    values = np.empty(dim)
+    vectors = np.zeros((dim, dim))
+    offset = 0
+    for block in build_sector_blocks(replace(spec, variant=Variant.STANDARD)):
+        try:
+            w, v = np.linalg.eigh(block.block)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(block.sector, exc) from exc
+        size = block.states.size
+        values[offset:offset + size] = w
+        vectors[np.ix_(block.states, np.arange(offset, offset + size))] = v
+        offset += size
+    order = np.argsort(values, kind="stable")
+    values = scale * values[order] + shift
+    vectors = _fix_signs(vectors[:, order])
+    if scale < 0:
+        values = values[::-1].copy()
+        vectors = np.ascontiguousarray(vectors[:, ::-1])
+    levels, warns = cluster_levels(values, cluster_tolerance)
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return DenseDecomposition(spec=spec, eigenvalues=values, eigenvectors=vectors,
+                              levels=levels, cluster_tolerance=cluster_tolerance,
+                              warnings=warns)
+
+
+def overlap_matrix(dec_a, dec_b) -> np.ndarray:
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j)."""
+    gram = dec_a.eigenvectors.T @ dec_b.eigenvectors
+    np.square(gram, out=gram)
+    starts_a = np.array([lv.start for lv in dec_a.levels])
+    starts_b = np.array([lv.start for lv in dec_b.levels])
+    summed = np.add.reduceat(np.add.reduceat(gram, starts_a, axis=0), starts_b, axis=1)
+    norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
+    return summed / norm
+
+
+def match_single_level(dec_a, index_a: int, dec_b) -> tuple[int, float]:
+    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``."""
+    level = dec_a.levels[index_a]
+    gram = dec_a.level_vectors(level).T @ dec_b.eigenvectors
+    np.square(gram, out=gram)
+    row = gram.sum(axis=0)
+    starts_b = np.array([lv.start for lv in dec_b.levels])
+    sums = np.add.reduceat(row, starts_b)
+    norm = np.maximum(level.multiplicity, dec_b.multiplicities)
+    overlaps = sums / norm
+    j = int(np.argmax(overlaps))
+    return j, float(overlaps[j])

@@ -260,6 +260,16 @@ def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+def test_bisection_matches_each_level_once_per_step(monkeypatch):
+    res = sweep(8, np.geomspace(0.5, 8, 15))
+    calls = _recording(monkeypatch, analysis_module, "match_single_level")
+    all_crossings(res, 0.1)
+    keys = [(ref.spec.alpha, level, dec.spec.alpha, dec.cluster_tolerance)
+            for (ref, level, dec), _ in calls]
+    assert len(keys) > 100
+    assert len(keys) == len(set(keys))
+
+
 def test_report_locates_each_boundary_once(monkeypatch, capsys):
     calls = _recording(monkeypatch, analysis_module, "entanglement_boundaries")
     # the report binds it in cli; separation_gaps calls it through analysis

@@ -1,8 +1,13 @@
+import json
+import math
+import zlib
+
 import numpy as np
 import pytest
 
+import oracles
 import spinring.spectra as spectra_module
-from spinring import (DecompositionCache, IllConditionedError, RingSpec,
+from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, cluster_levels,
                       diagonalize, lagrange_projector, match_levels,
                       match_single_level, overlap_matrix, projector,
@@ -51,6 +56,53 @@ def test_diagonalize_solves_eigenproblem(dec):
     assert np.all(np.diff(d.eigenvalues) >= 0)
     assert abs(d.eigenvalues.sum()) < 1e-10  # traceless pair coupling
     assert sum(lv.multiplicity for lv in d.levels) == 64
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sector_blocks_match_dense_oracle(n, variant):
+    for alpha in (0.0, 0.7, 2.0, INFINITY):
+        spec = RingSpec(n, alpha, variant)
+        d, dense = diagonalize(spec), oracles.diagonalize(spec)
+        assert d.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert d.levels == dense.levels
+        # equal values; the oracle's sign flips also turn the zeros outside a
+        # column's sector into -0.0
+        assert np.array_equal(d.eigenvectors, dense.eigenvectors)
+        # a generic neighbour: each of its levels lies inside one level at
+        # alpha, so the best partner is unique (the reverse direction has
+        # exact ties between equally sized levels)
+        near = RingSpec(n, alpha + 0.05 if alpha < INFINITY else 40.0, variant)
+        d_near, dense_near = diagonalize(near), oracles.diagonalize(near)
+        for a, b, dense_a, dense_b in ((d, d_near, dense, dense_near),
+                                       (d_near, d, dense_near, dense)):
+            gap = overlap_matrix(a, b) - oracles.overlap_matrix(dense_a, dense_b)
+            assert np.max(np.abs(gap)) < 1e-12
+        for index in range(len(d_near.levels)):
+            assert match_single_level(d_near, index, d)[0] == \
+                oracles.match_single_level(dense_near, index, dense)[0]
+
+
+def _arrays(value):
+    """Every numpy array reachable from a decomposition's fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        for name in value.__dataclass_fields__:
+            yield from _arrays(getattr(value, name))
+
+
+def test_decomposition_holds_only_sector_blocks():
+    n = 10
+    d = diagonalize(RingSpec(n, 1.0))
+    assert all(array.size < 4 ** n for array in _arrays(d))
+    eigenvector_bytes = sum(block.vectors.nbytes for block in d.blocks)
+    assert eigenvector_bytes == 8 * sum(math.comb(n, s) ** 2 for s in range(n + 1))
+    for level in d.levels:
+        assert d.level_vectors(level).shape == (2 ** n, level.multiplicity)
 
 
 def test_diagonalize_is_deterministic():
@@ -202,11 +254,18 @@ def test_cache_ignores_foreign_files(tmp_path):
     def flipped(offset):  # one bit of the payload flipped
         return good[:offset] + bytes([good[offset] ^ 1]) + good[offset + 1:]
 
+    dense = oracles.diagonalize(spec)  # format v2: sorted values, dense vectors
+    v2_payload = dense.eigenvalues.tobytes() + dense.eigenvectors.tobytes()
+    v2_header = {"magic": "spinring-decomposition-v2", "n_sites": 4, "alpha": repr(0.7),
+                 "variant": "standard", "dimension": 16, "checksum": zlib.crc32(v2_payload)}
+    v2 = (json.dumps(v2_header) + "\n").encode() + v2_payload
+
     for bad in (good[:header_end + 8 * 16 + 40],        # truncated payload
                 flipped(header_end + 3),                # an eigenvalue
                 flipped(len(good) - 1),                 # an eigenvector
                 b"garbage" + good[header_end - 1:],     # garbage header
                 foreign,                                # entry of another spec
+                v2,                                     # entry of format v2
                 good + b"\0"):                         # trailing bytes
         with open(path, "wb") as handle:
             handle.write(bad)
