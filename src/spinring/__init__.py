@@ -9,11 +9,11 @@ from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
                       Level, LevelPairing, SpectralDecomposition, UniformEigenstate,
                       cluster_levels, diagonalize, lagrange_projector, match_levels,
                       match_single_level, overlap_matrix, projector, uniform_state)
-from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
-                           TwoSpinState, concurrence_structured,
-                           concurrence_xstate_oracle, extract_abc, meyer_wallach,
-                           oliveira_global, pair_concurrence, reduce_one_site,
-                           reduce_sites, reduce_two_sites)
+from .entanglement import (ConcurrenceRecord, PairStateWarning, PairTable, StructureError,
+                           TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
+                           extract_abc, level_measures, meyer_wallach, oliveira_global,
+                           pair_concurrence, pair_table, reduce_one_site, reduce_sites,
+                           reduce_two_sites)
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, CrossingEvent, CurveCensus,
                        CurveEntanglement, InsufficientDataError, LevelCurve,
                        LinearFit, SweepError, SweepPoint, SweepResult,

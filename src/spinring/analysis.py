@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INFINITY, RingSpec, Variant
+from .model import INFINITY, RingSpec, Variant, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      SpectralDecomposition, diagonalize, match_levels,
-                      match_single_level, uniform_state)
+                      SpectralDecomposition, diagonalize, match_levels, match_single_level)
 from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord,
-                           concurrence_structured, pair_concurrence)
+                           StructureError, pair_table)
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
 RESOLUTION_DEFAULT = 1e-3
+
+# E = scale * sum_d w_d n_d <s.s>_d + shift holds to this times 1 + sum_d |w_d n_d <s.s>_d|
+ENERGY_IDENTITY_RTOL = 1e-9
 
 # a boundary whose first in-range concurrence already exceeds this is a jump,
 # not a smooth zero crossing; it coincides with a level crossing
@@ -154,19 +156,20 @@ def count_distinct_levels(n_sites: int, alpha: float,
 
 def _point_records(dec: SpectralDecomposition, alpha: float,
                    structure_tolerance: float) -> tuple:
-    n_seps = max(dec.spec.n_sites // 2, 1)
-    records = []
-    for li, level in enumerate(dec.levels):
-        state = uniform_state(level, dec)
-        for sep in range(1, n_seps + 1):
-            pair = pair_concurrence(state, 1, 1 + sep, structure_tolerance)
-            records.append(ConcurrenceRecord(
-                alpha=alpha, level_index=li, level_energy=level.energy,
-                multiplicity=level.multiplicity, separation=sep,
-                concurrence=concurrence_structured(pair),
-                a=pair.a, b=pair.b, c=pair.c,
-                structure_residual=pair.structure_residual))
-    return tuple(records)
+    n = dec.spec.n_sites
+    seps = range(1, max(n // 2, 1) + 1)
+    tables = [pair_table(dec, 1, 1 + sep, structure_tolerance) for sep in seps]
+    scale, shift = variant_map(dec.spec)
+    terms = np.array([w * (n // 2 if 2 * sep == n else n) * (2 * t.a - 2 * t.b + 4 * t.c)
+                      for w, sep, t in zip(separation_weights(n, dec.spec.alpha), seps, tables)])
+    error = np.abs((dec.energies - shift) / scale - terms.sum(axis=0))
+    bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * (1 + np.abs(terms).sum(axis=0)))
+    if bad.size:
+        raise StructureError(f"level {bad[0]} energy differs from the sum of its pair "
+                             f"correlators by {error[bad[0]]:.3e}")
+    columns = [np.array([t.concurrence, t.a, t.b, t.c, t.residual]).T.tolist() for t in tables]
+    return tuple(ConcurrenceRecord(alpha, li, level.energy, level.multiplicity, sep, *column[li])
+                 for li, level in enumerate(dec.levels) for sep, column in zip(seps, columns))
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:
@@ -434,8 +437,7 @@ def _curve_concurrence_at(curve: LevelCurve, alpha: float, tolerance: float,
     dec = diagonalize(RingSpec(curve.n_sites, alpha, curve.variant),
                       cluster_tolerance=tolerance)
     j, _ = match_single_level(ref_dec, ref_level, dec)
-    state = uniform_state(dec.levels[j], dec)
-    return concurrence_structured(pair_concurrence(state, 1, 1 + separation))
+    return float(pair_table(dec, 1, 1 + separation, levels=[j]).concurrence[0])
 
 
 def entanglement_boundaries(curve: LevelCurve, separation: int,

@@ -21,9 +21,8 @@ import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      EigensolverError, diagonalize, uniform_state)
-from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, StructureError,
-                           meyer_wallach, oliveira_global)
+                      EigensolverError, diagonalize)
+from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, level_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
                        _last_crossing, _point_records, all_crossings,
@@ -275,9 +274,8 @@ def cmd_spectrum(config: RunConfig) -> str:
     """Level table: one row per (alpha, level), ordered by (alpha, energy)."""
     cache = _make_cache(config)
     rows = []
-    for alpha in config.alphas:
-        dec = _decomposition(config, alpha, cache)
-        for li, level in enumerate(dec.levels):
+    for alpha in config.alphas:  # no decomposition is held while the next is solved
+        for li, level in enumerate(_decomposition(config, alpha, cache).levels):
             rows.append((alpha, li, level.energy, int(level.multiplicity)))
     header = ("alpha", "level_index", "energy", "multiplicity")
     if config.output_format == "csv":
@@ -296,9 +294,9 @@ def cmd_concurrence(config: RunConfig) -> str:
     """Concurrence table: one row per (alpha, level, separation)."""
     cache = _make_cache(config)
     rows = []
-    for alpha in config.alphas:
-        dec = _decomposition(config, alpha, cache)
-        for record in _point_records(dec, alpha, config.structure_tolerance):
+    for alpha in config.alphas:  # no decomposition is held while the next is solved
+        for record in _point_records(_decomposition(config, alpha, cache), alpha,
+                                     config.structure_tolerance):
             rows.append((record.alpha, record.level_index, record.level_energy,
                          int(record.multiplicity), record.separation,
                          record.concurrence, record.a, record.b, record.c,
@@ -407,15 +405,12 @@ def cmd_report(config: RunConfig) -> str:
         fit_doc = None
 
     rep_dec = _decomposition(config, rep_alpha, cache)
-    measures = []
-    for li, level in enumerate(rep_dec.levels):
-        state = uniform_state(level, rep_dec)
-        measures.append({
-            "level_index": li,
-            "multiplicity": int(level.multiplicity),
-            "meyer_wallach": meyer_wallach(state),
-            "oliveira": oliveira_global(state, config.oliveira_inner_over_n),
-        })
+    meyer_wallach, oliveira = level_measures(rep_dec, config.oliveira_inner_over_n,
+                                             config.structure_tolerance)
+    measures = [{"level_index": li, "multiplicity": int(level.multiplicity),
+                 "meyer_wallach": mw, "oliveira": ol}
+                for li, (level, mw, ol) in enumerate(zip(
+                    rep_dec.levels, meyer_wallach.tolist(), oliveira.tolist()))]
 
     return emit_json({
         "schema_version": SCHEMA_VERSION,

@@ -7,21 +7,22 @@ the anti-aligned pair states.  The concurrence of such a state has the
 closed form max{2(|c| - a), 0}; an X-state evaluation of the same matrix
 serves as an independent cross-check.
 
-A level state (``UniformEigenstate``) is reduced straight from its
-eigenvector block V: with the kept sites moved to the front, V becomes a
-2^k x 2^(N-k) m matrix X and the reduction is X Xᵀ / m, O(4^k m 2^N) work
-and nothing of size 4^N.  An explicit density matrix takes the dense
-partial trace, which also serves as the oracle for the block path.
+``pair_table`` reduces every level to one site pair at once from the
+magnetization blocks V: a diagonal entry sums V^2 over the rows with one
+bit pattern of the pair, c sums V[row] V[row ^ mask] over the (+, -) rows,
+and nothing of size 2^N is formed.  The per-state reductions, from a
+level's 2^N x m block or by the dense partial trace, are its checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import UniformEigenstate
+from .spectra import SpectralDecomposition, UniformEigenstate
 
 STRUCTURE_TOLERANCE_DEFAULT = 1e-10
 
@@ -176,6 +177,67 @@ class ConcurrenceRecord:
     b: float
     c: float
     structure_residual: float
+
+
+class PairTable(NamedTuple):
+    """One site pair's reduction diag(a, b, b, a) + c, a row per level."""
+
+    diagonal: np.ndarray  # the entries at ++, +-, -+ and --
+    c: np.ndarray         # the entry coupling +- to -+
+    a: np.ndarray
+    b: np.ndarray
+    residual: np.ndarray  # largest deviation from the structured form
+    concurrence: np.ndarray
+
+
+def pair_table(dec: SpectralDecomposition, j: int, k: int,
+               structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+               levels=slice(None)) -> PairTable:
+    """Reduction to the site pair (j, k), as ``reduce_two_sites`` orders it,
+    of every level or of the listed ``levels``.  Raises StructureError as
+    ``extract_abc`` does; |c| <= b needs no check, it holds by Cauchy-Schwarz."""
+    n, count = dec.spec.n_sites, len(dec.levels)
+    if j == k or not (1 <= j <= n and 1 <= k <= n):
+        raise ValueError(f"sites must be distinct and lie in 1..{n}, got ({j}, {k})")
+    bit_j, bit_k = 1 << (j - 1), 1 << (k - 1)
+    sums = np.zeros((5, count))
+    for block, members in zip(dec.blocks, dec.members):
+        states, vectors = block.states, block.vectors
+        pattern = 2 * ((states & bit_j) == 0) + ((states & bit_k) == 0)  # bit set: up
+        rows = np.flatnonzero(pattern == 1)
+        partners = np.searchsorted(states, states[rows] ^ (bit_j | bit_k))
+        columns = np.vstack([(pattern == np.arange(4)[:, None]) @ np.square(vectors),
+                             np.einsum("ij,ij->j", vectors[rows], vectors[partners])])
+        np.add.at(sums, (slice(None), members), columns)
+    entries = sums[:, levels] / dec.multiplicities[levels]
+    diagonal, c = entries[:4].T, entries[4]
+    a, b = 0.5 * (diagonal[:, 0] + diagonal[:, 3]), 0.5 * (diagonal[:, 1] + diagonal[:, 2])
+    residual = np.abs(diagonal - np.stack([a, b, b, a], axis=1)).max(axis=1)
+    if residual.max() >= structure_tolerance:
+        raise StructureError(
+            f"pair reduction of sites ({j}, {k}) deviates from the structured form by "
+            f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
+    return PairTable(diagonal, c, a, b, residual, np.maximum(2.0 * (np.abs(c) - a), 0.0))
+
+
+def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
+                   structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
+    """(Meyer-Wallach, Oliveira) of every level, as ``meyer_wallach`` and
+    ``oliveira_global`` evaluate them on its uniform state."""
+    n, sites = dec.spec.n_sites, range(1, dec.spec.n_sites + 1)
+    if n < 3 and not inner_over_n:
+        warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
+                      PairStateWarning, stacklevel=2)
+    tables = {(j, k): pair_table(dec, j, k, structure_tolerance)
+              for j in sites for k in sites if j != k}
+    # site j leads the pair (j, j + 1), so it is up at ++ and +-
+    up_down = [tables[j, j % n + 1].diagonal.reshape(-1, 2, 2).sum(axis=2) for j in sites]
+    single = sum(np.square(p).sum(axis=1) for p in up_down)
+    # every (site, separation) pair of the ring is one ordered pair (j, k)
+    purities = sum(np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c)
+                   for t in tables.values())
+    inner_weight = 1.0 / (n if inner_over_n else n - 1)
+    return 2.0 - (2.0 / n) * single, (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1)
 
 
 def pair_concurrence(state, j: int, k: int,

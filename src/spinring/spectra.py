@@ -141,10 +141,10 @@ def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tu
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first largest-magnitude component of each column positive."""
+    """Make the first largest-magnitude component of each column positive, in place."""
     idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return vectors * signs
+    vectors *= np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors
 
 
 def diagonalize(spec: RingSpec,
@@ -158,8 +158,9 @@ def diagonalize(spec: RingSpec,
     runs on the same spec give bitwise-identical output.  Signs are fixed per block,
     which is exact: a column is zero outside its sector.
     """
-    blocks = []
-    for block in build_sector_blocks(replace(spec, variant=Variant.STANDARD)):
+    blocks, pending = [], build_sector_blocks(replace(spec, variant=Variant.STANDARD))
+    while pending:
+        block = pending.pop(0)  # each Hamiltonian block is freed once it is solved
         try:
             w, v = np.linalg.eigh(block.block)
         except np.linalg.LinAlgError as exc:

@@ -1,5 +1,8 @@
+import dataclasses
 import functools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       locate_crossing, nn_linear_fit,
                       projector_dimension_histogram, RingSpec,
                       separation_existence_intervals, separation_gaps, sweep,
-                      uniform_state, pair_concurrence, concurrence_structured)
+                      uniform_state, pair_concurrence, concurrence_structured,
+                      StructureError, extract_abc, reduce_two_sites)
 from spinring.cli import main
 
 THRESHOLD = 1e-10
@@ -345,3 +349,28 @@ def test_distance_selectivity_coexistence_above_onset():
     assert violations == [(2, (1, 4))]
     violations = distance_selectivity_check(8, 9.0)
     assert len(violations) == 1 and violations[0][1] == (1, 4)
+
+
+def test_point_records_check_the_energy_correlator_identity(dec):
+    for n in range(2, 10):
+        for variant in Variant:
+            for alpha in (0.0, 1.3, 2.0, INFINITY):
+                analysis_module._point_records(dec(n, alpha, variant), alpha, 1e-10)
+    d = dec(6, 1.3)
+    levels = list(d.levels)
+    levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
+    with pytest.raises(StructureError, match="level 3 energy"):
+        analysis_module._point_records(dataclasses.replace(d, levels=tuple(levels)),
+                                       1.3, 1e-10)
+
+
+def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
+    # levels split by ~1e-9 of the range are clustered apart but their
+    # eigenvectors mix, so their pair reductions lose the structured form
+    d = diagonalize(RingSpec(6, 1e-7))
+    with pytest.raises(StructureError) as info:
+        analysis_module._point_records(d, 1e-7, 1e-10)
+    j, k, residual = re.search(r"sites \((\d+), (\d+)\).* by (\S+) ", str(info.value)).groups()
+    dense = max(extract_abc(reduce_two_sites(uniform_state(level, d), int(j), int(k)),
+                            math.inf).structure_residual for level in d.levels)
+    assert abs(float(residual) - dense) <= 0.01 * dense

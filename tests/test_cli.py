@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import spinring.entanglement as entanglement_module
+from spinring import PairStateWarning
 from spinring.cli import main
 from spinring.spectra import UniformEigenstate
 
@@ -103,6 +105,31 @@ def test_numerical_failure_exits_3(capsys):
                        "--structure-tolerance", "1e-20")
     assert code == 3
     assert "numerical" in err
+
+
+def test_mixed_levels_exit_3(capsys):
+    code, _, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
+    assert code == 3
+    assert "structured form" in err
+
+
+def test_commands_reduce_no_level_state_cell_by_cell(capsys, monkeypatch):
+    def refuse(state, sites):
+        raise AssertionError("a pair was reduced from one level state")
+
+    monkeypatch.setattr(entanglement_module, "reduce_sites", refuse)
+    assert run(capsys, "concurrence", "--n", "6", "--alpha", "0.7")[0] == 0
+    code, out, _ = run(capsys, "report", "--n", "7", "--grid", "0.5:8:12:log",
+                       "--extra", "inf", "--resolution", "0.1")
+    assert code == 0
+    assert json.loads(out)["entanglement_boundaries"]
+
+
+def test_report_warns_on_degenerate_oliveira_normalization(capsys):
+    with pytest.warns(PairStateWarning, match="degenerate"):
+        code, out, _ = run(capsys, "report", "--n", "2", "--grid", "0.5:6:4:log")
+    assert code == 0
+    assert json.loads(out)["global_measures"][0]["oliveira"] == pytest.approx(-4 / 3)
 
 
 def test_output_file_and_stdout_agree(capsys, tmp_path):

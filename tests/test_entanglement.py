@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spinring import (PairStateWarning, RingSpec, StructureError, TwoSpinState,
-                      concurrence_structured, concurrence_xstate_oracle,
-                      diagonalize, extract_abc, meyer_wallach, oliveira_global,
-                      pair_concurrence, reduce_one_site, reduce_sites,
-                      reduce_two_sites, uniform_state)
+                      Variant, concurrence_structured, concurrence_xstate_oracle,
+                      diagonalize, extract_abc, level_measures, meyer_wallach,
+                      oliveira_global, pair_concurrence, pair_table,
+                      reduce_one_site, reduce_sites, reduce_two_sites,
+                      uniform_state)
 
 SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
@@ -133,6 +135,8 @@ def test_extract_abc_warns_on_impossible_offdiagonal():
     matrix[1, 2] = matrix[2, 1] = 0.3
     with pytest.warns(PairStateWarning):
         extract_abc(matrix)
+    with pytest.warns(PairStateWarning):
+        pair_concurrence(matrix, 1, 2)
 
 
 def test_concurrence_agrees_with_wootters_on_eigenstates(dec):
@@ -230,3 +234,69 @@ def test_pair_concurrence_carries_site_pair(dec):
     fitted = pair_concurrence(state, 2, 4)
     assert fitted.site_pair == (2, 4)
     assert fitted.a + fitted.b == pytest.approx(0.5, abs=1e-12)
+
+
+def table_matrices(table):
+    """The 4x4 reductions a pair table stands for, one per level."""
+    out = np.zeros((table.c.size, 4, 4))
+    out[:, range(4), range(4)] = table.diagonal
+    out[:, 1, 2] = out[:, 2, 1] = table.c
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_pair_table_matches_dense_reduction(dec, n):
+    for variant in Variant:
+        for alpha in (0.0, 0.7, 2.0, math.inf):
+            d = dec(n, alpha, variant)
+            states = [uniform_state(level, d) for level in d.levels]
+            for j in range(1, n + 1):
+                for k in range(1, n + 1):
+                    if j == k:
+                        continue
+                    table = pair_table(d, j, k)
+                    dense = np.array([reduce_two_sites(state, j, k) for state in states])
+                    assert np.max(np.abs(table_matrices(table) - dense)) < 1e-14
+                    fitted = [extract_abc(rho) for rho in dense]
+                    expected = np.array([(f.a, f.b, f.structure_residual,
+                                          concurrence_structured(f)) for f in fitted])
+                    got = np.stack([table.a, table.b, table.residual, table.concurrence], 1)
+                    assert np.max(np.abs(got - expected)) < 1e-14
+                    assert np.all(np.abs(table.c) <= table.b + 1e-15)
+
+
+def test_pair_table_selects_levels_and_validates_sites(dec):
+    d = dec(6, 1.3)
+    full = pair_table(d, 2, 5)
+    some = pair_table(d, 2, 5, levels=[7, 3])
+    assert np.array_equal(some.diagonal, full.diagonal[[7, 3]])
+    assert np.array_equal(some.c, full.c[[7, 3]])
+    for j, k in ((1, 1), (0, 2), (1, 7)):
+        with pytest.raises(ValueError):
+            pair_table(d, j, k)
+    with pytest.raises(StructureError):
+        pair_table(d, 1, 2, structure_tolerance=1e-20)
+
+
+@pytest.mark.parametrize("inner_over_n", [False, True])
+def test_level_measures_match_per_state_measures(dec, inner_over_n):
+    for n in range(2, 9):
+        for alpha in (0.7, math.inf):
+            d = dec(n, alpha)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PairStateWarning)
+                mw, ol = level_measures(d, inner_over_n)
+                for li, level in enumerate(d.levels):
+                    state = uniform_state(level, d)
+                    assert abs(mw[li] - meyer_wallach(state)) < 1e-12
+                    assert abs(ol[li] - oliveira_global(state, inner_over_n)) < 1e-12
+
+
+def test_level_measures_warn_on_degenerate_normalization(dec):
+    d = dec(2, 1.0)
+    with pytest.warns(PairStateWarning, match="degenerate"):
+        level_measures(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        level_measures(d, inner_over_n=True)
+        level_measures(dec(3, 1.0))

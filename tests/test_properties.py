@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinring import (INFINITY, RingSpec, StructureError, coupling_weight,
-                      diagonalize, pair_concurrence, uniform_state)
+                      diagonalize, pair_concurrence, pair_table, reduce_two_sites,
+                      uniform_state)
 
 ALPHAS = st.one_of(st.floats(min_value=0.0, max_value=12.0),
                    st.sampled_from([0.0, 2.0, INFINITY]))
@@ -26,12 +27,19 @@ def test_level_identities(n, alpha):
     assert sum(level.multiplicity for level in dec.levels) == 2 ** n
     gaps = np.diff(dec.energies)
     assume(gaps.size == 0 or gaps.min() > RESOLVED_GAP * max(1.0, dec.spectral_range))
-    for level in dec.levels:
+    tables = {(j, k): pair_table(dec, j, k)
+              for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    for li, level in enumerate(dec.levels):
         state = uniform_state(level, dec)
         energy = 0.0
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 pair = pair_concurrence(state, j, k)
+                # the all-level table holds the same reduction as the dense path
+                table = tables[j, k]
+                rho = reduce_two_sites(state, j, k)
+                assert np.max(np.abs(table.diagonal[li] - np.diag(rho))) < 1e-14
+                assert abs(table.c[li] - rho[1, 2]) < 1e-14
                 # SU(2) invariance of the level makes each pair a Werner state
                 assert abs(pair.c - (pair.a - pair.b)) < 1e-10
                 # <sigma_j . sigma_k> of diag(a, b, b, a) with c at (01, 10)
