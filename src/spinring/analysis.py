@@ -1,6 +1,6 @@
-"""Parameter sweeps over alpha: level-curve tracking, crossing location,
-entanglement onset/offset detection, censuses, and the nearest-neighbor
-linear concurrence fit.
+"""Parameter sweeps over alpha: level-curve tracking, located events (level
+crossings and entanglement onsets/offsets), censuses, and the
+nearest-neighbor linear concurrence fit.
 
 A sweep diagonalizes the ring on an ascending alpha grid, records the
 concurrence of every (level, separation) cell, and threads levels into
@@ -8,9 +8,11 @@ curves by projector overlap between neighboring grid points.  Curves are
 threaded only across "backbone" points, the grid points whose distinct-level
 count equals the generic count; collapse points (alpha = 0, the
 Haldane-Shastry point, the nearest-neighbor limit) are kept as data points
-but skipped by the threading.
+but skipped by the threading.  Every event inside a backbone interval is
+then located by one grouped bisection of that interval.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -275,98 +277,151 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 
 
 # ---------------------------------------------------------------------------
-# Crossing location.  The scan flags grid intervals where the energy order of
-# matched levels swaps (or where the count dips at a grid point); bisection
-# then follows each swapped pair by projector overlap from the left endpoint,
-# with the cluster tolerance shrinking with the bracket so near-degenerate
-# levels stay resolved.  All pairs of an interval start from its bracket, and
-# pairs whose brackets coincide share that step's diagonalization.
+# Located events.  A backbone interval holds a crossing where its pairing swaps
+# the energy order of two levels, and an onset or offset where a curve's
+# concurrence at some separation changes sign.  One grouped bisection locates
+# them all.  Each event is a probe that follows its levels by projector overlap
+# from the interval's left end and maps a midpoint decomposition to its next
+# bracket; probes whose brackets coincide share that step's diagonalization
+# and level matches.  The cluster tolerance shrinks with the bracket so
+# near-degenerate levels stay resolved.
 
 
-def _shrunk_tolerance(base: float, width: float, width0: float) -> float:
-    if width0 <= 0:
-        return base
-    return max(1e-12, min(base, base * width / width0))
+@dataclass(frozen=True)
+class _OrderSwap:
+    """Probe for the alpha where levels ``a`` and ``b`` of the reference
+    exchange energy order; ``label`` holds their curve indices."""
+
+    a: int
+    b: int
+    label: tuple
+
+    def step(self, ref, lo, hi, dec, match) -> tuple:
+        mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
+        (ja, ova), (jb, ovb) = match(self.a), match(self.b)
+        if ja == jb or min(ova, ovb) < 0.5:
+            return (mid - half, mid + half)  # merged at this resolution; the crossing is here
+        f_mid = dec.levels[ja].energy - dec.levels[jb].energy
+        if f_mid == 0.0:
+            return (mid, mid)
+        f_lo = ref.levels[self.a].energy - ref.levels[self.b].energy
+        return (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
+
+    def event(self, lo, hi) -> CrossingEvent:
+        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "crossing", self.label)
 
 
-def _bisect_order_swaps(n_sites: int, variant: Variant, tolerance: float,
-                        ref_dec: SpectralDecomposition, pairs, lo: float,
-                        hi: float, resolution: float) -> list:
-    """Shrink [lo, hi] around the alpha where each pair (a, b) of levels of
-    ``ref_dec`` (taken at lo) exchanges energy order.  Returns the final
-    bracket of every pair, in pair order."""
-    width0 = hi - lo
-    brackets = [(lo, hi)] * len(pairs)
-    active = list(range(len(pairs)))
+@dataclass
+class _SignChange:
+    """Probe for the alpha where the concurrence of reference level ``level``
+    (curve ``curve_index``) at ``separation`` crosses ``threshold``.  The jump
+    test reads ``edge``, the in-range grid value until an in-range midpoint
+    becomes ``hi``; it changes as the probe is bisected, so a probe serves once."""
+
+    curve_index: int
+    level: int
+    separation: int
+    positive_lo: bool
+    edge: float
+    threshold: float
+    structure_tolerance: float
+    jump_scale: float
+
+    def step(self, ref, lo, hi, dec, match) -> tuple:
+        mid = 0.5 * (lo + hi)
+        table = pair_table(dec, 1, 1 + self.separation, self.structure_tolerance,
+                           levels=[match(self.level)[0]])
+        value = float(table.concurrence[0])
+        if (value > self.threshold) == self.positive_lo:
+            return (mid, hi)
+        if value > self.threshold:
+            self.edge = value
+        return (lo, mid)
+
+    def event(self, lo, hi) -> CrossingEvent:
+        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "offset" if self.positive_lo else "onset",
+                             (self.curve_index,), self.separation,
+                             crossing_coincident=bool(self.edge > self.jump_scale))
+
+
+def _sign_change(curve: LevelCurve, separation: int, i: int, j: int, threshold: float,
+                 structure_tolerance: float,
+                 jump_scale: float = JUMP_SCALE_DEFAULT) -> _SignChange | None:
+    """The probe of the curve's concurrence at ``separation`` between grid
+    points i and j, or None when its sign does not change there."""
+    c_lo, c_hi = curve.concurrence_at(separation)[[i, j]]
+    if (c_lo > threshold) != (c_hi > threshold):
+        return _SignChange(curve.curve_index, int(curve.level_indices[i]), separation,
+                           bool(c_lo > threshold), max(c_lo, c_hi), threshold,
+                           structure_tolerance, jump_scale)
+    return None
+
+
+def _bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
+    """Shrink [lo, hi] around the event of every probe until its bracket is
+    no wider than ``resolution`` or cannot shrink; returns the events in
+    probe order.  ``ring`` is the SweepResult or LevelCurve giving the ring
+    size, variant and cluster tolerance."""
+    base = ring.cluster_tolerance
+    ref = diagonalize(RingSpec(ring.n_sites, lo, ring.variant), cluster_tolerance=base)
+    brackets = [(lo, hi)] * len(probes)
+    active = list(range(len(probes)))
     while active:
         groups: dict = {}
         for k in active:
             groups.setdefault(brackets[k], []).append(k)
         active = []
-        for (lo, hi), members in groups.items():
-            mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
-            if hi - lo <= resolution or not lo < mid < hi:
+        for (a, b), members in groups.items():
+            mid = 0.5 * (a + b)
+            if b - a <= resolution or not a < mid < b:
                 continue  # resolved, or no float strictly inside: cannot shrink
-            dec = diagonalize(RingSpec(n_sites, mid, variant),
-                              cluster_tolerance=_shrunk_tolerance(tolerance, hi - lo, width0))
-            levels = {level for k in members for level in pairs[k]}  # each matched once
-            matched = {level: match_single_level(ref_dec, level, dec) for level in levels}
+            dec = diagonalize(RingSpec(ring.n_sites, mid, ring.variant),
+                              cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
+            # each level is matched once per step
+            match = functools.cache(lambda level, dec=dec: match_single_level(ref, level, dec))
             for k in members:
-                a, b = pairs[k]
-                (ja, ova), (jb, ovb) = matched[a], matched[b]
-                f_lo = ref_dec.levels[a].energy - ref_dec.levels[b].energy
-                f_mid = dec.levels[ja].energy - dec.levels[jb].energy
-                if ja == jb or min(ova, ovb) < 0.5:
-                    # the pair is merged at this resolution; the crossing is here
-                    brackets[k] = (mid - half, mid + half)
-                elif f_mid == 0.0:
-                    brackets[k] = (mid, mid)
-                else:
-                    brackets[k] = (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
-                if brackets[k] != (lo, hi):  # else the halving rounded back
+                brackets[k] = probes[k].step(ref, a, b, dec, match)
+                if brackets[k] != (a, b):  # else the halving rounded back
                     active.append(k)
-    return brackets
+    return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]
 
 
-def _crossings_in(ring, lo: float, hi: float, pairs, labels,
-                  resolution: float) -> list:
-    """Crossing events of the level pairs (indexed at ``lo``) that swap order
-    inside [lo, hi], each labelled with its curve indices from ``labels``.
-    ``ring`` is the SweepResult or LevelCurve giving the ring size, variant
-    and cluster tolerance."""
-    tolerance = ring.cluster_tolerance
-    ref = diagonalize(RingSpec(ring.n_sites, lo, ring.variant), cluster_tolerance=tolerance)
-    brackets = _bisect_order_swaps(ring.n_sites, ring.variant, tolerance, ref, pairs,
-                                   lo, hi, resolution)
-    return [CrossingEvent(alpha=0.5 * (a + b), bracket=(a, b), kind="crossing",
-                          curve_indices=label) for (a, b), label in zip(brackets, labels)]
-
-
-def _scan_swaps(sweep_result: SweepResult):
-    """Yield (alpha_lo, alpha_hi, pairs, labels) for every consecutive
-    backbone interval whose pairing swaps energy order: the swapped level
-    pairs, indexed at alpha_lo, and the curve indices of each pair."""
+def _interval_probes(sweep_result: SweepResult, separations=()):
+    """Yield (alpha_lo, alpha_hi, probes) for every consecutive backbone
+    interval holding an event: the level pairs (indexed at alpha_lo) whose
+    pairing swaps energy order, then every curve's sign changes at each of
+    ``separations``, curves and separations ascending."""
     backbone = [int(b) for b in sweep_result.backbone]
-    for pos in range(len(backbone) - 1):
-        i, j = backbone[pos], backbone[pos + 1]
+    for i, j in zip(backbone[:-1], backbone[1:]):
         if j == i + 1:
             mapping = sweep_result.pairings[i].as_map()
-        else:
-            # collapse point inside; consult the threaded curves instead
-            mapping = {}
-            for curve in sweep_result.curves:
-                la, lb = curve.level_indices[i], curve.level_indices[j]
-                if la >= 0 and lb >= 0:
-                    mapping[int(la)] = int(lb)
+        else:  # collapse point inside; consult the threaded curves instead
+            mapping = {int(c.level_indices[i]): int(c.level_indices[j])
+                       for c in sweep_result.curves if c.valid[i] and c.valid[j]}
         perm = [mapping.get(k, -1) for k in range(sweep_result.points[i].count)]
-        swapped = [(k, l) for k in range(len(perm)) for l in range(k + 1, len(perm))
-                   if perm[k] >= 0 and perm[l] >= 0 and perm[k] > perm[l]]
-        if swapped:
-            # the lowest-indexed curve holding a level owns it
-            owner = {int(c.level_indices[i]): c.curve_index
-                     for c in reversed(sweep_result.curves)}
-            yield (sweep_result.points[i].alpha, sweep_result.points[j].alpha, swapped,
-                   [tuple(owner[li] for li in pair if li in owner) for pair in swapped])
+        # the lowest-indexed curve holding a level owns it
+        owner = {int(c.level_indices[i]): c.curve_index for c in reversed(sweep_result.curves)}
+        probes = [_OrderSwap(k, l, tuple(owner[li] for li in (k, l) if li in owner))
+                  for k in range(len(perm)) for l in range(k + 1, len(perm))
+                  if perm[k] >= 0 and perm[l] >= 0 and perm[k] > perm[l]]
+        probes += [probe for curve in sweep_result.curves if curve.valid[i] and curve.valid[j]
+                   for sep in separations
+                   if (probe := _sign_change(curve, sep, i, j, sweep_result.concurrence_threshold,
+                                             sweep_result.structure_tolerance))]
+        if probes:
+            yield sweep_result.points[i].alpha, sweep_result.points[j].alpha, probes
+
+
+def _located_events(sweep_result: SweepResult, resolution: float, separations=()) -> tuple:
+    """The crossings, ascending in alpha, and every curve's onsets and offsets
+    at ``separations``, ascending in (alpha, curve, separation); each backbone
+    interval is bisected once for all of its events.  The sorts are stable, so
+    ties keep interval order per (curve, separation), as entanglement_boundaries does."""
+    events = [event for lo, hi, probes in _interval_probes(sweep_result, separations)
+              for event in _bisect(sweep_result, lo, hi, probes, resolution)]
+    return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),
+            sorted((e for e in events if e.kind != "crossing"),
+                   key=lambda e: (e.alpha, e.curve_indices, e.separation)))
 
 
 def _last_crossing(sweep_result: SweepResult, crossings,
@@ -393,51 +448,31 @@ def find_last_crossing(n_sites: int, alpha_max_search: float,
         grid = default_alpha_grid(lo=lo, hi=alpha_max_search, extras=())
         sweep_result = sweep(n_sites, grid, variant,
                              cluster_tolerance=cluster_tolerance)
-    intervals = [s for s in _scan_swaps(sweep_result) if s[0] <= alpha_max_search]
-    located = _crossings_in(sweep_result, *intervals[-1], resolution) if intervals else []
+    intervals = [s for s in _interval_probes(sweep_result) if s[0] <= alpha_max_search]
+    located = _bisect(sweep_result, *intervals[-1], resolution) if intervals else []
     return _last_crossing(sweep_result, located, alpha_max_search)
 
 
 def all_crossings(sweep_result: SweepResult,
                   resolution: float = RESOLUTION_DEFAULT) -> tuple:
     """Bisect every order swap flagged by the scan, ascending in alpha."""
-    events = []
-    for interval in _scan_swaps(sweep_result):
-        events.extend(_crossings_in(sweep_result, *interval, resolution))
-    return tuple(sorted(events, key=lambda e: e.alpha))
+    return _located_events(sweep_result, resolution)[0]
 
 
 def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,
                     resolution: float = RESOLUTION_DEFAULT) -> CrossingEvent | None:
     """Bisect the energy-difference sign change of two tracked curves.
     Returns None when the curves never cross on their common grid."""
-    both = curve_a.valid & curve_b.valid
-    idx = np.nonzero(both)[0]
-    diff = curve_a.energies[idx] - curve_b.energies[idx]
-    signs = np.sign(diff)
+    idx = np.nonzero(curve_a.valid & curve_b.valid)[0]
+    signs = np.sign(curve_a.energies[idx] - curve_b.energies[idx])
     changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if len(changes) == 0:
         return None
-    pos = changes[0]
-    i, j = int(idx[pos]), int(idx[pos + 1])
-    pair = (int(curve_a.level_indices[i]), int(curve_b.level_indices[i]))
-    (event,) = _crossings_in(curve_a, float(curve_a.alpha_grid[i]),
-                             float(curve_a.alpha_grid[j]), [pair],
-                             [(curve_a.curve_index, curve_b.curve_index)], resolution)
-    return event
-
-
-# ---------------------------------------------------------------------------
-# Entanglement boundaries along curves.
-
-
-def _curve_concurrence_at(curve: LevelCurve, alpha: float, tolerance: float,
-                          ref_dec: SpectralDecomposition, ref_level: int,
-                          separation: int) -> float:
-    dec = diagonalize(RingSpec(curve.n_sites, alpha, curve.variant),
-                      cluster_tolerance=tolerance)
-    j, _ = match_single_level(ref_dec, ref_level, dec)
-    return float(pair_table(dec, 1, 1 + separation, levels=[j]).concurrence[0])
+    i, j = int(idx[changes[0]]), int(idx[changes[0] + 1])
+    probe = _OrderSwap(int(curve_a.level_indices[i]), int(curve_b.level_indices[i]),
+                       (curve_a.curve_index, curve_b.curve_index))
+    alphas = curve_a.alpha_grid.tolist()
+    return _bisect(curve_a, alphas[i], alphas[j], [probe], resolution)[0]
 
 
 def entanglement_boundaries(curve: LevelCurve, separation: int,
@@ -451,37 +486,12 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     the boundary is a discontinuity at a level crossing, not a smooth zero;
     it is returned with ``crossing_coincident=True``.
     """
-    idx = np.nonzero(curve.valid)[0]
-    values = curve.concurrence_at(separation)[idx]
-    positive = values > threshold
-    events = []
-    for pos in np.nonzero(positive[:-1] != positive[1:])[0]:
-        i, j = int(idx[pos]), int(idx[pos + 1])
-        lo, hi = float(curve.alpha_grid[i]), float(curve.alpha_grid[j])
-        width0 = hi - lo
-        kind = "onset" if positive[pos + 1] else "offset"
-        ref = diagonalize(RingSpec(curve.n_sites, lo, curve.variant),
-                          cluster_tolerance=curve.cluster_tolerance)
-        ref_level = int(curve.level_indices[i])
-        state_lo = bool(positive[pos])
-        edge_value = values[pos] if state_lo else values[pos + 1]
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # no float strictly inside: the bracket cannot shrink
-            tol = _shrunk_tolerance(curve.cluster_tolerance, hi - lo, width0)
-            c_mid = _curve_concurrence_at(curve, mid, tol, ref, ref_level, separation)
-            if (c_mid > threshold) == state_lo:
-                lo = mid
-            else:
-                hi = mid
-                if c_mid > threshold:
-                    edge_value = c_mid
-        events.append(CrossingEvent(
-            alpha=0.5 * (lo + hi), bracket=(lo, hi), kind=kind,
-            curve_indices=(curve.curve_index,), separation=separation,
-            crossing_coincident=bool(edge_value > jump_scale)))
-    return tuple(events)
+    idx = np.nonzero(curve.valid)[0].tolist()
+    alphas = curve.alpha_grid.tolist()
+    return tuple(event for i, j in zip(idx[:-1], idx[1:])
+                 if (probe := _sign_change(curve, separation, i, j, threshold,
+                                           STRUCTURE_TOLERANCE_DEFAULT, jump_scale))
+                 for event in _bisect(curve, alphas[i], alphas[j], [probe], resolution))
 
 
 def separation_existence_intervals(sweep_result: SweepResult, separation: int,

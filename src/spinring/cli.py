@@ -25,10 +25,9 @@ from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, level_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
-                       _last_crossing, _point_records, all_crossings,
+                       _last_crossing, _located_events, _point_records,
                        default_alpha_grid, entangled_projector_census,
-                       entanglement_boundaries, nn_linear_fit,
-                       separation_existence_intervals, sweep)
+                       nn_linear_fit, separation_existence_intervals, sweep)
 from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
                         write_output)
 
@@ -369,17 +368,8 @@ def cmd_report(config: RunConfig) -> str:
         } for e in census.entangled],
     }
 
-    crossings = all_crossings(result, config.resolution)
+    crossings, boundaries = _located_events(result, config.resolution, range(1, n_seps + 1))
     last = _last_crossing(result, crossings, max(result.points[i].alpha for i in backbone))
-
-    boundaries = []
-    for entry in census.entangled:
-        curve = result.curves[entry.curve_index]
-        for sep in entry.distances:
-            boundaries.extend(entanglement_boundaries(
-                curve, sep, config.resolution,
-                threshold=config.concurrence_threshold))
-    boundaries.sort(key=lambda e: (e.alpha, e.curve_indices))
 
     gaps_doc = {}
     for sep in range(1, n_seps + 1):

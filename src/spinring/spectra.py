@@ -333,20 +333,20 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
 # ---------------------------------------------------------------------------
 # On-disk cache: JSON header line + raw float64 payload (the STANDARD blocks'
 # eigenvalues, sector 0 .. N, then their eigenvectors, row-major).  Purely an
-# accelerator: ``load`` sorts and clusters as ``diagonalize`` does, so one entry
-# serves every cluster tolerance, bit-identically.  An entry with a foreign
-# header, the wrong length or a payload failing the header's CRC-32 is a miss.
+# accelerator: ``load`` maps, sorts and clusters as ``diagonalize`` does, so one
+# entry per (N, alpha) serves every variant and cluster tolerance,
+# bit-identically.  An entry with a foreign header, the wrong length or a
+# payload failing the header's CRC-32 is a miss.
 
 _CACHE_MAGIC = "spinring-decomposition-v3"
 
 # header fields that must match the requested spec for an entry to load
-_CACHE_IDENTITY = ("magic", "n_sites", "variant", "alpha", "dimension")
+_CACHE_IDENTITY = ("magic", "n_sites", "alpha", "dimension")
 
 
 def _cache_header(spec: RingSpec) -> dict:
     return {"magic": _CACHE_MAGIC, "n_sites": spec.n_sites,
-            "alpha": repr(spec.alpha), "variant": spec.variant.value,
-            "dimension": spec.dimension}
+            "alpha": repr(spec.alpha), "dimension": spec.dimension}
 
 
 class DecompositionCache:
@@ -355,7 +355,7 @@ class DecompositionCache:
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, spec: RingSpec) -> str:
-        name = f"dec_n{spec.n_sites}_{spec.variant.value}_a{spec.alpha!r}.bin"
+        name = f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin"
         return os.path.join(self.directory, name)
 
     def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:

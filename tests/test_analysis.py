@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import re
@@ -242,16 +243,14 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
 
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     res = sweep(6, np.linspace(0.5, 12, 12))
-    lo, hi, swapped, _ = next(s for s in analysis_module._scan_swaps(res) if len(s[2]) >= 8)
-    ref = diagonalize(RingSpec(6, lo), cluster_tolerance=res.cluster_tolerance)
-    bisect = functools.partial(analysis_module._bisect_order_swaps, 6,
-                               Variant.STANDARD, res.cluster_tolerance, ref)
+    lo, hi, swapped = next(s for s in analysis_module._interval_probes(res) if len(s[2]) >= 8)
+    bisect = functools.partial(analysis_module._bisect, res, lo, hi, resolution=1e-6)
     calls = _recording(monkeypatch, analysis_module, "diagonalize")
-    grouped = bisect(swapped, lo, hi, 1e-6)
+    grouped = bisect(swapped)
     shared = len(calls)
-    single = [bisect([pair], lo, hi, 1e-6)[0] for pair in swapped]
+    single = [bisect([probe])[0] for probe in swapped]
     assert grouped == single
-    assert len(set(grouped)) > 1              # the brackets do part ways
+    assert len({e.bracket for e in grouped}) > 1   # the brackets do part ways
     assert shared < len(calls) - shared
 
 
@@ -274,17 +273,58 @@ def test_bisection_matches_each_level_once_per_step(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
-def test_report_locates_each_boundary_once(monkeypatch, capsys):
-    calls = _recording(monkeypatch, analysis_module, "entanglement_boundaries")
-    # the report binds it in cli; separation_gaps calls it through analysis
-    monkeypatch.setattr(cli_module, "entanglement_boundaries",
-                        analysis_module.entanglement_boundaries)
-    assert main(["report", "--n", "8", "--grid", "0.5:8:15",
-                 "--resolution", "0.1"]) == 0
+REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
+
+
+def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):
+    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    real_sweep = cli_module.sweep
+
+    def sweep_then_forget(*args, **kwargs):  # keep the solves after the sweep
+        result = real_sweep(*args, **kwargs)
+        calls.clear()
+        return result
+
+    monkeypatch.setattr(cli_module, "sweep", sweep_then_forget)
+    assert main(REPORT_N8) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["separation_gaps"]            # the report does pair a gap
-    keys = [(args[0].curve_index, args[1]) for args, _ in calls]
+    keys = [(args[0].alpha, kwargs["cluster_tolerance"]) for args, kwargs in calls]
+    assert len(keys) > 50
     assert len(keys) == len(set(keys))
+
+
+def test_report_boundaries_are_those_of_each_census_curve(capsys):
+    assert main(REPORT_N8) == 0
+    doc = json.loads(capsys.readouterr().out)
+    res = sweep(8, cli_module._parse_grid("0.5:8:15"))
+    events = [event for entry in entangled_projector_census(res).entangled
+              for sep in entry.distances
+              for event in entanglement_boundaries(res.curves[entry.curve_index], sep, 0.1)]
+    events.sort(key=lambda e: (e.alpha, e.curve_indices))
+    assert len(events) > 1
+    assert doc["entanglement_boundaries"] == [cli_module._event_doc(e) for e in events]
+
+
+def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
+    signature = inspect.signature(analysis_module.pair_table)
+    calls = _recording(monkeypatch, analysis_module, "pair_table")
+    real_fit = cli_module.nn_linear_fit
+
+    def fit_unrecorded(*args, **kwargs):  # the fit takes no structure tolerance
+        start = len(calls)
+        result = real_fit(*args, **kwargs)
+        del calls[start:]
+        return result
+
+    monkeypatch.setattr(cli_module, "nn_linear_fit", fit_unrecorded)
+    assert main([*REPORT_N8, "--structure-tolerance", "1e-9"]) == 0
+    capsys.readouterr()
+    bound = [signature.bind(*args, **kwargs) for args, kwargs in calls]
+    for arguments in bound:
+        arguments.apply_defaults()
+    assert sum(b.arguments["levels"] is not None for b in bound) > 10  # bisection steps
+    assert {b.arguments["structure_tolerance"] for b in bound} == {1e-9}
 
 
 def test_separation_existence_and_gaps(sweep8):

@@ -235,6 +235,24 @@ def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
 
 
+def test_cache_serves_every_variant_from_one_entry(tmp_path, monkeypatch):
+    cache = DecompositionCache(str(tmp_path))
+    cache.get(RingSpec(5, 1.3))
+    fresh = {variant: diagonalize(RingSpec(5, 1.3, variant))
+             for variant in (Variant.FERROMAGNETIC, Variant.SHIFTED)}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("diagonalize called despite a cached entry")
+
+    monkeypatch.setattr(spectra_module, "diagonalize", boom)
+    for variant, expected in fresh.items():
+        loaded = cache.get(RingSpec(5, 1.3, variant))
+        assert loaded.spec.variant is variant
+        assert loaded.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert loaded.levels == expected.levels
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_cache_ignores_foreign_files(tmp_path):
     cache = DecompositionCache(str(tmp_path))
     spec = RingSpec(4, 0.7)
@@ -249,6 +267,8 @@ def test_cache_ignores_foreign_files(tmp_path):
     other = RingSpec(4, 0.9)
     with open(cache.store(diagonalize(other)), "rb") as handle:
         foreign = handle.read()
+    with open(cache.store(diagonalize(RingSpec(5, 0.7))), "rb") as handle:
+        other_size = handle.read()
     fresh = diagonalize(spec)
 
     def flipped(offset):  # one bit of the payload flipped
@@ -265,11 +285,13 @@ def test_cache_ignores_foreign_files(tmp_path):
                 flipped(len(good) - 1),                 # an eigenvector
                 b"garbage" + good[header_end - 1:],     # garbage header
                 foreign,                                # entry of another spec
+                other_size,                             # entry of another ring size
                 v2,                                     # entry of format v2
                 good + b"\0"):                         # trailing bytes
         with open(path, "wb") as handle:
             handle.write(bad)
-        assert cache.load(spec, 1e-9) is None
+        for variant in Variant:  # every variant reads the same entry
+            assert cache.load(RingSpec(4, 0.7, variant), 1e-9) is None
         recovered = cache.get(spec)
         assert np.array_equal(recovered.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(recovered.eigenvectors, fresh.eigenvectors)
