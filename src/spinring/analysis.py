@@ -4,15 +4,18 @@ nearest-neighbor linear concurrence fit.
 
 A sweep diagonalizes the ring on an ascending alpha grid, records the
 concurrence of every (level, separation) cell, and threads levels into
-curves by projector overlap between neighboring grid points.  Curves are
-threaded only across "backbone" points, the grid points whose distinct-level
-count equals the generic count; collapse points (alpha = 0, the
-Haldane-Shastry point, the nearest-neighbor limit) are kept as data points
-but skipped by the threading.  Every event inside a backbone interval is
-then located by one grouped bisection of that interval.
+curves by projector overlap.  Curves are threaded only across "backbone"
+points, the grid points whose distinct-level count equals the generic
+count; collapse points (alpha = 0, the Haldane-Shastry point, the
+nearest-neighbor limit) are kept as data points but skipped by the
+threading.  Each point is paired with the previous backbone point as it is
+solved, so at most two decompositions are held at once.  Every event
+inside a backbone interval is then located by one grouped bisection of
+that interval.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -117,7 +120,6 @@ class SweepResult:
     variant: Variant
     alpha_grid: np.ndarray
     points: tuple
-    pairings: tuple          # between consecutive grid points
     backbone: np.ndarray     # indices of threaded points
     generic_count: int
     curves: tuple
@@ -190,63 +192,54 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
           concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT,
           cache: DecompositionCache | None = None) -> SweepResult:
-    """Diagonalize on the grid, record all concurrences, thread level curves."""
-    grid = _validate_grid(alpha_grid)
-    notes = []
+    """Diagonalize on the grid, record all concurrences, thread level curves.
 
+    Each point is compared with the anchor, the last point at the running
+    maximum level count: a higher count restarts the curves, an equal one is
+    paired with the anchor and replaces it, a lower one is skipped."""
+    grid = _validate_grid(alpha_grid)
     points = []
-    pairings = []
-    decs = []
-    for alpha in grid:
-        spec = RingSpec(n_sites, float(alpha), variant)
+    anchor = None
+    for i, alpha in enumerate(grid.tolist()):
+        spec = RingSpec(n_sites, alpha, variant)
         try:
             if cache is not None:
                 dec = cache.get(spec, cluster_tolerance)
             else:
                 dec = diagonalize(spec, cluster_tolerance=cluster_tolerance)
-            records = _point_records(dec, float(alpha), structure_tolerance)
+            records = _point_records(dec, alpha, structure_tolerance)
         except Exception as exc:
-            raise SweepError(float(alpha), exc) from exc
+            raise SweepError(alpha, exc) from exc
         points.append(SweepPoint(
-            alpha=float(alpha), count=len(dec.levels),
+            alpha=alpha, count=len(dec.levels),
             energies=dec.energies, multiplicities=dec.multiplicities,
             records=records))
-        decs.append(dec)
-    for i in range(len(decs) - 1):
-        pairings.append(match_levels(decs[i], decs[i + 1]))
+        if anchor is None or len(dec.levels) > len(anchor.levels):
+            curve_idx = np.full((len(dec.levels), grid.size), -1, dtype=int)
+            curve_idx[:, i] = np.arange(len(dec.levels))
+            notes = []
+        elif len(dec.levels) == len(anchor.levels):
+            pairing = match_levels(anchor, dec)
+            if not pairing.is_bijection:
+                notes.append(f"partial level pairing between alpha={points[prev].alpha!r} "
+                             f"and alpha={alpha!r}")
+            mapping = pairing.as_map()
+            curve_idx[:, i] = [mapping.get(la, -1) for la in curve_idx[:, prev].tolist()]
+        else:
+            continue
+        anchor, prev = dec, i
 
-    counts = np.array([p.count for p in points])
-    generic = int(counts.max())
-    backbone = np.nonzero(counts == generic)[0]
-
-    # thread curves across consecutive backbone points; a non-backbone point
-    # in between (a collapse point) is skipped by matching directly across it
-    n_pts = len(points)
-    curve_idx = np.full((generic, n_pts), -1, dtype=int)
-    curve_idx[:, backbone[0]] = np.arange(generic)
-    prev = int(backbone[0])
-    for b in backbone[1:]:
-        b = int(b)
-        pairing = pairings[prev] if b == prev + 1 else match_levels(decs[prev], decs[b])
-        mapping = pairing.as_map()
-        if not pairing.is_bijection:
-            notes.append(f"partial level pairing between alpha={points[prev].alpha!r} "
-                         f"and alpha={points[b].alpha!r}")
-        for c in range(generic):
-            la = curve_idx[c, prev]
-            curve_idx[c, b] = mapping.get(la, -1)
-        prev = b
-
+    # the last restart came at the first point with the generic count
+    n_pts, generic = len(points), len(curve_idx)
+    backbone = np.flatnonzero([p.count == generic for p in points])
     n_seps = max(n_sites // 2, 1)
     curves = []
     for c in range(generic):
         energies = np.full(n_pts, np.nan)
         conc = np.full((n_seps, n_pts), np.nan)
         mults = []
-        for i in backbone:
+        for i in np.flatnonzero(curve_idx[c] >= 0).tolist():
             li = curve_idx[c, i]
-            if li < 0:
-                continue
             energies[i] = points[i].energies[li]
             mults.append(int(points[i].multiplicities[li]))
             for sep in range(1, n_seps + 1):
@@ -268,7 +261,7 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     backbone.setflags(write=False)
     return SweepResult(
         n_sites=n_sites, variant=variant, alpha_grid=grid,
-        points=tuple(points), pairings=tuple(pairings), backbone=backbone,
+        points=tuple(points), backbone=backbone,
         generic_count=generic, curves=tuple(curves),
         cluster_tolerance=cluster_tolerance,
         structure_tolerance=structure_tolerance,
@@ -393,19 +386,13 @@ def _interval_probes(sweep_result: SweepResult, separations=()):
     ``separations``, curves and separations ascending."""
     backbone = [int(b) for b in sweep_result.backbone]
     for i, j in zip(backbone[:-1], backbone[1:]):
-        if j == i + 1:
-            mapping = sweep_result.pairings[i].as_map()
-        else:  # collapse point inside; consult the threaded curves instead
-            mapping = {int(c.level_indices[i]): int(c.level_indices[j])
-                       for c in sweep_result.curves if c.valid[i] and c.valid[j]}
-        perm = [mapping.get(k, -1) for k in range(sweep_result.points[i].count)]
-        # the lowest-indexed curve holding a level owns it
-        owner = {int(c.level_indices[i]): c.curve_index for c in reversed(sweep_result.curves)}
-        probes = [_OrderSwap(k, l, tuple(owner[li] for li in (k, l) if li in owner))
-                  for k in range(len(perm)) for l in range(k + 1, len(perm))
-                  if perm[k] >= 0 and perm[l] >= 0 and perm[k] > perm[l]]
-        probes += [probe for curve in sweep_result.curves if curve.valid[i] and curve.valid[j]
-                   for sep in separations
+        tracked = [c for c in sweep_result.curves if c.valid[i] and c.valid[j]]
+        # (level at i, level at j, curve), by level at i; no two curves share a level
+        held = sorted((int(c.level_indices[i]), int(c.level_indices[j]), c.curve_index)
+                      for c in tracked)
+        probes = [_OrderSwap(k, l, (a, b))
+                  for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
+        probes += [probe for curve in tracked for sep in separations
                    if (probe := _sign_change(curve, sep, i, j, sweep_result.concurrence_threshold,
                                              sweep_result.structure_tolerance))]
         if probes:

@@ -269,6 +269,21 @@ def _make_cache(config: RunConfig) -> DecompositionCache | None:
     return DecompositionCache(config.cache_dir) if config.cache_dir else None
 
 
+def _emit_table(config: RunConfig, header: tuple, rows: list, **settings) -> str:
+    """The rows as CSV, or as JSON after the run's settings and ``settings``."""
+    if config.output_format == "csv":
+        return emit_csv(header, rows)
+    return emit_json({
+        "schema_version": SCHEMA_VERSION,
+        "command": config.command,
+        "n_sites": config.n_sites,
+        "variant": config.variant.value,
+        "cluster_tolerance": config.cluster_tolerance,
+        **settings,
+        "rows": [dict(zip(header, row)) for row in rows],
+    })
+
+
 def cmd_spectrum(config: RunConfig) -> str:
     """Level table: one row per (alpha, level), ordered by (alpha, energy)."""
     cache = _make_cache(config)
@@ -276,17 +291,7 @@ def cmd_spectrum(config: RunConfig) -> str:
     for alpha in config.alphas:  # no decomposition is held while the next is solved
         for li, level in enumerate(_decomposition(config, alpha, cache).levels):
             rows.append((alpha, li, level.energy, int(level.multiplicity)))
-    header = ("alpha", "level_index", "energy", "multiplicity")
-    if config.output_format == "csv":
-        return emit_csv(header, rows)
-    return emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "n_sites": config.n_sites,
-        "variant": config.variant.value,
-        "cluster_tolerance": config.cluster_tolerance,
-        "rows": [dict(zip(header, row)) for row in rows],
-    })
+    return _emit_table(config, ("alpha", "level_index", "energy", "multiplicity"), rows)
 
 
 def cmd_concurrence(config: RunConfig) -> str:
@@ -302,17 +307,7 @@ def cmd_concurrence(config: RunConfig) -> str:
                          record.structure_residual))
     header = ("alpha", "level_index", "energy", "multiplicity", "separation",
               "concurrence", "a", "b", "c", "structure_residual")
-    if config.output_format == "csv":
-        return emit_csv(header, rows)
-    return emit_json({
-        "schema_version": SCHEMA_VERSION,
-        "command": "concurrence",
-        "n_sites": config.n_sites,
-        "variant": config.variant.value,
-        "cluster_tolerance": config.cluster_tolerance,
-        "structure_tolerance": config.structure_tolerance,
-        "rows": [dict(zip(header, row)) for row in rows],
-    })
+    return _emit_table(config, header, rows, structure_tolerance=config.structure_tolerance)
 
 
 def _event_doc(event) -> dict:

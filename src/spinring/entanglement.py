@@ -223,19 +223,21 @@ def pair_table(dec: SpectralDecomposition, j: int, k: int,
 def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
                    structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
     """(Meyer-Wallach, Oliveira) of every level, as ``meyer_wallach`` and
-    ``oliveira_global`` evaluate them on its uniform state."""
-    n, sites = dec.spec.n_sites, range(1, dec.spec.n_sites + 1)
+    ``oliveira_global`` evaluate them on its uniform state.  A level projector
+    is invariant under the ring's translations and reflections, so the table
+    of (1, 1 + d) stands for all n_d pairs at separation d, and site 1 for
+    every site."""
+    n = dec.spec.n_sites
     if n < 3 and not inner_over_n:
         warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
                       PairStateWarning, stacklevel=2)
-    tables = {(j, k): pair_table(dec, j, k, structure_tolerance)
-              for j in sites for k in sites if j != k}
-    # site j leads the pair (j, j + 1), so it is up at ++ and +-
-    up_down = [tables[j, j % n + 1].diagonal.reshape(-1, 2, 2).sum(axis=2) for j in sites]
-    single = sum(np.square(p).sum(axis=1) for p in up_down)
-    # every (site, separation) pair of the ring is one ordered pair (j, k)
-    purities = sum(np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c)
-                   for t in tables.values())
+    seps = range(1, n // 2 + 1)
+    tables = [pair_table(dec, 1, 1 + d, structure_tolerance) for d in seps]
+    # site 1 leads the pair (1, 2), so it is up at ++ and +-
+    single = n * np.square(tables[0].diagonal.reshape(-1, 2, 2).sum(axis=2)).sum(axis=1)
+    pair_purity = [np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c) for t in tables]
+    # the n_d pairs at separation d, each as (j, k) and as (k, j)
+    purities = sum((2 * n if 2 * d < n else n) * p for d, p in zip(seps, pair_purity))
     inner_weight = 1.0 / (n if inner_over_n else n - 1)
     return 2.0 - (2.0 / n) * single, (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1)
 

@@ -24,7 +24,7 @@ MAX_SITES = 14
 
 
 class RingSizeError(ValueError):
-    """Site count exceeds the dense-matrix cap."""
+    """Site count exceeds MAX_SITES, set by the block eigenvectors' 8 C(2N, N) bytes."""
 
 
 class Variant(enum.Enum):
@@ -66,7 +66,7 @@ class RingSpec:
         if self.n_sites > MAX_SITES:
             raise RingSizeError(
                 f"n_sites={self.n_sites} exceeds the cap of {MAX_SITES} "
-                f"(dense matrices scale as 4^N)")
+                f"(the block eigenvectors take 8 C(2N, N) bytes)")
         a = float(self.alpha)
         if math.isnan(a) or a < 0:
             raise ValueError(f"alpha must be a non-negative real or inf, got {self.alpha!r}")

@@ -101,11 +101,6 @@ class SpectralDecomposition:
             vectors[block.states, j] = block.vectors[:, self.columns[i]]
         return vectors
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The dense 2^N x 2^N eigenvector matrix, built on every access."""
-        return self.level_vectors(Level(0.0, self.spec.dimension, 0, 0.0))
-
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
     """Group an ascending eigenvalue list into degenerate levels.

@@ -38,6 +38,11 @@ class DenseDecomposition:
         return self.eigenvectors[:, level.start:level.stop]
 
 
+def eigenvectors(dec) -> np.ndarray:
+    """The dense 2^N x 2^N eigenvector matrix of a block decomposition."""
+    return dec.level_vectors(Level(0.0, dec.spec.dimension, 0, 0.0))
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the first largest-magnitude component of each column positive."""
     idx = np.argmax(np.abs(vectors), axis=0)

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       diagonalize, distance_selectivity_check,
                       entangled_level_census, entangled_projector_census,
                       entanglement_boundaries, find_last_crossing,
-                      locate_crossing, nn_linear_fit,
+                      locate_crossing, match_levels, nn_linear_fit,
                       projector_dimension_histogram, RingSpec,
                       separation_existence_intervals, separation_gaps, sweep,
                       uniform_state, pair_concurrence, concurrence_structured,
@@ -71,6 +72,39 @@ def test_sweep_small_ring_structure():
     record = point.record(2, 1)
     assert record.level_index == 2 and record.separation == 1
     assert record.alpha == 0.5
+
+
+
+def test_sweep_holds_at_most_two_decompositions(monkeypatch):
+    real, solved, live = analysis_module.diagonalize, [], []
+
+    def tracked(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in solved))
+        dec = real(*args, **kwargs)
+        solved.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(analysis_module, "diagonalize", tracked)
+    sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
+    assert len(live) == 14
+    assert max(live) <= 2
+
+
+def test_sweep_restarts_its_curves_when_the_level_count_rises():
+    grid = [0.0, 2.0, 2.5, 3.0, 4.0]
+    result = sweep(6, grid)
+    counts = [p.count for p in result.points]
+    assert counts[0] < counts[1] < counts[2] == counts[3] == counts[4]
+    # reference: thread by match_levels over the points with the maximum count
+    backbone = [i for i, count in enumerate(counts) if count == max(counts)]
+    decs = {i: diagonalize(RingSpec(6, grid[i])) for i in backbone}
+    expected = np.full((max(counts), len(grid)), -1)
+    expected[:, backbone[0]] = np.arange(max(counts))
+    for i, j in zip(backbone[:-1], backbone[1:]):
+        mapping = match_levels(decs[i], decs[j]).as_map()
+        expected[:, j] = [mapping.get(level, -1) for level in expected[:, i].tolist()]
+    assert result.backbone.tolist() == backbone
+    assert [c.level_indices.tolist() for c in result.curves] == expected.tolist()
 
 
 def test_sweep_point_counts(sweep8):

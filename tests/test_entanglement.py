@@ -281,7 +281,7 @@ def test_pair_table_selects_levels_and_validates_sites(dec):
 @pytest.mark.parametrize("inner_over_n", [False, True])
 def test_level_measures_match_per_state_measures(dec, inner_over_n):
     for n in range(2, 9):
-        for alpha in (0.7, math.inf):
+        for alpha in (0.7, 2.0, math.inf):
             d = dec(n, alpha)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PairStateWarning)
