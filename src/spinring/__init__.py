@@ -7,8 +7,9 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     top_eigenspace_basis, total_weight, variant_map)
 from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
                       Level, LevelPairing, SpectralDecomposition, UniformEigenstate,
-                      cluster_levels, diagonalize, lagrange_projector, match_levels,
-                      match_single_level, overlap_matrix, projector, uniform_state)
+                      cluster_levels, diagonalize, energy_levels, lagrange_projector,
+                      match_levels, match_single_level, overlap_matrix, projector,
+                      uniform_state)
 from .entanglement import (ConcurrenceRecord, PairStateWarning, PairTable, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
                            extract_abc, level_measures, meyer_wallach, oliveira_global,

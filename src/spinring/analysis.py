@@ -23,7 +23,8 @@ import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      SpectralDecomposition, diagonalize, match_levels, match_single_level)
+                      SpectralDecomposition, diagonalize, energy_levels, match_levels,
+                      match_single_level)
 from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord,
                            StructureError, pair_table)
 
@@ -154,8 +155,7 @@ def count_distinct_levels(n_sites: int, alpha: float,
                           tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                           variant: Variant = Variant.STANDARD) -> int:
     """Number of distinct levels after clustering."""
-    dec = diagonalize(RingSpec(n_sites, alpha, variant), cluster_tolerance=tolerance)
-    return len(dec.levels)
+    return len(energy_levels(RingSpec(n_sites, alpha, variant), tolerance))
 
 
 def _point_records(dec: SpectralDecomposition, alpha: float,
@@ -560,10 +560,8 @@ def projector_dimension_histogram(n_sites: int, alpha: float, *,
                                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                                   variant: Variant = Variant.STANDARD) -> dict:
     """Multiplicity histogram of the clustered levels, dimension -> count."""
-    dec = diagonalize(RingSpec(n_sites, alpha, variant),
-                      cluster_tolerance=cluster_tolerance)
     hist: dict = {}
-    for level in dec.levels:
+    for level in energy_levels(RingSpec(n_sites, alpha, variant), cluster_tolerance):
         hist[level.multiplicity] = hist.get(level.multiplicity, 0) + 1
     return dict(sorted(hist.items()))
 

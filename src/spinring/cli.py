@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      EigensolverError, diagonalize)
+                      EigensolverError, diagonalize, energy_levels)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, level_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
@@ -289,7 +289,11 @@ def cmd_spectrum(config: RunConfig) -> str:
     cache = _make_cache(config)
     rows = []
     for alpha in config.alphas:  # no decomposition is held while the next is solved
-        for li, level in enumerate(_decomposition(config, alpha, cache).levels):
+        spec = RingSpec(config.n_sites, alpha, config.variant)
+        # eigenvalues alone, unless the cache keeps the decomposition for reuse
+        levels = (cache.get(spec, config.cluster_tolerance).levels if cache is not None
+                  else energy_levels(spec, config.cluster_tolerance))
+        for li, level in enumerate(levels):
             rows.append((alpha, li, level.energy, int(level.multiplicity)))
     return _emit_table(config, ("alpha", "level_index", "energy", "multiplicity"), rows)
 

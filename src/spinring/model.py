@@ -12,6 +12,7 @@ are products of local sigma^z eigenstates, encoded as N-bit integers: bit
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,17 +106,23 @@ def coupling_weight(n_sites: int, separation: int, alpha: float) -> float:
     return chord_distance(n_sites, d) ** (-alpha)
 
 
+@functools.lru_cache(maxsize=64)
 def separation_weights(n_sites: int, alpha: float) -> np.ndarray:
-    """Coupling weights w_d for the ring separations d = 1 .. n_sites//2."""
-    return np.array([coupling_weight(n_sites, d, alpha)
-                     for d in range(1, n_sites // 2 + 1)])
+    """Coupling weights w_d for the ring separations d = 1 .. n_sites//2; cached, read-only."""
+    weights = np.array([coupling_weight(n_sites, d, alpha) for d in range(1, n_sites // 2 + 1)])
+    weights.setflags(write=False)
+    return weights
 
 
+@functools.lru_cache(maxsize=None)
 def _ring_pairs(n_sites: int):
-    """Bit positions (j, k), j < k, of every site pair, and the index d-1
-    of its ring separation d into ``separation_weights``."""
+    """Bit positions (j, k), j < k, of every site pair, the index d-1 of its ring
+    separation d into ``separation_weights``, and its bit mask, as the rows of one
+    cached, read-only array."""
     bj, bk = np.triu_indices(n_sites, 1)
-    return bj, bk, np.minimum(bk - bj, n_sites - bk + bj) - 1
+    pairs = np.stack([bj, bk, np.minimum(bk - bj, n_sites - bk + bj) - 1, (1 << bj) | (1 << bk)])
+    pairs.setflags(write=False)
+    return pairs
 
 
 def total_weight(n_sites: int, alpha: float) -> float:
@@ -166,42 +173,49 @@ class SectorBlock:
     block: np.ndarray = field(repr=False)    # dense symmetric matrix
 
 
-def sector_states(n_sites: int) -> list[np.ndarray]:
-    """Basis integers of each magnetization sector, ascending within a sector."""
+@functools.lru_cache(maxsize=None)
+def sector_states(n_sites: int) -> tuple[np.ndarray, ...]:
+    """Basis integers of each magnetization sector, ascending; cached, read-only."""
     pops = popcounts(n_sites)
     all_states = np.arange(2 ** n_sites, dtype=np.int64)
-    return [all_states[pops == s] for s in range(n_sites + 1)]
+    sectors = tuple(all_states[pops == s] for s in range(n_sites + 1))
+    for states in sectors:
+        states.setflags(write=False)
+    return sectors
+
+
+def sector_block(spec: RingSpec, sector: int) -> SectorBlock:
+    """The Hamiltonian block of magnetization ``sector`` (number of up spins).
+
+    Blocks are the full matrix conjugated by the permutation that sorts the
+    basis by up-spin count; block sizes are the binomial coefficients C(N, s).
+    A pair of weight w adds +w (-w) to the diagonal where its spins are aligned
+    (anti-aligned), and 2w between an anti-aligned state and its swap partner,
+    the state XOR the pair's bit mask; so every off-diagonal entry belongs to
+    exactly one pair.  The spin flip maps sector s onto N - s and reverses the
+    ascending state order, so block N - s is block s reversed on both axes.
+    """
+    scale, shift = variant_map(spec)
+    bj, bk, sep, masks = _ring_pairs(spec.n_sites)
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)[sep]
+    states = sector_states(spec.n_sites)[sector]
+    positions = np.empty(spec.dimension, dtype=np.int64)
+    positions[states] = np.arange(states.size)
+    anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
+    rows, pairs = np.nonzero(anti)
+    block = np.zeros((states.size, states.size))
+    block[rows, positions[states[rows] ^ masks[pairs]]] = 2.0 * weights[pairs]
+    # cumsum adds the pairs in their fixed order; a matrix product would
+    # leave the summation order, and so the last bit, to the BLAS build
+    diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
+    np.fill_diagonal(block, diagonal + shift)
+    block.setflags(write=False)
+    return SectorBlock(sector=sector, states=states, block=block)
 
 
 def build_sector_blocks(spec: RingSpec) -> list[SectorBlock]:
-    """The magnetization blocks of the Hamiltonian, sector 0 .. N.
-
-    The direct sum of the blocks is the full matrix conjugated by the
-    permutation that sorts the basis by up-spin count; block sizes are the
-    binomial coefficients C(N, s).  A pair of weight w adds +w (-w) to the
-    diagonal where its spins are aligned (anti-aligned), and 2w between an
-    anti-aligned state and its swap partner, the state XOR the pair's bit
-    mask; so every off-diagonal entry belongs to exactly one pair.
-    """
-    scale, shift = variant_map(spec)
-    bj, bk, sep = _ring_pairs(spec.n_sites)
-    weights = scale * separation_weights(spec.n_sites, spec.alpha)[sep]
-    masks = (1 << bj) | (1 << bk)
-    positions = np.empty(spec.dimension, dtype=np.int64)
-    blocks = []
-    for s, states in enumerate(sector_states(spec.n_sites)):
-        positions[states] = np.arange(states.size)
-        anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
-        rows, pairs = np.nonzero(anti)
-        block = np.zeros((states.size, states.size))
-        block[rows, positions[states[rows] ^ masks[pairs]]] = 2.0 * weights[pairs]
-        # cumsum adds the pairs in their fixed order; a matrix product would
-        # leave the summation order, and so the last bit, to the BLAS build
-        diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
-        np.fill_diagonal(block, diagonal + shift)
-        block.setflags(write=False)
-        blocks.append(SectorBlock(sector=s, states=states, block=block))
-    return blocks
+    """The magnetization blocks of the Hamiltonian, sector 0 .. N."""
+    return [sector_block(spec, s) for s in range(spec.n_sites + 1)]
 
 
 def build_hamiltonian(spec: RingSpec) -> HamiltonianMatrix:

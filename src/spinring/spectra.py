@@ -5,6 +5,9 @@ Eigenvalues of the ring Hamiltonian come in exactly degenerate groups
 into levels before anything downstream looks at it.  A level owns a
 contiguous slice of the globally sorted eigenvalue list; the eigenvectors stay
 in their magnetization blocks, and a level's 2^N x m block is embedded on demand.
+``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored by the
+spin flip, and the self-conjugate one split into its flip-even and flip-odd halves.
+The cache always stores the full decomposition.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (HamiltonianMatrix, RingSpec, Variant, build_sector_blocks,
-                    sector_states, variant_map)
+from .model import (HamiltonianMatrix, RingSpec, Variant, sector_block, sector_states,
+                    variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -149,26 +152,53 @@ def diagonalize(spec: RingSpec,
     Every variant is an affine map scale * H + shift * I of the STANDARD Hamiltonian
     (``variant_map``) and shares its eigenvectors, so the STANDARD blocks are solved
     and their eigenvalues mapped; a negative scale reverses the order.  Sectors are
-    solved in ascending magnetization order and merged with a stable sort, so repeated
-    runs on the same spec give bitwise-identical output.  Signs are fixed per block,
-    which is exact: a column is zero outside its sector.
+    built and solved one at a time in ascending magnetization order and merged with a
+    stable sort, so repeated runs on the same spec give bitwise-identical output.
+    Signs are fixed per block, which is exact: a column is zero outside its sector.
     """
-    blocks, pending = [], build_sector_blocks(replace(spec, variant=Variant.STANDARD))
-    while pending:
-        block = pending.pop(0)  # each Hamiltonian block is freed once it is solved
-        try:
-            w, v = np.linalg.eigh(block.block)
+    standard, blocks = replace(spec, variant=Variant.STANDARD), []
+    for s, states in enumerate(sector_states(spec.n_sites)):
+        try:  # each Hamiltonian block is freed once it is solved
+            w, v = np.linalg.eigh(sector_block(standard, s).block)
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(block.sector, exc) from exc
-        blocks.append(SectorEigensystem(block.states, w, _fix_signs(v)))
+            raise EigensolverError(s, exc) from exc
+        blocks.append(SectorEigensystem(states, w, _fix_signs(v)))
     return _assemble(spec, tuple(blocks), cluster_tolerance)
 
 
-def _assemble(spec: RingSpec, blocks: tuple, tolerance: float) -> SpectralDecomposition:
+def energy_levels(spec: RingSpec,
+                  cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """The clustered levels of ``diagonalize``, from eigenvalues alone.
+
+    Block N - s is block s reversed on both axes (``sector_block``), so only the
+    sectors with 2s >= N are solved.  At even N the self-conjugate sector (d states)
+    pairs position i with d-1-i and splits into the flip-even and flip-odd halves
+    H[:h, :h] +- H[:h, d-1-j], h = d/2."""
+    standard, raw = replace(spec, variant=Variant.STANDARD), []
+    for s in range((spec.n_sites + 1) // 2, spec.n_sites + 1):
+        block = sector_block(standard, s).block
+        h = block.shape[0] // 2
+        top, mirror = block[:h, :h], block[:h, ::-1][:, :h]
+        try:
+            if 2 * s == spec.n_sites:
+                raw += [np.linalg.eigvalsh(top + mirror), np.linalg.eigvalsh(top - mirror)]
+            else:  # sector N - s has the same spectrum
+                raw += [np.linalg.eigvalsh(block)] * 2
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(s, exc) from exc
+        del block, top, mirror  # before the next block is built
+    return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
+
+
+def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The variant's eigenvalues from the STANDARD ``raw``, ascending, and their order."""
     scale, shift = variant_map(spec)
-    raw = np.concatenate([b.values for b in blocks])
     order = np.argsort(raw, kind="stable")[::-1 if scale < 0 else 1]
-    values = scale * raw[order] + shift
+    return scale * raw[order] + shift, order
+
+
+def _assemble(spec: RingSpec, blocks: tuple, tolerance: float) -> SpectralDecomposition:
+    values, order = _map_sorted(spec, np.concatenate([b.values for b in blocks]))
     sizes = [b.values.size for b in blocks]
     sectors = np.repeat(np.arange(len(blocks)), sizes)[order]
     columns = np.concatenate([np.arange(size) for size in sizes])[order]

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import spinring.cli as cli_module
 import spinring.entanglement as entanglement_module
+import spinring.spectra as spectra_module
 from spinring import PairStateWarning
 from spinring.cli import main
 from spinring.spectra import UniformEigenstate
@@ -107,6 +110,16 @@ def test_numerical_failure_exits_3(capsys):
     assert "numerical" in err
 
 
+def test_spectrum_eigensolver_failure_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    code, out, err = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
+    assert code == 3 and out == ""
+    assert "magnetization sector 2" in err
+
+
 def test_mixed_levels_exit_3(capsys):
     code, _, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
     assert code == 3
@@ -185,6 +198,28 @@ def test_cache_dir_flag_and_env(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
     assert code == 0
     assert len(list(cache_b.iterdir())) == 1
+
+
+def test_spectrum_without_cache_solves_eigenvalues_only(capsys, tmp_path, monkeypatch):
+    argv = ("spectrum", "--n", "8", "--variant", "shifted",
+            "--alpha", "0", "--alpha", "0.4", "--alpha", "2", "--alpha", "inf")
+    code, cached, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum without a cache computed eigenvectors")
+
+    monkeypatch.setattr(cli_module, "diagonalize", refuse)
+    monkeypatch.setattr(spectra_module, "diagonalize", refuse)
+    code, plain, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in plain.splitlines()]
+    expected = [line.split(",") for line in cached.splitlines()]
+    assert len(rows) == len(expected) and rows[0] == expected[0]
+    for (alpha, index, energy, mult), (alpha_c, index_c, energy_c, mult_c) in \
+            zip(rows[1:], expected[1:]):
+        assert (alpha, index, mult) == (alpha_c, index_c, mult_c)
+        assert abs(float(energy) - float(energy_c)) <= 1e-12 * max(1.0, abs(float(energy_c)))
 
 
 def test_report_document_shape(capsys, monkeypatch):

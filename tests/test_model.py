@@ -180,6 +180,19 @@ def test_spin_flip_symmetry():
     assert np.max(np.abs(matrix[np.ix_(perm, perm)] - matrix)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spin_flip_mirrors_sector_blocks(n):
+    # the flip maps sector s onto n - s and reverses the ascending state order
+    states, flip = sector_states(n), spin_flip_permutation(n)
+    for s in range(n + 1):
+        assert np.array_equal(states[n - s], flip[states[s]][::-1])
+    for variant in Variant:
+        for alpha in (0.7, 2.0, INFINITY):
+            blocks = build_sector_blocks(RingSpec(n, alpha, variant))
+            for s in range(n + 1):
+                assert np.array_equal(blocks[n - s].block, blocks[s].block[::-1, ::-1])
+
+
 def test_sector_states_partition():
     sectors = sector_states(5)
     assert [s.size for s in sectors] == [math.comb(5, k) for k in range(6)]

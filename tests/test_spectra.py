@@ -9,7 +9,7 @@ import oracles
 import spinring.spectra as spectra_module
 from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, cluster_levels,
-                      diagonalize, lagrange_projector, match_levels,
+                      diagonalize, energy_levels, lagrange_projector, match_levels,
                       match_single_level, overlap_matrix, projector,
                       total_weight, uniform_state)
 
@@ -104,6 +104,35 @@ def test_decomposition_holds_only_sector_blocks():
     assert eigenvector_bytes == 8 * sum(math.comb(n, s) ** 2 for s in range(n + 1))
     for level in d.levels:
         assert d.level_vectors(level).shape == (2 ** n, level.multiplicity)
+
+
+def _assert_same_levels(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.multiplicity, a.start) == (b.multiplicity, b.start)
+        assert abs(a.energy - b.energy) <= 1e-12 * max(1.0, abs(b.energy))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_energy_levels_match_diagonalize(n):
+    for variant in Variant:
+        for alpha in (0.0, 1e-7, 0.3, 2.0, 2.0 + 1e-7, 3.3, INFINITY):
+            spec = RingSpec(n, alpha, variant)
+            _assert_same_levels(energy_levels(spec), diagonalize(spec).levels)
+
+
+@pytest.mark.parametrize("n", (11, 12))
+def test_energy_levels_match_diagonalize_large_rings(n):
+    for alpha in (1.0, 2.0):
+        spec = RingSpec(n, alpha)
+        _assert_same_levels(energy_levels(spec), diagonalize(spec).levels)
+
+
+def test_energy_levels_at_a_coarse_cluster_tolerance():
+    spec = RingSpec(8, 1.3, Variant.SHIFTED)
+    coarse = energy_levels(spec, 0.5)
+    _assert_same_levels(coarse, diagonalize(spec, 0.5).levels)
+    assert len(coarse) < len(energy_levels(spec))
 
 
 def test_diagonalize_is_deterministic():
