@@ -7,6 +7,8 @@ with K_d the alpha-independent bond sum at separation d; the variants are
 affine maps scale * H + shift * I of it (``variant_map``).  Basis states
 are products of local sigma^z eigenstates, encoded as N-bit integers: bit
 (j-1) is 1 when site j is "up" (+), so site 1 is the least significant bit.
+H conserves the magnetization (``sector_block``), and the ring translation splits
+each sector into lattice-momentum blocks (``momentum_block``).
 """
 
 from __future__ import annotations
@@ -159,10 +161,6 @@ class HamiltonianMatrix:
     spec: RingSpec
     matrix: np.ndarray = field(repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SectorBlock:
@@ -250,6 +248,61 @@ def translation_permutation(n_sites: int) -> np.ndarray:
     states = np.arange(2 ** n_sites, dtype=np.int64)
     top = (states >> (n_sites - 1)) & 1
     return ((states << 1) & (2 ** n_sites - 1)) | top
+
+
+@functools.lru_cache(maxsize=None)
+def _translation_orbits(n_sites: int) -> np.ndarray:
+    """Each basis state's translation-orbit representative r (its smallest image),
+    period p and shift l with T^l r = the state, as the rows of one cached, read-only array."""
+    shift_of, images = translation_permutation(n_sites), np.arange(2 ** n_sites)[None]
+    for _ in range(n_sites - 1):  # row j holds T^j of every state
+        images = np.vstack([images, shift_of[images[-1]]])
+    period = n_sites // np.count_nonzero(images == images[0], axis=0)
+    orbits = np.stack([images.min(axis=0), period, -images.argmin(axis=0) % period])
+    orbits.setflags(write=False)
+    return orbits
+
+
+@functools.lru_cache(maxsize=None)
+def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
+    """Width, rows, columns, separation indices and amplitudes of the nonzeros of one
+    momentum block; cached, read-only.  Its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r>
+    runs over the sector's orbit representatives r whose period p has k p = 0 mod N.  A
+    pair term taking r_b to T^l r_a adds its ``sector_block`` entry times
+    e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
+    reps, period, shift = _translation_orbits(n_sites)
+    states = sector_states(n_sites)[sector]
+    basis = states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
+    position = np.full(2 ** n_sites, -1)  # -1: the extra last row, for partners outside
+    position[basis] = np.arange(size := basis.size)
+    bj, bk, sep, masks = _ring_pairs(n_sites)
+    anti = ((basis[:, None] >> bj) ^ (basis[:, None] >> bk)) & 1
+    cols, pairs = np.nonzero(anti)
+    partners = basis[cols] ^ masks[pairs]
+    rows = position[reps[partners]]
+    angle = 2 * np.pi * (momentum * shift[partners] % n_sites) / n_sites
+    phases = np.cos(angle) if 2 * momentum % n_sites == 0 else np.exp(1j * angle)  # +-1 if real
+    coefficients = np.zeros((size + 1, size, n_sites // 2), dtype=phases.dtype)
+    coefficients[np.diag_indices(size)] = (1 - 2 * anti) @ np.eye(n_sites // 2, dtype=int)[sep]
+    np.add.at(coefficients, (rows, cols, sep[pairs]),
+              2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
+    pattern = np.nonzero(coefficients[:size])
+    pattern += (coefficients[pattern],)
+    for array in pattern:
+        array.setflags(write=False)
+    return size, *pattern
+
+
+def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
+    """The Hermitian block of magnetization ``sector`` at lattice momentum 2 pi k/N,
+    k = ``momentum``, about C(N, s)/N wide; real when 2k = 0 mod N, and block N - k is
+    the complex conjugate of block k (Sandvik, AIP Conf. Proc. 1297, 135 (2010))."""
+    scale, shift = variant_map(spec)
+    size, rows, cols, sep, amplitudes = _momentum_pattern(spec.n_sites, sector, momentum)
+    block = np.diag(np.full(size, shift, dtype=amplitudes.dtype))
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)
+    np.add.at(block, (rows, cols), amplitudes * weights[sep])
+    return block
 
 
 def spin_flip_permutation(n_sites: int) -> np.ndarray:

@@ -25,7 +25,7 @@ def format_real(value: float, infinity_token: str = CSV_INFINITY) -> str:
     if math.isinf(value):
         return infinity_token if value > 0 else "-" + infinity_token
     text = "%.17g" % value
-    if not any(ch in text for ch in ".eE"):
+    if "." not in text and "e" not in text:  # %g never prints "E"
         text += ".0"
     return text
 
@@ -82,12 +82,12 @@ def emit_csv(header, rows) -> str:
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, bool):
+            if isinstance(cell, float):  # the common cell, tested first; no bool is one
+                cells.append(format_real(cell, CSV_INFINITY))
+            elif isinstance(cell, bool):
                 cells.append("true" if cell else "false")
             elif isinstance(cell, int):
                 cells.append(str(cell))
-            elif isinstance(cell, float):
-                cells.append(format_real(cell, CSV_INFINITY))
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))

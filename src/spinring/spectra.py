@@ -5,9 +5,8 @@ Eigenvalues of the ring Hamiltonian come in exactly degenerate groups
 into levels before anything downstream looks at it.  A level owns a
 contiguous slice of the globally sorted eigenvalue list; the eigenvectors stay
 in their magnetization blocks, and a level's 2^N x m block is embedded on demand.
-``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored by the
-spin flip, and the self-conjugate one split into its flip-even and flip-odd halves.
-The cache always stores the full decomposition.
+``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored by the spin
+flip, in their lattice-momentum blocks.  The cache always stores the full decomposition.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (HamiltonianMatrix, RingSpec, Variant, sector_block, sector_states,
-                    variant_map)
+from .model import (HamiltonianMatrix, RingSpec, Variant, momentum_block, sector_block,
+                    sector_states, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -122,20 +121,15 @@ def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tu
     if np.any(np.diff(values) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
     threshold = tolerance * max(1.0, float(values[-1] - values[0]))
-    boundaries = np.flatnonzero(np.diff(values) >= threshold) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [values.size]])
-    levels = []
-    warnings = []
-    for start, stop in zip(starts, stops):
-        chunk = values[start:stop]
-        spread = float(chunk[-1] - chunk[0])
-        levels.append(Level(energy=float(chunk.mean()), multiplicity=int(stop - start),
-                            start=int(start), spread=spread))
-        if spread > threshold / 2:
-            warnings.append(f"marginal cluster at energy {chunk.mean():.12g}: "
-                            f"spread {spread:.3e} exceeds half the gap threshold {threshold:.3e}")
-    return tuple(levels), tuple(warnings)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(values) >= threshold) + 1])
+    counts = np.diff(np.append(starts, values.size))
+    energies = np.add.reduceat(values, starts) / counts
+    spreads = values[starts + counts - 1] - values[starts]
+    levels = tuple(map(Level, *(array.tolist() for array in (energies, counts, starts, spreads))))
+    warnings = tuple(f"marginal cluster at energy {level.energy:.12g}: spread {level.spread:.3e} "
+                     f"exceeds half the gap threshold {threshold:.3e}"
+                     for level in levels if level.spread > threshold / 2)
+    return levels, warnings
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -168,25 +162,17 @@ def diagonalize(spec: RingSpec,
 
 def energy_levels(spec: RingSpec,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The clustered levels of ``diagonalize``, from eigenvalues alone.
-
-    Block N - s is block s reversed on both axes (``sector_block``), so only the
-    sectors with 2s >= N are solved.  At even N the self-conjugate sector (d states)
-    pairs position i with d-1-i and splits into the flip-even and flip-odd halves
-    H[:h, :h] +- H[:h, d-1-j], h = d/2."""
-    standard, raw = replace(spec, variant=Variant.STANDARD), []
-    for s in range((spec.n_sites + 1) // 2, spec.n_sites + 1):
-        block = sector_block(standard, s).block
-        h = block.shape[0] // 2
-        top, mirror = block[:h, :h], block[:h, ::-1][:, :h]
-        try:
-            if 2 * s == spec.n_sites:
-                raw += [np.linalg.eigvalsh(top + mirror), np.linalg.eigvalsh(top - mirror)]
-            else:  # sector N - s has the same spectrum
-                raw += [np.linalg.eigvalsh(block)] * 2
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(s, exc) from exc
-        del block, top, mirror  # before the next block is built
+    """The clustered levels of ``diagonalize``, from eigenvalues alone: the sectors with
+    2s >= N in their momentum blocks k = 0 .. N//2; block N - s mirrors block s
+    (``sector_block``) and block N - k is block k conjugated (``momentum_block``)."""
+    standard, n, raw = replace(spec, variant=Variant.STANDARD), spec.n_sites, []
+    for s in range((n + 1) // 2, n + 1):
+        for k in range(n // 2 + 1):
+            try:
+                values = np.linalg.eigvalsh(momentum_block(standard, s, k))
+            except np.linalg.LinAlgError as exc:
+                raise EigensolverError(s, exc) from exc
+            raw += [values] * ((2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1))
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
 
 

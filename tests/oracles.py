@@ -5,16 +5,19 @@
 the whole space; ``overlap_matrix`` and ``match_single_level`` form the full
 Gram matrix of two such decompositions.  The package keeps the blocks apart
 and never builds that matrix; these are the independent checks it is
-compared against.
+compared against.  ``haldane_shastry_levels`` (alpha = 2) and
+``all_to_all_levels`` (alpha = 0) are closed-form spectra for any N.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from spinring.model import RingSpec, Variant, build_sector_blocks, variant_map
+from spinring.model import RingSpec, Variant, build_sector_blocks, total_weight, variant_map
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
                               cluster_levels)
 
@@ -112,3 +115,40 @@ def match_single_level(dec_a, index_a: int, dec_b) -> tuple[int, float]:
     overlaps = sums / norm
     j = int(np.argmax(overlaps))
     return j, float(overlaps[j])
+
+
+def haldane_shastry_levels(n_sites: int) -> list[tuple[float, int]]:
+    """(energy, multiplicity) of the STANDARD levels at alpha = 2, ascending.
+
+    A motif is a subset of {1, .., N-1} with no two consecutive members; its energy
+    is W - 4 sin^2(pi/N) sum_m m(N - m), and its multiplet dimension the product of
+    the zero-run lengths of its N-1 binary digits padded with a 0 at each end.
+    Levels are the distinct motif sums (Haldane, PRL 60, 635 (1988); Haldane, Ha,
+    Talstra, Bernard and Pasquier, PRL 69, 2021 (1992))."""
+    dimensions = Counter()
+    for motif in range(2 ** (n_sites - 1)):
+        if motif & (motif >> 1):
+            continue
+        digits = format(motif, f"0{n_sites - 1}b")[::-1]  # digit m - 1 is member m
+        total = sum(m * (n_sites - m) for m in range(1, n_sites) if digits[m - 1] == "1")
+        dimensions[total] += math.prod(len(run) for run in f"0{digits}0".split("1"))
+    gap = 4 * math.sin(math.pi / n_sites) ** 2
+    return [(total_weight(n_sites, 2.0) - gap * total, dimensions[total])
+            for total in sorted(dimensions, reverse=True)]
+
+
+def all_to_all_levels(n_sites: int) -> list[tuple[float, int]]:
+    """(energy, multiplicity) of the STANDARD levels at alpha = 0, ascending:
+    E = 2S(S + 1) - 3N/2 with (2S + 1)[C(N, N/2 - S) - C(N, N/2 - S - 1)] states."""
+    levels = []
+    for u in range(n_sites // 2, -1, -1):  # u = N/2 - S
+        spin = n_sites / 2 - u
+        count = math.comb(n_sites, u) - (math.comb(n_sites, u - 1) if u else 0)
+        levels.append((2 * spin * (spin + 1) - 1.5 * n_sites, int(2 * spin + 1) * count))
+    return levels
+
+
+def variant_levels(spec: RingSpec, standard_levels) -> list[tuple[float, int]]:
+    """The STANDARD (energy, multiplicity) list mapped through ``variant_map``, ascending."""
+    scale, shift = variant_map(spec)
+    return sorted((scale * energy + shift, m) for energy, m in standard_levels)

@@ -7,8 +7,8 @@ from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
                       coupling_weight, separation_weights, top_eigenspace_basis,
                       total_weight)
-from spinring.model import (popcounts, sector_states, spin_flip_permutation,
-                            translation_permutation)
+from spinring.model import (momentum_block, popcounts, sector_block, sector_states,
+                            spin_flip_permutation, translation_permutation)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -191,6 +191,28 @@ def test_spin_flip_mirrors_sector_blocks(n):
             blocks = build_sector_blocks(RingSpec(n, alpha, variant))
             for s in range(n + 1):
                 assert np.array_equal(blocks[n - s].block, blocks[s].block[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_blocks_split_sector_blocks(n):
+    # k and N - k give conjugate blocks, so k = 0 .. N//2 cover the sector
+    weights = [2 if 0 < 2 * k < n else 1 for k in range(n // 2 + 1)]
+    for variant in Variant:
+        for alpha in (0.7, 2.0, INFINITY):
+            spec = RingSpec(n, alpha, variant)
+            for s in range(n + 1):
+                blocks = [momentum_block(spec, s, k) for k in range(n // 2 + 1)]
+                assert sum(w * b.shape[0] for w, b in zip(weights, blocks)) == math.comb(n, s)
+                for k, block in enumerate(blocks):
+                    assert np.max(np.abs(block - block.conj().T), initial=0.0) <= 1e-14
+                    mirror = momentum_block(spec, s, (n - k) % n)
+                    assert np.max(np.abs(mirror - block.conj()), initial=0.0) <= 1e-14
+                    if 2 * k % n == 0:
+                        assert block.dtype == np.float64
+                values = np.sort(np.concatenate(
+                    [np.linalg.eigvalsh(b) for w, b in zip(weights, blocks) for _ in range(w)]))
+                expected = np.linalg.eigvalsh(sector_block(spec, s).block)
+                assert np.max(np.abs(values - expected)) <= 1e-12
 
 
 def test_sector_states_partition():

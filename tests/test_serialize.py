@@ -79,6 +79,16 @@ def test_emit_csv_tokens():
     assert text.endswith("\n")
 
 
+def test_emit_csv_pins_bytes():
+    rows = [(3, True, False, math.inf, -math.inf, -0.0, 1e22, 1e-300, 12.0),
+            (-7, 0, 1.5, np.float64(2.0), 1e16, -1e17, 5e-324, 0.1, 2.0 ** 60)]
+    assert emit_csv(tuple("abcdefghi"), rows) == (
+        "a,b,c,d,e,f,g,h,i\n"
+        "3,true,false,inf,-inf,-0.0,1e+22,1e-300,12.0\n"
+        "-7,0,1.5,2.0,10000000000000000.0,-1e+17,4.9406564584124654e-324,"
+        "0.10000000000000001,1.152921504606847e+18\n")
+
+
 def test_atomic_write_creates_and_replaces(tmp_path):
     target = tmp_path / "out.txt"
     atomic_write(str(target), "first\n")

@@ -128,6 +128,32 @@ def test_energy_levels_match_diagonalize_large_rings(n):
         _assert_same_levels(energy_levels(spec), diagonalize(spec).levels)
 
 
+CLOSED_FORMS = {2.0: oracles.haldane_shastry_levels, 0.0: oracles.all_to_all_levels}
+
+
+def _assert_closed_form(got, spec):
+    expected = oracles.variant_levels(spec, CLOSED_FORMS[spec.alpha](spec.n_sites))
+    assert [lv.multiplicity for lv in got] == [m for _, m in expected]
+    for level, (energy, _) in zip(got, expected):
+        assert abs(level.energy - energy) <= 1e-12 * max(1.0, abs(energy))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_energy_levels_match_closed_forms(n):
+    for variant in Variant:
+        for alpha in CLOSED_FORMS:
+            spec = RingSpec(n, alpha, variant)
+            _assert_closed_form(energy_levels(spec), spec)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_diagonalize_matches_closed_forms(n):
+    for variant in Variant:
+        for alpha in CLOSED_FORMS:
+            spec = RingSpec(n, alpha, variant)
+            _assert_closed_form(diagonalize(spec).levels, spec)
+
+
 def test_energy_levels_at_a_coarse_cluster_tolerance():
     spec = RingSpec(8, 1.3, Variant.SHIFTED)
     coarse = energy_levels(spec, 0.5)
