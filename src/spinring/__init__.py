@@ -13,7 +13,7 @@ from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
 from .entanglement import (ConcurrenceRecord, PairStateWarning, PairTable, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
                            extract_abc, level_measures, meyer_wallach, oliveira_global,
-                           pair_concurrence, pair_table, reduce_one_site, reduce_sites,
+                           pair_concurrence, pair_table, pair_tables, reduce_one_site, reduce_sites,
                            reduce_two_sites)
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, CrossingEvent, CurveCensus,
                        CurveEntanglement, InsufficientDataError, LevelCurve,

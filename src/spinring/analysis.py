@@ -2,16 +2,16 @@
 crossings and entanglement onsets/offsets), censuses, and the
 nearest-neighbor linear concurrence fit.
 
-A sweep diagonalizes the ring on an ascending alpha grid, records the
-concurrence of every (level, separation) cell, and threads levels into
-curves by projector overlap.  Curves are threaded only across "backbone"
-points, the grid points whose distinct-level count equals the generic
-count; collapse points (alpha = 0, the Haldane-Shastry point, the
-nearest-neighbor limit) are kept as data points but skipped by the
-threading.  Each point is paired with the previous backbone point as it is
-solved, so at most two decompositions are held at once.  Every event
-inside a backbone interval is then located by one grouped bisection of
-that interval.
+A sweep diagonalizes the ring on an ascending alpha grid, keeps the
+concurrence, a, b, c and residual of every (level, separation) cell as one
+array per point, and threads levels into curves by projector overlap.
+Curves are threaded only across "backbone" points, the grid points whose
+distinct-level count equals the generic count; collapse points (alpha = 0,
+the Haldane-Shastry point, the nearest-neighbor limit) are kept as data
+points but skipped by the threading.  Each point is paired with the
+previous backbone point as it is solved, so at most two decompositions are
+held at once.  Every event inside a backbone interval is then located by
+one grouped bisection of that interval.
 """
 
 import functools
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INFINITY, RingSpec, Variant, separation_weights, variant_map
+from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
                       SpectralDecomposition, diagonalize, energy_levels, match_levels,
                       match_single_level)
 from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord,
-                           StructureError, pair_table)
+                           StructureError, pair_table, pair_tables)
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
 RESOLUTION_DEFAULT = 1e-3
@@ -69,18 +69,20 @@ def default_alpha_grid(n_points: int = DEFAULT_GRID_POINTS,
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point: level table plus concurrence records for every
-    (level, separation) cell, separation running over 1..N//2."""
+    """One grid point: level table plus the concurrence, a, b, c and structure
+    residual of every (level, separation) cell, as ``cells[level, separation - 1]``
+    with separation running over 1..N//2."""
 
     alpha: float
     count: int
     energies: np.ndarray
     multiplicities: np.ndarray
-    records: tuple
+    cells: np.ndarray
 
     def record(self, level_index: int, separation: int) -> ConcurrenceRecord:
-        n_seps = len(self.records) // self.count
-        return self.records[level_index * n_seps + (separation - 1)]
+        return ConcurrenceRecord(self.alpha, level_index, float(self.energies[level_index]),
+                                 int(self.multiplicities[level_index]), separation,
+                                 *self.cells[level_index, separation - 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,12 @@ def count_distinct_levels(n_sites: int, alpha: float,
     return len(energy_levels(RingSpec(n_sites, alpha, variant), tolerance))
 
 
-def _point_records(dec: SpectralDecomposition, alpha: float,
-                   structure_tolerance: float) -> tuple:
+def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
+    """The read-only ``SweepPoint.cells`` of one decomposition, after checking every
+    level's energy against the sum of its pair correlators."""
     n = dec.spec.n_sites
     seps = range(1, max(n // 2, 1) + 1)
-    tables = [pair_table(dec, 1, 1 + sep, structure_tolerance) for sep in seps]
+    tables = pair_tables(dec, [(1, 1 + sep) for sep in seps], structure_tolerance)
     scale, shift = variant_map(dec.spec)
     terms = np.array([w * (n // 2 if 2 * sep == n else n) * (2 * t.a - 2 * t.b + 4 * t.c)
                       for w, sep, t in zip(separation_weights(n, dec.spec.alpha), seps, tables)])
@@ -171,9 +174,8 @@ def _point_records(dec: SpectralDecomposition, alpha: float,
     if bad.size:
         raise StructureError(f"level {bad[0]} energy differs from the sum of its pair "
                              f"correlators by {error[bad[0]]:.3e}")
-    columns = [np.array([t.concurrence, t.a, t.b, t.c, t.residual]).T.tolist() for t in tables]
-    return tuple(ConcurrenceRecord(alpha, li, level.energy, level.multiplicity, sep, *column[li])
-                 for li, level in enumerate(dec.levels) for sep, column in zip(seps, columns))
+    return read_only(np.stack([np.stack([t.concurrence, t.a, t.b, t.c, t.residual], axis=1)
+                               for t in tables], axis=1))
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:
@@ -207,13 +209,11 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
                 dec = cache.get(spec, cluster_tolerance)
             else:
                 dec = diagonalize(spec, cluster_tolerance=cluster_tolerance)
-            records = _point_records(dec, alpha, structure_tolerance)
+            cells = _point_records(dec, structure_tolerance)
         except Exception as exc:
             raise SweepError(alpha, exc) from exc
-        points.append(SweepPoint(
-            alpha=alpha, count=len(dec.levels),
-            energies=dec.energies, multiplicities=dec.multiplicities,
-            records=records))
+        points.append(SweepPoint(alpha=alpha, count=len(dec.levels), energies=dec.energies,
+                                 multiplicities=dec.multiplicities, cells=cells))
         if anchor is None or len(dec.levels) > len(anchor.levels):
             curve_idx = np.full((len(dec.levels), grid.size), -1, dtype=int)
             curve_idx[:, i] = np.arange(len(dec.levels))
@@ -232,33 +232,29 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     # the last restart came at the first point with the generic count
     n_pts, generic = len(points), len(curve_idx)
     backbone = np.flatnonzero([p.count == generic for p in points])
-    n_seps = max(n_sites // 2, 1)
+    # curve c's values at every point, NaN (multiplicity 0) where it is not tracked
+    energies, mults = np.full((generic, n_pts), np.nan), np.zeros((generic, n_pts), dtype=int)
+    conc = np.full((generic, max(n_sites // 2, 1), n_pts), np.nan)
+    for i, point in enumerate(points):
+        tracked = np.flatnonzero(curve_idx[:, i] >= 0)
+        levels = curve_idx[tracked, i]
+        energies[tracked, i] = point.energies[levels]
+        mults[tracked, i] = point.multiplicities[levels]
+        conc[tracked, :, i] = point.cells[levels, :, 0]
+    for array in (energies, conc, curve_idx, grid, backbone):
+        read_only(array)
     curves = []
     for c in range(generic):
-        energies = np.full(n_pts, np.nan)
-        conc = np.full((n_seps, n_pts), np.nan)
-        mults = []
-        for i in np.flatnonzero(curve_idx[c] >= 0).tolist():
-            li = curve_idx[c, i]
-            energies[i] = points[i].energies[li]
-            mults.append(int(points[i].multiplicities[li]))
-            for sep in range(1, n_seps + 1):
-                conc[sep - 1, i] = points[i].record(li, sep).concurrence
-        if mults and any(m != mults[0] for m in mults):
-            notes.append(f"curve {c}: multiplicity changes along the grid {sorted(set(mults))}")
-        for arr in (energies, conc):
-            arr.setflags(write=False)
-        idx_row = curve_idx[c].copy()
-        idx_row.setflags(write=False)
+        seen = mults[c][curve_idx[c] >= 0].tolist()
+        if len(set(seen)) > 1:
+            notes.append(f"curve {c}: multiplicity changes along the grid {sorted(set(seen))}")
         curves.append(LevelCurve(
             curve_index=c, n_sites=n_sites, variant=variant,
             cluster_tolerance=cluster_tolerance,
-            multiplicity=mults[0] if mults else 0,
-            alpha_grid=grid, level_indices=idx_row,
-            energies=energies, concurrence=conc))
+            multiplicity=seen[0] if seen else 0,
+            alpha_grid=grid, level_indices=curve_idx[c],
+            energies=energies[c], concurrence=conc[c]))
 
-    grid.setflags(write=False)
-    backbone.setflags(write=False)
     return SweepResult(
         n_sites=n_sites, variant=variant, alpha_grid=grid,
         points=tuple(points), backbone=backbone,
@@ -337,17 +333,15 @@ class _SignChange:
                              crossing_coincident=bool(self.edge > self.jump_scale))
 
 
-def _sign_change(curve: LevelCurve, separation: int, i: int, j: int, threshold: float,
-                 structure_tolerance: float,
-                 jump_scale: float = JUMP_SCALE_DEFAULT) -> _SignChange | None:
-    """The probe of the curve's concurrence at ``separation`` between grid
-    points i and j, or None when its sign does not change there."""
-    c_lo, c_hi = curve.concurrence_at(separation)[[i, j]]
-    if (c_lo > threshold) != (c_hi > threshold):
-        return _SignChange(curve.curve_index, int(curve.level_indices[i]), separation,
-                           bool(c_lo > threshold), max(c_lo, c_hi), threshold,
-                           structure_tolerance, jump_scale)
-    return None
+def _sign_changes(curve: LevelCurve, i: int, j: int, separations, threshold: float,
+                  structure_tolerance: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+    """The probes of the curve's concurrence at each of ``separations`` whose sign
+    changes between grid points i and j, in the order of ``separations``."""
+    values = curve.concurrence[:, [i, j]]
+    above = (values > threshold).tolist()
+    return [_SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
+                        values[sep - 1].max(), threshold, structure_tolerance, jump_scale)
+            for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
 
 
 def _bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
@@ -392,9 +386,10 @@ def _interval_probes(sweep_result: SweepResult, separations=()):
                       for c in tracked)
         probes = [_OrderSwap(k, l, (a, b))
                   for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
-        probes += [probe for curve in tracked for sep in separations
-                   if (probe := _sign_change(curve, sep, i, j, sweep_result.concurrence_threshold,
-                                             sweep_result.structure_tolerance))]
+        probes += [probe for curve in tracked
+                   for probe in _sign_changes(curve, i, j, separations,
+                                              sweep_result.concurrence_threshold,
+                                              sweep_result.structure_tolerance)]
         if probes:
             yield sweep_result.points[i].alpha, sweep_result.points[j].alpha, probes
 
@@ -476,8 +471,8 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     idx = np.nonzero(curve.valid)[0].tolist()
     alphas = curve.alpha_grid.tolist()
     return tuple(event for i, j in zip(idx[:-1], idx[1:])
-                 if (probe := _sign_change(curve, separation, i, j, threshold,
-                                           STRUCTURE_TOLERANCE_DEFAULT, jump_scale))
+                 for probe in _sign_changes(curve, i, j, [separation], threshold,
+                                            STRUCTURE_TOLERANCE_DEFAULT, jump_scale)
                  for event in _bisect(curve, alphas[i], alphas[j], [probe], resolution))
 
 
@@ -549,11 +544,8 @@ def entangled_level_census(n_sites: int, alpha: float, *,
     """Per-separation count of levels with positive concurrence."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    counts = {sep: 0 for sep in range(1, max(n_sites // 2, 1) + 1)}
-    for record in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT):
-        if record.concurrence > threshold:
-            counts[record.separation] += 1
-    return counts
+    counts = (_point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, :, 0] > threshold).sum(axis=0)
+    return dict(enumerate(counts.tolist(), start=1))
 
 
 def projector_dimension_histogram(n_sites: int, alpha: float, *,
@@ -641,18 +633,16 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
     """Fit the nearest-neighbor concurrence against level energy."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    nn = [r for r in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT)
-          if r.separation == 1 and r.concurrence > threshold]
-    energies = [r.level_energy for r in nn]
-    values = [r.concurrence for r in nn]
-    if len(values) < 2:
+    nn = _point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, 0, 0]
+    energies, values = dec.energies[nn > threshold], nn[nn > threshold]
+    if values.size < 2:
         raise InsufficientDataError(
-            f"{len(values)} positive nearest-neighbor points at alpha={alpha!r}; need 2")
-    slope, intercept = np.polyfit(np.array(energies), np.array(values), 1)
-    residual = np.max(np.abs(np.array(values) - (slope * np.array(energies) + intercept)))
+            f"{values.size} positive nearest-neighbor points at alpha={alpha!r}; need 2")
+    slope, intercept = np.polyfit(energies, values, 1)
+    residual = np.max(np.abs(values - (slope * energies + intercept)))
     return LinearFit(a=float(-slope), b=float(-intercept),
-                     max_residual=float(residual), n_points=len(values),
-                     max_concurrence=float(max(values)))
+                     max_residual=float(residual), n_points=int(values.size),
+                     max_concurrence=float(values.max()))
 
 
 def distance_selectivity_check(n_sites: int, alpha: float, *,
@@ -664,9 +654,6 @@ def distance_selectivity_check(n_sites: int, alpha: float, *,
     coexistence limited to separations 3 and 4 alone is not reported."""
     dec = diagonalize(RingSpec(n_sites, alpha, variant),
                       cluster_tolerance=cluster_tolerance)
-    positive = {li: [] for li in range(len(dec.levels))}
-    for record in _point_records(dec, alpha, STRUCTURE_TOLERANCE_DEFAULT):
-        if record.concurrence > threshold:
-            positive[record.level_index].append(record.separation)
-    return [(li, tuple(seps)) for li, seps in positive.items()
-            if len(seps) > 1 and any(sep in (1, 2) for sep in seps)]
+    positive = _point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, :, 0] > threshold
+    found = [(li, tuple((np.flatnonzero(row) + 1).tolist())) for li, row in enumerate(positive)]
+    return [(li, seps) for li, seps in found if len(seps) > 1 and (1 in seps or 2 in seps)]

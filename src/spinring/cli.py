@@ -302,13 +302,13 @@ def cmd_concurrence(config: RunConfig) -> str:
     """Concurrence table: one row per (alpha, level, separation)."""
     cache = _make_cache(config)
     rows = []
-    for alpha in config.alphas:  # no decomposition is held while the next is solved
-        for record in _point_records(_decomposition(config, alpha, cache), alpha,
-                                     config.structure_tolerance):
-            rows.append((record.alpha, record.level_index, record.level_energy,
-                         int(record.multiplicity), record.separation,
-                         record.concurrence, record.a, record.b, record.c,
-                         record.structure_residual))
+    for alpha in config.alphas:
+        dec = _decomposition(config, alpha, cache)
+        cells = _point_records(dec, config.structure_tolerance).tolist()
+        rows += [(alpha, li, level.energy, level.multiplicity, sep, *values)
+                 for li, level in enumerate(dec.levels)
+                 for sep, values in enumerate(cells[li], start=1)]
+        del dec, cells  # only the rows are held while the next alpha is solved
     header = ("alpha", "level_index", "energy", "multiplicity", "separation",
               "concurrence", "a", "b", "c", "structure_residual")
     return _emit_table(config, header, rows, structure_tolerance=config.structure_tolerance)
@@ -346,10 +346,8 @@ def cmd_report(config: RunConfig) -> str:
         histogram[int(m)] = histogram.get(int(m), 0) + 1
 
     n_seps = max(config.n_sites // 2, 1)
-    level_census = {sep: 0 for sep in range(1, n_seps + 1)}
-    for record in rep_point.records:
-        if record.concurrence > config.concurrence_threshold:
-            level_census[record.separation] += 1
+    positive = rep_point.cells[:, :, 0] > config.concurrence_threshold
+    level_census = dict(enumerate(positive.sum(axis=0).tolist(), start=1))
 
     census = entangled_projector_census(result)
     census_doc = {

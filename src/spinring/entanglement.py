@@ -10,18 +10,22 @@ serves as an independent cross-check.
 ``pair_table`` reduces every level to one site pair at once from the
 magnetization blocks V: a diagonal entry sums V^2 over the rows with one
 bit pattern of the pair, c sums V[row] V[row ^ mask] over the (+, -) rows,
-and nothing of size 2^N is formed.  The per-state reductions, from a
-level's 2^N x m block or by the dense partial trace, are its checks.
+and nothing of size 2^N is formed.  Those rows depend on N, the sector and
+the pair alone and are cached per process; ``pair_tables`` reduces several
+pairs, squaring each block once for all of them.  The per-state reductions,
+from a level's 2^N x m block or by the dense partial trace, are its checks.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .model import read_only, sector_states
 from .spectra import SpectralDecomposition, UniformEigenstate
 
 STRUCTURE_TOLERANCE_DEFAULT = 1e-10
@@ -190,34 +194,66 @@ class PairTable(NamedTuple):
     concurrence: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_pattern(n_sites: int, sector: int, j: int, k: int) -> tuple:
+    """For the sector's states: the indicator of the pair's bit patterns ++, +-, -+
+    and -- as four boolean rows, and the (+, -) rows with their swap partners;
+    cached, read-only."""
+    states = sector_states(n_sites)[sector]
+    bit_j, bit_k = 1 << (j - 1), 1 << (k - 1)
+    pattern = 2 * ((states & bit_j) == 0) + ((states & bit_k) == 0)  # bit set: up
+    rows = np.flatnonzero(pattern == 1)
+    partners = np.searchsorted(states, states[rows] ^ (bit_j | bit_k))
+    return tuple(map(read_only, (pattern == np.arange(4)[:, None], rows.astype(np.int32),
+                                 partners.astype(np.int32))))
+
+
+def pair_tables(dec: SpectralDecomposition, pairs,
+                structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+                levels=slice(None)) -> list:
+    """``pair_table`` of each site pair (j, k) in ``pairs``, squaring each block's
+    eigenvectors once for all of them.  Only the blocks holding a member of the
+    listed ``levels`` are reduced, each as a whole, so a level's entries round
+    exactly as in the table of every level."""
+    n, count = dec.spec.n_sites, len(dec.levels)
+    for j, k in pairs:
+        if j == k or not (1 <= j <= n and 1 <= k <= n):
+            raise ValueError(f"sites must be distinct and lie in 1..{n}, got ({j}, {k})")
+    sums, wanted = np.zeros((len(pairs), 5, count)), np.zeros(count, dtype=bool)
+    wanted[levels] = True
+    for sector, (block, members) in enumerate(zip(dec.blocks, dec.members)):
+        keep = wanted[members]
+        if not keep.any():
+            continue
+        vectors, patterns = block.vectors, [_pair_pattern(n, sector, j, k) for j, k in pairs]
+        # couplings before squares, the squares a temporary: never held beside the row copies
+        couplings = np.stack([np.einsum("ij,ij->j", vectors[rows], vectors[partners])
+                              for _, rows, partners in patterns])
+        diagonals = np.stack([indicator for indicator, _, _ in patterns]) @ np.square(vectors)
+        columns = np.concatenate([diagonals, couplings[:, None]], axis=1)
+        np.add.at(sums, (slice(None), slice(None), members[keep]), columns[..., keep])
+    tables = []
+    for (j, k), pair_sums in zip(pairs, sums):
+        entries = pair_sums[:, levels] / dec.multiplicities[levels]
+        diagonal, c = entries[:4].T, entries[4]
+        a, b = 0.5 * (diagonal[:, 0] + diagonal[:, 3]), 0.5 * (diagonal[:, 1] + diagonal[:, 2])
+        residual = np.abs(diagonal - np.stack([a, b, b, a], axis=1)).max(axis=1)
+        if residual.max() >= structure_tolerance:
+            raise StructureError(
+                f"pair reduction of sites ({j}, {k}) deviates from the structured form by "
+                f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
+        tables.append(PairTable(diagonal, c, a, b, residual,
+                                np.maximum(2.0 * (np.abs(c) - a), 0.0)))
+    return tables
+
+
 def pair_table(dec: SpectralDecomposition, j: int, k: int,
                structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
                levels=slice(None)) -> PairTable:
     """Reduction to the site pair (j, k), as ``reduce_two_sites`` orders it,
     of every level or of the listed ``levels``.  Raises StructureError as
     ``extract_abc`` does; |c| <= b needs no check, it holds by Cauchy-Schwarz."""
-    n, count = dec.spec.n_sites, len(dec.levels)
-    if j == k or not (1 <= j <= n and 1 <= k <= n):
-        raise ValueError(f"sites must be distinct and lie in 1..{n}, got ({j}, {k})")
-    bit_j, bit_k = 1 << (j - 1), 1 << (k - 1)
-    sums = np.zeros((5, count))
-    for block, members in zip(dec.blocks, dec.members):
-        states, vectors = block.states, block.vectors
-        pattern = 2 * ((states & bit_j) == 0) + ((states & bit_k) == 0)  # bit set: up
-        rows = np.flatnonzero(pattern == 1)
-        partners = np.searchsorted(states, states[rows] ^ (bit_j | bit_k))
-        columns = np.vstack([(pattern == np.arange(4)[:, None]) @ np.square(vectors),
-                             np.einsum("ij,ij->j", vectors[rows], vectors[partners])])
-        np.add.at(sums, (slice(None), members), columns)
-    entries = sums[:, levels] / dec.multiplicities[levels]
-    diagonal, c = entries[:4].T, entries[4]
-    a, b = 0.5 * (diagonal[:, 0] + diagonal[:, 3]), 0.5 * (diagonal[:, 1] + diagonal[:, 2])
-    residual = np.abs(diagonal - np.stack([a, b, b, a], axis=1)).max(axis=1)
-    if residual.max() >= structure_tolerance:
-        raise StructureError(
-            f"pair reduction of sites ({j}, {k}) deviates from the structured form by "
-            f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
-    return PairTable(diagonal, c, a, b, residual, np.maximum(2.0 * (np.abs(c) - a), 0.0))
+    return pair_tables(dec, [(j, k)], structure_tolerance, levels)[0]
 
 
 def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
@@ -232,7 +268,7 @@ def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
         warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
                       PairStateWarning, stacklevel=2)
     seps = range(1, n // 2 + 1)
-    tables = [pair_table(dec, 1, 1 + d, structure_tolerance) for d in seps]
+    tables = pair_tables(dec, [(1, 1 + d) for d in seps], structure_tolerance)
     # site 1 leads the pair (1, 2), so it is up at ++ and +-
     single = n * np.square(tables[0].diagonal.reshape(-1, 2, 2).sum(axis=2)).sum(axis=1)
     pair_purity = [np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c) for t in tables]

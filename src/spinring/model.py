@@ -8,7 +8,9 @@ affine maps scale * H + shift * I of it (``variant_map``).  Basis states
 are products of local sigma^z eigenstates, encoded as N-bit integers: bit
 (j-1) is 1 when site j is "up" (+), so site 1 is the least significant bit.
 H conserves the magnetization (``sector_block``), and the ring translation splits
-each sector into lattice-momentum blocks (``momentum_block``).
+each sector into lattice-momentum blocks (``momentum_block``).  Where a block's
+entries sit depends on N and the sector alone; that pattern is cached per process
+(``_sector_pattern``, ``_momentum_pattern``), so each alpha only scatters its weights.
 """
 
 from __future__ import annotations
@@ -108,12 +110,17 @@ def coupling_weight(n_sites: int, separation: int, alpha: float) -> float:
     return chord_distance(n_sites, d) ** (-alpha)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array, marked read-only."""
+    array.setflags(write=False)
+    return array
+
+
 @functools.lru_cache(maxsize=64)
 def separation_weights(n_sites: int, alpha: float) -> np.ndarray:
     """Coupling weights w_d for the ring separations d = 1 .. n_sites//2; cached, read-only."""
-    weights = np.array([coupling_weight(n_sites, d, alpha) for d in range(1, n_sites // 2 + 1)])
-    weights.setflags(write=False)
-    return weights
+    return read_only(np.array([coupling_weight(n_sites, d, alpha)
+                               for d in range(1, n_sites // 2 + 1)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,9 +129,8 @@ def _ring_pairs(n_sites: int):
     separation d into ``separation_weights``, and its bit mask, as the rows of one
     cached, read-only array."""
     bj, bk = np.triu_indices(n_sites, 1)
-    pairs = np.stack([bj, bk, np.minimum(bk - bj, n_sites - bk + bj) - 1, (1 << bj) | (1 << bk)])
-    pairs.setflags(write=False)
-    return pairs
+    return read_only(np.stack([bj, bk, np.minimum(bk - bj, n_sites - bk + bj) - 1,
+                               (1 << bj) | (1 << bk)]))
 
 
 def total_weight(n_sites: int, alpha: float) -> float:
@@ -176,10 +182,21 @@ def sector_states(n_sites: int) -> tuple[np.ndarray, ...]:
     """Basis integers of each magnetization sector, ascending; cached, read-only."""
     pops = popcounts(n_sites)
     all_states = np.arange(2 ** n_sites, dtype=np.int64)
-    sectors = tuple(all_states[pops == s] for s in range(n_sites + 1))
-    for states in sectors:
-        states.setflags(write=False)
-    return sectors
+    return tuple(read_only(all_states[pops == s]) for s in range(n_sites + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_pattern(n_sites: int, sector: int) -> tuple:
+    """Flat off-diagonal positions and pair indices of one sector block, and each
+    state's alignment sign (+1 aligned, -1 anti-aligned) per pair; cached, read-only.
+    The 91 pairs of MAX_SITES sites fit int8, and a 3432-wide block int32."""
+    bj, bk, _, masks = _ring_pairs(n_sites)
+    states = sector_states(n_sites)[sector]
+    anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
+    rows, pairs = np.nonzero(anti)
+    columns = np.searchsorted(states, states[rows] ^ masks[pairs])
+    return tuple(map(read_only, ((rows * states.size + columns).astype(np.int32),
+                                 pairs.astype(np.int8), (1 - 2 * anti).astype(np.int8))))
 
 
 def sector_block(spec: RingSpec, sector: int) -> SectorBlock:
@@ -194,21 +211,15 @@ def sector_block(spec: RingSpec, sector: int) -> SectorBlock:
     ascending state order, so block N - s is block s reversed on both axes.
     """
     scale, shift = variant_map(spec)
-    bj, bk, sep, masks = _ring_pairs(spec.n_sites)
-    weights = scale * separation_weights(spec.n_sites, spec.alpha)[sep]
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)[_ring_pairs(spec.n_sites)[2]]
+    positions, pairs, signs = _sector_pattern(spec.n_sites, sector)
     states = sector_states(spec.n_sites)[sector]
-    positions = np.empty(spec.dimension, dtype=np.int64)
-    positions[states] = np.arange(states.size)
-    anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
-    rows, pairs = np.nonzero(anti)
     block = np.zeros((states.size, states.size))
-    block[rows, positions[states[rows] ^ masks[pairs]]] = 2.0 * weights[pairs]
+    np.put(block, positions, 2.0 * weights[pairs])
     # cumsum adds the pairs in their fixed order; a matrix product would
     # leave the summation order, and so the last bit, to the BLAS build
-    diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
-    np.fill_diagonal(block, diagonal + shift)
-    block.setflags(write=False)
-    return SectorBlock(sector=sector, states=states, block=block)
+    np.fill_diagonal(block, np.cumsum(signs * weights, axis=1)[:, -1] + shift)
+    return SectorBlock(sector=sector, states=states, block=read_only(block))
 
 
 def build_sector_blocks(spec: RingSpec) -> list[SectorBlock]:
@@ -223,8 +234,7 @@ def build_hamiltonian(spec: RingSpec) -> HamiltonianMatrix:
     matrix = np.zeros((spec.dimension, spec.dimension))
     for block in build_sector_blocks(spec):
         matrix[np.ix_(block.states, block.states)] = block.block
-    matrix.setflags(write=False)
-    return HamiltonianMatrix(spec=spec, matrix=matrix)
+    return HamiltonianMatrix(spec=spec, matrix=read_only(matrix))
 
 
 def top_eigenspace_basis(n_sites: int) -> np.ndarray:
@@ -239,8 +249,7 @@ def top_eigenspace_basis(n_sites: int) -> np.ndarray:
     basis = np.zeros((dim, n_sites + 1))
     for s, states in enumerate(sector_states(n_sites)):
         basis[states, s] = 1.0 / math.sqrt(states.size)
-    basis.setflags(write=False)
-    return basis
+    return read_only(basis)
 
 
 def translation_permutation(n_sites: int) -> np.ndarray:
@@ -258,9 +267,7 @@ def _translation_orbits(n_sites: int) -> np.ndarray:
     for _ in range(n_sites - 1):  # row j holds T^j of every state
         images = np.vstack([images, shift_of[images[-1]]])
     period = n_sites // np.count_nonzero(images == images[0], axis=0)
-    orbits = np.stack([images.min(axis=0), period, -images.argmin(axis=0) % period])
-    orbits.setflags(write=False)
-    return orbits
+    return read_only(np.stack([images.min(axis=0), period, -images.argmin(axis=0) % period]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,10 +294,7 @@ def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
     np.add.at(coefficients, (rows, cols, sep[pairs]),
               2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
     pattern = np.nonzero(coefficients[:size])
-    pattern += (coefficients[pattern],)
-    for array in pattern:
-        array.setflags(write=False)
-    return size, *pattern
+    return size, *map(read_only, (*pattern, coefficients[pattern]))
 
 
 def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:

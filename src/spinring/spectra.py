@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (HamiltonianMatrix, RingSpec, Variant, momentum_block, sector_block,
-                    sector_states, variant_map)
+from .model import (HamiltonianMatrix, RingSpec, Variant, momentum_block, read_only,
+                    sector_block, sector_states, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -189,7 +189,7 @@ def _assemble(spec: RingSpec, blocks: tuple, tolerance: float) -> SpectralDecomp
     sectors = np.repeat(np.arange(len(blocks)), sizes)[order]
     columns = np.concatenate([np.arange(size) for size in sizes])[order]
     for array in (values, sectors, columns, *(b.vectors for b in blocks)):
-        array.setflags(write=False)
+        read_only(array)
     levels, warns = cluster_levels(values, tolerance)
     level_of = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
     members = tuple(np.split(level_of[np.argsort(order)], np.cumsum(sizes)[:-1]))
@@ -298,32 +298,36 @@ def match_levels(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
     resolved; levels with no overlap above ``overlap_threshold`` are left
     unmatched (crossing candidates).
     """
-    overlaps = overlap_matrix(dec_a, dec_b)
-    na, nb = overlaps.shape
-    order = np.argsort(overlaps, axis=None, kind="stable")[::-1]
-    used_a = np.zeros(na, dtype=bool)
-    used_b = np.zeros(nb, dtype=bool)
-    pairs = []
-    ambiguous = []
-    for flat in order:
-        ia, ib = divmod(int(flat), nb)
-        value = float(overlaps[ia, ib])
-        if value <= overlap_threshold:
-            break
+    return _greedy_pairing(overlap_matrix(dec_a, dec_b), overlap_threshold, ambiguity_window)
+
+
+def _greedy_pairing(overlaps: np.ndarray, overlap_threshold: float,
+                    ambiguity_window: float) -> LevelPairing:
+    """``match_levels`` on an overlap matrix: the entries above the threshold,
+    descending (ties: the later row-major one first), each accepted unless its
+    row or column is taken, and ambiguous when the rest of its row or column
+    holds a value above it minus the window."""
+    flat = np.flatnonzero(overlaps > overlap_threshold)
+    order = flat[np.argsort(overlaps.flat[flat], kind="stable")[::-1]]
+    # each row's (column's) largest and second largest entry, -inf when missing
+    rows, cols = (np.sort(np.pad(m, ((0, 0), (2, 0)), constant_values=-np.inf))[:, :-3:-1]
+                  for m in (overlaps, overlaps.T))
+    used_a, used_b = (np.zeros(size, dtype=bool) for size in overlaps.shape)
+    pairs, ambiguous = [], []
+    for ia, ib in zip(*np.unravel_index(order, overlaps.shape)):
         if used_a[ia] or used_b[ib]:
             continue
-        used_a[ia] = True
-        used_b[ib] = True
-        pairs.append((ia, ib, value))
-        row = np.delete(overlaps[ia, :], ib)
-        col = np.delete(overlaps[:, ib], ia)
-        runner = max(row.max(initial=-np.inf), col.max(initial=-np.inf))
+        used_a[ia] = used_b[ib] = True
+        value = float(overlaps[ia, ib])
+        pairs.append((int(ia), int(ib), value))
+        # the largest entry but this one of its row, and of its column
+        runner = max(rows[ia, int(rows[ia, 0] == value)], cols[ib, int(cols[ib, 0] == value)])
         if runner > value - ambiguity_window:
-            ambiguous.append((ia, ib, value))
+            ambiguous.append(pairs[-1])
     pairs.sort()
     return LevelPairing(pairs=tuple(pairs),
-                        unmatched_a=tuple(int(i) for i in np.flatnonzero(~used_a)),
-                        unmatched_b=tuple(int(i) for i in np.flatnonzero(~used_b)),
+                        unmatched_a=tuple(np.flatnonzero(~used_a).tolist()),
+                        unmatched_b=tuple(np.flatnonzero(~used_b).tolist()),
                         ambiguous=tuple(ambiguous))
 
 

@@ -22,7 +22,7 @@ def dec():
 
 @pytest.fixture(scope="session")
 def sweep8():
-    """Full default-grid sweep of the eight-site ring (about 15 s, built once)."""
+    """Full default-grid sweep of the eight-site ring (about 2 s, built once)."""
     return sweep(8, default_alpha_grid())
 
 

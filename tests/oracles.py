@@ -17,9 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from spinring.model import RingSpec, Variant, build_sector_blocks, total_weight, variant_map
+from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, build_sector_blocks,
+                            sector_states, separation_weights, total_weight, variant_map)
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
-                              cluster_levels)
+                              LevelPairing, cluster_levels)
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,59 @@ def match_single_level(dec_a, index_a: int, dec_b) -> tuple[int, float]:
     overlaps = sums / norm
     j = int(np.argmax(overlaps))
     return j, float(overlaps[j])
+
+
+def sector_block_reference(spec: RingSpec, sector: int) -> SectorBlock:
+    """``model.sector_block`` built in one pass from the pair masks, with no cached
+    pattern: +-w on the diagonal for (anti-)aligned pairs, summed in pair order by
+    cumsum, and 2w at (state, state ^ pair mask) for every anti-aligned pair."""
+    scale, shift = variant_map(spec)
+    bj, bk, sep, masks = _ring_pairs(spec.n_sites)
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)[sep]
+    states = sector_states(spec.n_sites)[sector]
+    positions = np.empty(spec.dimension, dtype=np.int64)
+    positions[states] = np.arange(states.size)
+    anti = ((states[:, None] >> bj) ^ (states[:, None] >> bk)) & 1
+    rows, pairs = np.nonzero(anti)
+    block = np.zeros((states.size, states.size))
+    block[rows, positions[states[rows] ^ masks[pairs]]] = 2.0 * weights[pairs]
+    diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
+    np.fill_diagonal(block, diagonal + shift)
+    return SectorBlock(sector=sector, states=states, block=block)
+
+
+def match_levels(overlaps: np.ndarray, overlap_threshold: float = 0.5,
+                 ambiguity_window: float = 0.05) -> LevelPairing:
+    """Greedy pairing of an overlap matrix entry by entry: every entry in
+    descending order (a stable sort, reversed), stopping at the threshold, with
+    the runner-up of an accepted pair taken from its row and column with that
+    entry deleted."""
+    na, nb = overlaps.shape
+    order = np.argsort(overlaps, axis=None, kind="stable")[::-1]
+    used_a = np.zeros(na, dtype=bool)
+    used_b = np.zeros(nb, dtype=bool)
+    pairs = []
+    ambiguous = []
+    for flat in order:
+        ia, ib = divmod(int(flat), nb)
+        value = float(overlaps[ia, ib])
+        if value <= overlap_threshold:
+            break
+        if used_a[ia] or used_b[ib]:
+            continue
+        used_a[ia] = True
+        used_b[ib] = True
+        pairs.append((ia, ib, value))
+        row = np.delete(overlaps[ia, :], ib)
+        col = np.delete(overlaps[:, ib], ia)
+        runner = max(row.max(initial=-np.inf), col.max(initial=-np.inf))
+        if runner > value - ambiguity_window:
+            ambiguous.append((ia, ib, value))
+    pairs.sort()
+    return LevelPairing(pairs=tuple(pairs),
+                        unmatched_a=tuple(int(i) for i in np.flatnonzero(~used_a)),
+                        unmatched_b=tuple(int(i) for i in np.flatnonzero(~used_b)),
+                        ambiguous=tuple(ambiguous))
 
 
 def haldane_shastry_levels(n_sites: int) -> list[tuple[float, int]]:

@@ -275,6 +275,17 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
     assert 0 < events[0].width < 1e-15
 
 
+def test_golden_report_solve_counts(monkeypatch, capsys):
+    # the golden n8 report's counts when they were pinned: 84 solves through
+    # analysis and one in the CLI, each one eigh per magnetization sector
+    # (85 x 9); a change that adds solves fails here, not only in the wall time
+    solves = _recording(monkeypatch, analysis_module, "diagonalize")
+    eighs = _recording(monkeypatch, np.linalg, "eigh")
+    assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
+    capsys.readouterr()
+    assert (len(solves), len(eighs)) == (84, 765)
+
+
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     res = sweep(6, np.linspace(0.5, 12, 12))
     lo, hi, swapped = next(s for s in analysis_module._interval_probes(res) if len(s[2]) >= 8)
@@ -429,13 +440,12 @@ def test_point_records_check_the_energy_correlator_identity(dec):
     for n in range(2, 10):
         for variant in Variant:
             for alpha in (0.0, 1.3, 2.0, INFINITY):
-                analysis_module._point_records(dec(n, alpha, variant), alpha, 1e-10)
+                analysis_module._point_records(dec(n, alpha, variant), 1e-10)
     d = dec(6, 1.3)
     levels = list(d.levels)
     levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
     with pytest.raises(StructureError, match="level 3 energy"):
-        analysis_module._point_records(dataclasses.replace(d, levels=tuple(levels)),
-                                       1.3, 1e-10)
+        analysis_module._point_records(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
@@ -443,7 +453,7 @@ def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
     # eigenvectors mix, so their pair reductions lose the structured form
     d = diagonalize(RingSpec(6, 1e-7))
     with pytest.raises(StructureError) as info:
-        analysis_module._point_records(d, 1e-7, 1e-10)
+        analysis_module._point_records(d, 1e-10)
     j, k, residual = re.search(r"sites \((\d+), (\d+)\).* by (\S+) ", str(info.value)).groups()
     dense = max(extract_abc(reduce_two_sites(uniform_state(level, d), int(j), int(k)),
                             math.inf).structure_residual for level in d.levels)

@@ -7,9 +7,10 @@ import pytest
 from spinring import (PairStateWarning, RingSpec, StructureError, TwoSpinState,
                       Variant, concurrence_structured, concurrence_xstate_oracle,
                       diagonalize, extract_abc, level_measures, meyer_wallach,
-                      oliveira_global, pair_concurrence, pair_table,
+                      oliveira_global, pair_concurrence, pair_table, pair_tables,
                       reduce_one_site, reduce_sites, reduce_two_sites,
                       uniform_state)
+from spinring.entanglement import _pair_pattern
 
 SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
@@ -276,6 +277,25 @@ def test_pair_table_selects_levels_and_validates_sites(dec):
             pair_table(d, j, k)
     with pytest.raises(StructureError):
         pair_table(d, 1, 2, structure_tolerance=1e-20)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_tables_match_one_pair_at_a_time(dec, n):
+    # the multi-pair form squares each block once, and a level subset reduces
+    # only the blocks holding its members; neither may move a bit
+    pairs = [(1, 1 + d) for d in range(1, n // 2 + 1)] + [(n, 1)]
+    for alpha in (0.7, 2.0, math.inf):
+        d = dec(n, alpha)
+        tables = pair_tables(d, pairs)
+        for (j, k), table in zip(pairs, tables):
+            single = pair_table(d, j, k)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(table, single))
+        for li in range(len(d.levels)):
+            (row,) = pair_tables(d, pairs[:1], levels=[li])
+            assert all(x.tobytes() == y[[li]].tobytes() for x, y in zip(row, tables[0]))
+    for s in range(n + 1):
+        for j, k in pairs:
+            assert not any(array.flags.writeable for array in _pair_pattern(n, s, j, k))
 
 
 @pytest.mark.parametrize("inner_over_n", [False, True])

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
                       coupling_weight, separation_weights, top_eigenspace_basis,
                       total_weight)
-from spinring.model import (momentum_block, popcounts, sector_block, sector_states,
-                            spin_flip_permutation, translation_permutation)
+from spinring.model import (_sector_pattern, momentum_block, popcounts, sector_block,
+                            sector_states, spin_flip_permutation, translation_permutation)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -191,6 +192,19 @@ def test_spin_flip_mirrors_sector_blocks(n):
             blocks = build_sector_blocks(RingSpec(n, alpha, variant))
             for s in range(n + 1):
                 assert np.array_equal(blocks[n - s].block, blocks[s].block[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sector_blocks_match_uncached_construction(n):
+    # the cached pattern only moves alpha-independent index work out of the build
+    for variant in Variant:
+        for alpha in (0.0, 1e-7, 0.7, 2.0, 2.0 + 1e-7, INFINITY):
+            spec = RingSpec(n, alpha, variant)
+            for s in range(n + 1):
+                block = sector_block(spec, s).block
+                assert block.tobytes() == oracles.sector_block_reference(spec, s).block.tobytes()
+    for s in range(n + 1):
+        assert not any(array.flags.writeable for array in _sector_pattern(n, s))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
