@@ -1,17 +1,16 @@
-"""Parameter sweeps over alpha: level-curve tracking, located events (level
-crossings and entanglement onsets/offsets), censuses, and the
-nearest-neighbor linear concurrence fit.
+"""Parameter sweeps over alpha: level-curve tracking, located events (level crossings and
+entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
-A sweep diagonalizes the ring on an ascending alpha grid, keeps the
-concurrence, a, b, c and residual of every (level, separation) cell as one
-array per point, and threads levels into curves by projector overlap.
-Curves are threaded only across "backbone" points, the grid points whose
-distinct-level count equals the generic count; collapse points (alpha = 0,
-the Haldane-Shastry point, the nearest-neighbor limit) are kept as data
-points but skipped by the threading.  Each point is paired with the
-previous backbone point as it is solved, so at most two decompositions are
-held at once.  Every event inside a backbone interval is then located by
-one grouped bisection of that interval.
+A sweep diagonalizes the ring on an ascending alpha grid, keeps the concurrence, a, b, c
+and residual of every (level, separation) cell as one array per point, and threads levels
+into curves by projector overlap.  Curves are threaded only across "backbone" points, the
+grid points whose distinct-level count equals the generic count; collapse points (alpha =
+0, the Haldane-Shastry point, the nearest-neighbor limit) are kept as data points but
+skipped by the threading.  Each point is paired with the previous backbone point as it is
+solved, so at most two decompositions are held at once.  Every event inside a backbone
+interval is then located by one grouped bisection of that interval.  A single point's
+table (``_momentum_records``, the ``concurrence`` command) needs no sector eigenvectors:
+its Werner pair states come from the lattice-momentum blocks' correlators.
 """
 
 import functools
@@ -23,8 +22,8 @@ import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      SpectralDecomposition, diagonalize, energy_levels, match_levels,
-                      match_single_level)
+                      SpectralDecomposition, diagonalize, energy_levels, level_correlators,
+                      match_levels, match_single_level)
 from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord,
                            StructureError, pair_table, pair_tables)
 
@@ -160,22 +159,47 @@ def count_distinct_levels(n_sites: int, alpha: float,
     return len(energy_levels(RingSpec(n_sites, alpha, variant), tolerance))
 
 
-def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of one decomposition, after checking every
-    level's energy against the sum of its pair correlators."""
-    n = dec.spec.n_sites
-    seps = range(1, max(n // 2, 1) + 1)
-    tables = pair_tables(dec, [(1, 1 + sep) for sep in seps], structure_tolerance)
-    scale, shift = variant_map(dec.spec)
-    terms = np.array([w * (n // 2 if 2 * sep == n else n) * (2 * t.a - 2 * t.b + 4 * t.c)
-                      for w, sep, t in zip(separation_weights(n, dec.spec.alpha), seps, tables)])
-    error = np.abs((dec.energies - shift) / scale - terms.sum(axis=0))
+def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations) -> None:
+    """Raise StructureError unless E = scale * sum_d w_d n_d <s_1 . s_{1+d}> + shift for
+    every level, with n_d pairs at separation d and their correlation in row d - 1."""
+    n, (scale, shift) = spec.n_sites, variant_map(spec)
+    pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)
+    terms = (pairs * separation_weights(n, spec.alpha))[:, None] * correlations
+    error = np.abs((energies - shift) / scale - terms.sum(axis=0))
     bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * (1 + np.abs(terms).sum(axis=0)))
     if bad.size:
         raise StructureError(f"level {bad[0]} energy differs from the sum of its pair "
                              f"correlators by {error[bad[0]]:.3e}")
+
+
+def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
+    """The read-only ``SweepPoint.cells`` of one decomposition, after checking every
+    level's energy against the sum of its pair correlators."""
+    seps = range(1, dec.spec.n_sites // 2 + 1)
+    tables = pair_tables(dec, [(1, 1 + sep) for sep in seps], structure_tolerance)
+    _check_energy_identity(dec.spec, dec.energies,
+                           np.array([2 * t.a - 2 * t.b + 4 * t.c for t in tables]))
     return read_only(np.stack([np.stack([t.concurrence, t.a, t.b, t.c, t.residual], axis=1)
                                for t in tables], axis=1))
+
+
+def _momentum_records(spec: RingSpec, cluster_tolerance: float,
+                      structure_tolerance: float) -> tuple:
+    """The levels of ``energy_levels(spec)`` and the cells ``_point_records`` gives for
+    ``diagonalize(spec)``, from the momentum blocks alone.  Each level projector is invariant
+    under SU(2) and translation, so its pair states are Werner states (Werner, PRA 40, 4277
+    (1989)) fixed by the ``level_correlators`` zz and xx + yy + zz: a = (1 + zz)/4,
+    b = (1 - zz)/4, c = (xx + yy)/4, with the Werner residual |c - (a - b)|."""
+    levels, (dots, zz) = level_correlators(spec, cluster_tolerance)
+    a, b, c = (1 + zz) / 4, (1 - zz) / 4, (dots - zz) / 4
+    residual = np.abs(c - (a - b))
+    if residual.max() >= structure_tolerance:
+        raise StructureError(f"pair state at separation {residual.max(axis=1).argmax() + 1} "
+                             f"deviates from the structured form c = a - b by "
+                             f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
+    _check_energy_identity(spec, np.array([level.energy for level in levels]), dots)
+    cells = np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c, residual], axis=2)
+    return levels, read_only(cells.swapaxes(0, 1))
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:

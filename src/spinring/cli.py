@@ -25,7 +25,7 @@ from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, level_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
-                       _last_crossing, _located_events, _point_records,
+                       _last_crossing, _located_events, _momentum_records,
                        default_alpha_grid, entangled_projector_census,
                        nn_linear_fit, separation_existence_intervals, sweep)
 from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--variant", default=None,
                         choices=["standard", "shifted", "ferromagnetic"])
     common.add_argument("--cluster-tolerance", type=float, default=None)
-    common.add_argument("--structure-tolerance", type=float, default=None)
+    common.add_argument("--structure-tolerance", type=float, default=None,
+                        help="bound on a pair state's residual from its structured form: "
+                             "|c - (a - b)| in concurrence, diag(a,b,b,a) + c in report")
     common.add_argument("--concurrence-threshold", type=float, default=None)
     common.add_argument("--resolution", type=float, default=None,
                         help="bisection bracket width for located events")
@@ -118,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, metavar="PATH",
                         help="output file (written atomically); default stdout")
     common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help=f"decomposition cache; also {CACHE_DIR_ENV}")
+                        help=f"decomposition cache of spectrum and report; also {CACHE_DIR_ENV}")
     common.add_argument("--oliveira-normalization", default=None,
                         choices=["as-printed", "over-n"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,14 +259,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _decomposition(config: RunConfig, alpha: float,
-                   cache: DecompositionCache | None):
-    spec = RingSpec(config.n_sites, alpha, config.variant)
-    if cache is not None:
-        return cache.get(spec, config.cluster_tolerance)
-    return diagonalize(spec, cluster_tolerance=config.cluster_tolerance)
-
-
 def _make_cache(config: RunConfig) -> DecompositionCache | None:
     return DecompositionCache(config.cache_dir) if config.cache_dir else None
 
@@ -299,16 +293,14 @@ def cmd_spectrum(config: RunConfig) -> str:
 
 
 def cmd_concurrence(config: RunConfig) -> str:
-    """Concurrence table: one row per (alpha, level, separation)."""
-    cache = _make_cache(config)
+    """Concurrence table: one row per (alpha, level, separation), from ``_momentum_records``."""
     rows = []
     for alpha in config.alphas:
-        dec = _decomposition(config, alpha, cache)
-        cells = _point_records(dec, config.structure_tolerance).tolist()
+        levels, cells = _momentum_records(RingSpec(config.n_sites, alpha, config.variant),
+                                          config.cluster_tolerance, config.structure_tolerance)
         rows += [(alpha, li, level.energy, level.multiplicity, sep, *values)
-                 for li, level in enumerate(dec.levels)
-                 for sep, values in enumerate(cells[li], start=1)]
-        del dec, cells  # only the rows are held while the next alpha is solved
+                 for li, (level, row) in enumerate(zip(levels, cells.tolist()))
+                 for sep, values in enumerate(row, start=1)]
     header = ("alpha", "level_index", "energy", "multiplicity", "separation",
               "concurrence", "a", "b", "c", "structure_residual")
     return _emit_table(config, header, rows, structure_tolerance=config.structure_tolerance)
@@ -391,7 +383,9 @@ def cmd_report(config: RunConfig) -> str:
     except InsufficientDataError:
         fit_doc = None
 
-    rep_dec = _decomposition(config, rep_alpha, cache)
+    rep_spec = RingSpec(config.n_sites, rep_alpha, config.variant)
+    rep_dec = (cache.get(rep_spec, config.cluster_tolerance) if cache is not None
+               else diagonalize(rep_spec, cluster_tolerance=config.cluster_tolerance))
     meyer_wallach, oliveira = level_measures(rep_dec, config.oliveira_inner_over_n,
                                              config.structure_tolerance)
     measures = [{"level_index": li, "multiplicity": int(level.multiplicity),

@@ -272,11 +272,11 @@ def _translation_orbits(n_sites: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
-    """Width, rows, columns, separation indices and amplitudes of the nonzeros of one
-    momentum block; cached, read-only.  Its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r>
-    runs over the sector's orbit representatives r whose period p has k p = 0 mod N.  A
-    pair term taking r_b to T^l r_a adds its ``sector_block`` entry times
-    e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
+    """Width, rows, columns, separation indices and amplitudes of the nonzeros of one momentum
+    block, and its basis states' +-1 alignment sums ZZ_d(r) over the pairs at separation d;
+    cached, read-only.  Its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r> runs over the
+    sector's orbit representatives r of period p with k p = 0 mod N.  A pair term taking r_b
+    to T^l r_a adds its ``sector_block`` entry times e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
     reps, period, shift = _translation_orbits(n_sites)
     states = sector_states(n_sites)[sector]
     basis = states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
@@ -290,11 +290,12 @@ def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
     angle = 2 * np.pi * (momentum * shift[partners] % n_sites) / n_sites
     phases = np.cos(angle) if 2 * momentum % n_sites == 0 else np.exp(1j * angle)  # +-1 if real
     coefficients = np.zeros((size + 1, size, n_sites // 2), dtype=phases.dtype)
-    coefficients[np.diag_indices(size)] = (1 - 2 * anti) @ np.eye(n_sites // 2, dtype=int)[sep]
+    alignments = (1 - 2 * anti) @ np.eye(n_sites // 2, dtype=int)[sep]
+    coefficients[np.diag_indices(size)] = alignments
     np.add.at(coefficients, (rows, cols, sep[pairs]),
               2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
     pattern = np.nonzero(coefficients[:size])
-    return size, *map(read_only, (*pattern, coefficients[pattern]))
+    return size, *map(read_only, (*pattern, coefficients[pattern], alignments.astype(np.int8)))
 
 
 def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
@@ -302,11 +303,22 @@ def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
     k = ``momentum``, about C(N, s)/N wide; real when 2k = 0 mod N, and block N - k is
     the complex conjugate of block k (Sandvik, AIP Conf. Proc. 1297, 135 (2010))."""
     scale, shift = variant_map(spec)
-    size, rows, cols, sep, amplitudes = _momentum_pattern(spec.n_sites, sector, momentum)
+    size, rows, cols, sep, amplitudes, _ = _momentum_pattern(spec.n_sites, sector, momentum)
     block = np.diag(np.full(size, shift, dtype=amplitudes.dtype))
     weights = scale * separation_weights(spec.n_sites, spec.alpha)
     np.add.at(block, (rows, cols), amplitudes * weights[sep])
     return block
+
+
+def separation_correlators(n_sites: int, sector: int, momentum: int, vectors) -> np.ndarray:
+    """<sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of each column
+    of ``vectors`` in the STANDARD momentum block, as a 2 x N//2 x columns array: the block's
+    nonzeros at separation d sum the n_d pairs' sigma . sigma, and ZZ_d(r) is diagonal."""
+    _, rows, cols, sep, amplitudes, alignments = _momentum_pattern(n_sites, sector, momentum)
+    bonds = [(amplitudes[at] @ (vectors[rows[at]].conj() * vectors[cols[at]])).real
+             for at in (sep == d for d in range(n_sites // 2))]
+    zz = alignments.T @ np.square(np.abs(vectors))
+    return np.stack([bonds, zz]) / np.bincount(_ring_pairs(n_sites)[2])[:, None]
 
 
 def spin_flip_permutation(n_sites: int) -> np.ndarray:

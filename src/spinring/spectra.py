@@ -1,12 +1,12 @@
 """Diagonalization, degenerate-level clustering, spectral projectors.
 
-Eigenvalues of the ring Hamiltonian come in exactly degenerate groups
-(total-spin and lattice symmetries), so the raw eigh output is clustered
-into levels before anything downstream looks at it.  A level owns a
-contiguous slice of the globally sorted eigenvalue list; the eigenvectors stay
-in their magnetization blocks, and a level's 2^N x m block is embedded on demand.
-``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored by the spin
-flip, in their lattice-momentum blocks.  The cache always stores the full decomposition.
+Eigenvalues of the ring Hamiltonian come in exactly degenerate groups (total-spin and
+lattice symmetries), so the raw eigh output is clustered into levels before anything
+downstream looks at it.  A level owns a contiguous slice of the globally sorted eigenvalue
+list; the eigenvectors stay in their magnetization blocks, and a level's 2^N x m block is
+embedded on demand.  ``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored
+by the spin flip, in their lattice-momentum blocks; ``level_correlators`` adds each level's
+pair correlators from those blocks' eigenvectors.  The cache stores the full decomposition.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (HamiltonianMatrix, RingSpec, Variant, momentum_block, read_only,
-                    sector_block, sector_states, variant_map)
+                    sector_block, sector_states, separation_correlators, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -160,20 +160,38 @@ def diagonalize(spec: RingSpec,
     return _assemble(spec, tuple(blocks), cluster_tolerance)
 
 
-def energy_levels(spec: RingSpec,
-                  cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The clustered levels of ``diagonalize``, from eigenvalues alone: the sectors with
-    2s >= N in their momentum blocks k = 0 .. N//2; block N - s mirrors block s
-    (``sector_block``) and block N - k is block k conjugated (``momentum_block``)."""
-    standard, n, raw = replace(spec, variant=Variant.STANDARD), spec.n_sites, []
+def _momentum_solutions(spec: RingSpec, solve):
+    """Yield (sector, momentum, count, solve(block)) for the STANDARD momentum blocks k = 0 ..
+    N//2 of the sectors with 2s >= N.  Each stands for ``count`` blocks with its eigenvalues
+    and correlators: block N - s mirrors block s, block N - k is block k conjugated."""
+    standard, n = replace(spec, variant=Variant.STANDARD), spec.n_sites
     for s in range((n + 1) // 2, n + 1):
         for k in range(n // 2 + 1):
             try:
-                values = np.linalg.eigvalsh(momentum_block(standard, s, k))
+                solved = solve(momentum_block(standard, s, k))
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(s, exc) from exc
-            raw += [values] * ((2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1))
+            yield s, k, (2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1), solved
+
+
+def energy_levels(spec: RingSpec,
+                  cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """The clustered levels of ``diagonalize``, from the momentum blocks' eigenvalues alone."""
+    raw = [values for _, _, count, values in _momentum_solutions(spec, np.linalg.eigvalsh)
+           for _ in range(count)]
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
+
+
+def level_correlators(spec: RingSpec,
+                      cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """Levels of ``energy_levels`` and their mean ``separation_correlators`` (2 x N//2 x levels)."""
+    solved = [(np.tile(w, count), np.tile(separation_correlators(spec.n_sites, s, k, v), count))
+              for s, k, count, (w, v) in _momentum_solutions(spec, np.linalg.eigh)]
+    energies, order = _map_sorted(spec, np.concatenate([w for w, _ in solved]))
+    levels = cluster_levels(energies, cluster_tolerance)[0]
+    sums = np.add.reduceat(np.concatenate([c for _, c in solved], axis=2)[..., order],
+                           [level.start for level in levels], axis=2)
+    return levels, sums / [level.multiplicity for level in levels]
 
 
 def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +354,8 @@ def match_single_level(dec_a: SpectralDecomposition, index_a: int,
     """Best-overlap partner in ``dec_b`` for one level of ``dec_a``."""
     level = dec_a.levels[index_a]
     sums = np.zeros(len(dec_b.levels))
-    for s in np.unique(dec_a.sectors[level.start:level.stop]):
+    # ascending like np.unique, which would import numpy.ma on its first call
+    for s in np.flatnonzero(np.bincount(dec_a.sectors[level.start:level.stop])):
         gram = dec_a.blocks[s].vectors[:, dec_a.members[s] == index_a].T @ dec_b.blocks[s].vectors
         np.add.at(sums, dec_b.members[s], np.square(gram, out=gram).sum(axis=0))
     norm = np.maximum(level.multiplicity, dec_b.multiplicities)

@@ -11,6 +11,7 @@ import pytest
 
 import spinring.analysis as analysis_module
 import spinring.cli as cli_module
+import spinring.spectra as spectra_module
 from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       all_crossings, count_distinct_levels, default_alpha_grid,
                       diagonalize, distance_selectivity_check,
@@ -458,3 +459,55 @@ def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
     dense = max(extract_abc(reduce_two_sites(uniform_state(level, d), int(j), int(k)),
                             math.inf).structure_residual for level in d.levels)
     assert abs(float(residual) - dense) <= 0.01 * dense
+
+
+def _assert_momentum_records_match(spec, dec):
+    levels, cells = analysis_module._momentum_records(spec, 1e-9, 1e-10)
+    assert [(lv.start, lv.multiplicity) for lv in levels] == \
+        [(lv.start, lv.multiplicity) for lv in dec.levels]
+    for got, want in zip(levels, dec.levels):
+        assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
+    expected = analysis_module._point_records(dec, 1e-10)
+    assert cells.shape == expected.shape and not cells.flags.writeable
+    # concurrence, a, b, c; the residual column is the Werner residual |c - (a - b)|,
+    # not the sector path's deviation from diag(a, b, b, a) + c (1.3e-12 at N = 12, alpha = 1)
+    assert np.abs(cells[..., :4] - expected[..., :4]).max() <= 1e-12
+    assert np.array_equal(cells[..., 4], np.abs(cells[..., 3] - (cells[..., 1] - cells[..., 2])))
+    assert cells[..., 4].max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_momentum_records_match_the_sector_eigenvectors(n, dec):
+    for variant in Variant:
+        for alpha in (0.0, 0.3, 1.0, 2.0, 3.3, 7.0, INFINITY):
+            _assert_momentum_records_match(RingSpec(n, alpha, variant), dec(n, alpha, variant))
+
+
+@pytest.mark.parametrize("n", (11, 12))
+def test_momentum_records_match_the_sector_eigenvectors_large_rings(n):
+    for alpha in (1.0, 2.0):
+        spec = RingSpec(n, alpha)
+        _assert_momentum_records_match(spec, diagonalize(spec))
+
+
+def test_concurrence_solves_no_sector_eigenvectors(capsys, tmp_path, monkeypatch):
+    argv = ("concurrence", "--n", "8", "--variant", "shifted",
+            "--alpha", "0", "--alpha", "0.4", "--alpha", "2", "--alpha", "inf")
+    expected = [(alpha, analysis_module._point_records(dec, 1e-10))
+                for alpha in (0.0, 0.4, 2.0, INFINITY)
+                for dec in [diagonalize(RingSpec(8, alpha, Variant.SHIFTED))]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("concurrence computed sector eigenvectors")
+
+    for module in (cli_module, analysis_module, spectra_module):
+        monkeypatch.setattr(module, "diagonalize", refuse)
+    cache = tmp_path / "cache"
+    assert main([*argv, "--cache-dir", str(cache)]) == 0
+    assert not cache.exists()  # the cache is neither read nor written
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    cells = np.array([[float(x) for x in row[5:]] for row in rows])
+    want = np.concatenate([c.reshape(-1, 5) for _, c in expected])
+    assert np.abs(cells[:, :4] - want[:, :4]).max() <= 1e-12 and cells[:, 4].max() <= 1e-12
+    assert [float(row[0]) for row in rows] == \
+        [alpha for alpha, c in expected for _ in range(c.shape[0] * c.shape[1])]

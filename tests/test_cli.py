@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinring
 import spinring.cli as cli_module
 import spinring.entanglement as entanglement_module
 import spinring.spectra as spectra_module
@@ -262,3 +266,18 @@ def test_variant_flag(capsys):
     # shifted spectrum tops out at zero with multiplicity N+1
     assert float(rows[-1][2]) == pytest.approx(0.0, abs=1e-10)
     assert rows[-1][3] == "5"
+
+
+def test_report_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call (numpy 2.4); the bisection's level
+    # matches must not pay for it
+    script = ("import contextlib, io, sys\n"
+              "from spinring.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert main(['report', '--n', '4', '--grid', '0.5:8:15', "
+              "'--resolution', '0.1']) == 0\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinring.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
