@@ -6,15 +6,14 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     chord_distance, coupling_weight, separation_weights,
                     top_eigenspace_basis, total_weight, variant_map)
 from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
-                      Level, LevelPairing, SpectralDecomposition, UniformEigenstate,
-                      cluster_levels, diagonalize, energy_levels, lagrange_projector,
-                      match_levels, match_single_level, overlap_matrix, projector,
-                      uniform_state)
-from .entanglement import (ConcurrenceRecord, PairStateWarning, PairTable, StructureError,
+                      Level, LevelPairing, MomentumDecomposition, SpectralDecomposition,
+                      UniformEigenstate, cluster_levels, diagonalize, energy_levels,
+                      lagrange_projector, match_levels, match_single_level,
+                      momentum_decomposition, overlap_matrix, projector, uniform_state)
+from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
-                           extract_abc, level_measures, meyer_wallach, oliveira_global,
-                           pair_concurrence, pair_table, pair_tables, reduce_one_site, reduce_sites,
-                           reduce_two_sites)
+                           extract_abc, meyer_wallach, oliveira_global, pair_concurrence,
+                           reduce_one_site, reduce_sites, reduce_two_sites, werner_measures)
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, CrossingEvent, CurveCensus,
                        CurveEntanglement, InsufficientDataError, LevelCurve,
                        LinearFit, SweepError, SweepPoint, SweepResult,

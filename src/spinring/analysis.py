@@ -1,16 +1,19 @@
 """Parameter sweeps over alpha: level-curve tracking, located events (level crossings and
 entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
-A sweep diagonalizes the ring on an ascending alpha grid, keeps the concurrence, a, b, c
-and residual of every (level, separation) cell as one array per point, and threads levels
-into curves by projector overlap.  Curves are threaded only across "backbone" points, the
-grid points whose distinct-level count equals the generic count; collapse points (alpha =
-0, the Haldane-Shastry point, the nearest-neighbor limit) are kept as data points but
-skipped by the threading.  Each point is paired with the previous backbone point as it is
-solved, so at most two decompositions are held at once.  Every event inside a backbone
-interval is then located by one grouped bisection of that interval.  A single point's
-table (``_momentum_records``, the ``concurrence`` command) needs no sector eigenvectors:
-its Werner pair states come from the lattice-momentum blocks' correlators.
+A sweep solves the ring's lattice-momentum blocks at each point of an ascending alpha grid
+(``momentum_decomposition``), keeps the concurrence, a, b, c and Werner residual of every
+(level, separation) cell as one array per point, and threads levels into curves by projector
+overlap, summed over the blocks.  Each level projector is invariant under SU(2) and the ring
+translation, so its pair states are Werner states fixed by the blocks' correlators, and no
+magnetization-sector eigenvector is built.  Curves are threaded only across "backbone"
+points, the grid points whose distinct-level count equals the generic count; collapse points
+(alpha = 0, the Haldane-Shastry point, the nearest-neighbor limit) are kept as data points
+but skipped by the threading.  Each point is paired with the previous backbone point as it is
+solved, so at most two solutions are held at once.  Every event inside a backbone interval is
+then located by one grouped bisection of that interval, each step solving the same blocks.
+A single point's table (``_momentum_records``) serves the ``concurrence`` command and the
+single-alpha parts of ``report``.
 """
 
 import functools
@@ -21,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
-from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      SpectralDecomposition, diagonalize, energy_levels, level_correlators,
-                      match_levels, match_single_level)
-from .entanglement import (STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord,
-                           StructureError, pair_table, pair_tables)
+from .spectra import (CLUSTER_TOLERANCE_DEFAULT, MomentumDecomposition, energy_levels,
+                      level_correlators, match_levels, match_single_level,
+                      momentum_decomposition)
+from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
 RESOLUTION_DEFAULT = 1e-3
@@ -172,34 +174,39 @@ def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations) -
                              f"correlators by {error[bad[0]]:.3e}")
 
 
-def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of one decomposition, after checking every
-    level's energy against the sum of its pair correlators."""
-    seps = range(1, dec.spec.n_sites // 2 + 1)
-    tables = pair_tables(dec, [(1, 1 + sep) for sep in seps], structure_tolerance)
-    _check_energy_identity(dec.spec, dec.energies,
-                           np.array([2 * t.a - 2 * t.b + 4 * t.c for t in tables]))
-    return read_only(np.stack([np.stack([t.concurrence, t.a, t.b, t.c, t.residual], axis=1)
-                               for t in tables], axis=1))
-
-
-def _momentum_records(spec: RingSpec, cluster_tolerance: float,
-                      structure_tolerance: float) -> tuple:
-    """The levels of ``energy_levels(spec)`` and the cells ``_point_records`` gives for
-    ``diagonalize(spec)``, from the momentum blocks alone.  Each level projector is invariant
-    under SU(2) and translation, so its pair states are Werner states (Werner, PRA 40, 4277
-    (1989)) fixed by the ``level_correlators`` zz and xx + yy + zz: a = (1 + zz)/4,
-    b = (1 - zz)/4, c = (xx + yy)/4, with the Werner residual |c - (a - b)|."""
-    levels, (dots, zz) = level_correlators(spec, cluster_tolerance)
+def _werner_cells(spec: RingSpec, energies: np.ndarray, correlators,
+                  structure_tolerance: float) -> np.ndarray:
+    """The read-only ``SweepPoint.cells`` of levels with these ``energies`` and mean
+    correlators xx + yy + zz and zz (``MomentumDecomposition.correlators``).  Each level
+    projector is invariant under SU(2) and translation, so its pair states are Werner states
+    (Werner, PRA 40, 4277 (1989)): a = (1 + zz)/4, b = (1 - zz)/4, c = (xx + yy)/4, with the
+    Werner residual |c - (a - b)|.  Raises StructureError on a residual at the tolerance or
+    on a level whose energy misses the sum of its pair correlators."""
+    dots, zz = correlators
     a, b, c = (1 + zz) / 4, (1 - zz) / 4, (dots - zz) / 4
     residual = np.abs(c - (a - b))
     if residual.max() >= structure_tolerance:
         raise StructureError(f"pair state at separation {residual.max(axis=1).argmax() + 1} "
                              f"deviates from the structured form c = a - b by "
                              f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
-    _check_energy_identity(spec, np.array([level.energy for level in levels]), dots)
+    _check_energy_identity(spec, energies, dots)
     cells = np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c, residual], axis=2)
-    return levels, read_only(cells.swapaxes(0, 1))
+    return read_only(cells.swapaxes(0, 1))
+
+
+def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
+                 levels=None) -> np.ndarray:
+    """``_werner_cells`` of every level of ``dec``, or of the listed ``levels``."""
+    energies = dec.energies if levels is None else dec.energies[levels]
+    return _werner_cells(dec.spec, energies, dec.correlators(levels), structure_tolerance)
+
+
+def _momentum_records(spec: RingSpec, cluster_tolerance: float,
+                      structure_tolerance: float) -> tuple:
+    """The levels of ``energy_levels(spec)`` and their ``_werner_cells``."""
+    levels, correlators = level_correlators(spec, cluster_tolerance)
+    return levels, _werner_cells(spec, np.array([level.energy for level in levels]),
+                                 correlators, structure_tolerance)
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:
@@ -216,9 +223,8 @@ def _validate_grid(alpha_grid) -> np.ndarray:
 def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
-          concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT,
-          cache: DecompositionCache | None = None) -> SweepResult:
-    """Diagonalize on the grid, record all concurrences, thread level curves.
+          concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT) -> SweepResult:
+    """Solve the momentum blocks on the grid, record all concurrences, thread level curves.
 
     Each point is compared with the anchor, the last point at the running
     maximum level count: a higher count restarts the curves, an equal one is
@@ -229,11 +235,8 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     for i, alpha in enumerate(grid.tolist()):
         spec = RingSpec(n_sites, alpha, variant)
         try:
-            if cache is not None:
-                dec = cache.get(spec, cluster_tolerance)
-            else:
-                dec = diagonalize(spec, cluster_tolerance=cluster_tolerance)
-            cells = _point_records(dec, structure_tolerance)
+            dec = momentum_decomposition(spec, cluster_tolerance=cluster_tolerance)
+            cells = _point_cells(dec, structure_tolerance)
         except Exception as exc:
             raise SweepError(alpha, exc) from exc
         points.append(SweepPoint(alpha=alpha, count=len(dec.levels), energies=dec.energies,
@@ -294,9 +297,9 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 # the energy order of two levels, and an onset or offset where a curve's
 # concurrence at some separation changes sign.  One grouped bisection locates
 # them all.  Each event is a probe that follows its levels by projector overlap
-# from the interval's left end and maps a midpoint decomposition to its next
-# bracket; probes whose brackets coincide share that step's diagonalization
-# and level matches.  The cluster tolerance shrinks with the bracket so
+# from the interval's left end and maps a midpoint solution to its next
+# bracket; probes whose brackets coincide share that step's momentum-block
+# solve and level matches.  The cluster tolerance shrinks with the bracket so
 # near-degenerate levels stay resolved.
 
 
@@ -342,9 +345,8 @@ class _SignChange:
 
     def step(self, ref, lo, hi, dec, match) -> tuple:
         mid = 0.5 * (lo + hi)
-        table = pair_table(dec, 1, 1 + self.separation, self.structure_tolerance,
-                           levels=[match(self.level)[0]])
-        value = float(table.concurrence[0])
+        cells = _point_cells(dec, self.structure_tolerance, levels=[match(self.level)[0]])
+        value = float(cells[0, self.separation - 1, 0])
         if (value > self.threshold) == self.positive_lo:
             return (mid, hi)
         if value > self.threshold:
@@ -374,7 +376,8 @@ def _bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
     probe order.  ``ring`` is the SweepResult or LevelCurve giving the ring
     size, variant and cluster tolerance."""
     base = ring.cluster_tolerance
-    ref = diagonalize(RingSpec(ring.n_sites, lo, ring.variant), cluster_tolerance=base)
+    ref = momentum_decomposition(RingSpec(ring.n_sites, lo, ring.variant),
+                                 cluster_tolerance=base)
     brackets = [(lo, hi)] * len(probes)
     active = list(range(len(probes)))
     while active:
@@ -386,8 +389,9 @@ def _bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
             mid = 0.5 * (a + b)
             if b - a <= resolution or not a < mid < b:
                 continue  # resolved, or no float strictly inside: cannot shrink
-            dec = diagonalize(RingSpec(ring.n_sites, mid, ring.variant),
-                              cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
+            dec = momentum_decomposition(
+                RingSpec(ring.n_sites, mid, ring.variant),
+                cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
             # each level is matched once per step
             match = functools.cache(lambda level, dec=dec: match_single_level(ref, level, dec))
             for k in members:
@@ -566,9 +570,9 @@ def entangled_level_census(n_sites: int, alpha: float, *,
                            cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                            variant: Variant = Variant.STANDARD) -> dict:
     """Per-separation count of levels with positive concurrence."""
-    dec = diagonalize(RingSpec(n_sites, alpha, variant),
-                      cluster_tolerance=cluster_tolerance)
-    counts = (_point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, :, 0] > threshold).sum(axis=0)
+    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
+                                 STRUCTURE_TOLERANCE_DEFAULT)
+    counts = (cells[:, :, 0] > threshold).sum(axis=0)
     return dict(enumerate(counts.tolist(), start=1))
 
 
@@ -655,10 +659,11 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                   variant: Variant = Variant.STANDARD) -> LinearFit:
     """Fit the nearest-neighbor concurrence against level energy."""
-    dec = diagonalize(RingSpec(n_sites, alpha, variant),
-                      cluster_tolerance=cluster_tolerance)
-    nn = _point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, 0, 0]
-    energies, values = dec.energies[nn > threshold], nn[nn > threshold]
+    levels, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
+                                      STRUCTURE_TOLERANCE_DEFAULT)
+    nn = cells[:, 0, 0]
+    energies = np.array([level.energy for level in levels])[nn > threshold]
+    values = nn[nn > threshold]
     if values.size < 2:
         raise InsufficientDataError(
             f"{values.size} positive nearest-neighbor points at alpha={alpha!r}; need 2")
@@ -676,8 +681,8 @@ def distance_selectivity_check(n_sites: int, alpha: float, *,
     """Levels entangled at separation 1 or 2 that also carry entanglement at
     any other separation.  Returns (level_index, positive separations) pairs;
     coexistence limited to separations 3 and 4 alone is not reported."""
-    dec = diagonalize(RingSpec(n_sites, alpha, variant),
-                      cluster_tolerance=cluster_tolerance)
-    positive = _point_records(dec, STRUCTURE_TOLERANCE_DEFAULT)[:, :, 0] > threshold
+    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
+                                 STRUCTURE_TOLERANCE_DEFAULT)
+    positive = cells[:, :, 0] > threshold
     found = [(li, tuple((np.flatnonzero(row) + 1).tolist())) for li, row in enumerate(positive)]
     return [(li, seps) for li, seps in found if len(seps) > 1 and (1 in seps or 2 in seps)]

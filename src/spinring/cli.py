@@ -21,8 +21,8 @@ import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      EigensolverError, diagonalize, energy_levels)
-from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, level_measures
+                      EigensolverError, energy_levels)
+from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, werner_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
                        _last_crossing, _located_events, _momentum_records,
@@ -111,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["standard", "shifted", "ferromagnetic"])
     common.add_argument("--cluster-tolerance", type=float, default=None)
     common.add_argument("--structure-tolerance", type=float, default=None,
-                        help="bound on a pair state's residual from its structured form: "
-                             "|c - (a - b)| in concurrence, diag(a,b,b,a) + c in report")
+                        help="bound on a pair state's Werner residual |c - (a - b)|")
     common.add_argument("--concurrence-threshold", type=float, default=None)
     common.add_argument("--resolution", type=float, default=None,
                         help="bisection bracket width for located events")
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, metavar="PATH",
                         help="output file (written atomically); default stdout")
     common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help=f"decomposition cache of spectrum and report; also {CACHE_DIR_ENV}")
+                        help=f"decomposition cache of spectrum; also {CACHE_DIR_ENV}")
     common.add_argument("--oliveira-normalization", default=None,
                         choices=["as-printed", "over-n"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,10 +258,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _make_cache(config: RunConfig) -> DecompositionCache | None:
-    return DecompositionCache(config.cache_dir) if config.cache_dir else None
-
-
 def _emit_table(config: RunConfig, header: tuple, rows: list, **settings) -> str:
     """The rows as CSV, or as JSON after the run's settings and ``settings``."""
     if config.output_format == "csv":
@@ -280,7 +275,7 @@ def _emit_table(config: RunConfig, header: tuple, rows: list, **settings) -> str
 
 def cmd_spectrum(config: RunConfig) -> str:
     """Level table: one row per (alpha, level), ordered by (alpha, energy)."""
-    cache = _make_cache(config)
+    cache = DecompositionCache(config.cache_dir) if config.cache_dir else None
     rows = []
     for alpha in config.alphas:  # no decomposition is held while the next is solved
         spec = RingSpec(config.n_sites, alpha, config.variant)
@@ -321,12 +316,10 @@ def _event_doc(event) -> dict:
 
 def cmd_report(config: RunConfig) -> str:
     """Sweep the grid and assemble the full JSON report."""
-    cache = _make_cache(config)
     result = sweep(config.n_sites, config.alphas, config.variant,
                    cluster_tolerance=config.cluster_tolerance,
                    structure_tolerance=config.structure_tolerance,
-                   concurrence_threshold=config.concurrence_threshold,
-                   cache=cache)
+                   concurrence_threshold=config.concurrence_threshold)
 
     backbone = [int(b) for b in result.backbone]
     rep_index = min(backbone, key=lambda i: abs(result.points[i].alpha - 1.0))
@@ -383,15 +376,11 @@ def cmd_report(config: RunConfig) -> str:
     except InsufficientDataError:
         fit_doc = None
 
-    rep_spec = RingSpec(config.n_sites, rep_alpha, config.variant)
-    rep_dec = (cache.get(rep_spec, config.cluster_tolerance) if cache is not None
-               else diagonalize(rep_spec, cluster_tolerance=config.cluster_tolerance))
-    meyer_wallach, oliveira = level_measures(rep_dec, config.oliveira_inner_over_n,
-                                             config.structure_tolerance)
-    measures = [{"level_index": li, "multiplicity": int(level.multiplicity),
-                 "meyer_wallach": mw, "oliveira": ol}
-                for li, (level, mw, ol) in enumerate(zip(
-                    rep_dec.levels, meyer_wallach.tolist(), oliveira.tolist()))]
+    meyer_wallach, oliveira = werner_measures(rep_point.cells, config.n_sites,
+                                               config.oliveira_inner_over_n)
+    measures = [{"level_index": li, "multiplicity": m, "meyer_wallach": mw, "oliveira": ol}
+                for li, (m, mw, ol) in enumerate(zip(rep_point.multiplicities.tolist(),
+                                                     meyer_wallach.tolist(), oliveira.tolist()))]
 
     return emit_json({
         "schema_version": SCHEMA_VERSION,

@@ -7,26 +7,21 @@ the anti-aligned pair states.  The concurrence of such a state has the
 closed form max{2(|c| - a), 0}; an X-state evaluation of the same matrix
 serves as an independent cross-check.
 
-``pair_table`` reduces every level to one site pair at once from the
-magnetization blocks V: a diagonal entry sums V^2 over the rows with one
-bit pattern of the pair, c sums V[row] V[row ^ mask] over the (+, -) rows,
-and nothing of size 2^N is formed.  Those rows depend on N, the sector and
-the pair alone and are cached per process; ``pair_tables`` reduces several
-pairs, squaring each block once for all of them.  The per-state reductions,
-from a level's 2^N x m block or by the dense partial trace, are its checks.
+The commands never reduce a state: a level projector is SU(2)-invariant,
+so its pair states are Werner states read from correlators
+(``analysis._werner_cells``), and ``werner_measures`` evaluates the global
+measures from them.  The per-state reductions here, from a level's 2^N x m
+block or by the dense partial trace, are the checks they are tested against.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import read_only, sector_states
-from .spectra import SpectralDecomposition, UniformEigenstate
+from .spectra import UniformEigenstate
 
 STRUCTURE_TOLERANCE_DEFAULT = 1e-10
 
@@ -183,99 +178,24 @@ class ConcurrenceRecord:
     structure_residual: float
 
 
-class PairTable(NamedTuple):
-    """One site pair's reduction diag(a, b, b, a) + c, a row per level."""
-
-    diagonal: np.ndarray  # the entries at ++, +-, -+ and --
-    c: np.ndarray         # the entry coupling +- to -+
-    a: np.ndarray
-    b: np.ndarray
-    residual: np.ndarray  # largest deviation from the structured form
-    concurrence: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_pattern(n_sites: int, sector: int, j: int, k: int) -> tuple:
-    """For the sector's states: the indicator of the pair's bit patterns ++, +-, -+
-    and -- as four boolean rows, and the (+, -) rows with their swap partners;
-    cached, read-only."""
-    states = sector_states(n_sites)[sector]
-    bit_j, bit_k = 1 << (j - 1), 1 << (k - 1)
-    pattern = 2 * ((states & bit_j) == 0) + ((states & bit_k) == 0)  # bit set: up
-    rows = np.flatnonzero(pattern == 1)
-    partners = np.searchsorted(states, states[rows] ^ (bit_j | bit_k))
-    return tuple(map(read_only, (pattern == np.arange(4)[:, None], rows.astype(np.int32),
-                                 partners.astype(np.int32))))
-
-
-def pair_tables(dec: SpectralDecomposition, pairs,
-                structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
-                levels=slice(None)) -> list:
-    """``pair_table`` of each site pair (j, k) in ``pairs``, squaring each block's
-    eigenvectors once for all of them.  Only the blocks holding a member of the
-    listed ``levels`` are reduced, each as a whole, so a level's entries round
-    exactly as in the table of every level."""
-    n, count = dec.spec.n_sites, len(dec.levels)
-    for j, k in pairs:
-        if j == k or not (1 <= j <= n and 1 <= k <= n):
-            raise ValueError(f"sites must be distinct and lie in 1..{n}, got ({j}, {k})")
-    sums, wanted = np.zeros((len(pairs), 5, count)), np.zeros(count, dtype=bool)
-    wanted[levels] = True
-    for sector, (block, members) in enumerate(zip(dec.blocks, dec.members)):
-        keep = wanted[members]
-        if not keep.any():
-            continue
-        vectors, patterns = block.vectors, [_pair_pattern(n, sector, j, k) for j, k in pairs]
-        # couplings before squares, the squares a temporary: never held beside the row copies
-        couplings = np.stack([np.einsum("ij,ij->j", vectors[rows], vectors[partners])
-                              for _, rows, partners in patterns])
-        diagonals = np.stack([indicator for indicator, _, _ in patterns]) @ np.square(vectors)
-        columns = np.concatenate([diagonals, couplings[:, None]], axis=1)
-        np.add.at(sums, (slice(None), slice(None), members[keep]), columns[..., keep])
-    tables = []
-    for (j, k), pair_sums in zip(pairs, sums):
-        entries = pair_sums[:, levels] / dec.multiplicities[levels]
-        diagonal, c = entries[:4].T, entries[4]
-        a, b = 0.5 * (diagonal[:, 0] + diagonal[:, 3]), 0.5 * (diagonal[:, 1] + diagonal[:, 2])
-        residual = np.abs(diagonal - np.stack([a, b, b, a], axis=1)).max(axis=1)
-        if residual.max() >= structure_tolerance:
-            raise StructureError(
-                f"pair reduction of sites ({j}, {k}) deviates from the structured form by "
-                f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
-        tables.append(PairTable(diagonal, c, a, b, residual,
-                                np.maximum(2.0 * (np.abs(c) - a), 0.0)))
-    return tables
-
-
-def pair_table(dec: SpectralDecomposition, j: int, k: int,
-               structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
-               levels=slice(None)) -> PairTable:
-    """Reduction to the site pair (j, k), as ``reduce_two_sites`` orders it,
-    of every level or of the listed ``levels``.  Raises StructureError as
-    ``extract_abc`` does; |c| <= b needs no check, it holds by Cauchy-Schwarz."""
-    return pair_tables(dec, [(j, k)], structure_tolerance, levels)[0]
-
-
-def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
-                   structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
-    """(Meyer-Wallach, Oliveira) of every level, as ``meyer_wallach`` and
-    ``oliveira_global`` evaluate them on its uniform state.  A level projector
-    is invariant under the ring's translations and reflections, so the table
-    of (1, 1 + d) stands for all n_d pairs at separation d, and site 1 for
-    every site."""
-    n = dec.spec.n_sites
+def werner_measures(cells: np.ndarray, n_sites: int, inner_over_n: bool = False) -> tuple:
+    """(Meyer-Wallach, Oliveira) of every level, as ``meyer_wallach`` and ``oliveira_global``
+    evaluate them on its uniform state, from its Werner cells ``cells[level, d - 1]`` =
+    (concurrence, a, b, c, residual), d = 1 .. N//2.  Every site reduces to diag(a + b, a + b),
+    and each of the n_d pairs at separation d to diag(a, b, b, a) + c, of purity
+    2a^2 + 2b^2 + 2c^2."""
+    n = n_sites
     if n < 3 and not inner_over_n:
         warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
                       PairStateWarning, stacklevel=2)
-    seps = range(1, n // 2 + 1)
-    tables = pair_tables(dec, [(1, 1 + d) for d in seps], structure_tolerance)
-    # site 1 leads the pair (1, 2), so it is up at ++ and +-
-    single = n * np.square(tables[0].diagonal.reshape(-1, 2, 2).sum(axis=2)).sum(axis=1)
-    pair_purity = [np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c) for t in tables]
+    a, b, c = cells[..., 1], cells[..., 2], cells[..., 3]
+    seps = np.arange(1, n // 2 + 1)
     # the n_d pairs at separation d, each as (j, k) and as (k, j)
-    purities = sum((2 * n if 2 * d < n else n) * p for d, p in zip(seps, pair_purity))
+    pair_purities = 2.0 * (np.square(a) + np.square(b) + np.square(c))
+    purities = pair_purities @ np.where(2 * seps < n, 2 * n, n)
     inner_weight = 1.0 / (n if inner_over_n else n - 1)
-    return 2.0 - (2.0 / n) * single, (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1)
+    return (2.0 - 4.0 * np.square(a[:, 0] + b[:, 0]),
+            (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1))
 
 
 def pair_concurrence(state, j: int, k: int,

@@ -3,10 +3,13 @@
 Eigenvalues of the ring Hamiltonian come in exactly degenerate groups (total-spin and
 lattice symmetries), so the raw eigh output is clustered into levels before anything
 downstream looks at it.  A level owns a contiguous slice of the globally sorted eigenvalue
-list; the eigenvectors stay in their magnetization blocks, and a level's 2^N x m block is
-embedded on demand.  ``energy_levels`` clusters eigenvalues alone: half the sectors, mirrored
-by the spin flip, in their lattice-momentum blocks; ``level_correlators`` adds each level's
-pair correlators from those blocks' eigenvectors.  The cache stores the full decomposition.
+list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` solves every
+magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_levels`` and
+``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
+lattice-momentum blocks k = 0 .. N//2, the rest being conjugates; each solved block stands
+for ``count`` blocks.  ``momentum_decomposition`` keeps the blocks' eigenvectors for each
+level's pair correlators and for projector overlaps, which sum |V_a^H V_b|^2 over the blocks
+``count`` times each.  The cache stores the full sector decomposition.
 """
 
 from __future__ import annotations
@@ -62,17 +65,29 @@ class SectorEigensystem(NamedTuple):
     states: np.ndarray   # basis integers, ascending
     values: np.ndarray   # ascending, as eigh returns them
     vectors: np.ndarray  # sign-fixed orthonormal columns
+    count: int = 1       # blocks it stands for
+
+
+class MomentumEigensystem(NamedTuple):
+    """Eigenpairs of one STANDARD momentum block, standing for ``count`` blocks with the same
+    eigenvalues: its spin-flip mirror and its complex conjugate (``_momentum_solutions``)."""
+    sector: int
+    momentum: int
+    count: int
+    values: np.ndarray   # ascending
+    vectors: np.ndarray  # orthonormal columns, complex unless 2k = 0 mod N
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Full eigensystem of one ring spec, clustered into levels, kept as its
-    magnetization blocks: sorted eigenvalue i is column ``columns[i]`` of block
-    ``sectors[i]``, and ``members[s]`` holds the level of each column of block s."""
+class BlockDecomposition:
+    """Full spectrum of one ring spec, clustered into levels, kept as the eigenpairs of its
+    solved blocks: each block's eigenvalues enter the sorted list ``count`` times, sorted
+    eigenvalue i is column ``columns[i]`` of block ``sectors[i]``, and ``members[b]`` holds
+    the level of each column of block b."""
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
-    blocks: tuple = field(repr=False)              # SectorEigensystem, sector 0 .. N
+    blocks: tuple = field(repr=False)              # of SectorEigensystem or MomentumEigensystem
     sectors: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     members: tuple = field(repr=False)
@@ -84,13 +99,18 @@ class SpectralDecomposition:
     def spectral_range(self) -> float:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    @property
+    @functools.cached_property
     def energies(self) -> np.ndarray:
-        return np.array([lv.energy for lv in self.levels])
+        return read_only(np.array([lv.energy for lv in self.levels]))
 
-    @property
+    @functools.cached_property
     def multiplicities(self) -> np.ndarray:
-        return np.array([lv.multiplicity for lv in self.levels], dtype=np.int64)
+        """Read-only and computed once: each level match reads it."""
+        return read_only(np.array([lv.multiplicity for lv in self.levels], dtype=np.int64))
+
+
+class SpectralDecomposition(BlockDecomposition):
+    """The decomposition of ``diagonalize``: every magnetization block, each counted once."""
 
     def level_vectors(self, level: Level) -> np.ndarray:
         """The level's eigenvectors as 2^N x m, in sorted order, with the strides of a
@@ -102,6 +122,29 @@ class SpectralDecomposition:
             block = self.blocks[self.sectors[i]]
             vectors[block.states, j] = block.vectors[:, self.columns[i]]
         return vectors
+
+
+class MomentumDecomposition(BlockDecomposition):
+    """The decomposition of ``momentum_decomposition``: the momentum blocks of the sectors
+    with 2s >= N, k = 0 .. N//2, as ``MomentumEigensystem``."""
+
+    def correlators(self, levels=None) -> np.ndarray:
+        """Mean ``separation_correlators`` of every level, or of the listed ``levels``, as
+        2 x N//2 x levels; only the columns of those levels are reduced."""
+        n, wanted = self.spec.n_sites, np.arange(len(self.levels))
+        if levels is not None:
+            wanted = wanted[levels]
+        slot = np.full(len(self.levels), -1)
+        slot[wanted] = np.arange(wanted.size)
+        sums = np.zeros((2, n // 2, wanted.size))
+        for block, members in zip(self.blocks, self.members):
+            keep = slot[members] >= 0
+            if keep.any():
+                vectors = block.vectors if keep.all() else block.vectors[:, keep]
+                values = separation_correlators(n, block.sector, block.momentum, vectors)
+                np.add.at(sums, (slice(None), slice(None), slot[members[keep]]),
+                          block.count * values)
+        return sums / self.multiplicities[wanted]
 
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
@@ -167,8 +210,11 @@ def _momentum_solutions(spec: RingSpec, solve):
     standard, n = replace(spec, variant=Variant.STANDARD), spec.n_sites
     for s in range((n + 1) // 2, n + 1):
         for k in range(n // 2 + 1):
+            block = momentum_block(standard, s, k)
+            if not block.size:  # no orbit of the sector has a period that allows k
+                continue
             try:
-                solved = solve(momentum_block(standard, s, k))
+                solved = solve(block)
             except np.linalg.LinAlgError as exc:
                 raise EigensolverError(s, exc) from exc
             yield s, k, (2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1), solved
@@ -182,9 +228,18 @@ def energy_levels(spec: RingSpec,
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
 
 
+def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
+                           ) -> MomentumDecomposition:
+    """The levels of ``energy_levels`` with the eigenvectors of the momentum blocks."""
+    blocks = tuple(MomentumEigensystem(s, k, count, *solved)
+                   for s, k, count, solved in _momentum_solutions(spec, np.linalg.eigh))
+    return _assemble(spec, blocks, cluster_tolerance, MomentumDecomposition)
+
+
 def level_correlators(spec: RingSpec,
                       cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """Levels of ``energy_levels`` and their mean ``separation_correlators`` (2 x N//2 x levels)."""
+    """Levels of ``energy_levels`` and their mean ``separation_correlators`` (2 x N//2 x levels),
+    ``MomentumDecomposition.correlators`` without holding more than one block's eigenvectors."""
     solved = [(np.tile(w, count), np.tile(separation_correlators(spec.n_sites, s, k, v), count))
               for s, k, count, (w, v) in _momentum_solutions(spec, np.linalg.eigh)]
     energies, order = _map_sorted(spec, np.concatenate([w for w, _ in solved]))
@@ -201,18 +256,26 @@ def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return scale * raw[order] + shift, order
 
 
-def _assemble(spec: RingSpec, blocks: tuple, tolerance: float) -> SpectralDecomposition:
-    values, order = _map_sorted(spec, np.concatenate([b.values for b in blocks]))
-    sizes = [b.values.size for b in blocks]
-    sectors = np.repeat(np.arange(len(blocks)), sizes)[order]
-    columns = np.concatenate([np.arange(size) for size in sizes])[order]
+def _assemble(spec: RingSpec, blocks: tuple, tolerance: float,
+              kind=SpectralDecomposition) -> BlockDecomposition:
+    """The ``kind`` of decomposition of the solved ``blocks``, each value entered ``count``
+    times in a row; the copies are equal, so they fall in one level."""
+    sizes = np.array([b.values.size for b in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    copies = np.array([b.count for b in blocks])[block_of]
+    values, order = _map_sorted(spec, np.repeat(np.concatenate([b.values for b in blocks]),
+                                                copies))
+    sectors = np.repeat(block_of, copies)[order]
+    columns = np.arange(block_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    columns = np.repeat(columns, copies)[order]
     for array in (values, sectors, columns, *(b.vectors for b in blocks)):
         read_only(array)
     levels, warns = cluster_levels(values, tolerance)
     level_of = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
-    members = tuple(np.split(level_of[np.argsort(order)], np.cumsum(sizes)[:-1]))
-    return SpectralDecomposition(spec, values, blocks, sectors, columns, members, levels,
-                                 cluster_tolerance=tolerance, warnings=warns)
+    first = level_of[np.argsort(order)][np.cumsum(copies) - copies]  # of each value's first copy
+    members = tuple(first[stop - size:stop] for size, stop in zip(sizes, np.cumsum(sizes)))
+    return kind(spec, values, blocks, sectors, columns, members, levels,
+                cluster_tolerance=tolerance, warnings=warns)
 
 
 def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -294,18 +357,20 @@ class LevelPairing:
         return not self.unmatched_a and not self.unmatched_b
 
 
-def overlap_matrix(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), block by block."""
+def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.ndarray:
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), block by block: a block adds
+    |V_a^H V_b|^2 ``count`` times, which is exact, since the blocks it stands for are unitary
+    images of it (the spin flip) or its complex conjugates."""
     summed = np.zeros((len(dec_a.levels), len(dec_b.levels)))
     for block_a, block_b, levels_a, levels_b in zip(
             dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
-        gram = block_a.vectors.T @ block_b.vectors
-        np.add.at(summed, np.ix_(levels_a, levels_b), np.square(gram, out=gram))
+        gram = np.abs(block_a.vectors.T.conj() @ block_b.vectors)
+        np.add.at(summed, np.ix_(levels_a, levels_b), block_a.count * np.square(gram, out=gram))
     norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
     return summed / norm
 
 
-def match_levels(dec_a: SpectralDecomposition, dec_b: SpectralDecomposition,
+def match_levels(dec_a: BlockDecomposition, dec_b: BlockDecomposition,
                  overlap_threshold: float = 0.5,
                  ambiguity_window: float = 0.05) -> LevelPairing:
     """Pair levels of two decompositions by descending projector overlap.
@@ -349,15 +414,18 @@ def _greedy_pairing(overlaps: np.ndarray, overlap_threshold: float,
                         ambiguous=tuple(ambiguous))
 
 
-def match_single_level(dec_a: SpectralDecomposition, index_a: int,
-                       dec_b: SpectralDecomposition) -> tuple[int, float]:
-    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``."""
+def match_single_level(dec_a: BlockDecomposition, index_a: int,
+                       dec_b: BlockDecomposition) -> tuple[int, float]:
+    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``, with the overlaps of
+    ``overlap_matrix``."""
     level = dec_a.levels[index_a]
     sums = np.zeros(len(dec_b.levels))
     # ascending like np.unique, which would import numpy.ma on its first call
     for s in np.flatnonzero(np.bincount(dec_a.sectors[level.start:level.stop])):
-        gram = dec_a.blocks[s].vectors[:, dec_a.members[s] == index_a].T @ dec_b.blocks[s].vectors
-        np.add.at(sums, dec_b.members[s], np.square(gram, out=gram).sum(axis=0))
+        block_a = dec_a.blocks[s]
+        gram = np.abs(block_a.vectors[:, dec_a.members[s] == index_a].T.conj()
+                      @ dec_b.blocks[s].vectors)
+        np.add.at(sums, dec_b.members[s], block_a.count * np.square(gram, out=gram).sum(axis=0))
     norm = np.maximum(level.multiplicity, dec_b.multiplicities)
     overlaps = sums / norm
     j = int(np.argmax(overlaps))

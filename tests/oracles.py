@@ -7,20 +7,31 @@ Gram matrix of two such decompositions.  The package keeps the blocks apart
 and never builds that matrix; these are the independent checks it is
 compared against.  ``haldane_shastry_levels`` (alpha = 2) and
 ``all_to_all_levels`` (alpha = 0) are closed-form spectra for any N.
+
+``pair_tables`` reduces every level of a sector decomposition to site pairs
+straight from its magnetization blocks, with no Werner assumption, and
+``_point_records`` and ``level_measures`` build the sweep cells and the global
+measures from those tables: the reference for the momentum-block Werner cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from spinring.analysis import _check_energy_identity
+from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, build_sector_blocks,
-                            sector_states, separation_weights, total_weight, variant_map)
+                            read_only, sector_states, separation_weights, total_weight,
+                            variant_map)
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
-                              LevelPairing, cluster_levels)
+                              LevelPairing, SpectralDecomposition, cluster_levels)
 
 
 @dataclass(frozen=True)
@@ -206,3 +217,110 @@ def variant_levels(spec: RingSpec, standard_levels) -> list[tuple[float, int]]:
     """The STANDARD (energy, multiplicity) list mapped through ``variant_map``, ascending."""
     scale, shift = variant_map(spec)
     return sorted((scale * energy + shift, m) for energy, m in standard_levels)
+
+
+class PairTable(NamedTuple):
+    """One site pair's reduction diag(a, b, b, a) + c, a row per level."""
+
+    diagonal: np.ndarray  # the entries at ++, +-, -+ and --
+    c: np.ndarray         # the entry coupling +- to -+
+    a: np.ndarray
+    b: np.ndarray
+    residual: np.ndarray  # largest deviation from the structured form
+    concurrence: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_pattern(n_sites: int, sector: int, j: int, k: int) -> tuple:
+    """For the sector's states: the indicator of the pair's bit patterns ++, +-, -+
+    and -- as four boolean rows, and the (+, -) rows with their swap partners;
+    cached, read-only."""
+    states = sector_states(n_sites)[sector]
+    bit_j, bit_k = 1 << (j - 1), 1 << (k - 1)
+    pattern = 2 * ((states & bit_j) == 0) + ((states & bit_k) == 0)  # bit set: up
+    rows = np.flatnonzero(pattern == 1)
+    partners = np.searchsorted(states, states[rows] ^ (bit_j | bit_k))
+    return tuple(map(read_only, (pattern == np.arange(4)[:, None], rows.astype(np.int32),
+                                 partners.astype(np.int32))))
+
+
+def pair_tables(dec: SpectralDecomposition, pairs,
+                structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+                levels=slice(None)) -> list:
+    """``pair_table`` of each site pair (j, k) in ``pairs``, squaring each block's
+    eigenvectors once for all of them.  Only the blocks holding a member of the
+    listed ``levels`` are reduced, each as a whole, so a level's entries round
+    exactly as in the table of every level."""
+    n, count = dec.spec.n_sites, len(dec.levels)
+    for j, k in pairs:
+        if j == k or not (1 <= j <= n and 1 <= k <= n):
+            raise ValueError(f"sites must be distinct and lie in 1..{n}, got ({j}, {k})")
+    sums, wanted = np.zeros((len(pairs), 5, count)), np.zeros(count, dtype=bool)
+    wanted[levels] = True
+    for sector, (block, members) in enumerate(zip(dec.blocks, dec.members)):
+        keep = wanted[members]
+        if not keep.any():
+            continue
+        vectors, patterns = block.vectors, [_pair_pattern(n, sector, j, k) for j, k in pairs]
+        # couplings before squares, the squares a temporary: never held beside the row copies
+        couplings = np.stack([np.einsum("ij,ij->j", vectors[rows], vectors[partners])
+                              for _, rows, partners in patterns])
+        diagonals = np.stack([indicator for indicator, _, _ in patterns]) @ np.square(vectors)
+        columns = np.concatenate([diagonals, couplings[:, None]], axis=1)
+        np.add.at(sums, (slice(None), slice(None), members[keep]), columns[..., keep])
+    tables = []
+    for (j, k), pair_sums in zip(pairs, sums):
+        entries = pair_sums[:, levels] / dec.multiplicities[levels]
+        diagonal, c = entries[:4].T, entries[4]
+        a, b = 0.5 * (diagonal[:, 0] + diagonal[:, 3]), 0.5 * (diagonal[:, 1] + diagonal[:, 2])
+        residual = np.abs(diagonal - np.stack([a, b, b, a], axis=1)).max(axis=1)
+        if residual.max() >= structure_tolerance:
+            raise StructureError(
+                f"pair reduction of sites ({j}, {k}) deviates from the structured form by "
+                f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
+        tables.append(PairTable(diagonal, c, a, b, residual,
+                                np.maximum(2.0 * (np.abs(c) - a), 0.0)))
+    return tables
+
+
+def pair_table(dec: SpectralDecomposition, j: int, k: int,
+               structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+               levels=slice(None)) -> PairTable:
+    """Reduction to the site pair (j, k), as ``reduce_two_sites`` orders it,
+    of every level or of the listed ``levels``.  Raises StructureError as
+    ``extract_abc`` does; |c| <= b needs no check, it holds by Cauchy-Schwarz."""
+    return pair_tables(dec, [(j, k)], structure_tolerance, levels)[0]
+
+
+def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
+                   structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
+    """(Meyer-Wallach, Oliveira) of every level, as ``meyer_wallach`` and
+    ``oliveira_global`` evaluate them on its uniform state.  A level projector
+    is invariant under the ring's translations and reflections, so the table
+    of (1, 1 + d) stands for all n_d pairs at separation d, and site 1 for
+    every site."""
+    n = dec.spec.n_sites
+    if n < 3 and not inner_over_n:
+        warnings.warn(f"pair-purity normalization 1/(N-1) is degenerate for N={n}",
+                      PairStateWarning, stacklevel=2)
+    seps = range(1, n // 2 + 1)
+    tables = pair_tables(dec, [(1, 1 + d) for d in seps], structure_tolerance)
+    # site 1 leads the pair (1, 2), so it is up at ++ and +-
+    single = n * np.square(tables[0].diagonal.reshape(-1, 2, 2).sum(axis=2)).sum(axis=1)
+    pair_purity = [np.square(t.diagonal).sum(axis=1) + 2.0 * np.square(t.c) for t in tables]
+    # the n_d pairs at separation d, each as (j, k) and as (k, j)
+    purities = sum((2 * n if 2 * d < n else n) * p for d, p in zip(seps, pair_purity))
+    inner_weight = 1.0 / (n if inner_over_n else n - 1)
+    return 2.0 - (2.0 / n) * single, (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1)
+
+
+def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
+    """The cells of every level of a sector decomposition from its pair tables: concurrence,
+    a, b, c and the deviation from diag(a, b, b, a) + c at separations 1 .. N//2, after
+    checking every level's energy against the sum of its pair correlators."""
+    seps = range(1, dec.spec.n_sites // 2 + 1)
+    tables = pair_tables(dec, [(1, 1 + sep) for sep in seps], structure_tolerance)
+    _check_energy_identity(dec.spec, dec.energies,
+                           np.array([2 * t.a - 2 * t.b + 4 * t.c for t in tables]))
+    return read_only(np.stack([np.stack([t.concurrence, t.a, t.b, t.c, t.residual], axis=1)
+                               for t in tables], axis=1))

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.spectra as spectra_module
@@ -77,7 +78,7 @@ def test_sweep_small_ring_structure():
 
 
 def test_sweep_holds_at_most_two_decompositions(monkeypatch):
-    real, solved, live = analysis_module.diagonalize, [], []
+    real, solved, live = analysis_module.momentum_decomposition, [], []
 
     def tracked(*args, **kwargs):
         live.append(sum(ref() is not None for ref in solved))
@@ -85,7 +86,7 @@ def test_sweep_holds_at_most_two_decompositions(monkeypatch):
         solved.append(weakref.ref(dec))
         return dec
 
-    monkeypatch.setattr(analysis_module, "diagonalize", tracked)
+    monkeypatch.setattr(analysis_module, "momentum_decomposition", tracked)
     sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
     assert len(live) == 14
     assert max(live) <= 2
@@ -265,33 +266,35 @@ def _recording(monkeypatch, module, name, limit=INFINITY):
 def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
     # below the spacing of floats the midpoint rounds to an endpoint and the
     # merged-pair step rounds back to the same bracket
-    _recording(monkeypatch, analysis_module, "diagonalize", 3000)
+    _recording(monkeypatch, analysis_module, "momentum_decomposition", 3000)
     assert main(["report", "--n", "6", "--grid", "0.5:12:12",
                  "--resolution", "1e-300"]) == 0
     capsys.readouterr()
     res = sweep(7, np.linspace(0.5, 12, 12))
-    _recording(monkeypatch, analysis_module, "diagonalize", 500)
+    _recording(monkeypatch, analysis_module, "momentum_decomposition", 500)
     events = entanglement_boundaries(res.curves[2], 2, 1e-300)
     assert len(events) == 1
     assert 0 < events[0].width < 1e-15
 
 
 def test_golden_report_solve_counts(monkeypatch, capsys):
-    # the golden n8 report's counts when they were pinned: 84 solves through
-    # analysis and one in the CLI, each one eigh per magnetization sector
-    # (85 x 9); a change that adds solves fails here, not only in the wall time
-    solves = _recording(monkeypatch, analysis_module, "diagonalize")
+    # the golden n8 report's counts when they were pinned: 83 momentum-block solves
+    # through analysis (15 grid points, 68 bisection steps and references) and the
+    # fit's solve through level_correlators, each one eigh per nonempty momentum block
+    # (84 x 21, none wider than 10; the sector path made 84 + 1 solves of 9 eigh
+    # calls up to 70 wide); a change that adds solves fails here, not only in the wall time
+    solves = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 765)
+    assert (len(solves), len(eighs)) == (83, 1764)
 
 
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     res = sweep(6, np.linspace(0.5, 12, 12))
     lo, hi, swapped = next(s for s in analysis_module._interval_probes(res) if len(s[2]) >= 8)
     bisect = functools.partial(analysis_module._bisect, res, lo, hi, resolution=1e-6)
-    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     grouped = bisect(swapped)
     shared = len(calls)
     single = [bisect([probe])[0] for probe in swapped]
@@ -302,7 +305,7 @@ def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
 
 def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
     res = sweep(8, np.geomspace(0.5, 8, 15))
-    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     events = all_crossings(res, 0.1)
     keys = [(args[0].alpha, kwargs["cluster_tolerance"]) for args, kwargs in calls]
     assert len(events) > 100
@@ -323,7 +326,7 @@ REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
 
 
 def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):
-    calls = _recording(monkeypatch, analysis_module, "diagonalize")
+    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     real_sweep = cli_module.sweep
 
     def sweep_then_forget(*args, **kwargs):  # keep the solves after the sweep
@@ -353,8 +356,8 @@ def test_report_boundaries_are_those_of_each_census_curve(capsys):
 
 
 def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
-    signature = inspect.signature(analysis_module.pair_table)
-    calls = _recording(monkeypatch, analysis_module, "pair_table")
+    signature = inspect.signature(analysis_module._point_cells)
+    calls = _recording(monkeypatch, analysis_module, "_point_cells")
     real_fit = cli_module.nn_linear_fit
 
     def fit_unrecorded(*args, **kwargs):  # the fit takes no structure tolerance
@@ -441,12 +444,27 @@ def test_point_records_check_the_energy_correlator_identity(dec):
     for n in range(2, 10):
         for variant in Variant:
             for alpha in (0.0, 1.3, 2.0, INFINITY):
-                analysis_module._point_records(dec(n, alpha, variant), 1e-10)
+                oracles._point_records(dec(n, alpha, variant), 1e-10)
     d = dec(6, 1.3)
     levels = list(d.levels)
     levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
     with pytest.raises(StructureError, match="level 3 energy"):
-        analysis_module._point_records(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
+        oracles._point_records(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
+
+
+def test_point_cells_check_the_energy_correlator_identity():
+    for n in range(2, 10):
+        for variant in Variant:
+            for alpha in (0.0, 1.3, 2.0, INFINITY):
+                dec = spectra_module.momentum_decomposition(RingSpec(n, alpha, variant))
+                cells = analysis_module._point_cells(dec, 1e-10)
+                some = analysis_module._point_cells(dec, 1e-10, levels=[1, 0])
+                assert np.abs(some - cells[[1, 0]]).max() <= 1e-14
+    d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
+    levels = list(d.levels)
+    levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
+    with pytest.raises(StructureError, match="level 3 energy"):
+        analysis_module._point_cells(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
@@ -454,7 +472,7 @@ def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
     # eigenvectors mix, so their pair reductions lose the structured form
     d = diagonalize(RingSpec(6, 1e-7))
     with pytest.raises(StructureError) as info:
-        analysis_module._point_records(d, 1e-10)
+        oracles._point_records(d, 1e-10)
     j, k, residual = re.search(r"sites \((\d+), (\d+)\).* by (\S+) ", str(info.value)).groups()
     dense = max(extract_abc(reduce_two_sites(uniform_state(level, d), int(j), int(k)),
                             math.inf).structure_residual for level in d.levels)
@@ -467,7 +485,7 @@ def _assert_momentum_records_match(spec, dec):
         [(lv.start, lv.multiplicity) for lv in dec.levels]
     for got, want in zip(levels, dec.levels):
         assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
-    expected = analysis_module._point_records(dec, 1e-10)
+    expected = oracles._point_records(dec, 1e-10)
     assert cells.shape == expected.shape and not cells.flags.writeable
     # concurrence, a, b, c; the residual column is the Werner residual |c - (a - b)|,
     # not the sector path's deviation from diag(a, b, b, a) + c (1.3e-12 at N = 12, alpha = 1)
@@ -493,7 +511,7 @@ def test_momentum_records_match_the_sector_eigenvectors_large_rings(n):
 def test_concurrence_solves_no_sector_eigenvectors(capsys, tmp_path, monkeypatch):
     argv = ("concurrence", "--n", "8", "--variant", "shifted",
             "--alpha", "0", "--alpha", "0.4", "--alpha", "2", "--alpha", "inf")
-    expected = [(alpha, analysis_module._point_records(dec, 1e-10))
+    expected = [(alpha, oracles._point_records(dec, 1e-10))
                 for alpha in (0.0, 0.4, 2.0, INFINITY)
                 for dec in [diagonalize(RingSpec(8, alpha, Variant.SHIFTED))]]
 
@@ -501,7 +519,7 @@ def test_concurrence_solves_no_sector_eigenvectors(capsys, tmp_path, monkeypatch
         raise AssertionError("concurrence computed sector eigenvectors")
 
     for module in (cli_module, analysis_module, spectra_module):
-        monkeypatch.setattr(module, "diagonalize", refuse)
+        monkeypatch.setattr(module, "diagonalize", refuse, raising=False)
     cache = tmp_path / "cache"
     assert main([*argv, "--cache-dir", str(cache)]) == 0
     assert not cache.exists()  # the cache is neither read nor written

@@ -130,6 +130,21 @@ def test_mixed_levels_exit_3(capsys):
     assert "structured form" in err
 
 
+def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
+    # at N = 5 just below the Haldane-Shastry point the solver mixes levels that differ in S
+    for argv in (("report", "--n", "5", "--grid", "1.9:2.1:3", "--extra", "1.9999999"),
+                 ("concurrence", "--n", "5", "--alpha", "1.9999999")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "c = a - b" in err
+
+
+def test_report_leaves_the_cache_dir_absent(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, _, _ = run(capsys, "report", "--n", "4", "--grid", "0.5:6:6", "--cache-dir", str(cache))
+    assert code == 0
+    assert not cache.exists()  # report neither reads nor writes cache entries
+
+
 def test_commands_reduce_no_level_state_cell_by_cell(capsys, monkeypatch):
     def refuse(state, sites):
         raise AssertionError("a pair was reduced from one level state")
@@ -213,7 +228,7 @@ def test_spectrum_without_cache_solves_eigenvalues_only(capsys, tmp_path, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("spectrum without a cache computed eigenvectors")
 
-    monkeypatch.setattr(cli_module, "diagonalize", refuse)
+    monkeypatch.setattr(cli_module, "diagonalize", refuse, raising=False)
     monkeypatch.setattr(spectra_module, "diagonalize", refuse)
     code, plain, err = run(capsys, *argv)
     assert code == 0 and err == ""

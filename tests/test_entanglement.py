@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import _pair_pattern, level_measures, pair_table, pair_tables
 from spinring import (PairStateWarning, RingSpec, StructureError, TwoSpinState,
                       Variant, concurrence_structured, concurrence_xstate_oracle,
-                      diagonalize, extract_abc, level_measures, meyer_wallach,
-                      oliveira_global, pair_concurrence, pair_table, pair_tables,
-                      reduce_one_site, reduce_sites, reduce_two_sites,
-                      uniform_state)
-from spinring.entanglement import _pair_pattern
+                      diagonalize, extract_abc, meyer_wallach, oliveira_global,
+                      pair_concurrence, reduce_one_site, reduce_sites, reduce_two_sites,
+                      uniform_state, werner_measures)
+from spinring.analysis import _momentum_records
 
 SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
@@ -310,6 +310,21 @@ def test_level_measures_match_per_state_measures(dec, inner_over_n):
                     state = uniform_state(level, d)
                     assert abs(mw[li] - meyer_wallach(state)) < 1e-12
                     assert abs(ol[li] - oliveira_global(state, inner_over_n)) < 1e-12
+
+
+@pytest.mark.parametrize("inner_over_n", [False, True])
+def test_werner_measures_match_the_sector_level_measures(dec, inner_over_n):
+    for n in range(2, 11):
+        for alpha in (0.0, 0.7, 2.0, math.inf):
+            _, cells = _momentum_records(RingSpec(n, alpha), 1e-9, 1e-10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PairStateWarning)
+                got = werner_measures(cells, n, inner_over_n)
+                want = level_measures(dec(n, alpha), inner_over_n)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() < 1e-12
+    with pytest.warns(PairStateWarning, match="degenerate"):
+        werner_measures(_momentum_records(RingSpec(2, 1.0), 1e-9, 1e-10)[1], 2)
 
 
 def test_level_measures_warn_on_degenerate_normalization(dec):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from oracles import pair_table
 
 from spinring import (INFINITY, RingSpec, StructureError, coupling_weight,
-                      diagonalize, pair_concurrence, pair_table, reduce_two_sites,
-                      uniform_state)
+                      diagonalize, pair_concurrence, reduce_two_sites, uniform_state)
 from spinring.cli import main
 from spinring.spectra import _greedy_pairing
 

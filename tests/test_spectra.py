@@ -10,7 +10,7 @@ import spinring.spectra as spectra_module
 from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, cluster_levels,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
-                      match_single_level, overlap_matrix, projector,
+                      match_single_level, momentum_decomposition, overlap_matrix, projector,
                       total_weight, uniform_state)
 
 
@@ -82,6 +82,27 @@ def test_sector_blocks_match_dense_oracle(n, variant):
         for index in range(len(d_near.levels)):
             assert match_single_level(d_near, index, d)[0] == \
                 oracles.match_single_level(dense_near, index, dense)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_momentum_overlaps_match_the_sector_overlaps(n):
+    # the momentum blocks, each added `count` times, give the overlaps of all sectors
+    for variant in Variant:
+        for alpha in (0.0, 0.7, 2.0, INFINITY):
+            specs = (RingSpec(n, alpha, variant),
+                     RingSpec(n, alpha + 0.05 if alpha < INFINITY else 40.0, variant))
+            sector = [diagonalize(spec) for spec in specs]
+            momentum = [momentum_decomposition(spec) for spec in specs]
+            for got, want in zip(momentum, sector):
+                assert [(lv.start, lv.multiplicity) for lv in got.levels] == \
+                    [(lv.start, lv.multiplicity) for lv in want.levels]
+            for a, b in ((0, 1), (1, 0)):
+                got = overlap_matrix(momentum[a], momentum[b])
+                assert np.max(np.abs(got - overlap_matrix(sector[a], sector[b]))) < 1e-12
+            for index in range(len(sector[1].levels)):
+                got = match_single_level(momentum[1], index, momentum[0])
+                want = match_single_level(sector[1], index, sector[0])
+                assert got[0] == want[0] and abs(got[1] - want[1]) < 1e-12
 
 
 def _arrays(value):
