@@ -25,8 +25,7 @@ import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, MomentumDecomposition, energy_levels,
-                      level_correlators, match_levels, match_single_level,
-                      momentum_decomposition)
+                      match_levels, match_single_level, momentum_decomposition)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
@@ -161,52 +160,49 @@ def count_distinct_levels(n_sites: int, alpha: float,
     return len(energy_levels(RingSpec(n_sites, alpha, variant), tolerance))
 
 
-def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations) -> None:
+def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
+                           indices=None) -> None:
     """Raise StructureError unless E = scale * sum_d w_d n_d <s_1 . s_{1+d}> + shift for
-    every level, with n_d pairs at separation d and their correlation in row d - 1."""
+    every level, with n_d pairs at separation d and their correlation in row d - 1; the
+    levels are numbered by ``indices`` when given, else by position."""
     n, (scale, shift) = spec.n_sites, variant_map(spec)
     pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)
     terms = (pairs * separation_weights(n, spec.alpha))[:, None] * correlations
     error = np.abs((energies - shift) / scale - terms.sum(axis=0))
     bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * (1 + np.abs(terms).sum(axis=0)))
     if bad.size:
-        raise StructureError(f"level {bad[0]} energy differs from the sum of its pair "
+        level = bad[0] if indices is None else indices[bad[0]]
+        raise StructureError(f"level {level} energy differs from the sum of its pair "
                              f"correlators by {error[bad[0]]:.3e}")
 
 
-def _werner_cells(spec: RingSpec, energies: np.ndarray, correlators,
-                  structure_tolerance: float) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of levels with these ``energies`` and mean
-    correlators xx + yy + zz and zz (``MomentumDecomposition.correlators``).  Each level
-    projector is invariant under SU(2) and translation, so its pair states are Werner states
-    (Werner, PRA 40, 4277 (1989)): a = (1 + zz)/4, b = (1 - zz)/4, c = (xx + yy)/4, with the
-    Werner residual |c - (a - b)|.  Raises StructureError on a residual at the tolerance or
-    on a level whose energy misses the sum of its pair correlators."""
-    dots, zz = correlators
+def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
+                 levels=None) -> np.ndarray:
+    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed
+    ``levels``.  Each level projector is invariant under SU(2) and translation, so its pair
+    states are Werner states (Werner, PRA 40, 4277 (1989)) fixed by the mean correlators
+    xx + yy + zz and zz (``MomentumDecomposition.correlators``): a = (1 + zz)/4,
+    b = (1 - zz)/4, c = (xx + yy)/4, with the Werner residual |c - (a - b)|.  Raises
+    StructureError on a residual at the tolerance or on a level whose energy misses the sum
+    of its pair correlators."""
+    dots, zz = dec.correlators(levels)
     a, b, c = (1 + zz) / 4, (1 - zz) / 4, (dots - zz) / 4
     residual = np.abs(c - (a - b))
     if residual.max() >= structure_tolerance:
         raise StructureError(f"pair state at separation {residual.max(axis=1).argmax() + 1} "
                              f"deviates from the structured form c = a - b by "
                              f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
-    _check_energy_identity(spec, energies, dots)
+    energies = dec.energies if levels is None else dec.energies[levels]
+    _check_energy_identity(dec.spec, energies, dots, levels)
     cells = np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c, residual], axis=2)
     return read_only(cells.swapaxes(0, 1))
 
 
-def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
-                 levels=None) -> np.ndarray:
-    """``_werner_cells`` of every level of ``dec``, or of the listed ``levels``."""
-    energies = dec.energies if levels is None else dec.energies[levels]
-    return _werner_cells(dec.spec, energies, dec.correlators(levels), structure_tolerance)
-
-
 def _momentum_records(spec: RingSpec, cluster_tolerance: float,
                       structure_tolerance: float) -> tuple:
-    """The levels of ``energy_levels(spec)`` and their ``_werner_cells``."""
-    levels, correlators = level_correlators(spec, cluster_tolerance)
-    return levels, _werner_cells(spec, np.array([level.energy for level in levels]),
-                                 correlators, structure_tolerance)
+    """The levels of ``momentum_decomposition(spec)`` and their ``_point_cells``."""
+    dec = momentum_decomposition(spec, cluster_tolerance=cluster_tolerance)
+    return dec.levels, _point_cells(dec, structure_tolerance)
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:

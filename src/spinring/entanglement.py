@@ -9,7 +9,7 @@ serves as an independent cross-check.
 
 The commands never reduce a state: a level projector is SU(2)-invariant,
 so its pair states are Werner states read from correlators
-(``analysis._werner_cells``), and ``werner_measures`` evaluates the global
+(``analysis._point_cells``), and ``werner_measures`` evaluates the global
 measures from them.  The per-state reductions here, from a level's 2^N x m
 block or by the dense partial trace, are the checks they are tested against.
 """

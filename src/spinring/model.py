@@ -310,26 +310,14 @@ def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
     return block
 
 
-@functools.lru_cache(maxsize=None)
-def _separation_runs(n_sites: int, sector: int, momentum: int) -> tuple:
-    """The nonzeros of ``_momentum_pattern`` split by separation: (d - 1, rows, columns,
-    amplitudes) for each separation d that has any; cached, read-only."""
-    _, rows, cols, sep, amplitudes, _ = _momentum_pattern(n_sites, sector, momentum)
-    return tuple((d, *map(read_only, (rows[at], cols[at], amplitudes[at])))
-                 for d in range(n_sites // 2) for at in [np.flatnonzero(sep == d)] if at.size)
-
-
 def separation_correlators(n_sites: int, sector: int, momentum: int, vectors) -> np.ndarray:
     """<sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of each column
     of ``vectors`` in the STANDARD momentum block, as a 2 x N//2 x columns array: the block's
-    nonzeros at separation d sum the n_d pairs' sigma . sigma, and ZZ_d(r) is diagonal.  One
-    separation is gathered at a time, so no temporary holds every nonzero times every column."""
-    bonds = np.zeros((n_sites // 2, vectors.shape[1]))
-    for d, rows, cols, amplitudes in _separation_runs(n_sites, sector, momentum):
-        products = np.conjugate(vectors[rows])
-        products *= vectors[cols]
-        bonds[d] = (amplitudes @ products).real
-    zz = _momentum_pattern(n_sites, sector, momentum)[5].T @ np.square(np.abs(vectors))
+    nonzeros at separation d sum the n_d pairs' sigma . sigma, and ZZ_d(r) is diagonal."""
+    _, rows, cols, sep, amplitudes, alignments = _momentum_pattern(n_sites, sector, momentum)
+    bonds = [(amplitudes[at] @ (vectors[rows[at]].conj() * vectors[cols[at]])).real
+             for at in (sep == d for d in range(n_sites // 2))]
+    zz = alignments.T @ np.square(np.abs(vectors))
     return np.stack([bonds, zz]) / np.bincount(_ring_pairs(n_sites)[2])[:, None]
 
 

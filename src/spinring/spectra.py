@@ -7,9 +7,10 @@ list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` 
 magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_levels`` and
 ``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
 lattice-momentum blocks k = 0 .. N//2, the rest being conjugates; each solved block stands
-for ``count`` blocks.  ``momentum_decomposition`` keeps the blocks' eigenvectors for each
-level's pair correlators and for projector overlaps, which sum |V_a^H V_b|^2 over the blocks
-``count`` times each.  The cache stores the full sector decomposition.
+for ``count`` blocks.  ``momentum_decomposition`` solves a sector's equal-shape blocks as one
+eigh stack and keeps their eigenvectors for each level's pair correlators and for projector
+overlaps, which sum |V_a^H V_b|^2 over the blocks ``count`` times each.
+The cache stores the full sector decomposition.
 """
 
 from __future__ import annotations
@@ -203,50 +204,48 @@ def diagonalize(spec: RingSpec,
     return _assemble(spec, tuple(blocks), cluster_tolerance)
 
 
-def _momentum_solutions(spec: RingSpec, solve):
-    """Yield (sector, momentum, count, solve(block)) for the STANDARD momentum blocks k = 0 ..
-    N//2 of the sectors with 2s >= N.  Each stands for ``count`` blocks with its eigenvalues
-    and correlators: block N - s mirrors block s, block N - k is block k conjugated."""
+def _momentum_solutions(spec: RingSpec, vectors: bool = False):
+    """Yield (sector, momentum, count, eigenvalues, eigenvectors or None) for the STANDARD
+    momentum blocks k = 0 .. N//2 of the sectors with 2s >= N.  Each stands for ``count`` blocks
+    with its eigenvalues and correlators: block N - s mirrors block s, block N - k is block k
+    conjugated.  Without ``vectors`` each block's eigvalsh is taken as it is built.  With them,
+    a sector's blocks of one shape and dtype are solved as one eigh stack, which gives each
+    block's own eigh bitwise, and a 1 x 1 block is its own eigensystem."""
     standard, n = replace(spec, variant=Variant.STANDARD), spec.n_sites
     for s in range((n + 1) // 2, n + 1):
-        for k in range(n // 2 + 1):
-            block = momentum_block(standard, s, k)
-            if not block.size:  # no orbit of the sector has a period that allows k
-                continue
-            try:
-                solved = solve(block)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolverError(s, exc) from exc
-            yield s, k, (2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1), solved
+        solved, stacks = {}, {}
+        try:
+            for k in range(n // 2 + 1):
+                block = momentum_block(standard, s, k)
+                if not block.size:  # no orbit of the sector has a period that allows k
+                    continue
+                if vectors:
+                    stacks.setdefault((block.shape, block.dtype), {})[k] = block
+                else:
+                    solved[k] = np.linalg.eigvalsh(block), None
+            for group in stacks.values():
+                stack = np.stack(list(group.values()))
+                eig = ((stack[:, 0].real, np.ones_like(stack)) if stack.shape[1] == 1
+                       else np.linalg.eigh(stack))
+                solved.update(zip(group, zip(*eig)))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(s, exc) from exc
+        for k in sorted(solved):
+            yield s, k, (2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1), *solved[k]
 
 
 def energy_levels(spec: RingSpec,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
     """The clustered levels of ``diagonalize``, from the momentum blocks' eigenvalues alone."""
-    raw = [values for _, _, count, values in _momentum_solutions(spec, np.linalg.eigvalsh)
-           for _ in range(count)]
+    raw = [values for _, _, count, values, _ in _momentum_solutions(spec) for _ in range(count)]
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
 
 
 def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
                            ) -> MomentumDecomposition:
     """The levels of ``energy_levels`` with the eigenvectors of the momentum blocks."""
-    blocks = tuple(MomentumEigensystem(s, k, count, *solved)
-                   for s, k, count, solved in _momentum_solutions(spec, np.linalg.eigh))
+    blocks = tuple(MomentumEigensystem(*solved) for solved in _momentum_solutions(spec, True))
     return _assemble(spec, blocks, cluster_tolerance, MomentumDecomposition)
-
-
-def level_correlators(spec: RingSpec,
-                      cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """Levels of ``energy_levels`` and their mean ``separation_correlators`` (2 x N//2 x levels),
-    ``MomentumDecomposition.correlators`` without holding more than one block's eigenvectors."""
-    solved = [(np.tile(w, count), np.tile(separation_correlators(spec.n_sites, s, k, v), count))
-              for s, k, count, (w, v) in _momentum_solutions(spec, np.linalg.eigh)]
-    energies, order = _map_sorted(spec, np.concatenate([w for w, _ in solved]))
-    levels = cluster_levels(energies, cluster_tolerance)[0]
-    sums = np.add.reduceat(np.concatenate([c for _, c in solved], axis=2)[..., order],
-                           [level.start for level in levels], axis=2)
-    return levels, sums / [level.multiplicity for level in levels]
 
 
 def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

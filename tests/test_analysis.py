@@ -278,16 +278,17 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
 
 
 def test_golden_report_solve_counts(monkeypatch, capsys):
-    # the golden n8 report's counts when they were pinned: 83 momentum-block solves
-    # through analysis (15 grid points, 68 bisection steps and references) and the
-    # fit's solve through level_correlators, each one eigh per nonempty momentum block
-    # (84 x 21, none wider than 10; the sector path made 84 + 1 solves of 9 eigh
-    # calls up to 70 wide); a change that adds solves fails here, not only in the wall time
+    # the golden n8 report's counts when they were pinned: 84 momentum-block solves
+    # through analysis (15 grid points, 68 bisection steps and references, and the
+    # fit), each one eigh per stack of a sector's equal-shape blocks wider than 1
+    # (84 x 8 over 21 nonempty blocks, none wider than 10; the sector path made 84 + 1
+    # solves of 9 eigh calls up to 70 wide); a change that adds solves fails here, not
+    # only in the wall time
     solves = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (83, 1764)
+    assert (len(solves), len(eighs)) == (84, 672)
 
 
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
@@ -463,8 +464,11 @@ def test_point_cells_check_the_energy_correlator_identity():
     d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
     levels = list(d.levels)
     levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
+    shifted = dataclasses.replace(d, levels=tuple(levels))
     with pytest.raises(StructureError, match="level 3 energy"):
-        analysis_module._point_cells(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
+        analysis_module._point_cells(shifted, 1e-10)
+    with pytest.raises(StructureError, match="level 3 energy"):  # numbered as in dec
+        analysis_module._point_cells(shifted, 1e-10, levels=[3])
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():

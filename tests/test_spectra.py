@@ -127,6 +127,21 @@ def test_decomposition_holds_only_sector_blocks():
         assert d.level_vectors(level).shape == (2 ** n, level.multiplicity)
 
 
+def test_stacked_momentum_solves_match_one_solve_per_block():
+    # a sector's equal-shape blocks are solved as one stack, 1 x 1 blocks not at all;
+    # every block still gets exactly the eigh and eigvalsh of solving it alone
+    for n in (2, 5, 8, 11):
+        spec = RingSpec(n, 0.7)
+        for (s, k, _, w, v), (*_, values, none) in zip(
+                spectra_module._momentum_solutions(spec, True),
+                spectra_module._momentum_solutions(spec)):
+            block = spectra_module.momentum_block(spec, s, k)
+            alone_w, alone_v = np.linalg.eigh(block)
+            assert np.array_equal(w, alone_w) and np.array_equal(v, alone_v)
+            assert v.dtype == alone_v.dtype and v.strides == alone_v.strides
+            assert np.array_equal(values, np.linalg.eigvalsh(block)) and none is None
+
+
 def _assert_same_levels(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
