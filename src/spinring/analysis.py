@@ -2,23 +2,24 @@
 entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
 A sweep solves the ring's lattice-momentum blocks at each point of an ascending alpha grid
-(``momentum_decomposition``), keeps the concurrence, a, b, c and Werner residual of every
-(level, separation) cell as one array per point, and threads levels into curves by projector
-overlap, summed over the blocks.  Each level projector is invariant under SU(2) and the ring
-translation, so its pair states are Werner states fixed by the blocks' correlators, and no
-magnetization-sector eigenvector is built.  Curves are threaded only across "backbone"
-points, the grid points whose distinct-level count equals the generic count; collapse points
-(alpha = 0, the Haldane-Shastry point, the nearest-neighbor limit) are kept as data points
-but skipped by the threading.  Each point is paired with the previous backbone point as it is
-solved, so at most two solutions are held at once.  Every event inside a backbone interval is
-then located by one grouped bisection of that interval, each step solving the same blocks.
+(``momentum_decomposition``: one assembly and one eigh per width group of the cached
+``block_layout``), keeps the concurrence, a, b, c and Werner residual of every (level,
+separation) cell as one array per point, and threads levels into curves by projector overlap.
+Each level projector is invariant under SU(2) and the ring translation, so its pair states are
+Werner states fixed by the groups' dense-K_d correlators; no magnetization-sector eigenvector
+is built.  Curves are threaded only across "backbone" points, the grid points whose distinct
+level count equals the generic count; collapse points (alpha = 0, the Haldane-Shastry point,
+the nearest-neighbor limit) are kept as data points but skipped by the threading.  Each point
+is paired with the previous backbone point as it is solved, so at most two solutions are held
+at once.  Every event inside a backbone interval is then located by one grouped bisection of
+that interval, each step solving the same blocks.
 A single point's table (``_momentum_records``) serves the ``concurrence`` command and the
 single-alpha parts of ``report``.
 """
 
 import functools
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -403,15 +404,18 @@ def _interval_probes(sweep_result: SweepResult, separations=()):
     pairing swaps energy order, then every curve's sign changes at each of
     ``separations``, curves and separations ascending."""
     backbone = [int(b) for b in sweep_result.backbone]
+    index = np.array([curve.level_indices for curve in sweep_result.curves])  # curve x point
     for i, j in zip(backbone[:-1], backbone[1:]):
-        tracked = [c for c in sweep_result.curves if c.valid[i] and c.valid[j]]
-        # (level at i, level at j, curve), by level at i; no two curves share a level
-        held = sorted((int(c.level_indices[i]), int(c.level_indices[j]), c.curve_index)
-                      for c in tracked)
-        probes = [_OrderSwap(k, l, (a, b))
-                  for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
-        probes += [probe for curve in tracked
-                   for probe in _sign_changes(curve, i, j, separations,
+        tracked = np.flatnonzero((index[:, i] >= 0) & (index[:, j] >= 0))
+        # the curves by level at i (no two share one); the pairs whose later curve is below
+        # at j, in the row-major order of itertools.combinations
+        held = tracked[np.argsort(index[tracked, i])]
+        curves, at_i, at_j = held.tolist(), index[held, i].tolist(), index[held, j]
+        first, second = np.nonzero(np.triu(np.greater.outer(at_j, at_j), 1))
+        probes = [_OrderSwap(at_i[p], at_i[q], (curves[p], curves[q]))
+                  for p, q in zip(first.tolist(), second.tolist())]
+        probes += [probe for c in tracked.tolist()
+                   for probe in _sign_changes(sweep_result.curves[c], i, j, separations,
                                               sweep_result.concurrence_threshold,
                                               sweep_result.structure_tolerance)]
         if probes:
@@ -507,21 +511,12 @@ def separation_existence_intervals(sweep_result: SweepResult, separation: int,
     if threshold is None:
         threshold = sweep_result.concurrence_threshold
     idx = sweep_result.backbone
-    union = np.zeros(len(idx), dtype=bool)
-    for curve in sweep_result.curves:
-        union |= np.nan_to_num(curve.concurrence_at(separation)[idx]) > threshold
-    intervals = []
-    start = None
-    alphas = sweep_result.alpha_grid[idx]
-    for k, flag in enumerate(union):
-        if flag and start is None:
-            start = alphas[k]
-        elif not flag and start is not None:
-            intervals.append((float(start), float(alphas[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(alphas[-1])))
-    return tuple(intervals)
+    values = np.array([curve.concurrence_at(separation)[idx] for curve in sweep_result.curves])
+    union = (np.nan_to_num(values) > threshold).any(axis=0)
+    # the first and one past the last point of each run of entangled points
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], union, [False]])))
+    alphas, edges = sweep_result.alpha_grid[idx].tolist(), edges.tolist()
+    return tuple((alphas[a], alphas[b - 1]) for a, b in zip(edges[::2], edges[1::2]))
 
 
 def separation_gaps(sweep_result: SweepResult, separation: int,
@@ -576,10 +571,8 @@ def projector_dimension_histogram(n_sites: int, alpha: float, *,
                                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                                   variant: Variant = Variant.STANDARD) -> dict:
     """Multiplicity histogram of the clustered levels, dimension -> count."""
-    hist: dict = {}
-    for level in energy_levels(RingSpec(n_sites, alpha, variant), cluster_tolerance):
-        hist[level.multiplicity] = hist.get(level.multiplicity, 0) + 1
-    return dict(sorted(hist.items()))
+    levels = energy_levels(RingSpec(n_sites, alpha, variant), cluster_tolerance)
+    return dict(sorted(Counter(level.multiplicity for level in levels).items()))
 
 
 @dataclass(frozen=True)

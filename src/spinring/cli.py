@@ -7,7 +7,7 @@ censuses, crossing events, entanglement boundaries, and the
 nearest-neighbor fit.
 
 Exit codes: 0 on success, 2 on usage or configuration errors, 3 when the
-numerics fail.
+numerics fail or memory runs out.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--oliveira-normalization", default=None,
                         choices=["as-printed", "over-n"])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="clustered level table per alpha")
-    sub.add_parser("concurrence", parents=[common],
-                   help="two-spin concurrence table per alpha")
-    sub.add_parser("report", parents=[common],
-                   help="full sweep report as one JSON document")
+    for name, text in (("spectrum", "clustered level table per alpha"),
+                       ("concurrence", "two-spin concurrence table per alpha"),
+                       ("report", "full sweep report as one JSON document")):
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -157,18 +156,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
+    def pick(key, default=None):  # the flag of the same name wins
+        flag_value = getattr(args, key)
+        return file_values.get(key, default) if flag_value is None else flag_value
 
-    def pick_text(flag_value, key, default=None):
-        value = pick(flag_value, key, default)
+    def pick_text(key, default=None):
+        value = pick(key, default)
         if value is not None and not isinstance(value, str):
             raise UsageError(f"config key {key!r} must be a string, got {value!r}")
         return value
 
-    n_sites = pick(args.n, "n")
+    n_sites = pick("n")
     if n_sites is None:
         raise UsageError("--n is required (flag or config)")
     if isinstance(n_sites, bool) or isinstance(n_sites, float) and not n_sites.is_integer():
@@ -181,15 +179,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--n must be at least 2, got {n_sites}")
 
     alphas = []
-    alpha_values = pick(args.alpha, "alpha")
+    alpha_values = pick("alpha")
     if alpha_values is not None:
         if not isinstance(alpha_values, list):
             raise UsageError("config key 'alpha' must be a list")
         alphas.extend(_parse_alpha(str(a)) for a in alpha_values)
-    grid_text = pick(args.grid, "grid")
+    grid_text = pick("grid")
     if grid_text is not None:
         alphas.extend(_parse_grid(str(grid_text)))
-    extra_values = pick(args.extra, "extra")
+    extra_values = pick("extra")
     if extra_values is not None:
         if not isinstance(extra_values, list):
             raise UsageError("config key 'extra' must be a list")
@@ -201,7 +199,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("provide at least one alpha via --alpha or --grid")
     alphas = tuple(sorted(set(alphas)))
 
-    output_format = pick_text(args.format, "format")
+    output_format = pick_text("format")
     if output_format is None:
         output_format = "json" if args.command == "report" else "csv"
     if output_format not in ("csv", "json"):
@@ -209,24 +207,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "report" and output_format != "json":
         raise UsageError("report output is a JSON document; use --format json")
 
-    variant_text = pick_text(args.variant, "variant", "standard")
+    variant_text = pick_text("variant", "standard")
     try:
         variant = Variant.parse(variant_text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    cache_dir = pick_text(args.cache_dir, "cache_dir")
+    cache_dir = pick_text("cache_dir")
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_DIR_ENV) or None
 
-    oliveira = pick_text(args.oliveira_normalization, "oliveira_normalization",
-                         "as-printed")
+    oliveira = pick_text("oliveira_normalization", "as-printed")
     if oliveira not in ("as-printed", "over-n"):
         raise UsageError(f"oliveira_normalization must be as-printed or over-n, "
                          f"got {oliveira!r}")
 
-    def positive(flag_value, key, default):
-        value = pick(flag_value, key, default)
+    def positive(key, default):
+        value = pick(key, default)
         if isinstance(value, bool):  # float(true) would be 1.0
             raise UsageError(f"{key} must be a number, got {value!r}")
         try:
@@ -242,17 +239,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         n_sites=n_sites,
         alphas=alphas,
         variant=variant,
-        cluster_tolerance=positive(args.cluster_tolerance, "cluster_tolerance",
-                                   CLUSTER_TOLERANCE_DEFAULT),
-        structure_tolerance=positive(args.structure_tolerance,
-                                     "structure_tolerance",
-                                     STRUCTURE_TOLERANCE_DEFAULT),
-        concurrence_threshold=positive(args.concurrence_threshold,
-                                       "concurrence_threshold",
-                                       CONCURRENCE_THRESHOLD_DEFAULT),
-        resolution=positive(args.resolution, "resolution", RESOLUTION_DEFAULT),
+        cluster_tolerance=positive("cluster_tolerance", CLUSTER_TOLERANCE_DEFAULT),
+        structure_tolerance=positive("structure_tolerance", STRUCTURE_TOLERANCE_DEFAULT),
+        concurrence_threshold=positive("concurrence_threshold", CONCURRENCE_THRESHOLD_DEFAULT),
+        resolution=positive("resolution", RESOLUTION_DEFAULT),
         output_format=output_format,
-        output_path=pick_text(args.output, "output"),
+        output_path=pick_text("output"),
         cache_dir=cache_dir,
         oliveira_inner_over_n=(oliveira == "over-n"),
     )
@@ -326,9 +318,7 @@ def cmd_report(config: RunConfig) -> str:
     rep_alpha = result.points[rep_index].alpha
     rep_point = result.points[rep_index]
 
-    histogram: dict = {}
-    for m in rep_point.multiplicities:
-        histogram[int(m)] = histogram.get(int(m), 0) + 1
+    histogram = Counter(rep_point.multiplicities.tolist())
 
     n_seps = max(config.n_sites // 2, 1)
     positive = rep_point.cells[:, :, 0] > config.concurrence_threshold
@@ -435,6 +425,9 @@ def main(argv=None) -> int:
     except (SweepError, EigensolverError, StructureError,
             np.linalg.LinAlgError) as exc:
         print(f"spinring: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"spinring: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"spinring: {exc}", file=sys.stderr)

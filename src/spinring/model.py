@@ -8,9 +8,11 @@ affine maps scale * H + shift * I of it (``variant_map``).  Basis states
 are products of local sigma^z eigenstates, encoded as N-bit integers: bit
 (j-1) is 1 when site j is "up" (+), so site 1 is the least significant bit.
 H conserves the magnetization (``sector_block``), and the ring translation splits
-each sector into lattice-momentum blocks (``momentum_block``).  Where a block's
-entries sit depends on N and the sector alone; that pattern is cached per process
-(``_sector_pattern``, ``_momentum_pattern``), so each alpha only scatters its weights.
+each sector into lattice-momentum blocks.  Where a block's entries sit depends on N
+alone, so it is cached per process and each alpha only scatters its weights: per
+sector (``_sector_pattern``), and for the momentum blocks of half the spectrum stacked
+by width into ``BlockGroup``s (``block_layout``), assembled by one bincount as
+sum_d w_d K_d or as one dense K_d (``BlockGroup.stack``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,16 +273,21 @@ def _translation_orbits(n_sites: int) -> np.ndarray:
     return read_only(np.stack([images.min(axis=0), period, -images.argmin(axis=0) % period]))
 
 
-@functools.lru_cache(maxsize=None)
-def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
-    """Width, rows, columns, separation indices and amplitudes of the nonzeros of one momentum
-    block, and its basis states' +-1 alignment sums ZZ_d(r) over the pairs at separation d;
-    cached, read-only.  Its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r> runs over the
-    sector's orbit representatives r of period p with k p = 0 mod N.  A pair term taking r_b
-    to T^l r_a adds its ``sector_block`` entry times e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
-    reps, period, shift = _translation_orbits(n_sites)
+def _momentum_basis(n_sites: int, sector: int, momentum: int) -> np.ndarray:
+    """The sector's orbit representatives r whose period p allows k: k p = 0 mod N."""
+    reps, period, _ = _translation_orbits(n_sites)
     states = sector_states(n_sites)[sector]
-    basis = states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
+    return states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
+
+
+def _momentum_entries(n_sites: int, sector: int, momentum: int) -> tuple:
+    """Width, int32 flat positions row * width + col, int8 separation indices and amplitudes of
+    the nonzeros of one momentum block, ascending in (position, separation), and the N//2 x w int8
+    +-1 alignment sums ZZ_d(r) of its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r>, r in
+    ``_momentum_basis``.  A pair term taking r_b to T^l r_a adds its ``sector_block`` entry
+    times e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
+    reps, period, shift = _translation_orbits(n_sites)
+    basis = _momentum_basis(n_sites, sector, momentum)
     position = np.full(2 ** n_sites, -1)  # -1: the extra last row, for partners outside
     position[basis] = np.arange(size := basis.size)
     bj, bk, sep, masks = _ring_pairs(n_sites)
@@ -294,34 +302,50 @@ def _momentum_pattern(n_sites: int, sector: int, momentum: int) -> tuple:
     coefficients[np.diag_indices(size)] = alignments
     np.add.at(coefficients, (rows, cols, sep[pairs]),
               2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
-    pattern = np.nonzero(coefficients[:size])
-    return size, *map(read_only, (*pattern, coefficients[pattern], alignments.astype(np.int8)))
+    rows, cols, seps = np.nonzero(coefficients[:size])
+    return (size, (rows * size + cols).astype(np.int32), seps.astype(np.int8),
+            coefficients[rows, cols, seps], alignments.T.astype(np.int8))
 
 
-def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
-    """The Hermitian block of magnetization ``sector`` at lattice momentum 2 pi k/N,
-    k = ``momentum``, about C(N, s)/N wide; real when 2k = 0 mod N, and block N - k is
-    the complex conjugate of block k (Sandvik, AIP Conf. Proc. 1297, 135 (2010))."""
-    scale, shift = variant_map(spec)
-    size, rows, cols, sep, amplitudes, _ = _momentum_pattern(spec.n_sites, sector, momentum)
-    block = np.diag(np.full(size, shift, dtype=amplitudes.dtype))
-    weights = scale * separation_weights(spec.n_sites, spec.alpha)
-    np.add.at(block, (rows, cols), amplitudes * weights[sep])
-    return block
+class BlockGroup(NamedTuple):
+    """Momentum blocks of one width and dtype as a B x w x w stack: block b is (sector, momentum)
+    ``blocks[b]``, standing for ``counts[b]`` blocks (its spin-flip mirror and its conjugate), with
+    the N//2 x w ZZ_d(r) ``alignments[b]``; entry i adds ``amplitudes[i]`` to K_d at ``flat[i]``."""
+    blocks: tuple
+    shape: tuple
+    counts: np.ndarray
+    flat: np.ndarray
+    seps: np.ndarray
+    amplitudes: np.ndarray
+    alignments: np.ndarray
+
+    def stack(self, weights: np.ndarray) -> np.ndarray:
+        """sum_d weights[d - 1] K_d of every block, one bincount per real and imaginary part
+        adding the entries in pattern order, as np.add.at would."""
+        values = self.amplitudes * weights[self.seps]
+        out = np.empty(math.prod(self.shape), dtype=values.dtype)
+        out.real = np.bincount(self.flat, values.real, out.size)
+        if out.dtype.kind == "c":
+            out.imag = np.bincount(self.flat, values.imag, out.size)
+        return out.reshape(self.shape)
 
 
-def separation_correlators(n_sites: int, sector: int, momentum: int, vectors) -> np.ndarray:
-    """<sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of each column
-    of ``vectors`` in the STANDARD momentum block, as a 2 x N//2 x columns array: the block's
-    nonzeros at separation d sum the n_d pairs' sigma . sigma, and ZZ_d(r) is diagonal."""
-    _, rows, cols, sep, amplitudes, alignments = _momentum_pattern(n_sites, sector, momentum)
-    bonds = [(amplitudes[at] @ (vectors[rows[at]].conj() * vectors[cols[at]])).real
-             for at in (sep == d for d in range(n_sites // 2))]
-    zz = alignments.T @ np.square(np.abs(vectors))
-    return np.stack([bonds, zz]) / np.bincount(_ring_pairs(n_sites)[2])[:, None]
-
-
-def spin_flip_permutation(n_sites: int) -> np.ndarray:
-    """Basis permutation of the global up/down exchange (bit complement)."""
-    states = np.arange(2 ** n_sites, dtype=np.int64)
-    return (2 ** n_sites - 1) - states
+@functools.lru_cache(maxsize=None)
+def block_layout(n_sites: int) -> tuple:
+    """The nonempty lattice-momentum blocks k = 0 .. N//2 (C(N, s)/N wide, real if 2k = 0 mod N) of
+    the sectors with 2s >= N, which stand for every block (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010)), as ``BlockGroup``s by (width, dtype) in order of first (sector, momentum); cached."""
+    groups, layout = {}, []
+    for s in range((n_sites + 1) // 2, n_sites + 1):
+        for k in range(n_sites // 2 + 1):
+            if width := _momentum_basis(n_sites, s, k).size:  # else no period allows k
+                groups.setdefault((width, 2 * k % n_sites == 0), []).append((s, k))
+    for (width, _), blocks in groups.items():  # one group's entries held at a time
+        _, flats, seps, amplitudes, alignments = zip(*(_momentum_entries(n_sites, *block)
+                                                       for block in blocks))
+        counts = [2 ** ((2 * s > n_sites) + (0 < 2 * k < n_sites)) for s, k in blocks]
+        flat = np.concatenate([b * width ** 2 + f for b, f in enumerate(flats)])
+        layout.append(BlockGroup(tuple(blocks), (len(blocks), width, width), *map(read_only, (
+            np.array(counts), flat, np.concatenate(seps), np.concatenate(amplitudes),
+            np.stack(alignments)))))
+    return tuple(layout)

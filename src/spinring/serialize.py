@@ -86,8 +86,6 @@ def emit_csv(header, rows) -> str:
                 cells.append(format_real(cell, CSV_INFINITY))
             elif isinstance(cell, bool):
                 cells.append("true" if cell else "false")
-            elif isinstance(cell, int):
-                cells.append(str(cell))
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
@@ -95,14 +93,8 @@ def emit_csv(header, rows) -> str:
 
 
 def parse_real(text: str) -> float:
-    """Inverse of format_real for both infinity tokens."""
-    stripped = text.strip()
-    lowered = stripped.lower()
-    if lowered in ("inf", "infinity"):
-        return math.inf
-    if lowered in ("-inf", "-infinity"):
-        return -math.inf
-    return float(stripped)
+    """Inverse of format_real for both infinity tokens, which float reads in any case."""
+    return float(text)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -7,10 +7,10 @@ list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` 
 magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_levels`` and
 ``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
 lattice-momentum blocks k = 0 .. N//2, the rest being conjugates; each solved block stands
-for ``count`` blocks.  ``momentum_decomposition`` solves a sector's equal-shape blocks as one
-eigh stack and keeps their eigenvectors for each level's pair correlators and for projector
-overlaps, which sum |V_a^H V_b|^2 over the blocks ``count`` times each.
-The cache stores the full sector decomposition.
+for ``count`` blocks.  Each ``block_layout`` group of equal-width blocks is assembled by one
+bincount and solved by one eigvalsh or eigh, and ``momentum_decomposition`` keeps its
+eigenvectors for the levels' pair correlators, Re sum conj(V) (K_d V) with dense K_d, and for
+projector overlaps, |V_a^H V_b|^2 summed ``count`` times.  The cache stores sector blocks.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (HamiltonianMatrix, RingSpec, Variant, momentum_block, read_only,
-                    sector_block, sector_states, separation_correlators, variant_map)
+from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pairs, block_layout,
+                    read_only, sector_block, sector_states, separation_weights, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
@@ -56,10 +56,6 @@ class Level:
     def stop(self) -> int:
         return self.start + self.multiplicity
 
-    @property
-    def member_indices(self) -> range:
-        return range(self.start, self.stop)
-
 
 class SectorEigensystem(NamedTuple):
     """Eigenpairs of one total-magnetization block of the STANDARD Hamiltonian."""
@@ -70,21 +66,19 @@ class SectorEigensystem(NamedTuple):
 
 
 class MomentumEigensystem(NamedTuple):
-    """Eigenpairs of one STANDARD momentum block, standing for ``count`` blocks with the same
-    eigenvalues: its spin-flip mirror and its complex conjugate (``_momentum_solutions``)."""
-    sector: int
-    momentum: int
-    count: int
-    values: np.ndarray   # ascending
-    vectors: np.ndarray  # orthonormal columns, complex unless 2k = 0 mod N
+    """Eigenpairs of the STANDARD blocks of one ``block_layout`` group."""
+    group: BlockGroup
+    count: np.ndarray    # the group's counts: block b stands for count[b] blocks
+    values: np.ndarray   # B x w, each row ascending
+    vectors: np.ndarray  # B x w x w, orthonormal columns, complex unless every 2k = 0 mod N
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Full spectrum of one ring spec, clustered into levels, kept as the eigenpairs of its
-    solved blocks: each block's eigenvalues enter the sorted list ``count`` times, sorted
-    eigenvalue i is column ``columns[i]`` of block ``sectors[i]``, and ``members[b]`` holds
-    the level of each column of block b."""
+    solved blocks, w x w or B x w x w stacks: each block's eigenvalues enter the sorted list
+    ``count`` times, sorted eigenvalue i is flat column ``columns[i]`` (b w + c for column c of
+    block b) of entry ``sectors[i]``, and ``members[e]`` holds the levels of entry e's columns."""
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
@@ -119,33 +113,42 @@ class SpectralDecomposition(BlockDecomposition):
         dim, m = self.spec.dimension, level.multiplicity
         reverse = variant_map(self.spec)[0] < 0  # row-major then, else column-major
         vectors = np.zeros((dim, m + 1))[:, :-1] if reverse else np.zeros((m, dim)).T
-        for j, i in enumerate(level.member_indices):
+        for j, i in enumerate(range(level.start, level.stop)):
             block = self.blocks[self.sectors[i]]
             vectors[block.states, j] = block.vectors[:, self.columns[i]]
         return vectors
 
 
 class MomentumDecomposition(BlockDecomposition):
-    """The decomposition of ``momentum_decomposition``: the momentum blocks of the sectors
-    with 2s >= N, k = 0 .. N//2, as ``MomentumEigensystem``."""
+    """The decomposition of ``momentum_decomposition``: a ``MomentumEigensystem`` per group."""
 
     def correlators(self, levels=None) -> np.ndarray:
-        """Mean ``separation_correlators`` of every level, or of the listed ``levels``, as
-        2 x N//2 x levels; only the columns of those levels are reduced."""
-        n, wanted = self.spec.n_sites, np.arange(len(self.levels))
-        if levels is not None:
-            wanted = wanted[levels]
+        """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level
+        or of the listed ``levels``, 2 x N//2 x levels, from Re sum conj(V) (K_d V) and the diagonal
+        ZZ_d(r); only the blocks and columns holding those levels are reduced."""
+        n, every = self.spec.n_sites, np.arange(len(self.levels))
+        wanted = every if levels is None else every[levels]
         slot = np.full(len(self.levels), -1)
         slot[wanted] = np.arange(wanted.size)
+        targets, parts = [np.zeros(0, dtype=int)], [np.zeros((2, n // 2, 0))]
+        for (group, count, _, vectors), members in zip(self.blocks, self.members):
+            members = slot[members].reshape(group.shape[:2])
+            keep, rows = members >= 0, slice(None)
+            if not keep.any():
+                continue
+            if not keep.all():
+                rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+                vectors = vectors[rows][:, :, cols]
+                keep, members = keep[np.ix_(rows, cols)], members[np.ix_(rows, cols)]
+            conj, values = vectors.conj(), np.empty((2, n // 2, *keep.shape))
+            for d, separation in enumerate(np.eye(n // 2)):  # K_d, one d at a time
+                values[0, d] = (conj * (group.stack(separation)[rows] @ vectors)).real.sum(axis=1)
+            values[1] = (group.alignments[rows] @ np.square(np.abs(vectors))).swapaxes(0, 1)
+            targets.append(members[keep])
+            parts.append((values * count[rows, None])[..., keep])
         sums = np.zeros((2, n // 2, wanted.size))
-        for block, members in zip(self.blocks, self.members):
-            keep = slot[members] >= 0
-            if keep.any():
-                vectors = block.vectors if keep.all() else block.vectors[:, keep]
-                values = separation_correlators(n, block.sector, block.momentum, vectors)
-                np.add.at(sums, (slice(None), slice(None), slot[members[keep]]),
-                          block.count * values)
-        return sums / self.multiplicities[wanted]
+        np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
+        return sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities[wanted]
 
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
@@ -204,47 +207,34 @@ def diagonalize(spec: RingSpec,
     return _assemble(spec, tuple(blocks), cluster_tolerance)
 
 
-def _momentum_solutions(spec: RingSpec, vectors: bool = False):
-    """Yield (sector, momentum, count, eigenvalues, eigenvectors or None) for the STANDARD
-    momentum blocks k = 0 .. N//2 of the sectors with 2s >= N.  Each stands for ``count`` blocks
-    with its eigenvalues and correlators: block N - s mirrors block s, block N - k is block k
-    conjugated.  Without ``vectors`` each block's eigvalsh is taken as it is built.  With them,
-    a sector's blocks of one shape and dtype are solved as one eigh stack, which gives each
-    block's own eigh bitwise, and a 1 x 1 block is its own eigensystem."""
-    standard, n = replace(spec, variant=Variant.STANDARD), spec.n_sites
-    for s in range((n + 1) // 2, n + 1):
-        solved, stacks = {}, {}
+def _solved_groups(spec: RingSpec, solver):
+    """Yield each ``block_layout`` group and ``solver`` of its STANDARD blocks' stack."""
+    weights = separation_weights(spec.n_sites, spec.alpha)
+    for group in block_layout(spec.n_sites):
         try:
-            for k in range(n // 2 + 1):
-                block = momentum_block(standard, s, k)
-                if not block.size:  # no orbit of the sector has a period that allows k
-                    continue
-                if vectors:
-                    stacks.setdefault((block.shape, block.dtype), {})[k] = block
-                else:
-                    solved[k] = np.linalg.eigvalsh(block), None
-            for group in stacks.values():
-                stack = np.stack(list(group.values()))
-                eig = ((stack[:, 0].real, np.ones_like(stack)) if stack.shape[1] == 1
-                       else np.linalg.eigh(stack))
-                solved.update(zip(group, zip(*eig)))
+            yield group, solver(group.stack(weights))
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(s, exc) from exc
-        for k in sorted(solved):
-            yield s, k, (2 if 2 * s > n else 1) * (2 if 0 < 2 * k < n else 1), *solved[k]
+            raise EigensolverError(group.blocks[0][0], exc) from exc
 
 
 def energy_levels(spec: RingSpec,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The clustered levels of ``diagonalize``, from the momentum blocks' eigenvalues alone."""
-    raw = [values for _, _, count, values, _ in _momentum_solutions(spec) for _ in range(count)]
+    """The clustered levels of ``diagonalize`` from one eigvalsh per ``block_layout`` group."""
+    raw = [np.repeat(values, group.counts, axis=0).ravel()
+           for group, values in _solved_groups(spec, np.linalg.eigvalsh)]
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
+
+
+def _eigh(stack: np.ndarray) -> tuple:
+    """np.linalg.eigh of a stack, bitwise each block's own; a 1 x 1 block is its own."""
+    return (stack[:, 0].real, np.ones_like(stack)) if stack.shape[1] == 1 else np.linalg.eigh(stack)
 
 
 def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
                            ) -> MomentumDecomposition:
-    """The levels of ``energy_levels`` with the eigenvectors of the momentum blocks."""
-    blocks = tuple(MomentumEigensystem(*solved) for solved in _momentum_solutions(spec, True))
+    """The levels of ``energy_levels`` with one eigh per ``block_layout`` group."""
+    blocks = tuple(MomentumEigensystem(group, group.counts, *eig)
+                   for group, eig in _solved_groups(spec, _eigh))
     return _assemble(spec, blocks, cluster_tolerance, MomentumDecomposition)
 
 
@@ -261,8 +251,8 @@ def _assemble(spec: RingSpec, blocks: tuple, tolerance: float,
     times in a row; the copies are equal, so they fall in one level."""
     sizes = np.array([b.values.size for b in blocks])
     block_of = np.repeat(np.arange(len(blocks)), sizes)
-    copies = np.array([b.count for b in blocks])[block_of]
-    values, order = _map_sorted(spec, np.repeat(np.concatenate([b.values for b in blocks]),
+    copies = np.concatenate([np.repeat(b.count, b.values.shape[-1]) for b in blocks])
+    values, order = _map_sorted(spec, np.repeat(np.concatenate([b.values.ravel() for b in blocks]),
                                                 copies))
     sectors = np.repeat(block_of, copies)[order]
     columns = np.arange(block_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -357,16 +347,20 @@ class LevelPairing:
 
 
 def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), block by block: a block adds
-    |V_a^H V_b|^2 ``count`` times, which is exact, since the blocks it stands for are unitary
-    images of it (the spin flip) or its complex conjugates."""
-    summed = np.zeros((len(dec_a.levels), len(dec_b.levels)))
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^H V_b per
+    entry and one bincount: a block adds |V_a^H V_b|^2 ``count`` times, which is exact, since
+    the blocks it stands for are unitary images of it (the spin flip) or its conjugates."""
+    size_b, pairs, weights = len(dec_b.levels), [], []
     for block_a, block_b, levels_a, levels_b in zip(
             dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
-        gram = np.abs(block_a.vectors.T.conj() @ block_b.vectors)
-        np.add.at(summed, np.ix_(levels_a, levels_b), block_a.count * np.square(gram, out=gram))
+        width = block_a.vectors.shape[-1]
+        gram = np.abs(block_a.vectors.conj().swapaxes(-1, -2) @ block_b.vectors)
+        weights.append((np.reshape(block_a.count, (-1, 1, 1)) * np.square(gram)).ravel())
+        pairs.append((levels_a.reshape(-1, width, 1) * size_b
+                      + levels_b.reshape(-1, 1, width)).ravel())
+    summed = np.bincount(np.concatenate(pairs), np.concatenate(weights), len(dec_a.levels) * size_b)
     norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
-    return summed / norm
+    return summed.reshape(norm.shape) / norm
 
 
 def match_levels(dec_a: BlockDecomposition, dec_b: BlockDecomposition,
@@ -417,14 +411,16 @@ def match_single_level(dec_a: BlockDecomposition, index_a: int,
                        dec_b: BlockDecomposition) -> tuple[int, float]:
     """Best-overlap partner in ``dec_b`` for one level of ``dec_a``, with the overlaps of
     ``overlap_matrix``."""
-    level = dec_a.levels[index_a]
-    sums = np.zeros(len(dec_b.levels))
+    level, sums = dec_a.levels[index_a], np.zeros(len(dec_b.levels))
     # ascending like np.unique, which would import numpy.ma on its first call
-    for s in np.flatnonzero(np.bincount(dec_a.sectors[level.start:level.stop])):
-        block_a = dec_a.blocks[s]
-        gram = np.abs(block_a.vectors[:, dec_a.members[s] == index_a].T.conj()
-                      @ dec_b.blocks[s].vectors)
-        np.add.at(sums, dec_b.members[s], block_a.count * np.square(gram, out=gram).sum(axis=0))
+    for e in np.flatnonzero(np.bincount(dec_a.sectors[level.start:level.stop])):
+        block_a, block_b = dec_a.blocks[e], dec_b.blocks[e]
+        width, count = block_a.values.shape[-1], np.reshape(block_a.count, -1)
+        for i in np.flatnonzero(dec_a.members[e] == index_a).tolist():
+            b, c = divmod(i, width)  # flat column i is column c of block b
+            row = block_a.vectors.reshape(-1, width, width)[b, :, c].conj()
+            gram = np.abs(row @ block_b.vectors.reshape(-1, width, width)[b])
+            np.add.at(sums, dec_b.members[e][b * width:(b + 1) * width], count[b] * np.square(gram))
     norm = np.maximum(level.multiplicity, dec_b.multiplicities)
     overlaps = sums / norm
     j = int(np.argmax(overlaps))

@@ -12,6 +12,13 @@ compared against.  ``haldane_shastry_levels`` (alpha = 2) and
 straight from its magnetization blocks, with no Werner assumption, and
 ``_point_records`` and ``level_measures`` build the sweep cells and the global
 measures from those tables: the reference for the momentum-block Werner cells.
+
+``momentum_block`` assembles one lattice-momentum block entry by entry,
+``separation_correlators`` reduces its columns by gathering its nonzeros one
+separation at a time, and ``momentum_correlators`` and ``block_overlap_matrix``
+work through a momentum decomposition one block at a time: the references for
+``model.block_layout``'s group stacks and the correlators and overlaps reduced
+from them.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ import numpy as np
 
 from spinring.analysis import _check_energy_identity
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
-from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, build_sector_blocks,
-                            read_only, sector_states, separation_weights, total_weight,
-                            variant_map)
+from spinring.model import (RingSpec, SectorBlock, Variant, _momentum_entries, _ring_pairs,
+                            build_sector_blocks, read_only, sector_states, separation_weights,
+                            total_weight, variant_map)
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
                               LevelPairing, SpectralDecomposition, cluster_levels)
 
@@ -324,3 +331,62 @@ def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np
                            np.array([2 * t.a - 2 * t.b + 4 * t.c for t in tables]))
     return read_only(np.stack([np.stack([t.concurrence, t.a, t.b, t.c, t.residual], axis=1)
                                for t in tables], axis=1))
+
+
+def spin_flip_permutation(n_sites: int) -> np.ndarray:
+    """Basis permutation of the global up/down exchange (bit complement)."""
+    return (2 ** n_sites - 1) - np.arange(2 ** n_sites, dtype=np.int64)
+
+
+def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
+    """The Hermitian block of magnetization ``sector`` at lattice momentum 2 pi k/N,
+    k = ``momentum``, by np.add.at of its entries, times their weights, onto the shift on the
+    diagonal; real when 2k = 0 mod N, and block N - k is the complex conjugate of block k."""
+    scale, shift = variant_map(spec)
+    size, flat, seps, amplitudes, _ = _momentum_entries(spec.n_sites, sector, momentum)
+    weights = scale * separation_weights(spec.n_sites, spec.alpha)
+    block = np.diag(np.full(size, shift, dtype=amplitudes.dtype))
+    np.add.at(block.reshape(-1), flat, amplitudes * weights[seps])
+    return block
+
+
+def separation_correlators(n_sites: int, sector: int, momentum: int, vectors) -> np.ndarray:
+    """<sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of each column
+    of ``vectors`` in the STANDARD momentum block, as a 2 x N//2 x columns array: the block's
+    nonzeros at separation d sum the n_d pairs' sigma . sigma, and ZZ_d(r) is diagonal."""
+    size, flat, sep, amplitudes, alignments = _momentum_entries(n_sites, sector, momentum)
+    rows, cols = np.divmod(flat, size)
+    bonds = [(amplitudes[at] @ (vectors[rows[at]].conj() * vectors[cols[at]])).real
+             for at in (sep == d for d in range(n_sites // 2))]
+    zz = alignments @ np.square(np.abs(vectors))
+    return np.stack([bonds, zz]) / np.bincount(_ring_pairs(n_sites)[2])[:, None]
+
+
+def _momentum_blocks(dec):
+    """(count, vectors, levels of its columns, sector, momentum) of every block of a momentum
+    decomposition, one at a time."""
+    for entry, members in zip(dec.blocks, dec.members):
+        width = entry.vectors.shape[-1]
+        for b, (sector, momentum) in enumerate(entry.group.blocks):
+            yield (entry.count[b], entry.vectors[b], members[b * width:(b + 1) * width],
+                   sector, momentum)
+
+
+def momentum_correlators(dec, levels=None) -> np.ndarray:
+    """``MomentumDecomposition.correlators`` block by block with ``separation_correlators``."""
+    n, sums = dec.spec.n_sites, np.zeros((2, dec.spec.n_sites // 2, len(dec.levels)))
+    for count, vectors, members, sector, momentum in _momentum_blocks(dec):
+        values = separation_correlators(n, sector, momentum, vectors)
+        np.add.at(sums, (slice(None), slice(None), members), count * values)
+    means = sums / dec.multiplicities
+    return means if levels is None else means[..., levels]
+
+
+def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
+    """``overlap_matrix`` of two momentum decompositions one block at a time: each block adds
+    count |V_a^H V_b|^2 to its level pairs."""
+    summed = np.zeros((len(dec_a.levels), len(dec_b.levels)))
+    for (count, v_a, levels_a, *_), (_, v_b, levels_b, *_) in zip(_momentum_blocks(dec_a),
+                                                                   _momentum_blocks(dec_b)):
+        np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
+    return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)

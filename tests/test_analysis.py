@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import inspect
+import itertools
 import json
 import math
 import re
@@ -280,15 +281,40 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
 def test_golden_report_solve_counts(monkeypatch, capsys):
     # the golden n8 report's counts when they were pinned: 84 momentum-block solves
     # through analysis (15 grid points, 68 bisection steps and references, and the
-    # fit), each one eigh per stack of a sector's equal-shape blocks wider than 1
-    # (84 x 8 over 21 nonempty blocks, none wider than 10; the sector path made 84 + 1
-    # solves of 9 eigh calls up to 70 wide); a change that adds solves fails here, not
-    # only in the wall time
+    # fit), each one eigh per block_layout group wider than 1 (84 x 8: the 21 nonempty
+    # blocks, none wider than 10, in 10 groups across sectors, two of them 1 x 1; one
+    # eigh per stack of a sector's equal-shape blocks also made 8, and the sector path
+    # 84 + 1 solves of 9 eigh calls up to 70 wide); a change that adds solves fails
+    # here, not only in the wall time
     solves = _recording(monkeypatch, analysis_module, "momentum_decomposition")
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
     assert (len(solves), len(eighs)) == (84, 672)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_interval_probes_match_the_pairwise_scan(n):
+    # the order swaps of every tracked level pair, by itertools.combinations in energy order
+    # at the interval's left end, then each tracked curve's sign changes
+    res = sweep(n, sorted({*np.geomspace(0.3, 10, 14).tolist(), 2.0}))
+    backbone, separations, expected = [int(b) for b in res.backbone], range(1, n // 2 + 1), []
+    for i, j in zip(backbone[:-1], backbone[1:]):
+        tracked = [c for c in res.curves if c.valid[i] and c.valid[j]]
+        held = sorted((int(c.level_indices[i]), int(c.level_indices[j]), c.curve_index)
+                      for c in tracked)
+        probes = [analysis_module._OrderSwap(k, l, (a, b))
+                  for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
+        probes += [probe for curve in tracked
+                   for probe in analysis_module._sign_changes(
+                       curve, i, j, separations, res.concurrence_threshold,
+                       res.structure_tolerance)]
+        if probes:
+            expected.append((res.points[i].alpha, res.points[j].alpha, probes))
+    got = list(analysis_module._interval_probes(res, separations))
+    assert got == expected
+    swaps = [p for _, _, probes in got for p in probes if isinstance(p, analysis_module._OrderSwap)]
+    assert swaps and all(type(x) is int for p in swaps for x in (p.a, p.b, *p.label))
 
 
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinring
+import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.entanglement as entanglement_module
 import spinring.spectra as spectra_module
@@ -122,6 +123,24 @@ def test_spectrum_eigensolver_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
     assert code == 3 and out == ""
     assert "magnetization sector 2" in err
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    # concurrence meets it at its first solve, report after the sweep (bisection or fit)
+    calls, solve = [], analysis_module.momentum_decomposition
+
+    def exhausted(spec, **kwargs):
+        calls.append(spec)
+        if len(calls) > 5:
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+        return solve(spec, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "momentum_decomposition", exhausted)
+    for argv in (("report", "--n", "6", "--grid", "0.5:8:5"),
+                 ("concurrence", "--n", "4", "--alpha", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "spinring: out of memory: Unable to allocate 2.00 GiB for an array\n"
 
 
 def test_mixed_levels_exit_3(capsys):

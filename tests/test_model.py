@@ -8,8 +8,8 @@ from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
                       coupling_weight, separation_weights, top_eigenspace_basis,
                       total_weight)
-from spinring.model import (_sector_pattern, momentum_block, popcounts, sector_block,
-                            sector_states, spin_flip_permutation, translation_permutation)
+from spinring.model import (_sector_pattern, popcounts, sector_block, sector_states,
+                            translation_permutation)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -175,7 +175,7 @@ def test_translation_symmetry():
 
 
 def test_spin_flip_symmetry():
-    perm = spin_flip_permutation(6)
+    perm = oracles.spin_flip_permutation(6)
     assert np.array_equal(perm[perm], np.arange(64))
     matrix = build_hamiltonian(RingSpec(6, 0.6)).matrix
     assert np.max(np.abs(matrix[np.ix_(perm, perm)] - matrix)) < 1e-12
@@ -184,7 +184,7 @@ def test_spin_flip_symmetry():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_spin_flip_mirrors_sector_blocks(n):
     # the flip maps sector s onto n - s and reverses the ascending state order
-    states, flip = sector_states(n), spin_flip_permutation(n)
+    states, flip = sector_states(n), oracles.spin_flip_permutation(n)
     for s in range(n + 1):
         assert np.array_equal(states[n - s], flip[states[s]][::-1])
     for variant in Variant:
@@ -215,11 +215,11 @@ def test_momentum_blocks_split_sector_blocks(n):
         for alpha in (0.7, 2.0, INFINITY):
             spec = RingSpec(n, alpha, variant)
             for s in range(n + 1):
-                blocks = [momentum_block(spec, s, k) for k in range(n // 2 + 1)]
+                blocks = [oracles.momentum_block(spec, s, k) for k in range(n // 2 + 1)]
                 assert sum(w * b.shape[0] for w, b in zip(weights, blocks)) == math.comb(n, s)
                 for k, block in enumerate(blocks):
                     assert np.max(np.abs(block - block.conj().T), initial=0.0) <= 1e-14
-                    mirror = momentum_block(spec, s, (n - k) % n)
+                    mirror = oracles.momentum_block(spec, s, (n - k) % n)
                     assert np.max(np.abs(mirror - block.conj()), initial=0.0) <= 1e-14
                     if 2 * k % n == 0:
                         assert block.dtype == np.float64

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import spinring.spectra as spectra_module
+from spinring.model import block_layout, separation_weights
 from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, cluster_levels,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
@@ -128,18 +129,61 @@ def test_decomposition_holds_only_sector_blocks():
 
 
 def test_stacked_momentum_solves_match_one_solve_per_block():
-    # a sector's equal-shape blocks are solved as one stack, 1 x 1 blocks not at all;
-    # every block still gets exactly the eigh and eigvalsh of solving it alone
-    for n in (2, 5, 8, 11):
+    # every block_layout group, across sectors, is assembled and solved as one stack, a 1 x 1
+    # group not at all; every block still gets exactly the eigh and eigvalsh of solving it alone
+    for n in (2, 5, 8, 11, 12):
         spec = RingSpec(n, 0.7)
-        for (s, k, _, w, v), (*_, values, none) in zip(
-                spectra_module._momentum_solutions(spec, True),
-                spectra_module._momentum_solutions(spec)):
-            block = spectra_module.momentum_block(spec, s, k)
-            alone_w, alone_v = np.linalg.eigh(block)
-            assert np.array_equal(w, alone_w) and np.array_equal(v, alone_v)
-            assert v.dtype == alone_v.dtype and v.strides == alone_v.strides
-            assert np.array_equal(values, np.linalg.eigvalsh(block)) and none is None
+        dec = momentum_decomposition(spec)
+        solved = [block for entry in dec.blocks for block in entry.group.blocks]
+        assert solved == [block for group in block_layout(n) for block in group.blocks]
+        assert sorted(solved) == [(s, k) for s in range((n + 1) // 2, n + 1)
+                                  for k in range(n // 2 + 1)
+                                  if oracles.momentum_block(spec, s, k).size]
+        if n >= 8:
+            assert any(len({s for s, _ in entry.group.blocks}) > 1 for entry in dec.blocks)
+        for entry in dec.blocks:
+            stack = entry.group.stack(separation_weights(n, 0.7))
+            stacked_values = np.linalg.eigvalsh(stack)
+            for b, (s, k) in enumerate(entry.group.blocks):
+                block = oracles.momentum_block(spec, s, k)
+                assert block.tobytes() == stack[b].tobytes()
+                alone_w, alone_v = np.linalg.eigh(block)
+                assert np.array_equal(entry.values[b], alone_w)
+                assert np.array_equal(entry.vectors[b], alone_v)
+                assert entry.vectors[b].dtype == alone_v.dtype
+                assert entry.vectors[b].strides == alone_v.strides
+                assert np.array_equal(stacked_values[b], np.linalg.eigvalsh(block))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_grouped_correlators_match_one_block_at_a_time(n):
+    # dense K_d stacks per group against the per-block gather of the block's nonzeros
+    for variant in Variant:
+        for alpha in (0.0, 0.7, 2.0, INFINITY):
+            dec = momentum_decomposition(RingSpec(n, alpha, variant))
+            count = len(dec.levels)
+            for levels in (None, [0], [count - 1, 0], list(range(0, count, 3))):
+                got = dec.correlators(levels)
+                want = oracles.momentum_correlators(dec, levels)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_grouped_overlaps_match_one_block_at_a_time(n):
+    for variant in Variant:
+        for alpha in (0.0, 0.7, 2.0, INFINITY):
+            near = alpha + 0.05 if alpha < INFINITY else 40.0
+            a, b = (momentum_decomposition(RingSpec(n, x, variant)) for x in (alpha, near))
+            for dec_a, dec_b in ((a, b), (b, a)):
+                want = oracles.block_overlap_matrix(dec_a, dec_b)
+                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-14
+            # a generic neighbour's levels each lie inside one level at alpha
+            want = oracles.block_overlap_matrix(b, a)
+            for index in range(len(b.levels)):
+                j, value = match_single_level(b, index, a)
+                assert j == int(np.argmax(want[index]))
+                assert abs(value - want[index, j]) < 1e-14
 
 
 def _assert_same_levels(got, expected):
