@@ -1,20 +1,21 @@
 """Parameter sweeps over alpha: level-curve tracking, located events (level crossings and
 entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
-A sweep solves the ring's lattice-momentum blocks at each point of an ascending alpha grid
-(``momentum_decomposition``: one assembly and one eigh per width group of the cached
-``block_layout``), keeps the concurrence, a, b, c and Werner residual of every (level,
-separation) cell as one array per point, and threads levels into curves by projector overlap.
+A sweep solves the ring's lattice-momentum blocks at the points of an ascending alpha grid
+(``momentum_decompositions``: one assembly and one eigh per width group of the cached
+``block_layout`` for a batch of points), keeps the concurrence, a, b, c and Werner residual of
+every (level, separation) cell as one array per point, and threads levels into curves by
+projector overlap.
 Each level projector is invariant under SU(2) and the ring translation, so its pair states are
 Werner states fixed by the groups' dense-K_d correlators; no magnetization-sector eigenvector
 is built.  Curves are threaded only across "backbone" points, the grid points whose distinct
 level count equals the generic count; collapse points (alpha = 0, the Haldane-Shastry point,
 the nearest-neighbor limit) are kept as data points but skipped by the threading.  Each point
-is paired with the previous backbone point as it is solved, so at most two solutions are held
-at once.  Every event inside a backbone interval is then located by one grouped bisection of
-that interval, each step solving the same blocks.
-A single point's table (``_momentum_records``) serves the ``concurrence`` command and the
-single-alpha parts of ``report``.
+is paired with the previous backbone point as it is reached, so besides one batch at most two
+solutions are held.  Every event inside a backbone interval is then located by one grouped
+bisection of that interval, in lockstep with the other intervals: each round solves all their
+midpoints as one batch.  A single point's table (``_momentum_records``) serves the
+``concurrence`` command and the single-alpha parts of ``report``.
 """
 
 import functools
@@ -25,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
-from .spectra import (CLUSTER_TOLERANCE_DEFAULT, MomentumDecomposition, energy_levels,
-                      match_levels, match_single_level, momentum_decomposition)
+from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, MomentumDecomposition,
+                      batch_size, energy_levels, match_levels, match_single_level,
+                      momentum_decomposition, momentum_decompositions)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
@@ -200,7 +202,7 @@ def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
 
 
 def _momentum_records(spec: RingSpec, cluster_tolerance: float,
-                      structure_tolerance: float) -> tuple:
+                      structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
     """The levels of ``momentum_decomposition(spec)`` and their ``_point_cells``."""
     dec = momentum_decomposition(spec, cluster_tolerance=cluster_tolerance)
     return dec.levels, _point_cells(dec, structure_tolerance)
@@ -227,14 +229,14 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     maximum level count: a higher count restarts the curves, an equal one is
     paired with the anchor and replaces it, a lower one is skipped."""
     grid = _validate_grid(alpha_grid)
-    points = []
-    anchor = None
+    points, anchor = [], None
+    decs = momentum_decompositions((RingSpec(n_sites, alpha, variant), cluster_tolerance)
+                                   for alpha in grid.tolist())
     for i, alpha in enumerate(grid.tolist()):
-        spec = RingSpec(n_sites, alpha, variant)
         try:
-            dec = momentum_decomposition(spec, cluster_tolerance=cluster_tolerance)
+            dec = next(decs)
             cells = _point_cells(dec, structure_tolerance)
-        except Exception as exc:
+        except (EigensolverError, StructureError, np.linalg.LinAlgError) as exc:
             raise SweepError(alpha, exc) from exc
         points.append(SweepPoint(alpha=alpha, count=len(dec.levels), energies=dec.energies,
                                  multiplicities=dec.multiplicities, cells=cells))
@@ -272,32 +274,21 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
         seen = mults[c][curve_idx[c] >= 0].tolist()
         if len(set(seen)) > 1:
             notes.append(f"curve {c}: multiplicity changes along the grid {sorted(set(seen))}")
-        curves.append(LevelCurve(
-            curve_index=c, n_sites=n_sites, variant=variant,
-            cluster_tolerance=cluster_tolerance,
-            multiplicity=seen[0] if seen else 0,
-            alpha_grid=grid, level_indices=curve_idx[c],
-            energies=energies[c], concurrence=conc[c]))
-
-    return SweepResult(
-        n_sites=n_sites, variant=variant, alpha_grid=grid,
-        points=tuple(points), backbone=backbone,
-        generic_count=generic, curves=tuple(curves),
-        cluster_tolerance=cluster_tolerance,
-        structure_tolerance=structure_tolerance,
-        concurrence_threshold=concurrence_threshold,
-        warnings=tuple(notes))
+        curves.append(LevelCurve(c, n_sites, variant, cluster_tolerance, seen[0] if seen else 0,
+                                 grid, curve_idx[c], energies[c], conc[c]))
+    return SweepResult(n_sites, variant, grid, tuple(points), backbone, generic, tuple(curves),
+                       cluster_tolerance, structure_tolerance, concurrence_threshold, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # Located events.  A backbone interval holds a crossing where its pairing swaps
 # the energy order of two levels, and an onset or offset where a curve's
 # concurrence at some separation changes sign.  One grouped bisection locates
-# them all.  Each event is a probe that follows its levels by projector overlap
-# from the interval's left end and maps a midpoint solution to its next
-# bracket; probes whose brackets coincide share that step's momentum-block
-# solve and level matches.  The cluster tolerance shrinks with the bracket so
-# near-degenerate levels stay resolved.
+# them all, and the intervals share each round's batched solve.  Each event is
+# a probe that follows its levels by projector overlap from the interval's left
+# end and maps a midpoint solution to its next bracket; probes whose brackets
+# coincide share that step's solve and level matches.  The cluster tolerance
+# shrinks with the bracket so near-degenerate levels stay resolved.
 
 
 @dataclass(frozen=True)
@@ -367,35 +358,40 @@ def _sign_changes(curve: LevelCurve, i: int, j: int, separations, threshold: flo
             for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
 
 
-def _bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
-    """Shrink [lo, hi] around the event of every probe until its bracket is
-    no wider than ``resolution`` or cannot shrink; returns the events in
-    probe order.  ``ring`` is the SweepResult or LevelCurve giving the ring
-    size, variant and cluster tolerance."""
-    base = ring.cluster_tolerance
-    ref = momentum_decomposition(RingSpec(ring.n_sites, lo, ring.variant),
-                                 cluster_tolerance=base)
-    brackets = [(lo, hi)] * len(probes)
-    active = list(range(len(probes)))
-    while active:
-        groups: dict = {}
-        for k in active:
-            groups.setdefault(brackets[k], []).append(k)
-        active = []
-        for (a, b), members in groups.items():
-            mid = 0.5 * (a + b)
-            if b - a <= resolution or not a < mid < b:
-                continue  # resolved, or no float strictly inside: cannot shrink
-            dec = momentum_decomposition(
-                RingSpec(ring.n_sites, mid, ring.variant),
-                cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
-            # each level is matched once per step
-            match = functools.cache(lambda level, dec=dec: match_single_level(ref, level, dec))
-            for k in members:
-                brackets[k] = probes[k].step(ref, a, b, dec, match)
-                if brackets[k] != (a, b):  # else the halving rounded back
-                    active.append(k)
-    return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]
+def _bisect(ring, intervals, resolution: float) -> list:
+    """Shrink the bracket of each probe of every (lo, hi, probes) in ``intervals`` until it is no
+    wider than ``resolution`` or cannot shrink; returns each interval's events in probe order.
+    ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance.
+    ``batch_size`` intervals go in lockstep: their left ends form one batch, as do a round's."""
+    base, size, events = ring.cluster_tolerance, batch_size(ring.n_sites), []
+    for chunk in (intervals[start:start + size] for start in range(0, len(intervals), size)):
+        refs = list(momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
+                                            for lo, _, _ in chunk))
+        brackets = [[(lo, hi)] * len(probes) for lo, hi, probes in chunk]
+        active = [list(range(len(probes))) for _, _, probes in chunk]
+        while any(active):
+            steps = []  # (interval, bracket, probes), in the order one interval steps them
+            for v, held in enumerate(active):
+                groups: dict = {}
+                for k in held:
+                    groups.setdefault(brackets[v][k], []).append(k)
+                steps += [(v, a, b, members) for (a, b), members in groups.items()
+                          if b - a > resolution and a < 0.5 * (a + b) < b]  # else cannot shrink
+            solved, active = momentum_decompositions(
+                (RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
+                 max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
+                for v, a, b, _ in steps), [[] for _ in chunk]
+            for (v, a, b, members), dec in zip(steps, solved):
+                # each level is matched once per step
+                match = functools.cache(lambda level, ref=refs[v], dec=dec:
+                                        match_single_level(ref, level, dec))
+                for k in members:
+                    brackets[v][k] = chunk[v][2][k].step(refs[v], a, b, dec, match)
+                    if brackets[v][k] != (a, b):  # else the halving rounded back
+                        active[v].append(k)
+        events += [[probe.event(*bracket) for probe, bracket in zip(probes, held)]
+                   for (_, _, probes), held in zip(chunk, brackets)]
+    return events
 
 
 def _interval_probes(sweep_result: SweepResult, separations=()):
@@ -427,8 +423,9 @@ def _located_events(sweep_result: SweepResult, resolution: float, separations=()
     at ``separations``, ascending in (alpha, curve, separation); each backbone
     interval is bisected once for all of its events.  The sorts are stable, so
     ties keep interval order per (curve, separation), as entanglement_boundaries does."""
-    events = [event for lo, hi, probes in _interval_probes(sweep_result, separations)
-              for event in _bisect(sweep_result, lo, hi, probes, resolution)]
+    intervals = list(_interval_probes(sweep_result, separations))
+    events = [event for located in _bisect(sweep_result, intervals, resolution)
+              for event in located]
     return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),
             sorted((e for e in events if e.kind != "crossing"),
                    key=lambda e: (e.alpha, e.curve_indices, e.separation)))
@@ -438,10 +435,8 @@ def _last_crossing(sweep_result: SweepResult, crossings,
                    alpha_max_search: float) -> CrossingEvent | None:
     """The highest of the located ``crossings`` and of the exact crossings on
     non-backbone grid points at or below ``alpha_max_search``."""
-    on_grid = [CrossingEvent(alpha=p.alpha, bracket=(p.alpha, p.alpha),
-                             kind="crossing", curve_indices=())
-               for p in sweep_result.points
-               if p.count < sweep_result.generic_count
+    on_grid = [CrossingEvent(p.alpha, (p.alpha, p.alpha), "crossing", ())
+               for p in sweep_result.points if p.count < sweep_result.generic_count
                and 0.0 < p.alpha < INFINITY and p.alpha <= alpha_max_search]
     return max([*crossings, *on_grid], key=lambda e: e.alpha, default=None)
 
@@ -454,12 +449,11 @@ def find_last_crossing(n_sites: int, alpha_max_search: float,
     """Largest alpha below ``alpha_max_search`` where the distinct-level count
     changes.  Returns None when the spectrum never crosses in the window."""
     if sweep_result is None:
-        lo = min(DEFAULT_GRID_MIN, alpha_max_search / 2)
-        grid = default_alpha_grid(lo=lo, hi=alpha_max_search, extras=())
-        sweep_result = sweep(n_sites, grid, variant,
-                             cluster_tolerance=cluster_tolerance)
+        grid = default_alpha_grid(lo=min(DEFAULT_GRID_MIN, alpha_max_search / 2),
+                                  hi=alpha_max_search, extras=())
+        sweep_result = sweep(n_sites, grid, variant, cluster_tolerance=cluster_tolerance)
     intervals = [s for s in _interval_probes(sweep_result) if s[0] <= alpha_max_search]
-    located = _bisect(sweep_result, *intervals[-1], resolution) if intervals else []
+    located = _bisect(sweep_result, intervals[-1:], resolution)[0] if intervals else []
     return _last_crossing(sweep_result, located, alpha_max_search)
 
 
@@ -482,7 +476,7 @@ def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,
     probe = _OrderSwap(int(curve_a.level_indices[i]), int(curve_b.level_indices[i]),
                        (curve_a.curve_index, curve_b.curve_index))
     alphas = curve_a.alpha_grid.tolist()
-    return _bisect(curve_a, alphas[i], alphas[j], [probe], resolution)[0]
+    return _bisect(curve_a, [(alphas[i], alphas[j], [probe])], resolution)[0][0]
 
 
 def entanglement_boundaries(curve: LevelCurve, separation: int,
@@ -496,20 +490,18 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     the boundary is a discontinuity at a level crossing, not a smooth zero;
     it is returned with ``crossing_coincident=True``.
     """
-    idx = np.nonzero(curve.valid)[0].tolist()
-    alphas = curve.alpha_grid.tolist()
-    return tuple(event for i, j in zip(idx[:-1], idx[1:])
+    idx, alphas = np.nonzero(curve.valid)[0].tolist(), curve.alpha_grid.tolist()
+    intervals = [(alphas[i], alphas[j], [probe]) for i, j in zip(idx[:-1], idx[1:])
                  for probe in _sign_changes(curve, i, j, [separation], threshold,
-                                            STRUCTURE_TOLERANCE_DEFAULT, jump_scale)
-                 for event in _bisect(curve, alphas[i], alphas[j], [probe], resolution))
+                                            STRUCTURE_TOLERANCE_DEFAULT, jump_scale)]
+    return tuple(event for (event,) in _bisect(curve, intervals, resolution))
 
 
 def separation_existence_intervals(sweep_result: SweepResult, separation: int,
                                    threshold: float | None = None) -> tuple:
     """Grid-resolution alpha intervals where some curve is entangled at the
     given separation (union over curves, backbone points only)."""
-    if threshold is None:
-        threshold = sweep_result.concurrence_threshold
+    threshold = sweep_result.concurrence_threshold if threshold is None else threshold
     idx = sweep_result.backbone
     values = np.array([curve.concurrence_at(separation)[idx] for curve in sweep_result.curves])
     union = (np.nan_to_num(values) > threshold).any(axis=0)
@@ -524,8 +516,7 @@ def separation_gaps(sweep_result: SweepResult, separation: int,
                     threshold: float | None = None) -> tuple:
     """Internal no-entanglement windows for one separation, with both edges
     bisected along the curves that close and reopen the coverage."""
-    if threshold is None:
-        threshold = sweep_result.concurrence_threshold
+    threshold = sweep_result.concurrence_threshold if threshold is None else threshold
     intervals = separation_existence_intervals(sweep_result, separation, threshold)
     if len(intervals) < 2:
         return ()
@@ -561,8 +552,7 @@ def entangled_level_census(n_sites: int, alpha: float, *,
                            cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                            variant: Variant = Variant.STANDARD) -> dict:
     """Per-separation count of levels with positive concurrence."""
-    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
-                                 STRUCTURE_TOLERANCE_DEFAULT)
+    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
     counts = (cells[:, :, 0] > threshold).sum(axis=0)
     return dict(enumerate(counts.tolist(), start=1))
 
@@ -607,8 +597,7 @@ def entangled_projector_census(sweep_result: SweepResult,
                                threshold: float | None = None) -> CurveCensus:
     """Classify every threaded curve by the separations it carries anywhere
     on the grid."""
-    if threshold is None:
-        threshold = sweep_result.concurrence_threshold
+    threshold = sweep_result.concurrence_threshold if threshold is None else threshold
     entangled = []
     for curve in sweep_result.curves:
         distances = curve.distances(threshold)
@@ -648,8 +637,7 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                   variant: Variant = Variant.STANDARD) -> LinearFit:
     """Fit the nearest-neighbor concurrence against level energy."""
-    levels, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
-                                      STRUCTURE_TOLERANCE_DEFAULT)
+    levels, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
     nn = cells[:, 0, 0]
     energies = np.array([level.energy for level in levels])[nn > threshold]
     values = nn[nn > threshold]
@@ -670,8 +658,7 @@ def distance_selectivity_check(n_sites: int, alpha: float, *,
     """Levels entangled at separation 1 or 2 that also carry entanglement at
     any other separation.  Returns (level_index, positive separations) pairs;
     coexistence limited to separations 3 and 4 alone is not reported."""
-    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance,
-                                 STRUCTURE_TOLERANCE_DEFAULT)
+    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
     positive = cells[:, :, 0] > threshold
     found = [(li, tuple((np.flatnonzero(row) + 1).tolist())) for li, row in enumerate(positive)]
     return [(li, seps) for li, seps in found if len(seps) > 1 and (1 in seps or 2 in seps)]

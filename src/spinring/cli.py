@@ -314,9 +314,7 @@ def cmd_report(config: RunConfig) -> str:
                    concurrence_threshold=config.concurrence_threshold)
 
     backbone = [int(b) for b in result.backbone]
-    rep_index = min(backbone, key=lambda i: abs(result.points[i].alpha - 1.0))
-    rep_alpha = result.points[rep_index].alpha
-    rep_point = result.points[rep_index]
+    rep_point = result.points[min(backbone, key=lambda i: abs(result.points[i].alpha - 1.0))]
 
     histogram = Counter(rep_point.multiplicities.tolist())
 
@@ -389,7 +387,7 @@ def cmd_report(config: RunConfig) -> str:
         "generic_level_count": result.generic_count,
         "counts_per_alpha": [{"alpha": p.alpha, "count": p.count}
                              for p in result.points],
-        "representative_alpha": rep_alpha,
+        "representative_alpha": rep_point.alpha,
         "projector_dimension_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "entangled_level_census": {str(k): v for k, v in level_census.items()},
         "entangled_projector_census": census_doc,

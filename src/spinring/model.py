@@ -12,7 +12,7 @@ each sector into lattice-momentum blocks.  Where a block's entries sit depends o
 alone, so it is cached per process and each alpha only scatters its weights: per
 sector (``_sector_pattern``), and for the momentum blocks of half the spectrum stacked
 by width into ``BlockGroup``s (``block_layout``), assembled by one bincount as
-sum_d w_d K_d or as one dense K_d (``BlockGroup.stack``).
+sum_d w_d K_d, for one alpha or a batch, or as one dense K_d (``BlockGroup.stack``).
 """
 
 from __future__ import annotations
@@ -320,14 +320,17 @@ class BlockGroup(NamedTuple):
     alignments: np.ndarray
 
     def stack(self, weights: np.ndarray) -> np.ndarray:
-        """sum_d weights[d - 1] K_d of every block, one bincount per real and imaginary part
-        adding the entries in pattern order, as np.add.at would."""
-        values = self.amplitudes * weights[self.seps]
-        out = np.empty(math.prod(self.shape), dtype=values.dtype)
-        out.real = np.bincount(self.flat, values.real, out.size)
+        """sum_d weights[..., d - 1] K_d of every block, B x w x w, or A x B x w x w for the A
+        rows of an A x N//2 ``weights``; one bincount per real and imaginary part adds the
+        entries in row and pattern order, so each row is its own stack, as np.add.at would."""
+        size, values = math.prod(self.shape), self.amplitudes * weights[..., self.seps]
+        flat = self.flat if weights.size == weights.shape[-1] else (  # else offset each row
+            size * np.arange(len(weights))[:, None] + self.flat).ravel()
+        out = np.empty(math.prod(weights.shape[:-1]) * size, dtype=values.dtype)
+        out.real = np.bincount(flat, values.real.ravel(), out.size)
         if out.dtype.kind == "c":
-            out.imag = np.bincount(self.flat, values.imag, out.size)
-        return out.reshape(self.shape)
+            out.imag = np.bincount(flat, values.imag.ravel(), out.size)
+        return out.reshape(*weights.shape[:-1], *self.shape)
 
 
 @functools.lru_cache(maxsize=None)

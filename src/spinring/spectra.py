@@ -8,9 +8,11 @@ magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_lev
 ``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
 lattice-momentum blocks k = 0 .. N//2, the rest being conjugates; each solved block stands
 for ``count`` blocks.  Each ``block_layout`` group of equal-width blocks is assembled by one
-bincount and solved by one eigvalsh or eigh, and ``momentum_decomposition`` keeps its
-eigenvectors for the levels' pair correlators, Re sum conj(V) (K_d V) with dense K_d, and for
-projector overlaps, |V_a^H V_b|^2 summed ``count`` times.  The cache stores sector blocks.
+bincount and solved by one eigvalsh or eigh.  ``momentum_decompositions`` does so for a batch
+of alphas at once, as many as ``BATCH_BYTES`` of eigenvectors hold, and keeps the eigenvectors
+for the levels' pair correlators, Re sum conj(V) (K_d V) with each dense K_d built once a
+batch, and for projector overlaps, |V_a^H V_b|^2 summed ``count`` times;
+``momentum_decomposition`` is its batch of one.  The cache stores sector blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pair
                     read_only, sector_block, sector_states, separation_weights, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
+
+# eigenvector bytes one batch of alphas holds: 58 points at N = 8 (9 KB each), 5 at 10, 1 at 12
+BATCH_BYTES = 2 ** 19
 
 
 class EigensolverError(RuntimeError):
@@ -66,11 +71,13 @@ class SectorEigensystem(NamedTuple):
 
 
 class MomentumEigensystem(NamedTuple):
-    """Eigenpairs of the STANDARD blocks of one ``block_layout`` group."""
+    """Eigenpairs of one group's STANDARD blocks at alpha ``index`` of a batch, as its views."""
     group: BlockGroup
     count: np.ndarray    # the group's counts: block b stands for count[b] blocks
     values: np.ndarray   # B x w, each row ascending
     vectors: np.ndarray  # B x w x w, orthonormal columns, complex unless every 2k = 0 mod N
+    pairs: object        # the batch's ``_pair_columns``, computed on the first call
+    index: int
 
 
 @dataclass(frozen=True)
@@ -124,31 +131,41 @@ class MomentumDecomposition(BlockDecomposition):
 
     def correlators(self, levels=None) -> np.ndarray:
         """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level
-        or of the listed ``levels``, 2 x N//2 x levels, from Re sum conj(V) (K_d V) and the diagonal
-        ZZ_d(r); only the blocks and columns holding those levels are reduced."""
+        or of the listed ``levels``, 2 x N//2 x levels, from ``_pair_columns``: the batch's where a
+        group holds only wanted levels, else of just the blocks and columns holding them."""
         n, every = self.spec.n_sites, np.arange(len(self.levels))
         wanted = every if levels is None else every[levels]
         slot = np.full(len(self.levels), -1)
         slot[wanted] = np.arange(wanted.size)
         targets, parts = [np.zeros(0, dtype=int)], [np.zeros((2, n // 2, 0))]
-        for (group, count, _, vectors), members in zip(self.blocks, self.members):
-            members = slot[members].reshape(group.shape[:2])
+        for block, members in zip(self.blocks, self.members):
+            members = slot[members].reshape(block.group.shape[:2])
             keep, rows = members >= 0, slice(None)
-            if not keep.any():
-                continue
-            if not keep.all():
+            if keep.all():
+                values = block.pairs()[block.index]
+            elif keep.any():
                 rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
-                vectors = vectors[rows][:, :, cols]
+                values = _pair_columns(block.group, block.vectors[rows][:, :, cols][None], rows)[0]
                 keep, members = keep[np.ix_(rows, cols)], members[np.ix_(rows, cols)]
-            conj, values = vectors.conj(), np.empty((2, n // 2, *keep.shape))
-            for d, separation in enumerate(np.eye(n // 2)):  # K_d, one d at a time
-                values[0, d] = (conj * (group.stack(separation)[rows] @ vectors)).real.sum(axis=1)
-            values[1] = (group.alignments[rows] @ np.square(np.abs(vectors))).swapaxes(0, 1)
+            else:
+                continue
             targets.append(members[keep])
-            parts.append((values * count[rows, None])[..., keep])
+            parts.append((values * block.count[rows, None])[..., keep])
         sums = np.zeros((2, n // 2, wanted.size))
         np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
         return sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities[wanted]
+
+
+def _pair_columns(group: BlockGroup, vectors: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Re sum conj(V) (K_d V) and the diagonal ZZ_d(r) |V|^2, d = 1 .. N//2, of each column of the
+    A x R x w x c eigenvectors V of the group's blocks ``rows``, as A x 2 x N//2 x R x c: each
+    dense K_d is built once and reduces all A alphas with one broadcast product."""
+    conj, half = vectors.conj(), group.alignments.shape[1]
+    out = np.empty((len(vectors), 2, half, *vectors.shape[1::2]))
+    for d, separation in enumerate(np.eye(half)):  # K_d, one d at a time
+        out[:, 0, d] = (conj * (group.stack(separation)[rows] @ vectors)).real.sum(axis=-2)
+    out[:, 1] = (group.alignments[rows] @ np.square(np.abs(vectors))).swapaxes(1, 2)
+    return out
 
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
@@ -207,10 +224,10 @@ def diagonalize(spec: RingSpec,
     return _assemble(spec, tuple(blocks), cluster_tolerance)
 
 
-def _solved_groups(spec: RingSpec, solver):
-    """Yield each ``block_layout`` group and ``solver`` of its STANDARD blocks' stack."""
-    weights = separation_weights(spec.n_sites, spec.alpha)
-    for group in block_layout(spec.n_sites):
+def _solved_groups(specs, solver):
+    """Yield each ``block_layout`` group and ``solver`` of its A stacks at the A ``specs``."""
+    weights = np.array([separation_weights(spec.n_sites, spec.alpha) for spec in specs])
+    for group in block_layout(specs[0].n_sites):
         try:
             yield group, solver(group.stack(weights))
         except np.linalg.LinAlgError as exc:
@@ -220,22 +237,43 @@ def _solved_groups(spec: RingSpec, solver):
 def energy_levels(spec: RingSpec,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
     """The clustered levels of ``diagonalize`` from one eigvalsh per ``block_layout`` group."""
-    raw = [np.repeat(values, group.counts, axis=0).ravel()
-           for group, values in _solved_groups(spec, np.linalg.eigvalsh)]
+    raw = [np.repeat(values[0], group.counts, axis=0).ravel()
+           for group, values in _solved_groups([spec], np.linalg.eigvalsh)]
     return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
 
 
-def _eigh(stack: np.ndarray) -> tuple:
-    """np.linalg.eigh of a stack, bitwise each block's own; a 1 x 1 block is its own."""
-    return (stack[:, 0].real, np.ones_like(stack)) if stack.shape[1] == 1 else np.linalg.eigh(stack)
+def batch_size(n_sites: int) -> int:
+    """The alphas a batch solves: as many as BATCH_BYTES of eigenvectors hold, at least one."""
+    point = sum(g.shape[0] * g.shape[1] ** 2 * g.amplitudes.itemsize for g in block_layout(n_sites))
+    return max(1, BATCH_BYTES // point)
+
+
+def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
+    """The ``momentum_decomposition`` of each (spec, cluster tolerance) of ``jobs``, one ring size,
+    in order: ``batch_size`` alphas share one assembly and one eigh per ``block_layout`` group,
+    each is assembled when reached, and a failed batch is solved an alpha at a time to name it."""
+    jobs = list(jobs)
+    size = batch_size(jobs[0][0].n_sites) if jobs else 1
+    for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
+        try:  # each group's values, vectors and, on demand, its columns' correlators
+            solved = [(g, w, v, functools.cache(functools.partial(_pair_columns, g, v)))
+                      for g, (w, v) in _solved_groups([spec for spec, _ in batch], np.linalg.eigh)]
+        except EigensolverError:
+            if len(batch) == 1:
+                raise
+            yield from (dec for job in batch for dec in momentum_decompositions([job]))
+            continue
+        for a, (spec, tolerance) in enumerate(batch):
+            blocks = tuple(MomentumEigensystem(g, g.counts, w[a], v[a], p, a)
+                           for g, w, v, p in solved)
+            yield _assemble(spec, blocks, tolerance, MomentumDecomposition)
+        del solved, blocks  # before the next batch is solved
 
 
 def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
                            ) -> MomentumDecomposition:
     """The levels of ``energy_levels`` with one eigh per ``block_layout`` group."""
-    blocks = tuple(MomentumEigensystem(group, group.counts, *eig)
-                   for group, eig in _solved_groups(spec, _eigh))
-    return _assemble(spec, blocks, cluster_tolerance, MomentumDecomposition)
+    return next(momentum_decompositions([(spec, cluster_tolerance)]))
 
 
 def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

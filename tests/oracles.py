@@ -19,6 +19,10 @@ separation at a time, and ``momentum_correlators`` and ``block_overlap_matrix``
 work through a momentum decomposition one block at a time: the references for
 ``model.block_layout``'s group stacks and the correlators and overlaps reduced
 from them.
+
+``bisect`` locates the events of one backbone interval with one solve per
+step: the reference for ``analysis._bisect``, which bisects many intervals in
+lockstep and solves each round's midpoints as one batch.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from spinring.model import (RingSpec, SectorBlock, Variant, _momentum_entries, _
                             total_weight, variant_map)
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
                               LevelPairing, SpectralDecomposition, cluster_levels)
+from spinring import spectra
 
 
 @dataclass(frozen=True)
@@ -390,3 +395,35 @@ def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
                                                                    _momentum_blocks(dec_b)):
         np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
     return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
+
+
+def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
+    """Shrink [lo, hi] around the event of every probe until its bracket is
+    no wider than ``resolution`` or cannot shrink; returns the events in
+    probe order.  ``ring`` is the SweepResult or LevelCurve giving the ring
+    size, variant and cluster tolerance."""
+    base = ring.cluster_tolerance
+    ref = spectra.momentum_decomposition(RingSpec(ring.n_sites, lo, ring.variant),
+                                         cluster_tolerance=base)
+    brackets = [(lo, hi)] * len(probes)
+    active = list(range(len(probes)))
+    while active:
+        groups: dict = {}
+        for k in active:
+            groups.setdefault(brackets[k], []).append(k)
+        active = []
+        for (a, b), members in groups.items():
+            mid = 0.5 * (a + b)
+            if b - a <= resolution or not a < mid < b:
+                continue  # resolved, or no float strictly inside: cannot shrink
+            dec = spectra.momentum_decomposition(
+                RingSpec(ring.n_sites, mid, ring.variant),
+                cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
+            # each level is matched once per step
+            match = functools.cache(
+                lambda level, dec=dec: spectra.match_single_level(ref, level, dec))
+            for k in members:
+                brackets[k] = probes[k].step(ref, a, b, dec, match)
+                if brackets[k] != (a, b):  # else the halving rounded back
+                    active.append(k)
+    return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import itertools
 import json
@@ -25,6 +24,7 @@ from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       uniform_state, pair_concurrence, concurrence_structured,
                       StructureError, extract_abc, reduce_two_sites)
 from spinring.cli import main
+from spinring.model import separation_weights
 
 THRESHOLD = 1e-10
 
@@ -51,8 +51,36 @@ def test_sweep_rejects_bad_grids():
 
 def test_sweep_wraps_numerical_failures():
     with pytest.raises(SweepError) as info:
-        sweep(4, [0.5, 1.0], cluster_tolerance=-1.0)
+        sweep(4, [0.5, 1.0], structure_tolerance=-1.0)
     assert info.value.alpha == 0.5
+    assert isinstance(info.value.original, StructureError)
+    # a bad argument is no numerical failure
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        sweep(4, [0.5, 1.0], cluster_tolerance=-1.0)
+
+
+def test_a_failed_batched_eigh_names_its_alpha_and_sector(monkeypatch):
+    # the batch is solved again one alpha at a time, so the failure lands on its own alpha
+    n, grid = 6, np.geomspace(0.5, 8, 9).tolist()
+    group, real = spectra_module.block_layout(n)[0], np.linalg.eigh
+    poison = group.stack(separation_weights(n, grid[4]))
+    solved = []
+
+    def eigh(stack):
+        solved.append(stack.shape[:-3])
+        if stack.shape[-3:] == poison.shape and any(
+                np.array_equal(block, poison) for block in stack.reshape(-1, *poison.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(SweepError) as info:
+        sweep(n, grid)
+    assert info.value.alpha == grid[4]
+    assert isinstance(info.value.original, spectra_module.EigensolverError)
+    assert info.value.original.sector == group.blocks[0][0]
+    assert solved[0] == (9,)  # the batched solve failed first
+    assert main(["report", "--n", "6", "--grid", "0.5:8:9:log"]) == 3
 
 
 def test_sweep_small_ring_structure():
@@ -79,17 +107,27 @@ def test_sweep_small_ring_structure():
 
 
 def test_sweep_holds_at_most_two_decompositions(monkeypatch):
-    real, solved, live = analysis_module.momentum_decomposition, [], []
+    # three points a batch: besides the batch being solved, every live batch array is one
+    # that a live decomposition views, and at most two assembled decompositions are live
+    point = sum(math.prod(g.shape) * g.amplitudes.itemsize for g in spectra_module.block_layout(6))
+    monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
+    real, solved, live, batches = spectra_module._assemble, [], [], []
 
-    def tracked(*args, **kwargs):
-        live.append(sum(ref() is not None for ref in solved))
-        dec = real(*args, **kwargs)
-        solved.append(weakref.ref(dec))
+    def tracked(spec, blocks, *args, **kwargs):
+        batch = blocks[0].vectors.base
+        if not any(ref() is batch for ref in batches):
+            batches.append(weakref.ref(batch))
+        held = [(ref(), base()) for ref, base in solved]
+        live.append(sum(dec is not None for dec, _ in held))
+        viewed = [base for dec, base in held if dec is not None] + [batch]
+        assert all(base is None or any(base is b for b in viewed) for _, base in held)
+        dec = real(spec, blocks, *args, **kwargs)
+        solved.append((weakref.ref(dec), weakref.ref(batch)))
         return dec
 
-    monkeypatch.setattr(analysis_module, "momentum_decomposition", tracked)
+    monkeypatch.setattr(spectra_module, "_assemble", tracked)
     sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
-    assert len(live) == 14
+    assert len(live) == 14 and len(batches) == 5
     assert max(live) <= 2
 
 
@@ -246,6 +284,23 @@ def test_entanglement_boundaries_events(sweep8):
 
 
 
+def _recording_solves(monkeypatch, limit=INFINITY):
+    """Record the (spec, cluster tolerance) of every alpha the batched solver is given, through
+    analysis and through ``momentum_decomposition``, and raise once more than ``limit`` are;
+    returns the list."""
+    real, jobs = spectra_module.momentum_decompositions, []
+
+    def recorded(batch):
+        jobs.extend(batch := list(batch))
+        if len(jobs) > limit:
+            raise RuntimeError(f"more than {limit} solves")
+        return real(batch)
+
+    for module in (analysis_module, spectra_module):
+        monkeypatch.setattr(module, "momentum_decompositions", recorded)
+    return jobs
+
+
 def _recording(monkeypatch, module, name, limit=INFINITY):
     """Replace ``module.name`` with a wrapper that records each call's
     arguments and raises after ``limit`` calls, so a bisection that stops
@@ -267,30 +322,30 @@ def _recording(monkeypatch, module, name, limit=INFINITY):
 def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
     # below the spacing of floats the midpoint rounds to an endpoint and the
     # merged-pair step rounds back to the same bracket
-    _recording(monkeypatch, analysis_module, "momentum_decomposition", 3000)
+    _recording_solves(monkeypatch, 3000)
     assert main(["report", "--n", "6", "--grid", "0.5:12:12",
                  "--resolution", "1e-300"]) == 0
     capsys.readouterr()
     res = sweep(7, np.linspace(0.5, 12, 12))
-    _recording(monkeypatch, analysis_module, "momentum_decomposition", 500)
+    _recording_solves(monkeypatch, 500)
     events = entanglement_boundaries(res.curves[2], 2, 1e-300)
     assert len(events) == 1
     assert 0 < events[0].width < 1e-15
 
 
 def test_golden_report_solve_counts(monkeypatch, capsys):
-    # the golden n8 report's counts when they were pinned: 84 momentum-block solves
-    # through analysis (15 grid points, 68 bisection steps and references, and the
-    # fit), each one eigh per block_layout group wider than 1 (84 x 8: the 21 nonempty
-    # blocks, none wider than 10, in 10 groups across sectors, two of them 1 x 1; one
-    # eigh per stack of a sector's equal-shape blocks also made 8, and the sector path
-    # 84 + 1 solves of 9 eigh calls up to 70 wide); a change that adds solves fails
-    # here, not only in the wall time
-    solves = _recording(monkeypatch, analysis_module, "momentum_decomposition")
+    # the golden n8 report's counts when they were pinned: 84 alphas given to the batched
+    # solver (15 grid points, 68 bisection steps and references, and the fit) in 7 batches
+    # (the sweep, the references, four bisection rounds and the fit), each one eigh per
+    # block_layout group (7 x 10: the 21 nonempty blocks, none wider than 10, in 10 groups
+    # across sectors; one solve per alpha made 84 x 8 = 672 with the two 1 x 1 groups read
+    # directly, and the sector path 84 + 1 solves of 9 eigh calls up to 70 wide); a change
+    # that adds solves fails here, not only in the wall time
+    solves = _recording_solves(monkeypatch)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 672)
+    assert (len(solves), len(eighs)) == (84, 70)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -320,8 +375,11 @@ def test_interval_probes_match_the_pairwise_scan(n):
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     res = sweep(6, np.linspace(0.5, 12, 12))
     lo, hi, swapped = next(s for s in analysis_module._interval_probes(res) if len(s[2]) >= 8)
-    bisect = functools.partial(analysis_module._bisect, res, lo, hi, resolution=1e-6)
-    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
+
+    def bisect(probes):
+        return analysis_module._bisect(res, [(lo, hi, probes)], 1e-6)[0]
+
+    calls = _recording_solves(monkeypatch)
     grouped = bisect(swapped)
     shared = len(calls)
     single = [bisect([probe])[0] for probe in swapped]
@@ -330,11 +388,43 @@ def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     assert shared < len(calls) - shared
 
 
+def _one_interval_at_a_time(ring, intervals, resolution):
+    return [oracles.bisect(ring, lo, hi, probes, resolution) for lo, hi, probes in intervals]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_lockstep_bisection_matches_one_interval_at_a_time(n, monkeypatch):
+    res = sweep(n, sorted({*np.geomspace(0.3, 10, 14).tolist(), 2.0}))
+    separations = range(1, n // 2 + 1)
+    want = _one_interval_at_a_time(res, list(analysis_module._interval_probes(res, separations)),
+                                   0.05)
+    assert sum(map(len, want)) > 0
+    for batch_bytes in (spectra_module.BATCH_BYTES, 1):  # one interval and one alpha a batch
+        monkeypatch.setattr(spectra_module, "BATCH_BYTES", batch_bytes)
+        intervals = list(analysis_module._interval_probes(res, separations))  # fresh probes
+        assert analysis_module._bisect(res, intervals, 0.05) == want
+
+
+def test_single_interval_callers_match_one_interval_at_a_time(sweep8, monkeypatch):
+    def located():
+        curves = sweep8.curves
+        return (find_last_crossing(8, 3.0, 1e-4, sweep_result=sweep8),
+                locate_crossing(curves[9], curves[26], 1e-4),
+                locate_crossing(curves[0], curves[1], 1e-4),
+                [entanglement_boundaries(curve, sep, 1e-4) for curve in curves[:12]
+                 for sep in (2, 4)])
+
+    got = located()
+    monkeypatch.setattr(analysis_module, "_bisect", _one_interval_at_a_time)
+    assert got == located()
+    assert got[0] is not None and got[1] is not None and sum(map(len, got[3])) == 3
+
+
 def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
     res = sweep(8, np.geomspace(0.5, 8, 15))
-    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
+    calls = _recording_solves(monkeypatch)
     events = all_crossings(res, 0.1)
-    keys = [(args[0].alpha, kwargs["cluster_tolerance"]) for args, kwargs in calls]
+    keys = [(spec.alpha, tolerance) for spec, tolerance in calls]
     assert len(events) > 100
     assert len(keys) == len(set(keys))
 
@@ -353,7 +443,7 @@ REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
 
 
 def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):
-    calls = _recording(monkeypatch, analysis_module, "momentum_decomposition")
+    calls = _recording_solves(monkeypatch)
     real_sweep = cli_module.sweep
 
     def sweep_then_forget(*args, **kwargs):  # keep the solves after the sweep
@@ -365,7 +455,7 @@ def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):
     assert main(REPORT_N8) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["separation_gaps"]            # the report does pair a gap
-    keys = [(args[0].alpha, kwargs["cluster_tolerance"]) for args, kwargs in calls]
+    keys = [(spec.alpha, tolerance) for spec, tolerance in calls]
     assert len(keys) > 50
     assert len(keys) == len(set(keys))
 

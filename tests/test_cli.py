@@ -126,21 +126,38 @@ def test_spectrum_eigensolver_failure_exits_3(capsys, monkeypatch):
 
 
 def test_memory_error_exits_3(capsys, monkeypatch):
-    # concurrence meets it at its first solve, report after the sweep (bisection or fit)
-    calls, solve = [], analysis_module.momentum_decomposition
+    # report meets it at the sweep's first batched solve, in the bisection after the sweep
+    # and at the fit; concurrence at its first solve
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
 
-    def exhausted(spec, **kwargs):
-        calls.append(spec)
-        if len(calls) > 5:
-            raise MemoryError("Unable to allocate 2.00 GiB for an array")
-        return solve(spec, **kwargs)
+    solve, calls = analysis_module.momentum_decompositions, []
 
-    monkeypatch.setattr(analysis_module, "momentum_decomposition", exhausted)
-    for argv in (("report", "--n", "6", "--grid", "0.5:8:5"),
-                 ("concurrence", "--n", "4", "--alpha", "1")):
-        code, out, err = run(capsys, *argv)
+    def after_the_sweep(jobs):
+        calls.append(jobs)
+        return exhausted() if len(calls) > 1 else solve(jobs)
+
+    report = ("report", "--n", "6", "--grid", "0.5:8:5")
+    for module, name, replacement, argv in (
+            (np.linalg, "eigh", exhausted, report),
+            (analysis_module, "momentum_decompositions", after_the_sweep, report),
+            (analysis_module, "momentum_decomposition", exhausted, report),
+            (np.linalg, "eigh", exhausted, ("concurrence", "--n", "4", "--alpha", "1"))):
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, replacement)
+            code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == "spinring: out of memory: Unable to allocate 2.00 GiB for an array\n"
+    assert len(calls) == 2
+
+
+def test_a_bug_in_the_sweep_gives_a_traceback(monkeypatch):
+    def broken(stack):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["report", "--n", "6", "--grid", "0.5:8:5"])
 
 
 def test_mixed_levels_exit_3(capsys):

@@ -130,7 +130,7 @@ def test_decomposition_holds_only_sector_blocks():
 
 def test_stacked_momentum_solves_match_one_solve_per_block():
     # every block_layout group, across sectors, is assembled and solved as one stack, a 1 x 1
-    # group not at all; every block still gets exactly the eigh and eigvalsh of solving it alone
+    # group too; every block still gets exactly the eigh and eigvalsh of solving it alone
     for n in (2, 5, 8, 11, 12):
         spec = RingSpec(n, 0.7)
         dec = momentum_decomposition(spec)
@@ -153,6 +153,57 @@ def test_stacked_momentum_solves_match_one_solve_per_block():
                 assert entry.vectors[b].dtype == alone_v.dtype
                 assert entry.vectors[b].strides == alone_v.strides
                 assert np.array_equal(stacked_values[b], np.linalg.eigvalsh(block))
+
+
+BATCH_ALPHAS = (0.0, 1e-7, 0.7, 2.0, 3.3, INFINITY)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_batched_stacks_match_one_alpha_at_a_time(n):
+    # one bincount over A x N//2 weights gives each row's own stack, bit for bit, and each
+    # block the entry-by-entry assembly of its alpha
+    weights = np.array([separation_weights(n, alpha) for alpha in BATCH_ALPHAS])
+    for group in block_layout(n):
+        stacks = group.stack(weights)
+        assert stacks.shape == (len(BATCH_ALPHAS), *group.shape)
+        for alpha, row, stack in zip(BATCH_ALPHAS, weights, stacks):
+            alone = group.stack(row)
+            assert alone.shape == group.shape and alone.dtype == stack.dtype
+            assert alone.tobytes() == stack.tobytes()
+            for block, (s, k) in zip(stack, group.blocks):
+                assert block.tobytes() == oracles.momentum_block(RingSpec(n, alpha), s, k).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
+    # every alpha and variant in one batch, whatever the ring size
+    monkeypatch.setattr(spectra_module, "BATCH_BYTES", 2 ** 40)
+    jobs = [(RingSpec(n, alpha, variant), 1e-9) for variant in Variant for alpha in BATCH_ALPHAS]
+    solved = spectra_module.momentum_decompositions(jobs)
+    for (spec, tolerance), got in zip(jobs, solved):
+        want = momentum_decomposition(spec, tolerance)
+        assert got.spec == spec and got.levels == want.levels
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        for array in ("sectors", "columns", "members"):
+            assert np.array_equal(np.hstack(getattr(got, array)), np.hstack(getattr(want, array)))
+        for a, b in zip(got.blocks, want.blocks):
+            assert a.group is b.group
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.vectors.tobytes() == b.vectors.tobytes()
+            assert a.vectors.strides == b.vectors.strides
+        count = len(want.levels)
+        for levels in (None, [0], [count - 1, 0], list(range(0, count, 3))):
+            assert np.max(np.abs(got.correlators(levels) - want.correlators(levels))) <= 1e-15
+    assert next(solved, None) is None
+
+
+def test_batch_size_bounds_the_eigenvector_bytes():
+    for n, size in ((8, 58), (10, 5), (12, 1), (14, 1)):
+        point = sum(math.prod(g.shape) * g.amplitudes.itemsize for g in block_layout(n))
+        assert spectra_module.batch_size(n) == size
+        assert size * point <= spectra_module.BATCH_BYTES or size == 1
+    # the whole 43-point report grid at N = 8 is one batch
+    assert spectra_module.batch_size(8) >= 43
 
 
 @pytest.mark.parametrize("n", range(2, 13))
