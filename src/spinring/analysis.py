@@ -347,15 +347,21 @@ class _SignChange:
                              crossing_coincident=bool(self.edge > self.jump_scale))
 
 
-def _sign_changes(curve: LevelCurve, i: int, j: int, separations, threshold: float,
+def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold: float,
                   structure_tolerance: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
-    """The probes of the curve's concurrence at each of ``separations`` whose sign
-    changes between grid points i and j, in the order of ``separations``."""
-    values = curve.concurrence[:, [i, j]]
-    above = (values > threshold).tolist()
-    return [_SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
-                        values[sep - 1].max(), threshold, structure_tolerance, jump_scale)
-            for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
+    """For each (i, j) of ``intervals``, the probes of the ``curves`` flagged in its row of
+    ``tracked`` whose concurrence at one of ``separations`` is above ``threshold`` at one end
+    only, curves in order, then separations: one comparison covers every interval."""
+    probes, rows = [[] for _ in intervals], np.asarray(separations, dtype=int) - 1
+    ends = np.array([c.concurrence[rows] for c in curves])[:, :, np.reshape(intervals, (-1, 2))]
+    above = ends > threshold  # curve x separation x interval x end
+    changed = (above[..., 0] != above[..., 1]) & tracked.T[:, None]
+    for c, s, m in zip(*(axis.tolist() for axis in np.nonzero(changed))):
+        probes[m].append(_SignChange(curves[c].curve_index,
+                                     int(curves[c].level_indices[intervals[m][0]]),
+                                     int(rows[s]) + 1, bool(above[c, s, m, 0]), ends[c, s, m].max(),
+                                     threshold, structure_tolerance, jump_scale))
+    return probes
 
 
 def _bisect(ring, intervals, resolution: float) -> list:
@@ -395,25 +401,23 @@ def _bisect(ring, intervals, resolution: float) -> list:
 
 
 def _interval_probes(sweep_result: SweepResult, separations=()):
-    """Yield (alpha_lo, alpha_hi, probes) for every consecutive backbone
-    interval holding an event: the level pairs (indexed at alpha_lo) whose
-    pairing swaps energy order, then every curve's sign changes at each of
-    ``separations``, curves and separations ascending."""
+    """Yield (alpha_lo, alpha_hi, probes) for every consecutive backbone interval holding an
+    event: the level pairs (indexed at alpha_lo) whose pairing swaps energy order, then every
+    curve's sign changes at each of ``separations`` (``_sign_changes``)."""
     backbone = [int(b) for b in sweep_result.backbone]
+    intervals = list(zip(backbone[:-1], backbone[1:]))
     index = np.array([curve.level_indices for curve in sweep_result.curves])  # curve x point
-    for i, j in zip(backbone[:-1], backbone[1:]):
-        tracked = np.flatnonzero((index[:, i] >= 0) & (index[:, j] >= 0))
+    tracked = ((index[:, backbone[:-1]] >= 0) & (index[:, backbone[1:]] >= 0)).T
+    signs = _sign_changes(sweep_result.curves, intervals, tracked, separations,
+                          sweep_result.concurrence_threshold, sweep_result.structure_tolerance)
+    for (i, j), both, probes in zip(intervals, tracked, signs):
         # the curves by level at i (no two share one); the pairs whose later curve is below
         # at j, in the row-major order of itertools.combinations
-        held = tracked[np.argsort(index[tracked, i])]
+        held = np.flatnonzero(both)[np.argsort(index[both, i])]
         curves, at_i, at_j = held.tolist(), index[held, i].tolist(), index[held, j]
         first, second = np.nonzero(np.triu(np.greater.outer(at_j, at_j), 1))
         probes = [_OrderSwap(at_i[p], at_i[q], (curves[p], curves[q]))
-                  for p, q in zip(first.tolist(), second.tolist())]
-        probes += [probe for c in tracked.tolist()
-                   for probe in _sign_changes(sweep_result.curves[c], i, j, separations,
-                                              sweep_result.concurrence_threshold,
-                                              sweep_result.structure_tolerance)]
+                  for p, q in zip(first.tolist(), second.tolist())] + probes
         if probes:
             yield sweep_result.points[i].alpha, sweep_result.points[j].alpha, probes
 
@@ -491,9 +495,10 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     it is returned with ``crossing_coincident=True``.
     """
     idx, alphas = np.nonzero(curve.valid)[0].tolist(), curve.alpha_grid.tolist()
-    intervals = [(alphas[i], alphas[j], [probe]) for i, j in zip(idx[:-1], idx[1:])
-                 for probe in _sign_changes(curve, i, j, [separation], threshold,
-                                            STRUCTURE_TOLERANCE_DEFAULT, jump_scale)]
+    pairs = list(zip(idx[:-1], idx[1:]))
+    signs = _sign_changes([curve], pairs, np.ones((len(pairs), 1), dtype=bool), [separation],
+                          threshold, STRUCTURE_TOLERANCE_DEFAULT, jump_scale)
+    intervals = [(alphas[i], alphas[j], probes) for (i, j), probes in zip(pairs, signs) if probes]
     return tuple(event for (event,) in _bisect(curve, intervals, resolution))
 
 
@@ -609,15 +614,10 @@ def entangled_projector_census(sweep_result: SweepResult,
         for sep in distances:
             pos = np.nonzero(curve.concurrence_at(sep)[idx] > threshold)[0]
             spans[sep] = (float(alphas[pos[0]]), float(alphas[pos[-1]]))
-        entangled.append(CurveEntanglement(
-            curve_index=curve.curve_index, multiplicity=curve.multiplicity,
-            distances=distances, spans=spans))
+        entangled.append(CurveEntanglement(curve.curve_index, curve.multiplicity, distances, spans))
     one_dim = tuple(c.curve_index for c in sweep_result.curves if c.multiplicity == 1)
     one_dim_ent = tuple(e.curve_index for e in entangled if e.multiplicity == 1)
-    return CurveCensus(n_curves=len(sweep_result.curves),
-                       entangled=tuple(entangled),
-                       one_dim_indices=one_dim,
-                       one_dim_entangled=one_dim_ent)
+    return CurveCensus(len(sweep_result.curves), tuple(entangled), one_dim, one_dim_ent)
 
 
 @dataclass(frozen=True)
@@ -646,9 +646,8 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
             f"{values.size} positive nearest-neighbor points at alpha={alpha!r}; need 2")
     slope, intercept = np.polyfit(energies, values, 1)
     residual = np.max(np.abs(values - (slope * energies + intercept)))
-    return LinearFit(a=float(-slope), b=float(-intercept),
-                     max_residual=float(residual), n_points=int(values.size),
-                     max_concurrence=float(values.max()))
+    return LinearFit(float(-slope), float(-intercept), float(residual), int(values.size),
+                     float(values.max()))
 
 
 def distance_selectivity_check(n_sites: int, alpha: float, *,

@@ -7,12 +7,16 @@ with K_d the alpha-independent bond sum at separation d; the variants are
 affine maps scale * H + shift * I of it (``variant_map``).  Basis states
 are products of local sigma^z eigenstates, encoded as N-bit integers: bit
 (j-1) is 1 when site j is "up" (+), so site 1 is the least significant bit.
-H conserves the magnetization (``sector_block``), and the ring translation splits
-each sector into lattice-momentum blocks.  Where a block's entries sit depends on N
-alone, so it is cached per process and each alpha only scatters its weights: per
-sector (``_sector_pattern``), and for the momentum blocks of half the spectrum stacked
-by width into ``BlockGroup``s (``block_layout``), assembled by one bincount as
-sum_d w_d K_d, for one alpha or a batch, or as one dense K_d (``BlockGroup.stack``).
+H conserves the magnetization (``sector_block``) and commutes with the ring translation
+T and reflection R, R T R = T^-1.  T splits each sector into lattice-momentum blocks
+k; H is real, so the antiunitary R K (K: complex conjugation) maps block k onto itself,
+and in a basis it fixes the block is real, split into R-even and R-odd blocks where
+2k = 0 mod N (``_reflection_blocks``; Sandvik, AIP Conf. Proc. 1297, 135 (2010)).
+Where a block's entries sit depends on N alone, so it is cached per process and each
+alpha only scatters its weights: per sector (``_sector_pattern``), and for the real
+blocks of half the spectrum stacked by width into ``BlockGroup``s (``block_layout``),
+assembled by one bincount as sum_d w_d K_d, for one alpha or a batch, or as one dense
+K_d (``BlockGroup.stack``).
 """
 
 from __future__ import annotations
@@ -255,62 +259,96 @@ def top_eigenspace_basis(n_sites: int) -> np.ndarray:
     return read_only(basis)
 
 
-def translation_permutation(n_sites: int) -> np.ndarray:
-    """Basis permutation of the cyclic site shift j -> j+1."""
-    states = np.arange(2 ** n_sites, dtype=np.int64)
-    top = (states >> (n_sites - 1)) & 1
-    return ((states << 1) & (2 ** n_sites - 1)) | top
-
-
 @functools.lru_cache(maxsize=None)
 def _translation_orbits(n_sites: int) -> np.ndarray:
-    """Each basis state's translation-orbit representative r (its smallest image),
-    period p and shift l with T^l r = the state, as the rows of one cached, read-only array."""
-    shift_of, images = translation_permutation(n_sites), np.arange(2 ** n_sites)[None]
-    for _ in range(n_sites - 1):  # row j holds T^j of every state
-        images = np.vstack([images, shift_of[images[-1]]])
-    period = n_sites // np.count_nonzero(images == images[0], axis=0)
-    return read_only(np.stack([images.min(axis=0), period, -images.argmin(axis=0) % period]))
+    """Each basis state's translation-orbit representative r (its smallest image), period p and
+    shift l with T^l r = the state, T taking site j to j + 1 (a left rotation of the bits), as
+    the rows of one cached, read-only array."""
+    states = np.arange(2 ** n_sites)
+    reps, first, fixed = states.copy(), np.zeros_like(states), np.ones_like(states)
+    for j in range(1, n_sites):  # T^j of every state, one j at a time
+        image = (states << j | states >> (n_sites - j)) & (2 ** n_sites - 1)
+        smaller, fixed = image < reps, fixed + (image == states)
+        reps[smaller], first[smaller] = image[smaller], j
+    period = n_sites // fixed
+    return read_only(np.stack([reps, period, -first % period]))
 
 
-def _momentum_basis(n_sites: int, sector: int, momentum: int) -> np.ndarray:
-    """The sector's orbit representatives r whose period p allows k: k p = 0 mod N."""
-    reps, period, _ = _translation_orbits(n_sites)
-    states = sector_states(n_sites)[sector]
-    return states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
+def _reflection(n_sites: int, states: np.ndarray) -> np.ndarray:
+    """The images of ``states`` under the ring reflection R, site j -> site 2 - j (mod N), which
+    keeps every separation and reverses the translation: R T R = T^-1."""
+    return sum(((states >> j) & 1) << (-j % n_sites) for j in range(n_sites))  # bit j to -j
 
 
-def _momentum_entries(n_sites: int, sector: int, momentum: int) -> tuple:
-    """Width, int32 flat positions row * width + col, int8 separation indices and amplitudes of
-    the nonzeros of one momentum block, ascending in (position, separation), and the N//2 x w int8
-    +-1 alignment sums ZZ_d(r) of its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r>, r in
-    ``_momentum_basis``.  A pair term taking r_b to T^l r_a adds its ``sector_block`` entry
-    times e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
-    reps, period, shift = _translation_orbits(n_sites)
-    basis = _momentum_basis(n_sites, sector, momentum)
-    position = np.full(2 ** n_sites, -1)  # -1: the extra last row, for partners outside
-    position[basis] = np.arange(size := basis.size)
-    bj, bk, sep, masks = _ring_pairs(n_sites)
-    anti = ((basis[:, None] >> bj) ^ (basis[:, None] >> bk)) & 1
-    cols, pairs = np.nonzero(anti)
-    partners = basis[cols] ^ masks[pairs]
-    rows = position[reps[partners]]
-    angle = 2 * np.pi * (momentum * shift[partners] % n_sites) / n_sites
-    phases = np.cos(angle) if 2 * momentum % n_sites == 0 else np.exp(1j * angle)  # +-1 if real
-    coefficients = np.zeros((size + 1, size, n_sites // 2), dtype=phases.dtype)
-    alignments = (1 - 2 * anti) @ np.eye(n_sites // 2, dtype=int)[sep]
-    coefficients[np.diag_indices(size)] = alignments
-    np.add.at(coefficients, (rows, cols, sep[pairs]),
-              2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
-    rows, cols, seps = np.nonzero(coefficients[:size])
-    return (size, (rows * size + cols).astype(np.int32), seps.astype(np.int8),
-            coefficients[rows, cols, seps], alignments.T.astype(np.int8))
+def _reflection_blocks(n_sites: int, sector: int) -> tuple:
+    """The sector's blocks (momentum, parity), k = 0 .. N//2, their widths, and a function of b
+    giving block b's (flat, seps, amplitudes, alignments), as ``BlockGroup`` holds them.
+    |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r> for the orbit representatives r whose period allows
+    k; R |r> = T^m |rbar> gives R K |r, k> = e^{i theta} |rbar, k>, theta = 2 pi k m/N.  Basis,
+    ascending in r <= rbar: (|r, k> + R K |r, k>)/sqrt2 and i (|r, k> - R K |r, k>)/sqrt2 if
+    r < rbar, e^{i theta/2} |r, k> if r = rbar (parity 0); at 2k = 0 mod N the sums without i
+    (parity 1, -1), |r, k> joining its R eigenvalue's.  So <u|H|v> = sqrt2 Re <u|H|r, k> (times
+    i or e^{i theta/2}): a pair term taking r to T^l r' adds 2 sqrt(n_r/n_r') cos(phi) at (u, v)
+    for each u holding r', n_r the dihedral orbit size, phi a multiple of pi/(2N) from one
+    table; ``BlockGroup.stack`` sums the terms."""
+    n, half = n_sites, n_sites // 2
+    reps, period, shift = _translation_orbits(n)
+    states = sector_states(n)[sector]
+    orbit = states[reps[states] == states]
+    bar = reps[mirror := _reflection(n, orbit)]
+    pair, second = orbit != bar, orbit > bar
+    first = np.searchsorted(orbit, np.minimum(orbit, bar))
+    size = period[orbit] * (1 + pair)
+    blocks = [(k, q) for k in range(half + 1) for q in ((1, -1) if 2 * k % n == 0 else (0,))]
+    k, parity = np.array(blocks).T[:, :, None]  # B x 1 each
+    cosines = np.cos(np.pi / (2 * n) * np.arange(4 * n))  # the phases, in steps of pi/(2N)
+    cosines[::n] = 1, 0, -1, 0
+    half_theta = 2 * k * shift[mirror] % (4 * n)
+    member = ((k * period[orbit] % n == 0) & ~second
+              & ((parity == 0) | pair | (cosines[2 * half_theta % (4 * n)] == parity)))
+    span = member * (1 + ((parity == 0) & pair))  # a pair's two vectors at parity 0
+    slot = np.where(member, np.cumsum(span, axis=1) - span, -1)
+    col_phase = np.where((parity == 0) & ~pair, half_theta, 0)
+    row_phase = np.where(second, 2 * n * (parity < 0) - 2 * half_theta, -col_phase)
+    bj, bk, sep, masks = _ring_pairs(n)
+    anti = ((orbit[:, None] >> bj) ^ (orbit[:, None] >> bk)) & 1
+    alignments = ((1 - 2 * anti) @ np.eye(half, dtype=int)[sep]).astype(np.int8)
+    source, pairs = np.nonzero(anti & ~second[:, None])
+    partner = orbit[source] ^ masks[pairs]
+    # held until the sector's last block is built: the small integers in small types
+    source, target = source.astype(np.int32), np.searchsorted(orbit, reps[partner]).astype(np.int32)
+    seps, ring_shift = sep[pairs].astype(np.int8), shift[partner].astype(np.int8)
+    ratio = 2 * np.sqrt(size[source] / size[target])
+    column, row = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[:, :, None]
+
+    def entries(b: int) -> tuple:
+        rows_at, cols_at, width = slot[b][first], slot[b], span[b].sum()  # r' at its pair's row
+        term = np.flatnonzero((cols_at[source] >= 0) & (rows_at[target] >= 0))
+        out, into = source[term], target[term]
+        phase = 4 * k[b, 0] * ring_shift[term] + col_phase[b][out] + row_phase[b][into]
+        flat = rows_at[into] * width + cols_at[out]
+        if parity[b, 0] == 0:  # copies (column, row) 00, 01, 10, 11: a pair's two vectors each
+            phase = phase + n * column + row * (2 * n * second[into] - n)
+            flat = flat + column + row * width
+            amplitude = ratio[term] * ((column <= pair[out]) & (row <= pair[into]))
+        else:
+            amplitude = ratio[term]
+        values = np.ravel(amplitude * cosines[phase % (4 * n)])
+        keep = np.flatnonzero(values)
+        zz = alignments[np.repeat(np.flatnonzero(member[b]), span[b][member[b]])].T
+        d, diagonal = np.nonzero(zz)
+        return (np.concatenate([np.ravel(flat)[keep], diagonal * (width + 1)]).astype(np.int32),
+                np.concatenate([seps[term][keep % term.size], d]).astype(np.int8),
+                np.concatenate([values[keep], zz[d, diagonal]]), zz)
+
+    return blocks, span.sum(axis=1), entries
 
 
 class BlockGroup(NamedTuple):
-    """Momentum blocks of one width and dtype as a B x w x w stack: block b is (sector, momentum)
-    ``blocks[b]``, standing for ``counts[b]`` blocks (its spin-flip mirror and its conjugate), with
-    the N//2 x w ZZ_d(r) ``alignments[b]``; entry i adds ``amplitudes[i]`` to K_d at ``flat[i]``."""
+    """Real blocks of one width as a B x w x w stack: block b is (sector, momentum, parity)
+    ``blocks[b]`` (``_reflection_blocks``), standing for ``counts[b]`` blocks (its spin-flip
+    mirror, and block -k if parity is 0), with the N//2 x w ZZ_d(r) ``alignments[b]``; entry i
+    adds ``amplitudes[i]`` to K_d at ``flat[i]``, d - 1 = ``seps[i]``."""
     blocks: tuple
     shape: tuple
     counts: np.ndarray
@@ -320,35 +358,35 @@ class BlockGroup(NamedTuple):
     alignments: np.ndarray
 
     def stack(self, weights: np.ndarray) -> np.ndarray:
-        """sum_d weights[..., d - 1] K_d of every block, B x w x w, or A x B x w x w for the A
-        rows of an A x N//2 ``weights``; one bincount per real and imaginary part adds the
-        entries in row and pattern order, so each row is its own stack, as np.add.at would."""
-        size, values = math.prod(self.shape), self.amplitudes * weights[..., self.seps]
+        """sum_d weights[..., d - 1] K_d of every block, B x w x w, or A x B x w x w for the A rows
+        of an A x N//2 ``weights``, by one bincount: each row is its own stack, bit for bit."""
+        size = math.prod(self.shape)
         flat = self.flat if weights.size == weights.shape[-1] else (  # else offset each row
             size * np.arange(len(weights))[:, None] + self.flat).ravel()
-        out = np.empty(math.prod(weights.shape[:-1]) * size, dtype=values.dtype)
-        out.real = np.bincount(flat, values.real.ravel(), out.size)
-        if out.dtype.kind == "c":
-            out.imag = np.bincount(flat, values.imag.ravel(), out.size)
-        return out.reshape(*weights.shape[:-1], *self.shape)
+        values = (self.amplitudes * weights[..., self.seps]).ravel()
+        stacks = np.bincount(flat, values, math.prod(weights.shape[:-1]) * size)
+        return stacks.reshape(*weights.shape[:-1], *self.shape)
 
 
 @functools.lru_cache(maxsize=None)
 def block_layout(n_sites: int) -> tuple:
-    """The nonempty lattice-momentum blocks k = 0 .. N//2 (C(N, s)/N wide, real if 2k = 0 mod N) of
-    the sectors with 2s >= N, which stand for every block (Sandvik, AIP Conf. Proc. 1297, 135
-    (2010)), as ``BlockGroup``s by (width, dtype) in order of first (sector, momentum); cached."""
-    groups, layout = {}, []
+    """The nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) of the sectors
+    with 2s >= N, which stand for every block (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), as
+    ``BlockGroup``s by width in order of first (sector, momentum, parity); cached.  A group's
+    entries are built when it is, so the others' are not held meanwhile."""
+    groups = {}
     for s in range((n_sites + 1) // 2, n_sites + 1):
-        for k in range(n_sites // 2 + 1):
-            if width := _momentum_basis(n_sites, s, k).size:  # else no period allows k
-                groups.setdefault((width, 2 * k % n_sites == 0), []).append((s, k))
-    for (width, _), blocks in groups.items():  # one group's entries held at a time
-        _, flats, seps, amplitudes, alignments = zip(*(_momentum_entries(n_sites, *block)
-                                                       for block in blocks))
-        counts = [2 ** ((2 * s > n_sites) + (0 < 2 * k < n_sites)) for s, k in blocks]
+        blocks, widths, entries = _reflection_blocks(n_sites, s)
+        for b, ((k, parity), width) in enumerate(zip(blocks, widths.tolist())):
+            if width:  # standing for its spin-flip mirror and, at parity 0, block -k
+                count = 2 ** ((2 * s > n_sites) + (parity == 0))
+                groups.setdefault(width, []).append(((s, k, parity), count, entries, b))
+    layout = []
+    for width, members in groups.items():
+        blocks, counts, makers, indices = zip(*members)
+        flats, seps, amplitudes, alignments = zip(*map(lambda make, b: make(b), makers, indices))
         flat = np.concatenate([b * width ** 2 + f for b, f in enumerate(flats)])
-        layout.append(BlockGroup(tuple(blocks), (len(blocks), width, width), *map(read_only, (
-            np.array(counts), flat, np.concatenate(seps), np.concatenate(amplitudes),
-            np.stack(alignments)))))
+        layout.append(BlockGroup(blocks, (len(blocks), width, width), *map(read_only, (
+            np.array(counts), flat, np.concatenate(seps),
+            np.concatenate(amplitudes), np.stack(alignments)))))
     return tuple(layout)

@@ -31,28 +31,16 @@ def format_real(value: float, infinity_token: str = CSV_INFINITY) -> str:
 
 
 def _emit(obj, out, indent: int, infinity_token: str) -> None:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(inner + json.dumps(str(key)) + ": ")
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (dict, list, tuple)):  # one item a line, a dict's after its key
+        mapping, inner = isinstance(obj, dict), " " * (indent + 2)
+        out.append("{\n" if mapping else "[\n")
+        for i, (key, value) in enumerate(obj.items() if mapping else enumerate(obj)):
+            out.append(inner + json.dumps(str(key)) + ": " if mapping else inner)
             _emit(value, out, indent + 2, infinity_token)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _emit(value, out, indent + 2, infinity_token)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(" " * indent + ("}" if mapping else "]"))
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
@@ -77,18 +65,21 @@ def emit_json(document) -> str:
 
 
 def emit_csv(header, rows) -> str:
-    """CSV with '\\n' line endings; reals exact, infinities as ``inf``."""
+    """CSV with '\\n' line endings; reals as ``format_real`` gives them, by one %-template a row:
+    %.17g, or %.1f where %.17g prints no point or exponent (integral, below 1e17 in size)."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
+        template, values = [], []
         for cell in row:
             if isinstance(cell, float):  # the common cell, tested first; no bool is one
-                cells.append(format_real(cell, CSV_INFINITY))
-            elif isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+                if cell != cell:
+                    raise ValueError("NaN has no serialized form")
+                template.append("%.1f" if cell.is_integer() and -1e17 < cell < 1e17 else "%.17g")
+                values.append(cell)
+            else:  # bools as true and false, the rest as str prints them
+                template.append("%s")
+                values.append(("true" if cell else "false") if isinstance(cell, bool) else cell)
+        lines.append(",".join(template) % tuple(values))
     return "\n".join(lines) + "\n"
 
 

@@ -6,13 +6,14 @@ downstream looks at it.  A level owns a contiguous slice of the globally sorted 
 list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` solves every
 magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_levels`` and
 ``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
-lattice-momentum blocks k = 0 .. N//2, the rest being conjugates; each solved block stands
-for ``count`` blocks.  Each ``block_layout`` group of equal-width blocks is assembled by one
+lattice-momentum blocks k = 0 .. N//2, made real by the ring reflection (k = 0 and N/2 each
+split into its even and odd block), the rest being conjugates; each solved block stands for
+``count`` blocks.  Each ``block_layout`` group of equal-width real blocks is assembled by one
 bincount and solved by one eigvalsh or eigh.  ``momentum_decompositions`` does so for a batch
 of alphas at once, as many as ``BATCH_BYTES`` of eigenvectors hold, and keeps the eigenvectors
-for the levels' pair correlators, Re sum conj(V) (K_d V) with each dense K_d built once a
-batch, and for projector overlaps, |V_a^H V_b|^2 summed ``count`` times;
-``momentum_decomposition`` is its batch of one.  The cache stores sector blocks.
+for the levels' pair correlators, sum V (K_d V) with each dense K_d built once a batch, and for
+projector overlaps, (V_a^T V_b)^2 summed ``count`` times; ``momentum_decomposition`` is its
+batch of one.  The cache stores sector blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pair
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 
-# eigenvector bytes one batch of alphas holds: 58 points at N = 8 (9 KB each), 5 at 10, 1 at 12
+# eigenvector bytes one batch of alphas holds; the blocks are real, so 8 w^2 bytes a block:
+# 109 points at N = 8 (4.7 KB each), 10 at 10, 1 at 12
 BATCH_BYTES = 2 ** 19
 
 
@@ -75,7 +77,7 @@ class MomentumEigensystem(NamedTuple):
     group: BlockGroup
     count: np.ndarray    # the group's counts: block b stands for count[b] blocks
     values: np.ndarray   # B x w, each row ascending
-    vectors: np.ndarray  # B x w x w, orthonormal columns, complex unless every 2k = 0 mod N
+    vectors: np.ndarray  # B x w x w, real orthonormal columns
     pairs: object        # the batch's ``_pair_columns``, computed on the first call
     index: int
 
@@ -157,14 +159,14 @@ class MomentumDecomposition(BlockDecomposition):
 
 
 def _pair_columns(group: BlockGroup, vectors: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Re sum conj(V) (K_d V) and the diagonal ZZ_d(r) |V|^2, d = 1 .. N//2, of each column of the
+    """sum V (K_d V) and the diagonal ZZ_d(r) V^2, d = 1 .. N//2, of each column of the
     A x R x w x c eigenvectors V of the group's blocks ``rows``, as A x 2 x N//2 x R x c: each
     dense K_d is built once and reduces all A alphas with one broadcast product."""
-    conj, half = vectors.conj(), group.alignments.shape[1]
+    half = group.alignments.shape[1]
     out = np.empty((len(vectors), 2, half, *vectors.shape[1::2]))
     for d, separation in enumerate(np.eye(half)):  # K_d, one d at a time
-        out[:, 0, d] = (conj * (group.stack(separation)[rows] @ vectors)).real.sum(axis=-2)
-    out[:, 1] = (group.alignments[rows] @ np.square(np.abs(vectors))).swapaxes(1, 2)
+        out[:, 0, d] = (vectors * (group.stack(separation)[rows] @ vectors)).sum(axis=-2)
+    out[:, 1] = (group.alignments[rows] @ np.square(vectors)).swapaxes(1, 2)
     return out
 
 
@@ -244,7 +246,7 @@ def energy_levels(spec: RingSpec,
 
 def batch_size(n_sites: int) -> int:
     """The alphas a batch solves: as many as BATCH_BYTES of eigenvectors hold, at least one."""
-    point = sum(g.shape[0] * g.shape[1] ** 2 * g.amplitudes.itemsize for g in block_layout(n_sites))
+    point = 8 * sum(g.shape[0] * g.shape[1] ** 2 for g in block_layout(n_sites))
     return max(1, BATCH_BYTES // point)
 
 
@@ -348,10 +350,8 @@ def lagrange_projector(hamiltonian: HamiltonianMatrix | np.ndarray,
     """
     matrix = hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else hamiltonian
     energies = sorted(float(e) for e in distinct_energies)
-    spread = energies[-1] - energies[0]
-    floor = separation_floor * max(1.0, spread)
-    gaps = np.diff(energies)
-    if np.any(gaps < floor):
+    floor = separation_floor * max(1.0, energies[-1] - energies[0])
+    if np.any(np.diff(energies) < floor):
         raise IllConditionedError(
             f"distinct energies closer than {floor:.3e}; projector product is ill-conditioned")
     matches = [e for e in energies if abs(e - target) < floor]
@@ -385,14 +385,14 @@ class LevelPairing:
 
 
 def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^H V_b per
-    entry and one bincount: a block adds |V_a^H V_b|^2 ``count`` times, which is exact, since
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^T V_b per
+    entry and one bincount: a block adds (V_a^T V_b)^2 ``count`` times, which is exact, since
     the blocks it stands for are unitary images of it (the spin flip) or its conjugates."""
     size_b, pairs, weights = len(dec_b.levels), [], []
     for block_a, block_b, levels_a, levels_b in zip(
             dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
         width = block_a.vectors.shape[-1]
-        gram = np.abs(block_a.vectors.conj().swapaxes(-1, -2) @ block_b.vectors)
+        gram = block_a.vectors.swapaxes(-1, -2) @ block_b.vectors
         weights.append((np.reshape(block_a.count, (-1, 1, 1)) * np.square(gram)).ravel())
         pairs.append((levels_a.reshape(-1, width, 1) * size_b
                       + levels_b.reshape(-1, 1, width)).ravel())
@@ -456,11 +456,10 @@ def match_single_level(dec_a: BlockDecomposition, index_a: int,
         width, count = block_a.values.shape[-1], np.reshape(block_a.count, -1)
         for i in np.flatnonzero(dec_a.members[e] == index_a).tolist():
             b, c = divmod(i, width)  # flat column i is column c of block b
-            row = block_a.vectors.reshape(-1, width, width)[b, :, c].conj()
-            gram = np.abs(row @ block_b.vectors.reshape(-1, width, width)[b])
+            row = block_a.vectors.reshape(-1, width, width)[b, :, c]
+            gram = row @ block_b.vectors.reshape(-1, width, width)[b]
             np.add.at(sums, dec_b.members[e][b * width:(b + 1) * width], count[b] * np.square(gram))
-    norm = np.maximum(level.multiplicity, dec_b.multiplicities)
-    overlaps = sums / norm
+    overlaps = sums / np.maximum(level.multiplicity, dec_b.multiplicities)
     j = int(np.argmax(overlaps))
     return j, float(overlaps[j])
 
@@ -490,8 +489,7 @@ class DecompositionCache:
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, spec: RingSpec) -> str:
-        name = f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin"
-        return os.path.join(self.directory, name)
+        return os.path.join(self.directory, f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin")
 
     def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:
         """The stored decomposition clustered at ``tolerance``, or None when
@@ -524,9 +522,8 @@ class DecompositionCache:
         return _assemble(spec, blocks, tolerance)
 
     def store(self, decomposition: SpectralDecomposition) -> str:
-        spec = decomposition.spec
+        spec, blocks = decomposition.spec, decomposition.blocks
         path = self._path(spec)
-        blocks = decomposition.blocks
         arrays = [b.values for b in blocks] + [b.vectors for b in blocks]
         checksum = functools.reduce(lambda crc, array: zlib.crc32(array, crc), arrays, 0)
         header = {**_cache_header(spec), "checksum": checksum}
@@ -545,9 +542,7 @@ class DecompositionCache:
 
     def get(self, spec: RingSpec,
             tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> SpectralDecomposition:
-        cached = self.load(spec, tolerance)
-        if cached is not None:
-            return cached
-        dec = diagonalize(spec, tolerance)
-        self.store(dec)
+        dec = self.load(spec, tolerance)
+        if dec is None:
+            self.store(dec := diagonalize(spec, tolerance))
         return dec

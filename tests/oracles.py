@@ -13,16 +13,21 @@ straight from its magnetization blocks, with no Werner assumption, and
 ``_point_records`` and ``level_measures`` build the sweep cells and the global
 measures from those tables: the reference for the momentum-block Werner cells.
 
-``momentum_block`` assembles one lattice-momentum block entry by entry,
-``separation_correlators`` reduces its columns by gathering its nonzeros one
-separation at a time, and ``momentum_correlators`` and ``block_overlap_matrix``
-work through a momentum decomposition one block at a time: the references for
-``model.block_layout``'s group stacks and the correlators and overlaps reduced
-from them.
+``momentum_block`` assembles one complex lattice-momentum block entry by
+entry (``_momentum_entries``), and ``separation_correlators`` reduces its columns
+by gathering its nonzeros one separation at a time.  ``reflection_basis`` builds
+the columns of each real ``model.block_layout`` block as sector-space vectors
+from the translation and reflection permutations alone, ``reflection_blocks``
+projects the sector block onto them, and ``momentum_correlators`` and
+``block_overlap_matrix`` work through a momentum decomposition one block at a
+time, its columns taken back to the complex basis: the references for the group
+stacks and the correlators and overlaps reduced from them.
 
 ``bisect`` locates the events of one backbone interval with one solve per
 step: the reference for ``analysis._bisect``, which bisects many intervals in
-lockstep and solves each round's midpoints as one batch.
+lockstep and solves each round's midpoints as one batch.  ``sign_changes``
+compares one curve's concurrence at one interval's ends: the reference for
+``analysis._sign_changes``, which compares every curve and interval at once.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinring.analysis import _check_energy_identity
+from spinring.analysis import JUMP_SCALE_DEFAULT, _SignChange, _check_energy_identity
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
-from spinring.model import (RingSpec, SectorBlock, Variant, _momentum_entries, _ring_pairs,
-                            build_sector_blocks, read_only, sector_states, separation_weights,
-                            total_weight, variant_map)
+from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
+                            build_sector_blocks, read_only, sector_block, sector_states,
+                            separation_weights, total_weight, variant_map)
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
                               LevelPairing, SpectralDecomposition, cluster_levels)
 from spinring import spectra
@@ -338,9 +343,51 @@ def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np
                                for t in tables], axis=1))
 
 
+def translation_permutation(n_sites: int) -> np.ndarray:
+    """Basis permutation of the cyclic site shift j -> j+1."""
+    states = np.arange(2 ** n_sites, dtype=np.int64)
+    top = (states >> (n_sites - 1)) & 1
+    return ((states << 1) & (2 ** n_sites - 1)) | top
+
+
 def spin_flip_permutation(n_sites: int) -> np.ndarray:
     """Basis permutation of the global up/down exchange (bit complement)."""
     return (2 ** n_sites - 1) - np.arange(2 ** n_sites, dtype=np.int64)
+
+
+def _momentum_basis(n_sites: int, sector: int, momentum: int) -> np.ndarray:
+    """The sector's orbit representatives r whose period p allows k: k p = 0 mod N."""
+    reps, period, _ = _translation_orbits(n_sites)
+    states = sector_states(n_sites)[sector]
+    return states[(reps[states] == states) & (momentum * period[states] % n_sites == 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _momentum_entries(n_sites: int, sector: int, momentum: int) -> tuple:
+    """Width, int32 flat positions row * width + col, int8 separation indices and amplitudes of
+    the nonzeros of one momentum block, ascending in (position, separation), and the N//2 x w int8
+    +-1 alignment sums ZZ_d(r) of its basis |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r>, r in
+    ``_momentum_basis``.  A pair term taking r_b to T^l r_a adds its ``sector_block`` entry
+    times e^{2 pi i k l/N} sqrt(p_b/p_a) at (a, b)."""
+    reps, period, shift = _translation_orbits(n_sites)
+    basis = _momentum_basis(n_sites, sector, momentum)
+    position = np.full(2 ** n_sites, -1)  # -1: the extra last row, for partners outside
+    position[basis] = np.arange(size := basis.size)
+    bj, bk, sep, masks = _ring_pairs(n_sites)
+    anti = ((basis[:, None] >> bj) ^ (basis[:, None] >> bk)) & 1
+    cols, pairs = np.nonzero(anti)
+    partners = basis[cols] ^ masks[pairs]
+    rows = position[reps[partners]]
+    angle = 2 * np.pi * (momentum * shift[partners] % n_sites) / n_sites
+    phases = np.cos(angle) if 2 * momentum % n_sites == 0 else np.exp(1j * angle)  # +-1 if real
+    coefficients = np.zeros((size + 1, size, n_sites // 2), dtype=phases.dtype)
+    alignments = (1 - 2 * anti) @ np.eye(n_sites // 2, dtype=int)[sep]
+    coefficients[np.diag_indices(size)] = alignments
+    np.add.at(coefficients, (rows, cols, sep[pairs]),
+              2 * phases * np.sqrt(period[basis[cols]] / period[basis[rows]]))
+    rows, cols, seps = np.nonzero(coefficients[:size])
+    return (size, (rows * size + cols).astype(np.int32), seps.astype(np.int8),
+            coefficients[rows, cols, seps], alignments.T.astype(np.int8))
 
 
 def momentum_block(spec: RingSpec, sector: int, momentum: int) -> np.ndarray:
@@ -367,21 +414,127 @@ def separation_correlators(n_sites: int, sector: int, momentum: int, vectors) ->
     return np.stack([bonds, zz]) / np.bincount(_ring_pairs(n_sites)[2])[:, None]
 
 
+@functools.lru_cache(maxsize=None)
+def _orbits(n_sites: int) -> tuple:
+    """(r, images T^j r for j < p, the smallest j with T^j r = R r or -1) of every translation
+    orbit, ascending in its smallest member r, and each basis integer's R image and orbit's r,
+    from the site maps T: j -> j + 1 and R: j -> 2 - j on the bits of each basis integer."""
+    bits = (np.arange(2 ** n_sites)[:, None] >> np.arange(n_sites)) & 1
+    powers = 1 << np.arange(n_sites)
+    shifted = (np.roll(bits, 1, axis=1) @ powers).tolist()
+    reflected = (bits[:, -np.arange(n_sites) % n_sites] @ powers).tolist()
+    orbits, smallest = [], [0] * 2 ** n_sites
+    for r in range(2 ** n_sites):
+        images = [r]
+        while shifted[images[-1]] != r:
+            images.append(shifted[images[-1]])
+        if min(images) == r:
+            for x in images:
+                smallest[x] = r
+            orbits.append((r, images, images.index(reflected[r]) if reflected[r] in images else -1))
+    return tuple(orbits), reflected, smallest
+
+
+def _sector_positions(n_sites: int, sector: int) -> dict:
+    """Each basis integer with ``sector`` up spins and its position among them, ascending."""
+    states = [x for x in range(2 ** n_sites) if bin(x).count("1") == sector]
+    return {x: i for i, x in enumerate(states)}
+
+
+def momentum_vectors(n_sites: int, sector: int, momentum: int) -> np.ndarray:
+    """|r, k> = p^-1/2 sum_{j < p} e^{-2 pi i k j/N} T^j |r> of each orbit of the sector whose
+    period p allows k, ascending in r, as the columns of a C(N, s) x w complex matrix over the
+    sector's states, ascending: the basis of ``momentum_block``."""
+    position, columns = _sector_positions(n_sites, sector), []
+    for r, images, _ in _orbits(n_sites)[0]:
+        if r in position and momentum * len(images) % n_sites == 0:
+            column = np.zeros(len(position), dtype=complex)
+            column[[position[x] for x in images]] = np.exp(
+                -2j * np.pi * momentum * np.arange(len(images)) / n_sites) / math.sqrt(len(images))
+            columns.append(column)
+    return np.array(columns, dtype=complex).reshape(-1, len(position)).T
+
+
+def reflection_basis(n_sites: int, sector: int, momentum: int, parity: int) -> np.ndarray:
+    """The columns of block (sector, momentum, parity) of ``model.block_layout`` over the
+    sector's states: for each pair of orbits r < rbar = the orbit of R r, (v + R K v)/sqrt2 and
+    i (v - R K v)/sqrt2 with v = |r, k>, or, at 2k = 0 mod N, (v + parity R v)/sqrt2; for
+    R r = T^m r, e^{i pi k m/N} v, or v if R v = parity v at 2k = 0 mod N."""
+    orbits, reflected, smallest = _orbits(n_sites)
+    position = _sector_positions(n_sites, sector)
+    mirror = [position[reflected[x]] for x in position]
+    real, columns = 2 * momentum % n_sites == 0, []
+    vectors = momentum_vectors(n_sites, sector, momentum).T
+    for (r, _, m), v in zip((o for o in orbits if o[0] in position
+                             and momentum * len(o[1]) % n_sites == 0), vectors):
+        flipped = np.zeros_like(v)
+        flipped[mirror] = v.conj()  # R K v
+        if m < 0 and smallest[reflected[r]] > r:
+            columns += ([(v + parity * flipped) / math.sqrt(2)] if real else
+                        [(v + flipped) / math.sqrt(2), 1j * (v - flipped) / math.sqrt(2)])
+        elif m >= 0 and not real:
+            columns.append(np.exp(1j * np.pi * momentum * m / n_sites) * v)
+        elif m >= 0 and np.allclose(flipped, parity * v):
+            columns.append(v)
+    return np.array(columns, dtype=complex).reshape(-1, len(position)).T
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_rows(n_sites: int, sector: int, momentum: int, parity: int) -> tuple:
+    """The width of ``reflection_basis`` and, per sector state, the at most two columns holding
+    it and their coefficients (column 0 and coefficient 0 for none)."""
+    basis = reflection_basis(n_sites, sector, momentum, parity)
+    rows, cols = np.nonzero(basis)
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # 0 or 1 within a row
+    where, coefficient = np.zeros((len(basis), 2), dtype=int), np.zeros((len(basis), 2), complex)
+    where[rows, slot], coefficient[rows, slot] = cols, basis[rows, cols]
+    return basis.shape[1], where, coefficient
+
+
+def reflection_blocks(spec: RingSpec, sector: int, blocks) -> list:
+    """B^H H B for the ``sector_block`` H of a STANDARD spec and B the ``reflection_basis`` of
+    each (momentum, parity) of ``blocks``, from the nonzeros of H and the at most two nonzeros
+    of each row of B; complex, as computed."""
+    hamiltonian = sector_block(spec, sector).block
+    x, y = np.nonzero(hamiltonian)
+    entries, out = hamiltonian[x, y], []
+    for momentum, parity in blocks:
+        width, where, coefficient = _basis_rows(spec.n_sites, sector, momentum, parity)
+        block = np.zeros(width ** 2, dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                values = coefficient[x, a].conj() * entries * coefficient[y, b]
+                flat = where[x, a] * width + where[y, b]
+                block += np.bincount(flat, values.real, width ** 2)
+                block += 1j * np.bincount(flat, values.imag, width ** 2)
+        out.append(block.reshape(width, width))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def basis_change(n_sites: int, sector: int, momentum: int, parity: int) -> np.ndarray:
+    """<r, k|u>: the columns of ``reflection_basis`` in the basis of ``momentum_block``."""
+    return read_only(momentum_vectors(n_sites, sector, momentum).conj().T
+                     @ reflection_basis(n_sites, sector, momentum, parity))
+
+
 def _momentum_blocks(dec):
-    """(count, vectors, levels of its columns, sector, momentum) of every block of a momentum
-    decomposition, one at a time."""
+    """(count, vectors, levels of its columns, sector, momentum, parity) of every block of a
+    momentum decomposition, one at a time."""
     for entry, members in zip(dec.blocks, dec.members):
         width = entry.vectors.shape[-1]
-        for b, (sector, momentum) in enumerate(entry.group.blocks):
+        for b, (sector, momentum, parity) in enumerate(entry.group.blocks):
             yield (entry.count[b], entry.vectors[b], members[b * width:(b + 1) * width],
-                   sector, momentum)
+                   sector, momentum, parity)
 
 
 def momentum_correlators(dec, levels=None) -> np.ndarray:
-    """``MomentumDecomposition.correlators`` block by block with ``separation_correlators``."""
+    """``MomentumDecomposition.correlators`` block by block with ``separation_correlators``, each
+    block's columns taken to the complex basis by ``basis_change``."""
     n, sums = dec.spec.n_sites, np.zeros((2, dec.spec.n_sites // 2, len(dec.levels)))
-    for count, vectors, members, sector, momentum in _momentum_blocks(dec):
-        values = separation_correlators(n, sector, momentum, vectors)
+    for count, vectors, members, sector, momentum, parity in _momentum_blocks(dec):
+        change = basis_change(n, sector, momentum, parity)
+        values = separation_correlators(n, sector, momentum, change @ vectors)
         np.add.at(sums, (slice(None), slice(None), members), count * values)
     means = sums / dec.multiplicities
     return means if levels is None else means[..., levels]
@@ -395,6 +548,18 @@ def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
                                                                    _momentum_blocks(dec_b)):
         np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
     return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
+
+
+def sign_changes(curve, i: int, j: int, separations, threshold: float,
+                 structure_tolerance: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+    """The probes of one curve's concurrence at each of ``separations`` whose sign changes
+    between grid points i and j, in the order of ``separations``, one comparison per
+    separation: the reference for ``analysis._sign_changes``."""
+    values = curve.concurrence[:, [i, j]]
+    above = (values > threshold).tolist()
+    return [_SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
+                        values[sep - 1].max(), threshold, structure_tolerance, jump_scale)
+            for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
 
 
 def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:

@@ -109,7 +109,7 @@ def test_sweep_small_ring_structure():
 def test_sweep_holds_at_most_two_decompositions(monkeypatch):
     # three points a batch: besides the batch being solved, every live batch array is one
     # that a live decomposition views, and at most two assembled decompositions are live
-    point = sum(math.prod(g.shape) * g.amplitudes.itemsize for g in spectra_module.block_layout(6))
+    point = 8 * sum(math.prod(g.shape) for g in spectra_module.block_layout(6))
     monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
     real, solved, live, batches = spectra_module._assemble, [], [], []
 
@@ -337,15 +337,16 @@ def test_golden_report_solve_counts(monkeypatch, capsys):
     # the golden n8 report's counts when they were pinned: 84 alphas given to the batched
     # solver (15 grid points, 68 bisection steps and references, and the fit) in 7 batches
     # (the sweep, the references, four bisection rounds and the fit), each one eigh per
-    # block_layout group (7 x 10: the 21 nonempty blocks, none wider than 10, in 10 groups
-    # across sectors; one solve per alpha made 84 x 8 = 672 with the two 1 x 1 groups read
-    # directly, and the sector path 84 + 1 solves of 9 eigh calls up to 70 wide); a change
-    # that adds solves fails here, not only in the wall time
+    # block_layout group (7 x 8: the 26 nonempty real blocks, none wider than 9, in 8 groups
+    # across sectors; the 21 complex blocks in 10 groups made 7 x 10 = 70, one solve per
+    # alpha 84 x 8 = 672 with the two 1 x 1 groups read directly, and the sector path 84 + 1
+    # solves of 9 eigh calls up to 70 wide); a change that adds solves fails here, not only
+    # in the wall time
     solves = _recording_solves(monkeypatch)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 70)
+    assert (len(solves), len(eighs)) == (84, 56)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -361,13 +362,22 @@ def test_interval_probes_match_the_pairwise_scan(n):
         probes = [analysis_module._OrderSwap(k, l, (a, b))
                   for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
         probes += [probe for curve in tracked
-                   for probe in analysis_module._sign_changes(
+                   for probe in oracles.sign_changes(
                        curve, i, j, separations, res.concurrence_threshold,
                        res.structure_tolerance)]
         if probes:
             expected.append((res.points[i].alpha, res.points[j].alpha, probes))
     got = list(analysis_module._interval_probes(res, separations))
     assert got == expected
+    # entanglement_boundaries' scan, one curve and separation over its valid intervals
+    for curve in res.curves:
+        idx = np.flatnonzero(curve.valid).tolist()
+        pairs = list(zip(idx[:-1], idx[1:]))
+        for sep in separations:
+            scanned = analysis_module._sign_changes(
+                [curve], pairs, np.ones((len(pairs), 1), bool), [sep], 1e-10, 1e-10)
+            assert scanned == [oracles.sign_changes(curve, i, j, [sep], 1e-10, 1e-10)
+                               for i, j in pairs]
     swaps = [p for _, _, probes in got for p in probes if isinstance(p, analysis_module._OrderSwap)]
     assert swaps and all(type(x) is int for p in swaps for x in (p.a, p.b, *p.label))
 

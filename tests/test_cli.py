@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
                  ("concurrence", "--n", "5", "--alpha", "1.9999999")):
         code, _, err = run(capsys, *argv)
         assert code == 3 and "c = a - b" in err
+    # near the collapse points the two commands agree case by case, and both fail on the
+    # Werner residual where they fail
+    failed = []
+    for n in range(2, 9):
+        for alpha in ("0", "1e-8", "1e-7", "1e-6", "1e-5", "1e-4", "1.9999999", "2.0000001"):
+            code, _, err = run(capsys, "concurrence", "--n", str(n), "--alpha", alpha)
+            with warnings.catch_warnings():  # N = 2 warns of its Oliveira normalization
+                warnings.simplefilter("ignore", PairStateWarning)
+                report = run(capsys, "report", "--n", str(n), "--grid", "0.5:4:2", "--extra", alpha)
+            assert report[0] == code
+            if code:
+                assert code == 3 and "c = a - b" in err
+                failed.append((n, alpha))
+    assert (5, "1.9999999") in failed and len(failed) >= 10
 
 
 def test_report_leaves_the_cache_dir_absent(capsys, tmp_path):

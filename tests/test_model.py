@@ -8,8 +8,8 @@ from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
                       coupling_weight, separation_weights, top_eigenspace_basis,
                       total_weight)
-from spinring.model import (_sector_pattern, popcounts, sector_block, sector_states,
-                            translation_permutation)
+from spinring.model import (_sector_pattern, _translation_orbits, popcounts, sector_block,
+                            sector_states)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -163,7 +163,7 @@ def test_top_eigenspace_basis_properties():
 
 
 def test_translation_symmetry():
-    perm = translation_permutation(5)
+    perm = oracles.translation_permutation(5)
     assert sorted(perm.tolist()) == list(range(32))
     # applying the shift five times is the identity
     composed = np.arange(32)
@@ -172,6 +172,17 @@ def test_translation_symmetry():
     assert np.array_equal(composed, np.arange(32))
     matrix = build_hamiltonian(RingSpec(5, 1.9)).matrix
     assert np.max(np.abs(matrix[np.ix_(perm, perm)] - matrix)) < 1e-12
+    # each state's orbit representative, period and shift, by walking the permutation
+    for n in range(2, 9):
+        perm, states = oracles.translation_permutation(n), np.arange(2 ** n)
+        images = [states]
+        for _ in range(n - 1):
+            images.append(perm[images[-1]])
+        reps, period, shift = _translation_orbits(n)
+        assert np.array_equal(reps, np.min(images, axis=0))
+        for x in range(2 ** n):
+            orbit = [int(image[reps[x]]) for image in images]
+            assert period[x] == len(set(orbit)) and orbit.index(x) == shift[x]
 
 
 def test_spin_flip_symmetry():

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinring import atomic_write, emit_csv, emit_json, format_real, parse_real
 from spinring.serialize import JSON_INFINITY, write_output
@@ -87,6 +89,30 @@ def test_emit_csv_pins_bytes():
         "3,true,false,inf,-inf,-0.0,1e+22,1e-300,12.0\n"
         "-7,0,1.5,2.0,10000000000000000.0,-1e+17,4.9406564584124654e-324,"
         "0.10000000000000001,1.152921504606847e+18\n")
+
+
+EDGE_REALS = (0.0, -0.0, 1.0, -2.0, 0.5, 1e16, -1e16, 9007199254740993.0, 99999999999999984.0,
+              1e17, -1e17, 1e22, 2.0 ** 60, math.inf, -math.inf, 5e-324, -5e-324, 1e-300,
+              0.1, 1 / 3, 12.0, np.float64(2.0), np.float64(-0.0), np.float64(1e17))
+
+
+def _format_real_row(row) -> str:
+    """A CSV row cell by cell through ``format_real``: the bytes ``emit_csv`` must keep."""
+    return ",".join(format_real(c) if isinstance(c, float) else
+                    ("true" if c else "false") if isinstance(c, bool) else str(c) for c in row)
+
+
+def test_emit_csv_row_templates_match_format_real():
+    rows = [EDGE_REALS, (3, True, 1e16, False, "x%sy", -0.0, 7)]
+    assert emit_csv(("h",), rows) == "h\n" + "".join(_format_real_row(r) + "\n" for r in rows)
+    with pytest.raises(ValueError, match="NaN"):
+        emit_csv(("a", "b"), [(1.0, math.nan)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+def test_emit_csv_matches_format_real_on_any_floats(row):
+    assert emit_csv(("h",), [row]) == "h\n" + _format_real_row(row) + "\n"
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):

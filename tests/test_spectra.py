@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 import spinring.spectra as spectra_module
-from spinring.model import block_layout, separation_weights
+from spinring.model import block_layout, separation_weights, variant_map
 from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, cluster_levels,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
@@ -128,6 +128,23 @@ def test_decomposition_holds_only_sector_blocks():
         assert d.level_vectors(level).shape == (2 ** n, level.multiplicity)
 
 
+def _layout_blocks(n):
+    """Every nonempty (sector, momentum, parity) block that ``block_layout(n)`` must hold, by
+    ``oracles.reflection_basis``, sorted."""
+    return sorted((s, k, q) for s in range((n + 1) // 2, n + 1) for k in range(n // 2 + 1)
+                  for q in ((1, -1) if 2 * k % n == 0 else (0,))
+                  if oracles.reflection_basis(n, s, k, q).size)
+
+
+def _assert_projected(block, projected):
+    """A layout block against ``oracles.reflection_blocks``: the projection is real, and the
+    entries agree within 1e-13 of max(1, |entry|) (the projection rounds integer sums that the
+    layout adds exactly)."""
+    scale = np.maximum(1.0, np.abs(block))
+    assert np.all(np.abs(projected.imag) <= 1e-13 * scale)
+    assert np.all(np.abs(block - projected.real) <= 1e-13 * scale)
+
+
 def test_stacked_momentum_solves_match_one_solve_per_block():
     # every block_layout group, across sectors, is assembled and solved as one stack, a 1 x 1
     # group too; every block still gets exactly the eigh and eigvalsh of solving it alone
@@ -136,21 +153,19 @@ def test_stacked_momentum_solves_match_one_solve_per_block():
         dec = momentum_decomposition(spec)
         solved = [block for entry in dec.blocks for block in entry.group.blocks]
         assert solved == [block for group in block_layout(n) for block in group.blocks]
-        assert sorted(solved) == [(s, k) for s in range((n + 1) // 2, n + 1)
-                                  for k in range(n // 2 + 1)
-                                  if oracles.momentum_block(spec, s, k).size]
+        assert sorted(solved) == _layout_blocks(n)
         if n >= 8:
-            assert any(len({s for s, _ in entry.group.blocks}) > 1 for entry in dec.blocks)
+            assert any(len({s for s, *_ in entry.group.blocks}) > 1 for entry in dec.blocks)
         for entry in dec.blocks:
             stack = entry.group.stack(separation_weights(n, 0.7))
             stacked_values = np.linalg.eigvalsh(stack)
-            for b, (s, k) in enumerate(entry.group.blocks):
-                block = oracles.momentum_block(spec, s, k)
-                assert block.tobytes() == stack[b].tobytes()
+            for b, (s, k, q) in enumerate(entry.group.blocks):
+                block = stack[b].copy()
+                _assert_projected(block, oracles.reflection_blocks(spec, s, [(k, q)])[0])
                 alone_w, alone_v = np.linalg.eigh(block)
                 assert np.array_equal(entry.values[b], alone_w)
                 assert np.array_equal(entry.vectors[b], alone_v)
-                assert entry.vectors[b].dtype == alone_v.dtype
+                assert entry.vectors[b].dtype == alone_v.dtype == np.float64
                 assert entry.vectors[b].strides == alone_v.strides
                 assert np.array_equal(stacked_values[b], np.linalg.eigvalsh(block))
 
@@ -158,20 +173,55 @@ def test_stacked_momentum_solves_match_one_solve_per_block():
 BATCH_ALPHAS = (0.0, 1e-7, 0.7, 2.0, 3.3, INFINITY)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 14))
 def test_batched_stacks_match_one_alpha_at_a_time(n):
     # one bincount over A x N//2 weights gives each row's own stack, bit for bit, and each
-    # block the entry-by-entry assembly of its alpha
+    # block the sector block projected onto its independently built reflection basis
     weights = np.array([separation_weights(n, alpha) for alpha in BATCH_ALPHAS])
-    for group in block_layout(n):
-        stacks = group.stack(weights)
-        assert stacks.shape == (len(BATCH_ALPHAS), *group.shape)
-        for alpha, row, stack in zip(BATCH_ALPHAS, weights, stacks):
+    stacks = [group.stack(weights) for group in block_layout(n)]
+    for group, batch in zip(block_layout(n), stacks):
+        assert batch.shape == (len(BATCH_ALPHAS), *group.shape) and batch.dtype == np.float64
+        for row, stack in zip(weights, batch):
             alone = group.stack(row)
             assert alone.shape == group.shape and alone.dtype == stack.dtype
             assert alone.tobytes() == stack.tobytes()
-            for block, (s, k) in zip(stack, group.blocks):
-                assert block.tobytes() == oracles.momentum_block(RingSpec(n, alpha), s, k).tobytes()
+    blocks = {key: (group, b) for group in block_layout(n) for b, key in enumerate(group.blocks)}
+    for a, alpha in enumerate(BATCH_ALPHAS):
+        for s in sorted({key[0] for key in blocks}):
+            keys = [key for key in sorted(blocks) if key[0] == s]
+            for key, projected in zip(keys, oracles.reflection_blocks(
+                    RingSpec(n, alpha), s, [key[1:] for key in keys])):
+                group, b = blocks[key]
+                _assert_projected(stacks[block_layout(n).index(group)][a, b], projected)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_real_blocks_match_the_complex_momentum_blocks(n):
+    # count times width covers half the space, mirrored by the spin flip; the count-weighted
+    # spectra of the real blocks give every level and multiplicity of the complex blocks of
+    # every sector and momentum, and their columns, taken to the complex basis, the same
+    # correlators and overlaps
+    counts = [(int(c), g.shape[1], s) for g in block_layout(n)
+              for c, (s, *_) in zip(g.counts, g.blocks)]
+    assert sum(c * w // (1 + (2 * s > n)) for c, w, s in counts) == \
+        sum(math.comb(n, s) for s in range(n + 1) if 2 * s >= n)
+    assert sum(c * w for c, w, _ in counts) == 2 ** n
+    for alpha in BATCH_ALPHAS:
+        standard = RingSpec(n, alpha)
+        values = np.concatenate([np.linalg.eigvalsh(oracles.momentum_block(standard, s, k))
+                                 for s in range(n + 1) for k in range(n)])
+        for variant in Variant:
+            spec = RingSpec(n, alpha, variant)
+            scale, shift = variant_map(spec)
+            want = cluster_levels(np.sort(scale * values + shift), 1e-9)[0]
+            _assert_same_levels(energy_levels(spec), want)
+            dec = momentum_decomposition(spec)
+            _assert_same_levels(dec.levels, want)
+            assert np.max(np.abs(dec.correlators() - oracles.momentum_correlators(dec))) <= 1e-12
+            if alpha:
+                near = momentum_decomposition(RingSpec(n, BATCH_ALPHAS[0], variant))
+                gap = overlap_matrix(dec, near) - oracles.block_overlap_matrix(dec, near)
+                assert np.max(np.abs(gap)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -198,8 +248,8 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
 
 
 def test_batch_size_bounds_the_eigenvector_bytes():
-    for n, size in ((8, 58), (10, 5), (12, 1), (14, 1)):
-        point = sum(math.prod(g.shape) * g.amplitudes.itemsize for g in block_layout(n))
+    for n, size in ((8, 109), (10, 10), (12, 1), (14, 1)):
+        point = 8 * sum(math.prod(g.shape) for g in block_layout(n))  # real eigenvectors
         assert spectra_module.batch_size(n) == size
         assert size * point <= spectra_module.BATCH_BYTES or size == 1
     # the whole 43-point report grid at N = 8 is one batch
