@@ -353,7 +353,8 @@ def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold
     ``tracked`` whose concurrence at one of ``separations`` is above ``threshold`` at one end
     only, curves in order, then separations: one comparison covers every interval."""
     probes, rows = [[] for _ in intervals], np.asarray(separations, dtype=int) - 1
-    ends = np.array([c.concurrence[rows] for c in curves])[:, :, np.reshape(intervals, (-1, 2))]
+    ends = np.array([c.concurrence[rows] for c in curves])[
+        :, :, np.array(intervals, dtype=int).reshape(-1, 2)]  # an int index, also when empty
     above = ends > threshold  # curve x separation x interval x end
     changed = (above[..., 0] != above[..., 1]) & tracked.T[:, None]
     for c, s, m in zip(*(axis.tolist() for axis in np.nonzero(changed))):
@@ -614,10 +615,15 @@ def entangled_projector_census(sweep_result: SweepResult,
         for sep in distances:
             pos = np.nonzero(curve.concurrence_at(sep)[idx] > threshold)[0]
             spans[sep] = (float(alphas[pos[0]]), float(alphas[pos[-1]]))
-        entangled.append(CurveEntanglement(curve.curve_index, curve.multiplicity, distances, spans))
+        entangled.append(CurveEntanglement(
+            curve_index=curve.curve_index, multiplicity=curve.multiplicity,
+            distances=distances, spans=spans))
     one_dim = tuple(c.curve_index for c in sweep_result.curves if c.multiplicity == 1)
     one_dim_ent = tuple(e.curve_index for e in entangled if e.multiplicity == 1)
-    return CurveCensus(len(sweep_result.curves), tuple(entangled), one_dim, one_dim_ent)
+    return CurveCensus(n_curves=len(sweep_result.curves),
+                       entangled=tuple(entangled),
+                       one_dim_indices=one_dim,
+                       one_dim_entangled=one_dim_ent)
 
 
 @dataclass(frozen=True)
@@ -646,8 +652,9 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
             f"{values.size} positive nearest-neighbor points at alpha={alpha!r}; need 2")
     slope, intercept = np.polyfit(energies, values, 1)
     residual = np.max(np.abs(values - (slope * energies + intercept)))
-    return LinearFit(float(-slope), float(-intercept), float(residual), int(values.size),
-                     float(values.max()))
+    return LinearFit(a=float(-slope), b=float(-intercept),
+                     max_residual=float(residual), n_points=int(values.size),
+                     max_concurrence=float(values.max()))
 
 
 def distance_selectivity_check(n_sites: int, alpha: float, *,

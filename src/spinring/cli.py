@@ -16,19 +16,21 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
-from .spectra import CLUSTER_TOLERANCE_DEFAULT, DecompositionCache, EigensolverError, energy_levels
+from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
+                      EigensolverError, energy_levels)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, werner_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
                        _last_crossing, _located_events, _momentum_records,
                        default_alpha_grid, entangled_projector_census,
                        nn_linear_fit, separation_existence_intervals, sweep)
-from .serialize import SCHEMA_VERSION, emit_csv, emit_json, parse_real, write_output
+from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
+                        write_output)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,13 +179,19 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--n must be at least 2, got {n_sites}")
 
     alphas = []
-    for key in ("alpha", "grid", "extra"):  # the grid is one text, the others lists
-        values = pick(key)
-        if values is not None and key != "grid" and not isinstance(values, list):
-            raise UsageError(f"config key {key!r} must be a list")
-        if values is not None:
-            alphas.extend(_parse_grid(str(values)) if key == "grid"
-                          else (_parse_alpha(str(a)) for a in values))
+    alpha_values = pick("alpha")
+    if alpha_values is not None:
+        if not isinstance(alpha_values, list):
+            raise UsageError("config key 'alpha' must be a list")
+        alphas.extend(_parse_alpha(str(a)) for a in alpha_values)
+    grid_text = pick("grid")
+    if grid_text is not None:
+        alphas.extend(_parse_grid(str(grid_text)))
+    extra_values = pick("extra")
+    if extra_values is not None:
+        if not isinstance(extra_values, list):
+            raise UsageError("config key 'extra' must be a list")
+        alphas.extend(_parse_alpha(str(a)) for a in extra_values)
     if not alphas:
         if args.command == "report":
             alphas = list(default_alpha_grid())
@@ -286,8 +294,12 @@ def cmd_concurrence(config: RunConfig) -> str:
 
 
 def _event_doc(event) -> dict:
-    doc = {"alpha": event.alpha, "bracket": list(event.bracket), "kind": event.kind,
-           "curve_indices": list(event.curve_indices)}
+    doc = {
+        "alpha": event.alpha,
+        "bracket": [event.bracket[0], event.bracket[1]],
+        "kind": event.kind,
+        "curve_indices": list(event.curve_indices),
+    }
     if event.separation is not None:
         doc["separation"] = event.separation
         doc["crossing_coincident"] = event.crossing_coincident
@@ -300,9 +312,12 @@ def cmd_report(config: RunConfig) -> str:
                    cluster_tolerance=config.cluster_tolerance,
                    structure_tolerance=config.structure_tolerance,
                    concurrence_threshold=config.concurrence_threshold)
+
     backbone = [int(b) for b in result.backbone]
     rep_point = result.points[min(backbone, key=lambda i: abs(result.points[i].alpha - 1.0))]
+
     histogram = Counter(rep_point.multiplicities.tolist())
+
     n_seps = max(config.n_sites // 2, 1)
     positive = rep_point.cells[:, :, 0] > config.concurrence_threshold
     level_census = dict(enumerate(positive.sum(axis=0).tolist(), start=1))
@@ -334,15 +349,18 @@ def cmd_report(config: RunConfig) -> str:
             gaps_doc[str(sep)] = [{"offset": _event_doc(off), "onset": _event_doc(on)}
                                   for off, on in gaps]
 
-    max_distance_onset = min((e for e in boundaries if (e.kind, e.separation) == ("onset", n_seps)),
-                             key=lambda e: e.alpha, default=None)
+    max_sep_onsets = [e for e in boundaries
+                      if e.kind == "onset" and e.separation == n_seps]
+    max_distance_onset = min(max_sep_onsets, key=lambda e: e.alpha, default=None)
 
     try:
         fit = nn_linear_fit(config.n_sites,
                             threshold=config.concurrence_threshold,
                             cluster_tolerance=config.cluster_tolerance,
                             variant=config.variant)
-        fit_doc = {"alpha": INFINITY, **asdict(fit)}
+        fit_doc = {"alpha": INFINITY, "a": fit.a, "b": fit.b,
+                   "max_residual": fit.max_residual, "n_points": fit.n_points,
+                   "max_concurrence": fit.max_concurrence}
     except InsufficientDataError:
         fit_doc = None
 
@@ -385,7 +403,11 @@ def cmd_report(config: RunConfig) -> str:
     })
 
 
-_COMMANDS = {"spectrum": cmd_spectrum, "concurrence": cmd_concurrence, "report": cmd_report}
+_COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "concurrence": cmd_concurrence,
+    "report": cmd_report,
+}
 
 
 def main(argv=None) -> int:
@@ -398,7 +420,8 @@ def main(argv=None) -> int:
     except (UsageError, RingSizeError) as exc:
         print(f"spinring: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SweepError, EigensolverError, StructureError, np.linalg.LinAlgError) as exc:
+    except (SweepError, EigensolverError, StructureError,
+            np.linalg.LinAlgError) as exc:
         print(f"spinring: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -315,7 +315,7 @@ def _reflection_blocks(n_sites: int, sector: int) -> tuple:
     alignments = ((1 - 2 * anti) @ np.eye(half, dtype=int)[sep]).astype(np.int8)
     source, pairs = np.nonzero(anti & ~second[:, None])
     partner = orbit[source] ^ masks[pairs]
-    # held until the sector's last block is built: the small integers in small types
+    # held, by ``entries``, until the whole layout is built: the small integers in small types
     source, target = source.astype(np.int32), np.searchsorted(orbit, reps[partner]).astype(np.int32)
     seps, ring_shift = sep[pairs].astype(np.int8), shift[partner].astype(np.int8)
     ratio = 2 * np.sqrt(size[source] / size[target])
@@ -373,7 +373,8 @@ def block_layout(n_sites: int) -> tuple:
     """The nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) of the sectors
     with 2s >= N, which stand for every block (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), as
     ``BlockGroup``s by width in order of first (sector, momentum, parity); cached.  A group's
-    entries are built when it is, so the others' are not held meanwhile."""
+    entries are built when it is, so no other group's entries are held meanwhile; each sector's
+    pair-term arrays are held until the whole layout is built."""
     groups = {}
     for s in range((n_sites + 1) // 2, n_sites + 1):
         blocks, widths, entries = _reflection_blocks(n_sites, s)

@@ -31,16 +31,28 @@ def format_real(value: float, infinity_token: str = CSV_INFINITY) -> str:
 
 
 def _emit(obj, out, indent: int, infinity_token: str) -> None:
-    if isinstance(obj, (dict, list, tuple)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (dict, list, tuple)):  # one item a line, a dict's after its key
-        mapping, inner = isinstance(obj, dict), " " * (indent + 2)
-        out.append("{\n" if mapping else "[\n")
-        for i, (key, value) in enumerate(obj.items() if mapping else enumerate(obj)):
-            out.append(inner + json.dumps(str(key)) + ": " if mapping else inner)
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(inner + json.dumps(str(key)) + ": ")
             _emit(value, out, indent + 2, infinity_token)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(" " * indent + ("}" if mapping else "]"))
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _emit(value, out, indent + 2, infinity_token)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):

@@ -350,8 +350,10 @@ def lagrange_projector(hamiltonian: HamiltonianMatrix | np.ndarray,
     """
     matrix = hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else hamiltonian
     energies = sorted(float(e) for e in distinct_energies)
-    floor = separation_floor * max(1.0, energies[-1] - energies[0])
-    if np.any(np.diff(energies) < floor):
+    spread = energies[-1] - energies[0]
+    floor = separation_floor * max(1.0, spread)
+    gaps = np.diff(energies)
+    if np.any(gaps < floor):
         raise IllConditionedError(
             f"distinct energies closer than {floor:.3e}; projector product is ill-conditioned")
     matches = [e for e in energies if abs(e - target) < floor]
@@ -459,7 +461,8 @@ def match_single_level(dec_a: BlockDecomposition, index_a: int,
             row = block_a.vectors.reshape(-1, width, width)[b, :, c]
             gram = row @ block_b.vectors.reshape(-1, width, width)[b]
             np.add.at(sums, dec_b.members[e][b * width:(b + 1) * width], count[b] * np.square(gram))
-    overlaps = sums / np.maximum(level.multiplicity, dec_b.multiplicities)
+    norm = np.maximum(level.multiplicity, dec_b.multiplicities)
+    overlaps = sums / norm
     j = int(np.argmax(overlaps))
     return j, float(overlaps[j])
 
@@ -489,7 +492,8 @@ class DecompositionCache:
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, spec: RingSpec) -> str:
-        return os.path.join(self.directory, f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin")
+        name = f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin"
+        return os.path.join(self.directory, name)
 
     def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:
         """The stored decomposition clustered at ``tolerance``, or None when
@@ -522,8 +526,9 @@ class DecompositionCache:
         return _assemble(spec, blocks, tolerance)
 
     def store(self, decomposition: SpectralDecomposition) -> str:
-        spec, blocks = decomposition.spec, decomposition.blocks
+        spec = decomposition.spec
         path = self._path(spec)
+        blocks = decomposition.blocks
         arrays = [b.values for b in blocks] + [b.vectors for b in blocks]
         checksum = functools.reduce(lambda crc, array: zlib.crc32(array, crc), arrays, 0)
         header = {**_cache_header(spec), "checksum": checksum}
@@ -542,7 +547,9 @@ class DecompositionCache:
 
     def get(self, spec: RingSpec,
             tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> SpectralDecomposition:
-        dec = self.load(spec, tolerance)
-        if dec is None:
-            self.store(dec := diagonalize(spec, tolerance))
+        cached = self.load(spec, tolerance)
+        if cached is not None:
+            return cached
+        dec = diagonalize(spec, tolerance)
+        self.store(dec)
         return dec

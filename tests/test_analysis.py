@@ -283,6 +283,11 @@ def test_entanglement_boundaries_events(sweep8):
     assert entanglement_boundaries(sweep8.curves[0], 1) == ()
 
 
+def test_entanglement_boundaries_of_a_curve_valid_at_one_point():
+    res = sweep(6, [1.0])  # every curve is valid at its one point and has no interval
+    assert [entanglement_boundaries(c, s) for c in res.curves[:2] for s in (1, 2, 3)] == [()] * 6
+
+
 
 def _recording_solves(monkeypatch, limit=INFINITY):
     """Record the (spec, cluster tolerance) of every alpha the batched solver is given, through

@@ -184,9 +184,21 @@ def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
                 report = run(capsys, "report", "--n", str(n), "--grid", "0.5:4:2", "--extra", alpha)
             assert report[0] == code
             if code:
-                assert code == 3 and "c = a - b" in err
+                assert code == 3 and "c = a - b" in err and "c = a - b" in report[2]
                 failed.append((n, alpha))
     assert (5, "1.9999999") in failed and len(failed) >= 10
+
+
+@pytest.mark.parametrize("alphas", [("1",), ("1", "2")])
+def test_report_writes_a_one_point_backbone(capsys, alphas):
+    # one grid point, or one that alone has the grid's highest level count (at alpha = 2 the
+    # Haldane-Shastry degeneracies merge levels): the backbone has no interval to probe
+    argv = [arg for alpha in alphas for arg in ("--alpha", alpha)]
+    code, out, _ = run(capsys, "report", "--n", "6", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["alpha_grid"] == [float(a) for a in alphas]
+    assert doc["crossings"] == [] and doc["entanglement_boundaries"] == []
 
 
 def test_report_leaves_the_cache_dir_absent(capsys, tmp_path):
