@@ -2,23 +2,25 @@
 entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
 A sweep solves the ring's lattice-momentum blocks at the points of an ascending alpha grid
-(``momentum_decompositions``: one assembly and one eigh per width group of the cached
-``block_layout`` for a batch of points), keeps the concurrence, a, b, c and Werner residual of
-every (level, separation) cell as one array per point, and threads levels into curves by
-projector overlap.
+(``momentum_decompositions``: one eigh per width group of the cached ``block_layout`` and one
+assembly for a batch of points, whose levels are kept as arrays), keeps the concurrence, a, b,
+c and Werner residual of every (level, separation) cell as one array per point, and threads
+levels into curves by projector overlap.
 Each level projector is invariant under SU(2) and the ring translation, so its pair states are
-Werner states fixed by the groups' dense-K_d correlators; no magnetization-sector eigenvector
-is built.  Curves are threaded only across "backbone" points, the grid points whose distinct
-level count equals the generic count; collapse points (alpha = 0, the Haldane-Shastry point,
-the nearest-neighbor limit) are kept as data points but skipped by the threading.  Each point
-is paired with the previous backbone point as it is reached, so besides one batch at most two
-solutions are held.  Every event inside a backbone interval is then located by one grouped
-bisection of that interval, in lockstep with the other intervals: each round solves all their
-midpoints as one batch.  A single point's table (``_momentum_records``) serves the
-``concurrence`` command and the single-alpha parts of ``report``.
+Werner states fixed by the groups' dense-K_d correlators, reduced once for a whole batch of
+points with one scatter per group; no magnetization-sector eigenvector is built.  Curves are
+threaded only across "backbone" points, the grid points whose distinct level count equals the
+generic count; collapse points (alpha = 0, the Haldane-Shastry point, the nearest-neighbor
+limit) are kept as data points but skipped by the threading.  Each point is paired with the
+previous backbone point as it is reached, so besides one batch at most two solutions are held;
+a pairing above overlap 1/2 is conflict-free, so it takes no loop.  Every event inside a
+backbone interval is then located by one grouped bisection of that interval, in lockstep with
+the other intervals: each round solves all their midpoints as one batch and matches the levels
+their probes follow in one overlap pass.  A single point's table (``_momentum_records``) serves
+the ``concurrence`` command and the single-alpha parts of ``report``.
 """
 
-import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, MomentumDecomposition,
-                      batch_size, energy_levels, match_levels, match_single_level,
+                      batch_size, best_partners, energy_levels, match_levels,
                       momentum_decomposition, momentum_decompositions)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
@@ -238,13 +240,14 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
             cells = _point_cells(dec, structure_tolerance)
         except (EigensolverError, StructureError, np.linalg.LinAlgError) as exc:
             raise SweepError(alpha, exc) from exc
-        points.append(SweepPoint(alpha=alpha, count=len(dec.levels), energies=dec.energies,
+        count = dec.energies.size
+        points.append(SweepPoint(alpha=alpha, count=count, energies=dec.energies,
                                  multiplicities=dec.multiplicities, cells=cells))
-        if anchor is None or len(dec.levels) > len(anchor.levels):
-            curve_idx = np.full((len(dec.levels), grid.size), -1, dtype=int)
-            curve_idx[:, i] = np.arange(len(dec.levels))
+        if anchor is None or count > anchor.energies.size:
+            curve_idx = np.full((count, grid.size), -1, dtype=int)
+            curve_idx[:, i] = np.arange(count)
             notes = []
-        elif len(dec.levels) == len(anchor.levels):
+        elif count == anchor.energies.size:
             pairing = match_levels(anchor, dec)
             if not pairing.is_bijection:
                 notes.append(f"partial level pairing between alpha={points[prev].alpha!r} "
@@ -285,10 +288,11 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 # the energy order of two levels, and an onset or offset where a curve's
 # concurrence at some separation changes sign.  One grouped bisection locates
 # them all, and the intervals share each round's batched solve.  Each event is
-# a probe that follows its levels by projector overlap from the interval's left
-# end and maps a midpoint solution to its next bracket; probes whose brackets
-# coincide share that step's solve and level matches.  The cluster tolerance
-# shrinks with the bracket so near-degenerate levels stay resolved.
+# a probe that follows its ``levels`` by projector overlap from the interval's
+# left end and maps a midpoint solution to its next bracket; probes whose
+# brackets coincide share that step's solve, and one ``best_partners`` pass
+# matches every level the probes of a batch of solves follow.  The cluster
+# tolerance shrinks with the bracket so near-degenerate levels stay resolved.
 
 
 @dataclass(frozen=True)
@@ -300,15 +304,19 @@ class _OrderSwap:
     b: int
     label: tuple
 
+    @property
+    def levels(self) -> tuple:
+        return self.a, self.b
+
     def step(self, ref, lo, hi, dec, match) -> tuple:
         mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
         (ja, ova), (jb, ovb) = match(self.a), match(self.b)
         if ja == jb or min(ova, ovb) < 0.5:
             return (mid - half, mid + half)  # merged at this resolution; the crossing is here
-        f_mid = dec.levels[ja].energy - dec.levels[jb].energy
+        f_mid = dec.energies[ja] - dec.energies[jb]
         if f_mid == 0.0:
             return (mid, mid)
-        f_lo = ref.levels[self.a].energy - ref.levels[self.b].energy
+        f_lo = ref.energies[self.a] - ref.energies[self.b]
         return (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
 
     def event(self, lo, hi) -> CrossingEvent:
@@ -330,6 +338,10 @@ class _SignChange:
     threshold: float
     structure_tolerance: float
     jump_scale: float
+
+    @property
+    def levels(self) -> tuple:
+        return self.level,
 
     def step(self, ref, lo, hi, dec, match) -> tuple:
         mid = 0.5 * (lo + hi)
@@ -369,9 +381,12 @@ def _bisect(ring, intervals, resolution: float) -> list:
     """Shrink the bracket of each probe of every (lo, hi, probes) in ``intervals`` until it is no
     wider than ``resolution`` or cannot shrink; returns each interval's events in probe order.
     ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance.
-    ``batch_size`` intervals go in lockstep: their left ends form one batch, as do a round's."""
+    ``batch_size`` intervals, drawn from ``intervals`` as their turn comes, go in lockstep: their
+    left ends form one batch, as do a round's midpoints, and each batch of midpoints matches the
+    levels its probes follow in one ``best_partners`` pass."""
     base, size, events = ring.cluster_tolerance, batch_size(ring.n_sites), []
-    for chunk in (intervals[start:start + size] for start in range(0, len(intervals), size)):
+    intervals = iter(intervals)
+    while chunk := list(itertools.islice(intervals, size)):
         refs = list(momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
                                             for lo, _, _ in chunk))
         brackets = [[(lo, hi)] * len(probes) for lo, hi, probes in chunk]
@@ -384,18 +399,24 @@ def _bisect(ring, intervals, resolution: float) -> list:
                     groups.setdefault(brackets[v][k], []).append(k)
                 steps += [(v, a, b, members) for (a, b), members in groups.items()
                           if b - a > resolution and a < 0.5 * (a + b) < b]  # else cannot shrink
-            solved, active = momentum_decompositions(
+            solved, active = zip(steps, momentum_decompositions(
                 (RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
                  max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
-                for v, a, b, _ in steps), [[] for _ in chunk]
-            for (v, a, b, members), dec in zip(steps, solved):
-                # each level is matched once per step
-                match = functools.cache(lambda level, ref=refs[v], dec=dec:
-                                        match_single_level(ref, level, dec))
-                for k in members:
-                    brackets[v][k] = chunk[v][2][k].step(refs[v], a, b, dec, match)
-                    if brackets[v][k] != (a, b):  # else the halving rounded back
-                        active[v].append(k)
+                for v, a, b, _ in steps)), [[] for _ in chunk]
+            while batch := list(itertools.islice(solved, size)):  # one batch of midpoints
+                # the levels each step's probes follow, each matched once
+                levels = [list(dict.fromkeys(level for k in members
+                                             for level in chunk[v][2][k].levels))
+                          for (v, _, _, members), _ in batch]
+                found = best_partners([(refs[v], wanted, dec)
+                                       for ((v, *_), dec), wanted in zip(batch, levels)])
+                for ((v, a, b, members), dec), wanted, (partners, overlaps) in zip(
+                        batch, levels, found):
+                    match = dict(zip(wanted, zip(partners.tolist(), overlaps.tolist()))).__getitem__
+                    for k in members:
+                        brackets[v][k] = chunk[v][2][k].step(refs[v], a, b, dec, match)
+                        if brackets[v][k] != (a, b):  # else the halving rounded back
+                            active[v].append(k)
         events += [[probe.event(*bracket) for probe, bracket in zip(probes, held)]
                    for (_, _, probes), held in zip(chunk, brackets)]
     return events
@@ -428,7 +449,7 @@ def _located_events(sweep_result: SweepResult, resolution: float, separations=()
     at ``separations``, ascending in (alpha, curve, separation); each backbone
     interval is bisected once for all of its events.  The sorts are stable, so
     ties keep interval order per (curve, separation), as entanglement_boundaries does."""
-    intervals = list(_interval_probes(sweep_result, separations))
+    intervals = _interval_probes(sweep_result, separations)
     events = [event for located in _bisect(sweep_result, intervals, resolution)
               for event in located]
     return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),

@@ -9,11 +9,15 @@ magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_lev
 lattice-momentum blocks k = 0 .. N//2, made real by the ring reflection (k = 0 and N/2 each
 split into its even and odd block), the rest being conjugates; each solved block stands for
 ``count`` blocks.  Each ``block_layout`` group of equal-width real blocks is assembled by one
-bincount and solved by one eigvalsh or eigh.  ``momentum_decompositions`` does so for a batch
-of alphas at once, as many as ``BATCH_BYTES`` of eigenvectors hold, and keeps the eigenvectors
-for the levels' pair correlators, sum V (K_d V) with each dense K_d built once a batch, and for
-projector overlaps, (V_a^T V_b)^2 summed ``count`` times; ``momentum_decomposition`` is its
-batch of one.  The cache stores sector blocks.
+bincount and solved by one eigvalsh or eigh, a 1 x 1 block being its own eigenvalue.
+``momentum_decompositions`` does so for a batch of alphas at once, as many as ``BATCH_BYTES``
+of eigenvectors hold, and assembles the batch at once too (``_assembled``): one sort, one
+clustering and one member scatter for all its alphas, whose levels a ``_Batch`` keeps as
+arrays; each decomposition views its row, and ``levels`` builds ``Level`` objects only when
+read.  The batch keeps the eigenvectors for the levels' pair correlators, sum V (K_d V) with
+each dense K_d built once a batch and one scatter per group to every alpha's levels, and for
+projector overlaps, (V_a^T V_b)^2 summed ``count`` times.  ``momentum_decomposition`` is a
+batch of one, and ``diagonalize`` assembles its sectors as one.  The cache stores sector blocks.
 """
 
 from __future__ import annotations
@@ -73,13 +77,11 @@ class SectorEigensystem(NamedTuple):
 
 
 class MomentumEigensystem(NamedTuple):
-    """Eigenpairs of one group's STANDARD blocks at alpha ``index`` of a batch, as its views."""
+    """Eigenpairs of one group's STANDARD blocks at one alpha of a batch, as views."""
     group: BlockGroup
     count: np.ndarray    # the group's counts: block b stands for count[b] blocks
     values: np.ndarray   # B x w, each row ascending
     vectors: np.ndarray  # B x w x w, real orthonormal columns
-    pairs: object        # the batch's ``_pair_columns``, computed on the first call
-    index: int
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ class BlockDecomposition:
     """Full spectrum of one ring spec, clustered into levels, kept as the eigenpairs of its
     solved blocks, w x w or B x w x w stacks: each block's eigenvalues enter the sorted list
     ``count`` times, sorted eigenvalue i is flat column ``columns[i]`` (b w + c for column c of
-    block b) of entry ``sectors[i]``, and ``members[e]`` holds the levels of entry e's columns."""
+    block b) of entry ``sectors[i]``, and ``members[e]`` holds the levels of entry e's columns.
+    Level l has energy ``energies[l]`` and owns the ``multiplicities[l]`` sorted eigenvalues from
+    ``starts[l]`` on.  The arrays are read-only views of row ``index`` of ``batch``."""
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
@@ -95,7 +99,11 @@ class BlockDecomposition:
     sectors: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     members: tuple = field(repr=False)
-    levels: tuple
+    energies: np.ndarray = field(repr=False)
+    multiplicities: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    batch: _Batch = field(repr=False)
+    index: int
     cluster_tolerance: float
     warnings: tuple = ()
 
@@ -104,13 +112,12 @@ class BlockDecomposition:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
     @functools.cached_property
-    def energies(self) -> np.ndarray:
-        return read_only(np.array([lv.energy for lv in self.levels]))
-
-    @functools.cached_property
-    def multiplicities(self) -> np.ndarray:
-        """Read-only and computed once: each level match reads it."""
-        return read_only(np.array([lv.multiplicity for lv in self.levels], dtype=np.int64))
+    def levels(self) -> tuple:
+        """The levels as ``Level`` objects, built on first use."""
+        spreads = (self.eigenvalues[self.starts + self.multiplicities - 1]
+                   - self.eigenvalues[self.starts])
+        return tuple(map(Level, *(array.tolist() for array in (
+            self.energies, self.multiplicities, self.starts, spreads))))
 
 
 class SpectralDecomposition(BlockDecomposition):
@@ -133,26 +140,24 @@ class MomentumDecomposition(BlockDecomposition):
 
     def correlators(self, levels=None) -> np.ndarray:
         """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level
-        or of the listed ``levels``, 2 x N//2 x levels, from ``_pair_columns``: the batch's where a
-        group holds only wanted levels, else of just the blocks and columns holding them."""
-        n, every = self.spec.n_sites, np.arange(len(self.levels))
-        wanted = every if levels is None else every[levels]
-        slot = np.full(len(self.levels), -1)
+        or of the listed ``levels``, 2 x N//2 x levels: the batch's (``_Batch.correlators``) for
+        every level, else ``_pair_columns`` of just the blocks and columns holding them."""
+        if levels is None:
+            return self.batch.correlators[..., slice(*self.batch.bounds[self.index:self.index + 2])]
+        n, every = self.spec.n_sites, np.arange(self.energies.size)
+        wanted = every[levels]
+        slot = np.full(every.size, -1)
         slot[wanted] = np.arange(wanted.size)
         targets, parts = [np.zeros(0, dtype=int)], [np.zeros((2, n // 2, 0))]
         for block, members in zip(self.blocks, self.members):
             members = slot[members].reshape(block.group.shape[:2])
-            keep, rows = members >= 0, slice(None)
-            if keep.all():
-                values = block.pairs()[block.index]
-            elif keep.any():
+            keep = members >= 0
+            if keep.any():
                 rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
                 values = _pair_columns(block.group, block.vectors[rows][:, :, cols][None], rows)[0]
                 keep, members = keep[np.ix_(rows, cols)], members[np.ix_(rows, cols)]
-            else:
-                continue
-            targets.append(members[keep])
-            parts.append((values * block.count[rows, None])[..., keep])
+                targets.append(members[keep])
+                parts.append((values * block.count[rows, None])[..., keep])
         sums = np.zeros((2, n // 2, wanted.size))
         np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
         return sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities[wanted]
@@ -168,6 +173,74 @@ def _pair_columns(group: BlockGroup, vectors: np.ndarray, rows=slice(None)) -> n
         out[:, 0, d] = (vectors * (group.stack(separation)[rows] @ vectors)).sum(axis=-2)
     out[:, 1] = (group.alignments[rows] @ np.square(vectors)).swapaxes(1, 2)
     return out
+
+
+@dataclass(eq=False)
+class _Batch:
+    """The sorted eigenvalues and clustered levels of the A (spec, cluster tolerance) ``jobs`` of
+    one ring size, assembled at once (``_assembled``): row a of ``values``, ``sectors``,
+    ``columns`` and ``members`` (each value's level, block entries in order, cut by ``spans``)
+    is job a's, and so are levels ``bounds[a]:bounds[a + 1]`` of ``energies``,
+    ``multiplicities`` and ``starts``.  A momentum batch also keeps each group's (group, values,
+    vectors), with a leading axis of A."""
+
+    jobs: list
+    values: np.ndarray
+    sectors: np.ndarray
+    columns: np.ndarray
+    members: np.ndarray
+    spans: list
+    energies: np.ndarray
+    multiplicities: np.ndarray
+    starts: np.ndarray
+    bounds: list
+    warnings: tuple
+    groups: tuple = ()
+
+    def decomposition(self, kind, a: int, blocks: tuple) -> BlockDecomposition:
+        """The ``kind`` of decomposition of job ``a``, its solved blocks being ``blocks``."""
+        (spec, tolerance), levels = self.jobs[a], slice(*self.bounds[a:a + 2])
+        return kind(spec, self.values[a], blocks, self.sectors[a], self.columns[a],
+                    tuple(self.members[a, start:stop] for start, stop in self.spans),
+                    self.energies[levels], self.multiplicities[levels], self.starts[levels],
+                    self, a, tolerance, self.warnings[a])
+
+    @functools.cached_property
+    def correlators(self) -> np.ndarray:
+        """``MomentumDecomposition.correlators`` of every level of every job, 2 x N//2 x levels, on
+        first use: one ``_pair_columns`` of each group's A stacks, and one scatter of them all."""
+        n, targets, parts = self.jobs[0][0].n_sites, [], []
+        first_levels = np.array(self.bounds[:-1])[:, None]
+        for (group, _, vectors), (start, stop) in zip(self.groups, self.spans):
+            values = _pair_columns(group, vectors) * group.counts[:, None]
+            parts.append(np.moveaxis(values, 0, 2).reshape(2, n // 2, -1))
+            targets.append((self.members[:, start:stop] + first_levels).ravel())
+        sums = np.zeros((2, n // 2, self.bounds[-1]))
+        np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
+        return read_only(sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities)
+
+
+def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
+    """``cluster_levels`` on each ascending row of the A x D ``values`` at its tolerance: the
+    A x D mask of the values that start a level; the levels' energies, multiplicities, flat
+    starts and spreads, row after row; and each row's warnings."""
+    if np.any(tolerances <= 0):
+        raise ValueError("tolerance must be positive")
+    thresholds = tolerances * np.maximum(1.0, values[:, -1] - values[:, 0])
+    head = np.ones(values.shape, dtype=bool)
+    np.greater_equal(np.diff(values, axis=1), thresholds[:, None], out=head[:, 1:])
+    flat, starts = values.ravel(), np.flatnonzero(head)
+    counts = np.diff(np.append(starts, values.size))
+    energies = np.add.reduceat(flat, starts) / counts
+    spreads = flat[starts + counts - 1] - flat[starts]
+    rows = np.repeat(np.arange(len(values)), head.sum(axis=1))
+    warnings = [[] for _ in thresholds]
+    for level in np.flatnonzero(spreads > thresholds[rows] / 2).tolist():
+        energy, spread, threshold = (float(x) for x in (energies[level], spreads[level],
+                                                        thresholds[rows[level]]))
+        warnings[rows[level]].append(f"marginal cluster at energy {energy:.12g}: spread "
+                                     f"{spread:.3e} exceeds half the gap threshold {threshold:.3e}")
+    return head, energies, counts, starts, spreads, tuple(map(tuple, warnings))
 
 
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
@@ -186,16 +259,8 @@ def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tu
         return (), ()
     if np.any(np.diff(values) < 0):
         raise ValueError("eigenvalues must be sorted ascending")
-    threshold = tolerance * max(1.0, float(values[-1] - values[0]))
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(values) >= threshold) + 1])
-    counts = np.diff(np.append(starts, values.size))
-    energies = np.add.reduceat(values, starts) / counts
-    spreads = values[starts + counts - 1] - values[starts]
-    levels = tuple(map(Level, *(array.tolist() for array in (energies, counts, starts, spreads))))
-    warnings = tuple(f"marginal cluster at energy {level.energy:.12g}: spread {level.spread:.3e} "
-                     f"exceeds half the gap threshold {threshold:.3e}"
-                     for level in levels if level.spread > threshold / 2)
-    return levels, warnings
+    _, *arrays, (warnings,) = _clusters(values[None], np.array([tolerance], dtype=float))
+    return tuple(map(Level, *(array.tolist() for array in arrays))), warnings
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -223,25 +288,44 @@ def diagonalize(spec: RingSpec,
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(s, exc) from exc
         blocks.append(SectorEigensystem(states, w, _fix_signs(v)))
-    return _assemble(spec, tuple(blocks), cluster_tolerance)
+    return _sector_decomposition(spec, tuple(blocks), cluster_tolerance)
 
 
-def _solved_groups(specs, solver):
-    """Yield each ``block_layout`` group and ``solver`` of its A stacks at the A ``specs``."""
+def _sector_decomposition(spec: RingSpec, blocks: tuple,
+                          tolerance: float) -> SpectralDecomposition:
+    """The ``SpectralDecomposition`` of the solved sector ``blocks``, as a batch of one."""
+    for block in blocks:
+        read_only(block.vectors)
+    sizes = [block.values.size for block in blocks]
+    batch = _assembled([(spec, tolerance)], np.concatenate([b.values for b in blocks])[None],
+                       np.ones(sum(sizes), dtype=int), sizes)
+    return batch.decomposition(SpectralDecomposition, 0, blocks)
+
+
+def _solved_groups(specs, vectors: bool = False):
+    """Yield each ``block_layout`` group with the eigenvalues of its A stacks at the A ``specs``
+    and, if ``vectors``, their eigenvectors (else None); a 1 x 1 block is its own eigenvalue,
+    with eigenvector 1, as eigh gives them."""
     weights = np.array([separation_weights(spec.n_sites, spec.alpha) for spec in specs])
     for group in block_layout(specs[0].n_sites):
+        stack = group.stack(weights)
         try:
-            yield group, solver(group.stack(weights))
+            if group.shape[1] == 1:
+                solved = stack[..., 0], np.ones_like(stack) if vectors else None
+            else:
+                solved = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(group.blocks[0][0], exc) from exc
+        yield group, *solved
 
 
 def energy_levels(spec: RingSpec,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
     """The clustered levels of ``diagonalize`` from one eigvalsh per ``block_layout`` group."""
     raw = [np.repeat(values[0], group.counts, axis=0).ravel()
-           for group, values in _solved_groups([spec], np.linalg.eigvalsh)]
-    return cluster_levels(_map_sorted(spec, np.concatenate(raw))[0], cluster_tolerance)[0]
+           for group, values, _ in _solved_groups([spec])]
+    return cluster_levels(_map_sorted([spec], np.concatenate(raw)[None])[0][0],
+                          cluster_tolerance)[0]
 
 
 def batch_size(n_sites: int) -> int:
@@ -252,24 +336,29 @@ def batch_size(n_sites: int) -> int:
 
 def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
     """The ``momentum_decomposition`` of each (spec, cluster tolerance) of ``jobs``, one ring size,
-    in order: ``batch_size`` alphas share one assembly and one eigh per ``block_layout`` group,
-    each is assembled when reached, and a failed batch is solved an alpha at a time to name it."""
+    in order: ``batch_size`` alphas share one eigh per ``block_layout`` group and one assembly,
+    each is made when reached, and a failed batch is solved an alpha at a time to name it."""
     jobs = list(jobs)
+    layout = block_layout(jobs[0][0].n_sites) if jobs else ()
     size = batch_size(jobs[0][0].n_sites) if jobs else 1
+    copies = [np.repeat(g.counts, g.shape[1]) for g in layout]
     for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
-        try:  # each group's values, vectors and, on demand, its columns' correlators
-            solved = [(g, w, v, functools.cache(functools.partial(_pair_columns, g, v)))
-                      for g, (w, v) in _solved_groups([spec for spec, _ in batch], np.linalg.eigh)]
+        try:
+            solved = tuple(_solved_groups([spec for spec, _ in batch], vectors=True))
         except EigensolverError:
             if len(batch) == 1:
                 raise
             yield from (dec for job in batch for dec in momentum_decompositions([job]))
             continue
-        for a, (spec, tolerance) in enumerate(batch):
-            blocks = tuple(MomentumEigensystem(g, g.counts, w[a], v[a], p, a)
-                           for g, w, v, p in solved)
-            yield _assemble(spec, blocks, tolerance, MomentumDecomposition)
-        del solved, blocks  # before the next batch is solved
+        for _, w, v in solved:
+            read_only(w)
+            read_only(v)
+        assembled = _assembled(batch, np.hstack([w.reshape(len(batch), -1) for _, w, _ in solved]),
+                               np.concatenate(copies), [c.size for c in copies], solved)
+        for a in range(len(batch)):
+            yield assembled.decomposition(MomentumDecomposition, a, tuple(
+                MomentumEigensystem(g, g.counts, w[a], v[a]) for g, w, v in solved))
+        del solved, assembled  # before the next batch is solved
 
 
 def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
@@ -278,33 +367,35 @@ def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TO
     return next(momentum_decompositions([(spec, cluster_tolerance)]))
 
 
-def _map_sorted(spec: RingSpec, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The variant's eigenvalues from the STANDARD ``raw``, ascending, and their order."""
-    scale, shift = variant_map(spec)
-    order = np.argsort(raw, kind="stable")[::-1 if scale < 0 else 1]
-    return scale * raw[order] + shift, order
+def _map_sorted(specs, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each spec's eigenvalues from its row of the STANDARD ``raw``, ascending, and their order."""
+    scale, shift = np.array([variant_map(spec) for spec in specs]).T[..., None]
+    order = np.argsort(raw, axis=1, kind="stable")
+    reverse = scale[:, 0] < 0
+    order[reverse] = order[reverse, ::-1]
+    return scale * np.take_along_axis(raw, order, axis=1) + shift, order
 
 
-def _assemble(spec: RingSpec, blocks: tuple, tolerance: float,
-              kind=SpectralDecomposition) -> BlockDecomposition:
-    """The ``kind`` of decomposition of the solved ``blocks``, each value entered ``count``
-    times in a row; the copies are equal, so they fall in one level."""
-    sizes = np.array([b.values.size for b in blocks])
-    block_of = np.repeat(np.arange(len(blocks)), sizes)
-    copies = np.concatenate([np.repeat(b.count, b.values.shape[-1]) for b in blocks])
-    values, order = _map_sorted(spec, np.repeat(np.concatenate([b.values.ravel() for b in blocks]),
-                                                copies))
-    sectors = np.repeat(block_of, copies)[order]
+def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes, groups=()) -> _Batch:
+    """The ``_Batch`` of the A ``jobs`` from the STANDARD eigenvalues of their solved blocks,
+    A x M, block entries in order, of ``sizes`` values each: value i enters ``copies[i]`` times
+    in a row, and the copies are equal, so they fall in one level.  One sort, one clustering and
+    one scatter of each value's level serve all A."""
+    values, order = _map_sorted([spec for spec, _ in jobs], np.repeat(raw, copies, axis=1))
+    head, energies, counts, starts, _, warnings = _clusters(
+        values, np.array([tolerance for _, tolerance in jobs], dtype=float))
+    level_of = np.empty_like(order)
+    np.put_along_axis(level_of, order, np.cumsum(head, axis=1) - 1, axis=1)
+    per_row = head.sum(axis=1)
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
     columns = np.arange(block_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    columns = np.repeat(columns, copies)[order]
-    for array in (values, sectors, columns, *(b.vectors for b in blocks)):
-        read_only(array)
-    levels, warns = cluster_levels(values, tolerance)
-    level_of = np.repeat(np.arange(len(levels)), [lv.multiplicity for lv in levels])
-    first = level_of[np.argsort(order)][np.cumsum(copies) - copies]  # of each value's first copy
-    members = tuple(first[stop - size:stop] for size, stop in zip(sizes, np.cumsum(sizes)))
-    return kind(spec, values, blocks, sectors, columns, members, levels,
-                cluster_tolerance=tolerance, warnings=warns)
+    stops = np.cumsum(sizes).tolist()
+    return _Batch(jobs, *map(read_only, (
+        values, np.repeat(block_of, copies)[order], np.repeat(columns, copies)[order],
+        level_of[:, np.cumsum(copies) - copies])), list(zip([0, *stops], stops)),
+        *map(read_only, (energies, counts,
+                         starts - np.repeat(np.arange(len(values)) * values.shape[1], per_row))),
+        [0, *np.cumsum(per_row).tolist()], warnings, groups)
 
 
 def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -390,7 +481,7 @@ def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.n
     """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^T V_b per
     entry and one bincount: a block adds (V_a^T V_b)^2 ``count`` times, which is exact, since
     the blocks it stands for are unitary images of it (the spin flip) or its conjugates."""
-    size_b, pairs, weights = len(dec_b.levels), [], []
+    size_b, pairs, weights = dec_b.energies.size, [], []
     for block_a, block_b, levels_a, levels_b in zip(
             dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
         width = block_a.vectors.shape[-1]
@@ -398,7 +489,8 @@ def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.n
         weights.append((np.reshape(block_a.count, (-1, 1, 1)) * np.square(gram)).ravel())
         pairs.append((levels_a.reshape(-1, width, 1) * size_b
                       + levels_b.reshape(-1, 1, width)).ravel())
-    summed = np.bincount(np.concatenate(pairs), np.concatenate(weights), len(dec_a.levels) * size_b)
+    summed = np.bincount(np.concatenate(pairs), np.concatenate(weights),
+                         dec_a.energies.size * size_b)
     norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
     return summed.reshape(norm.shape) / norm
 
@@ -422,49 +514,103 @@ def _greedy_pairing(overlaps: np.ndarray, overlap_threshold: float,
     """``match_levels`` on an overlap matrix: the entries above the threshold,
     descending (ties: the later row-major one first), each accepted unless its
     row or column is taken, and ambiguous when the rest of its row or column
-    holds a value above it minus the window."""
+    holds a value above it minus the window.  An entry alone in its row and column
+    above the threshold is always taken, so the loop walks only the others: of
+    ``overlap_matrix``, whose rows and columns each sum to at most 1, a threshold
+    of 1/2 leaves none."""
     flat = np.flatnonzero(overlaps > overlap_threshold)
     order = flat[np.argsort(overlaps.flat[flat], kind="stable")[::-1]]
-    # each row's (column's) largest and second largest entry, -inf when missing
-    rows, cols = (np.sort(np.pad(m, ((0, 0), (2, 0)), constant_values=-np.inf))[:, :-3:-1]
-                  for m in (overlaps, overlaps.T))
+    ia, ib = np.unravel_index(order, overlaps.shape)
+    taken = ((np.bincount(ia, minlength=overlaps.shape[0]) == 1)[ia]
+             & (np.bincount(ib, minlength=overlaps.shape[1]) == 1)[ib])
     used_a, used_b = (np.zeros(size, dtype=bool) for size in overlaps.shape)
-    pairs, ambiguous = [], []
-    for ia, ib in zip(*np.unravel_index(order, overlaps.shape)):
-        if used_a[ia] or used_b[ib]:
-            continue
-        used_a[ia] = used_b[ib] = True
-        value = float(overlaps[ia, ib])
-        pairs.append((int(ia), int(ib), value))
-        # the largest entry but this one of its row, and of its column
-        runner = max(rows[ia, int(rows[ia, 0] == value)], cols[ib, int(cols[ib, 0] == value)])
-        if runner > value - ambiguity_window:
-            ambiguous.append(pairs[-1])
-    pairs.sort()
-    return LevelPairing(pairs=tuple(pairs),
+    used_a[ia[taken]] = used_b[ib[taken]] = True
+    for k in np.flatnonzero(~taken).tolist():
+        if not (used_a[ia[k]] or used_b[ib[k]]):
+            taken[k] = used_a[ia[k]] = used_b[ib[k]] = True
+    ia, ib = ia[taken], ib[taken]
+    value, rest = overlaps[ia, ib], np.arange(ia.size)
+    # the largest entry but this one of its row, and of its column
+    row, col = overlaps[ia], overlaps[:, ib].T
+    row[rest, ib] = col[rest, ia] = -np.inf
+    runner = np.maximum(row.max(axis=1, initial=-np.inf), col.max(axis=1, initial=-np.inf))
+    pairs = list(zip(ia.tolist(), ib.tolist(), value.tolist()))
+    ambiguous = [pair for pair, close in zip(pairs, runner > value - ambiguity_window) if close]
+    return LevelPairing(pairs=tuple(sorted(pairs)),
                         unmatched_a=tuple(np.flatnonzero(~used_a).tolist()),
                         unmatched_b=tuple(np.flatnonzero(~used_b).tolist()),
                         ambiguous=tuple(ambiguous))
 
 
+def best_partners(matches) -> list:
+    """For each (dec_a, levels, dec_b) of ``matches``, decompositions of one kind and ring size,
+    the best-overlap partner in ``dec_b`` of each listed level of ``dec_a`` and that overlap of
+    ``overlap_matrix``, as two arrays, from one pass over the block entries for all matches.
+    Each column of a listed level meets its block of ``dec_b`` in one vector-matrix product,
+    strided like a column of its block so that it rounds as one would; the squares are summed
+    per (level, partner) in entry, column and row order, and ties go to the lower partner."""
+    decs_a, levels, decs_b = zip(*matches)
+    levels = [np.asarray(wanted, dtype=int) for wanted in levels]
+    # every listed level gets a slot, and every level of every dec_b a global index
+    firsts = np.cumsum([0] + [wanted.size for wanted in levels])
+    offsets = np.cumsum([0] + [dec.energies.size for dec in decs_b])
+    hits, slots = [], []
+    for dec, wanted, first in zip(decs_a, levels, firsts.tolist()):
+        slot = np.full(dec.energies.size, -1)
+        slot[wanted] = np.arange(first, first + wanted.size)
+        row = slot[dec.batch.members[dec.index]]  # of each column, entries in order
+        hits.append(np.flatnonzero(row >= 0))
+        slots.append(row[hits[-1]])
+    match = np.repeat(np.arange(len(hits)), [hit.size for hit in hits])
+    hit, slot = np.concatenate(hits), np.concatenate(slots)
+    spans = decs_a[0].batch.spans
+    entry = np.searchsorted([stop for _, stop in spans], hit, side="right")
+    by_entry = np.argsort(entry, kind="stable")
+    cuts = np.searchsorted(entry[by_entry], np.arange(len(spans) + 1)).tolist()
+    keys, weights = [], []
+    for e, (start, _) in enumerate(spans):
+        picked = by_entry[cuts[e]:cuts[e + 1]]
+        if not picked.size:
+            continue
+        width = decs_a[0].blocks[e].values.shape[-1]
+        v_a, v_b = (np.stack([dec.blocks[e].vectors for dec in decs]).reshape(-1, width, width)
+                    for decs in (decs_a, decs_b))
+        members_b = np.stack([dec.members[e] for dec in decs_b]).reshape(-1, width)
+        b, c = np.divmod(hit[picked] - start, width)
+        block = match[picked] * (len(v_a) // len(decs_a)) + b  # in the stacks, ascending
+        place = np.arange(block.size) - np.searchsorted(block, block)  # among the block's columns
+        rows = np.zeros((len(v_a), width, place.max() + 2))  # a spare column keeps the stride
+        rows[block, :, place] = v_a[block, :, c]
+        gram = (rows[..., :-1].swapaxes(1, 2)[:, :, None] @ v_b[:, None])[block, place, 0]
+        keys.append(((slot[picked] * offsets[-1])[:, None]
+                     + members_b[block] + offsets[match[picked], None]).ravel())
+        count = np.reshape(decs_a[0].blocks[e].count, -1)
+        weights.append((count[b, None] * np.square(gram)).ravel())
+    # the distinct (slot, partner) keys, ascending, and the sum of each in input order
+    keys, weights = np.concatenate(keys), np.concatenate(weights)
+    order = np.argsort(keys, kind="stable")
+    fresh = np.diff(keys[order], prepend=-1) != 0
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(fresh) - 1
+    slot, partner = np.divmod(keys[order][fresh], offsets[-1])
+    mult_a = np.concatenate([dec.multiplicities[wanted] for dec, wanted in zip(decs_a, levels)])
+    mult_b = np.concatenate([dec.multiplicities for dec in decs_b])
+    overlaps = np.bincount(ids, weights) / np.maximum(mult_a[slot], mult_b[partner])
+    # the first largest overlap in each slot's run
+    runs = np.flatnonzero(np.diff(slot, prepend=-1))
+    best = np.flatnonzero(overlaps == np.repeat(np.maximum.reduceat(overlaps, runs),
+                                                np.diff(runs, append=slot.size)))
+    best = best[np.diff(slot[best], prepend=-1) != 0]
+    partner = partner[best] - offsets[np.repeat(np.arange(len(levels)), np.diff(firsts))]
+    return list(zip(np.split(partner, firsts[1:-1]), np.split(overlaps[best], firsts[1:-1])))
+
+
 def match_single_level(dec_a: BlockDecomposition, index_a: int,
                        dec_b: BlockDecomposition) -> tuple[int, float]:
-    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``, with the overlaps of
-    ``overlap_matrix``."""
-    level, sums = dec_a.levels[index_a], np.zeros(len(dec_b.levels))
-    # ascending like np.unique, which would import numpy.ma on its first call
-    for e in np.flatnonzero(np.bincount(dec_a.sectors[level.start:level.stop])):
-        block_a, block_b = dec_a.blocks[e], dec_b.blocks[e]
-        width, count = block_a.values.shape[-1], np.reshape(block_a.count, -1)
-        for i in np.flatnonzero(dec_a.members[e] == index_a).tolist():
-            b, c = divmod(i, width)  # flat column i is column c of block b
-            row = block_a.vectors.reshape(-1, width, width)[b, :, c]
-            gram = row @ block_b.vectors.reshape(-1, width, width)[b]
-            np.add.at(sums, dec_b.members[e][b * width:(b + 1) * width], count[b] * np.square(gram))
-    norm = np.maximum(level.multiplicity, dec_b.multiplicities)
-    overlaps = sums / norm
-    j = int(np.argmax(overlaps))
-    return j, float(overlaps[j])
+    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``: ``best_partners`` of one."""
+    ((j,), (value,)), = ((partners.tolist(), overlaps.tolist())
+                         for partners, overlaps in best_partners([(dec_a, [index_a], dec_b)]))
+    return j, value
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +669,7 @@ class DecompositionCache:
                          np.cumsum(np.concatenate([sizes, sizes ** 2]))[:-1])
         blocks = tuple(SectorEigensystem(states, w, v.reshape(w.size, w.size))
                        for states, w, v in zip(all_states, parts, parts[sizes.size:]))
-        return _assemble(spec, blocks, tolerance)
+        return _sector_decomposition(spec, blocks, tolerance)
 
     def store(self, decomposition: SpectralDecomposition) -> str:
         spec = decomposition.spec

@@ -111,9 +111,9 @@ def test_sweep_holds_at_most_two_decompositions(monkeypatch):
     # that a live decomposition views, and at most two assembled decompositions are live
     point = 8 * sum(math.prod(g.shape) for g in spectra_module.block_layout(6))
     monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
-    real, solved, live, batches = spectra_module._assemble, [], [], []
+    real, solved, live, batches = spectra_module._Batch.decomposition, [], [], []
 
-    def tracked(spec, blocks, *args, **kwargs):
+    def tracked(assembled, kind, a, blocks):
         batch = blocks[0].vectors.base
         if not any(ref() is batch for ref in batches):
             batches.append(weakref.ref(batch))
@@ -121,11 +121,11 @@ def test_sweep_holds_at_most_two_decompositions(monkeypatch):
         live.append(sum(dec is not None for dec, _ in held))
         viewed = [base for dec, base in held if dec is not None] + [batch]
         assert all(base is None or any(base is b for b in viewed) for _, base in held)
-        dec = real(spec, blocks, *args, **kwargs)
+        dec = real(assembled, kind, a, blocks)
         solved.append((weakref.ref(dec), weakref.ref(batch)))
         return dec
 
-    monkeypatch.setattr(spectra_module, "_assemble", tracked)
+    monkeypatch.setattr(spectra_module._Batch, "decomposition", tracked)
     sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
     assert len(live) == 14 and len(batches) == 5
     assert max(live) <= 2
@@ -342,16 +342,17 @@ def test_golden_report_solve_counts(monkeypatch, capsys):
     # the golden n8 report's counts when they were pinned: 84 alphas given to the batched
     # solver (15 grid points, 68 bisection steps and references, and the fit) in 7 batches
     # (the sweep, the references, four bisection rounds and the fit), each one eigh per
-    # block_layout group (7 x 8: the 26 nonempty real blocks, none wider than 9, in 8 groups
-    # across sectors; the 21 complex blocks in 10 groups made 7 x 10 = 70, one solve per
-    # alpha 84 x 8 = 672 with the two 1 x 1 groups read directly, and the sector path 84 + 1
-    # solves of 9 eigh calls up to 70 wide); a change that adds solves fails here, not only
-    # in the wall time
+    # block_layout group wider than 1 (7 x 7: the 26 nonempty real blocks, none wider than 9,
+    # fall in 8 groups across sectors, and the group of six 1 x 1 blocks is read directly;
+    # 7 x 8 = 56 when eigh solved it too, the 21 complex blocks in 10 groups made 7 x 10 = 70,
+    # one solve per alpha 84 x 8 = 672 with the two 1 x 1 groups read directly, and the sector
+    # path 84 + 1 solves of 9 eigh calls up to 70 wide); a change that adds solves fails here,
+    # not only in the wall time
     solves = _recording_solves(monkeypatch)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 56)
+    assert (len(solves), len(eighs)) == (84, 49)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -446,12 +447,29 @@ def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
 
 def test_bisection_matches_each_level_once_per_step(monkeypatch):
     res = sweep(8, np.geomspace(0.5, 8, 15))
-    calls = _recording(monkeypatch, analysis_module, "match_single_level")
+    calls = _recording(monkeypatch, analysis_module, "best_partners")
     all_crossings(res, 0.1)
     keys = [(ref.spec.alpha, level, dec.spec.alpha, dec.cluster_tolerance)
-            for (ref, level, dec), _ in calls]
+            for (matches,), _ in calls for ref, levels, dec in matches for level in levels]
     assert len(keys) > 100
     assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_overlaps_of_neighbouring_alphas_leave_greedy_pairing_no_choice(n):
+    # tr(P_i P_j) summed over j is m_i, so each row and column of the normalised overlaps sums
+    # to at most 1 and no two entries above 1/2 share one: the sweep's pairings take every
+    # entry above 1/2, as the entry-by-entry greedy loop does
+    grid = [0.0, *np.geomspace(0.05, 12, 40).tolist(), 2.0, INFINITY]
+    decs = list(spectra_module.momentum_decompositions(
+        (RingSpec(n, alpha), 1e-9) for alpha in sorted(grid)))
+    for dec_a, dec_b in zip(decs[:-1], decs[1:]):
+        overlaps = spectra_module.overlap_matrix(dec_a, dec_b)
+        assert overlaps.sum(axis=0).max() <= 1 + 1e-12
+        assert overlaps.sum(axis=1).max() <= 1 + 1e-12
+        got = spectra_module._greedy_pairing(overlaps, 0.5, 0.05)
+        assert got == oracles.match_levels(overlaps, 0.5, 0.05)
+        assert len(got.pairs) == (overlaps > 0.5).sum()
 
 
 REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
@@ -578,10 +596,10 @@ def test_point_records_check_the_energy_correlator_identity(dec):
             for alpha in (0.0, 1.3, 2.0, INFINITY):
                 oracles._point_records(dec(n, alpha, variant), 1e-10)
     d = dec(6, 1.3)
-    levels = list(d.levels)
-    levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
+    energies = d.energies.copy()
+    energies[3] += 1e-6
     with pytest.raises(StructureError, match="level 3 energy"):
-        oracles._point_records(dataclasses.replace(d, levels=tuple(levels)), 1e-10)
+        oracles._point_records(dataclasses.replace(d, energies=energies), 1e-10)
 
 
 def test_point_cells_check_the_energy_correlator_identity():
@@ -593,9 +611,9 @@ def test_point_cells_check_the_energy_correlator_identity():
                 some = analysis_module._point_cells(dec, 1e-10, levels=[1, 0])
                 assert np.abs(some - cells[[1, 0]]).max() <= 1e-14
     d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
-    levels = list(d.levels)
-    levels[3] = dataclasses.replace(levels[3], energy=levels[3].energy + 1e-6)
-    shifted = dataclasses.replace(d, levels=tuple(levels))
+    energies = d.energies.copy()
+    energies[3] += 1e-6
+    shifted = dataclasses.replace(d, energies=energies)
     with pytest.raises(StructureError, match="level 3 energy"):
         analysis_module._point_cells(shifted, 1e-10)
     with pytest.raises(StructureError, match="level 3 energy"):  # numbered as in dec

@@ -1,10 +1,12 @@
 """Reports against golden documents.
 
-``tests/golden/`` holds the stdout of two ``report`` commands, captured
-with one BLAS thread before crossings and entanglement boundaries shared
-one bisection driver.  A refactor must keep every key, count, census,
-curve index and event kind; floats may move by rounding only, since other
-BLAS builds round differently.
+``tests/golden/`` holds the stdout of three ``report`` commands, captured
+with one BLAS thread: N = 7 and 8 before crossings and entanglement
+boundaries shared one bisection driver, and N = 10, where threading curves
+by overlap and threading them by symmetry label part most often, before the
+levels of a batch of alphas were assembled at once.  A refactor must keep
+every key, count, census, curve index and event kind; floats may move by
+rounding only, since other BLAS builds round differently.
 """
 
 import json
@@ -21,6 +23,8 @@ GOLDEN = {
     "report_n7.json": ["report", "--n", "7", "--grid", "0.05:12:40:log", "--extra", "0",
                        "--extra", "2", "--extra", "inf", "--resolution", "0.01"],
     "report_n8.json": ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"],
+    "report_n10.json": ["report", "--n", "10", "--grid", "0.05:12:40:log", "--extra", "0",
+                        "--extra", "2", "--extra", "inf", "--resolution", "0.1"],
 }
 
 FLOAT_TOLERANCE = 1e-9  # absolute

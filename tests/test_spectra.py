@@ -247,6 +247,54 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
     assert next(solved, None) is None
 
 
+@pytest.mark.parametrize("n", range(5, 10))
+def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
+    # one batch of a grid through alpha = 0, 2 and infinity, near-degenerate points and every
+    # variant, at two cluster tolerances, as bisection rounds mix them: each decomposition's
+    # arrays, warnings, levels and correlators are those of solving its alpha alone
+    monkeypatch.setattr(spectra_module, "BATCH_BYTES", 2 ** 40)
+    grid = [0.0, 1e-5, *np.geomspace(0.05, 12, 7).tolist(), 2.0, 2.00001, INFINITY]
+    jobs = [(RingSpec(n, alpha, variant), tolerance) for variant in Variant for alpha in grid
+            for tolerance in (1e-9, 1e-6)]
+    solved = list(spectra_module.momentum_decompositions(jobs))
+    assert len({id(dec.batch) for dec in solved}) == 1
+    assert any(dec.warnings for dec in solved) or n == 5  # marginal clusters from N = 6 on
+    for (spec, tolerance), got in zip(jobs, solved, strict=True):
+        want = momentum_decomposition(spec, tolerance)
+        for name in ("eigenvalues", "energies", "multiplicities", "starts", "sectors", "columns"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert not a.flags.writeable
+        assert [m.tobytes() for m in got.members] == [m.tobytes() for m in want.members]
+        assert got.warnings == want.warnings and got.levels == want.levels
+        assert got.correlators().tobytes() == want.correlators().tobytes()
+
+
+def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
+    # the batch's solve fails, so it is solved again an alpha at a time: the alphas before the
+    # failing one come out whole, and the error comes at the failing one
+    n, grid = 7, np.geomspace(0.5, 8, 6).tolist()
+    group, real, shapes = block_layout(n)[0], np.linalg.eigh, []
+    poison = group.stack(separation_weights(n, grid[3]))
+
+    def eigh(stack):
+        shapes.append(stack.shape[:-3])
+        if stack.shape[-3:] == poison.shape and any(
+                np.array_equal(block, poison) for block in stack.reshape(-1, *poison.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    solved = spectra_module.momentum_decompositions((RingSpec(n, a), 1e-9) for a in grid)
+    for alpha in grid[:3]:
+        assert next(solved).spec.alpha == alpha
+    with pytest.raises(spectra_module.EigensolverError) as info:
+        next(solved)
+    assert info.value.sector == group.blocks[0][0]
+    assert shapes[0] == (6,) and shapes[-1] == (1,)
+    assert shapes.count((6,)) == 1
+
+
 def test_batch_size_bounds_the_eigenvector_bytes():
     for n, size in ((8, 109), (10, 10), (12, 1), (14, 1)):
         point = 8 * sum(math.prod(g.shape) for g in block_layout(n))  # real eigenvectors
