@@ -339,8 +339,9 @@ def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
     in order: ``batch_size`` alphas share one eigh per ``block_layout`` group and one assembly,
     each is made when reached, and a failed batch is solved an alpha at a time to name it."""
     jobs = list(jobs)
-    layout = block_layout(jobs[0][0].n_sites) if jobs else ()
-    size = batch_size(jobs[0][0].n_sites) if jobs else 1
+    if not jobs:
+        return
+    size, layout = batch_size(jobs[0][0].n_sites), block_layout(jobs[0][0].n_sites)
     copies = [np.repeat(g.counts, g.shape[1]) for g in layout]
     for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
         try:
@@ -608,9 +609,8 @@ def best_partners(matches) -> list:
 def match_single_level(dec_a: BlockDecomposition, index_a: int,
                        dec_b: BlockDecomposition) -> tuple[int, float]:
     """Best-overlap partner in ``dec_b`` for one level of ``dec_a``: ``best_partners`` of one."""
-    ((j,), (value,)), = ((partners.tolist(), overlaps.tolist())
-                         for partners, overlaps in best_partners([(dec_a, [index_a], dec_b)]))
-    return j, value
+    partners, overlaps = best_partners([(dec_a, [index_a], dec_b)])[0]
+    return int(partners[0]), float(overlaps[0])
 
 
 # ---------------------------------------------------------------------------
