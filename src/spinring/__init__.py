@@ -7,9 +7,9 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     top_eigenspace_basis, total_weight, variant_map)
 from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
                       Level, LevelPairing, MomentumDecomposition, SpectralDecomposition,
-                      UniformEigenstate, cluster_levels, diagonalize, energy_levels,
-                      lagrange_projector, match_levels, match_single_level,
-                      momentum_decomposition, overlap_matrix, projector, uniform_state)
+                      UniformEigenstate, diagonalize, energy_levels, lagrange_projector,
+                      match_levels, match_single_level, momentum_decomposition,
+                      overlap_matrix, projector, uniform_state)
 from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
                            extract_abc, meyer_wallach, oliveira_global, pair_concurrence,
@@ -23,7 +23,6 @@ from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, CrossingEvent, CurveCensus
                        find_last_crossing, locate_crossing, nn_linear_fit,
                        projector_dimension_histogram, separation_existence_intervals,
                        separation_gaps, sweep)
-from .serialize import (SCHEMA_VERSION, atomic_write, emit_csv, emit_json,
-                        format_real, parse_real)
+from .serialize import SCHEMA_VERSION, atomic_write, emit_json, format_real, parse_real
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ previous backbone point as it is reached, so besides one batch at most two solut
 a pairing above overlap 1/2 is conflict-free, so it takes no loop.  Every event inside a
 backbone interval is then located by one grouped bisection of that interval, in lockstep with
 the other intervals: each round solves all their midpoints as one batch and matches the levels
-their probes follow in one overlap pass.  A single point's table (``_momentum_records``) serves
-the ``concurrence`` command and the single-alpha parts of ``report``.
+their probes follow in one overlap pass.  ``concurrence`` solves its points as the sweep does;
+one point's table (``_momentum_records``) serves the single-alpha parts of ``report``.
 """
 
 import itertools

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
-from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache,
-                      EigensolverError, energy_levels)
+from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache, EigensolverError,
+                      level_arrays, momentum_decompositions)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, werner_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
-                       _last_crossing, _located_events, _momentum_records,
+                       _last_crossing, _located_events, _point_cells,
                        default_alpha_grid, entangled_projector_census,
                        nn_linear_fit, separation_existence_intervals, sweep)
 from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
@@ -69,7 +69,7 @@ def _parse_alpha(text: str) -> float:
         raise UsageError(f"bad alpha {text!r}") from exc
     if math.isnan(value) or value < 0:
         raise UsageError(f"alpha must be nonnegative, got {text!r}")
-    return value
+    return value + 0.0  # -0 is 0, so equal alpha sets give equal bytes
 
 
 def _parse_grid(text: str) -> tuple:
@@ -250,10 +250,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_table(config: RunConfig, header: tuple, rows: list, **settings) -> str:
-    """The rows as CSV, or as JSON after the run's settings and ``settings``."""
+def _emit_table(config: RunConfig, header: tuple, tables: list, **settings) -> str:
+    """The ``tables`` by ``emit_csv``, or as JSON rows after the run's settings and ``settings``."""
     if config.output_format == "csv":
-        return emit_csv(header, rows)
+        return emit_csv(header, tables)
+    rows = [(alpha, li, energy, m, *tail) for alpha, energies, multiplicities, cells in tables
+            for li, (energy, m) in enumerate(zip(energies.tolist(), multiplicities.tolist()))
+            for tail in ([()] if cells is None else
+                         [(sep, *cell) for sep, cell in enumerate(cells[li].tolist(), start=1)])]
     return emit_json({
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
@@ -268,29 +272,27 @@ def _emit_table(config: RunConfig, header: tuple, rows: list, **settings) -> str
 def cmd_spectrum(config: RunConfig) -> str:
     """Level table: one row per (alpha, level), ordered by (alpha, energy)."""
     cache = DecompositionCache(config.cache_dir) if config.cache_dir else None
-    rows = []
+    tables = []
     for alpha in config.alphas:  # no decomposition is held while the next is solved
         spec = RingSpec(config.n_sites, alpha, config.variant)
-        # eigenvalues alone, unless the cache keeps the decomposition for reuse
-        levels = (cache.get(spec, config.cluster_tolerance).levels if cache is not None
-                  else energy_levels(spec, config.cluster_tolerance))
-        for li, level in enumerate(levels):
-            rows.append((alpha, li, level.energy, int(level.multiplicity)))
-    return _emit_table(config, ("alpha", "level_index", "energy", "multiplicity"), rows)
+        if cache is None:  # eigenvalues alone, unless the cache keeps the decomposition for reuse
+            tables.append((alpha, *level_arrays(spec, config.cluster_tolerance)[:2], None))
+        else:
+            dec = cache.get(spec, config.cluster_tolerance)
+            tables.append((alpha, dec.energies, dec.multiplicities, None))
+    return _emit_table(config, ("alpha", "level_index", "energy", "multiplicity"), tables)
 
 
 def cmd_concurrence(config: RunConfig) -> str:
-    """Concurrence table: one row per (alpha, level, separation), from ``_momentum_records``."""
-    rows = []
-    for alpha in config.alphas:
-        levels, cells = _momentum_records(RingSpec(config.n_sites, alpha, config.variant),
-                                          config.cluster_tolerance, config.structure_tolerance)
-        rows += [(alpha, li, level.energy, level.multiplicity, sep, *values)
-                 for li, (level, row) in enumerate(zip(levels, cells.tolist()))
-                 for sep, values in enumerate(row, start=1)]
+    """Concurrence table: one row per (alpha, level, separation), the alphas solved in batches
+    as ``sweep`` solves them (``momentum_decompositions``), each with its ``_point_cells``."""
+    decs = momentum_decompositions((RingSpec(config.n_sites, alpha, config.variant),
+                                    config.cluster_tolerance) for alpha in config.alphas)
+    tables = [(dec.spec.alpha, dec.energies, dec.multiplicities,
+               _point_cells(dec, config.structure_tolerance)) for dec in decs]
     header = ("alpha", "level_index", "energy", "multiplicity", "separation",
               "concurrence", "a", "b", "c", "structure_residual")
-    return _emit_table(config, header, rows, structure_tolerance=config.structure_tolerance)
+    return _emit_table(config, header, tables, structure_tolerance=config.structure_tolerance)
 
 
 def _event_doc(event) -> dict:

@@ -1,8 +1,8 @@
-"""Deterministic text output: real formatting that round-trips binary64,
-JSON and CSV emitters, and atomic file writes.
+"""Deterministic text output: real formatting that round-trips binary64, a JSON emitter,
+a CSV emitter of level tables straight from their arrays, and atomic file writes.
 
-Reals are printed with 17 significant digits so parsing the output recovers
-the exact double.  Identical inputs produce byte-identical output.
+Reals are printed with 17 significant digits so parsing the output recovers the exact
+double.  Identical inputs produce byte-identical output.
 """
 
 import json
@@ -10,6 +10,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -76,22 +78,32 @@ def emit_json(document) -> str:
     return "".join(out)
 
 
-def emit_csv(header, rows) -> str:
-    """CSV with '\\n' line endings; reals as ``format_real`` gives them, by one %-template a row:
-    %.17g, or %.1f where %.17g prints no point or exponent (integral, below 1e17 in size)."""
+def _real_rows(values: np.ndarray) -> list:
+    """Each row of the R x k reals as ``format_real`` prints them, comma-joined, by one template
+    a row: %.1f where %.17g prints no point or exponent (integral, below 1e17 in size)."""
+    if np.isnan(values).any():
+        raise ValueError("NaN has no serialized form")
+    width = values.shape[1]  # bit j of a row's code picks %.1f for its cell j
+    templates = [",".join(("%.17g", "%.1f")[code >> j & 1] for j in range(width))
+                 for code in range(2 ** width)]
+    codes = ((values == np.trunc(values)) & (np.abs(values) < 1e17)) @ (1 << np.arange(width))
+    text = "\n".join([templates[c] for c in codes.tolist()]) % tuple(values.ravel().tolist())
+    return text.split("\n") if len(values) else []
+
+
+def emit_csv(header, tables) -> str:
+    """CSV with '\\n' line endings of (alpha, energies, multiplicities, cells) level tables: a row
+    (alpha, level index, energy, multiplicity) a level, with levels x separations x k ``cells``
+    also (separation, its k cells) a level and separation; alpha and energies formatted once."""
     lines = [",".join(header)]
-    for row in rows:
-        template, values = [], []
-        for cell in row:
-            if isinstance(cell, float):  # the common cell, tested first; no bool is one
-                if cell != cell:
-                    raise ValueError("NaN has no serialized form")
-                template.append("%.1f" if cell.is_integer() and -1e17 < cell < 1e17 else "%.17g")
-                values.append(cell)
-            else:  # bools as true and false, the rest as str prints them
-                template.append("%s")
-                values.append(("true" if cell else "false") if isinstance(cell, bool) else cell)
-        lines.append(",".join(template) % tuple(values))
+    for alpha, energies, multiplicities, cells in tables:
+        alpha = format_real(alpha)
+        rows = [f"{alpha},{li},{energy},{m}" for li, (energy, m) in enumerate(
+            zip(_real_rows(energies[:, None]), multiplicities.tolist()))]
+        if cells is not None:
+            rows = [f"{row},{sep}," for row in rows for sep in range(1, cells.shape[1] + 1)]
+            rows = map(str.__add__, rows, _real_rows(cells.reshape(len(rows), -1)))
+        lines += rows
     return "\n".join(lines) + "\n"
 
 

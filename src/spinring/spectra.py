@@ -221,9 +221,11 @@ class _Batch:
 
 
 def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
-    """``cluster_levels`` on each ascending row of the A x D ``values`` at its tolerance: the
-    A x D mask of the values that start a level; the levels' energies, multiplicities, flat
-    starts and spreads, row after row; and each row's warnings."""
+    """Degenerate levels of each ascending row of the A x D ``values``: neighbours join one
+    level iff their gap is below the row's tolerance times max(1, its range).  Returns the A x D
+    mask of the values that start a level; the levels' energies (means), multiplicities, flat
+    starts and spreads, row after row; and each row's warnings of a level spread over half the
+    gap threshold, a marginal split (typically a near-crossing)."""
     if np.any(tolerances <= 0):
         raise ValueError("tolerance must be positive")
     thresholds = tolerances * np.maximum(1.0, values[:, -1] - values[:, 0])
@@ -241,26 +243,6 @@ def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
         warnings[rows[level]].append(f"marginal cluster at energy {energy:.12g}: spread "
                                      f"{spread:.3e} exceeds half the gap threshold {threshold:.3e}")
     return head, energies, counts, starts, spreads, tuple(map(tuple, warnings))
-
-
-def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
-    """Group an ascending eigenvalue list into degenerate levels.
-
-    Greedy gap rule: consecutive eigenvalues join one level iff their gap
-    is below ``tolerance * max(1, spectral_range)``.  The level energy is
-    the cluster mean.  Returns (levels, warnings); a warning is recorded
-    for any cluster whose internal spread exceeds half the gap threshold,
-    which flags a marginal split (typically a near-crossing).
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.size == 0:
-        return (), ()
-    if np.any(np.diff(values) < 0):
-        raise ValueError("eigenvalues must be sorted ascending")
-    _, *arrays, (warnings,) = _clusters(values[None], np.array([tolerance], dtype=float))
-    return tuple(map(Level, *(array.tolist() for array in arrays))), warnings
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -319,13 +301,18 @@ def _solved_groups(specs, vectors: bool = False):
         yield group, *solved
 
 
-def energy_levels(spec: RingSpec,
-                  cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The clustered levels of ``diagonalize`` from one eigvalsh per ``block_layout`` group."""
+def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """The energies, multiplicities, starts and spreads of the clustered levels of
+    ``diagonalize``, as arrays, from one eigvalsh per ``block_layout`` group."""
     raw = [np.repeat(values[0], group.counts, axis=0).ravel()
            for group, values, _ in _solved_groups([spec])]
-    return cluster_levels(_map_sorted([spec], np.concatenate(raw)[None])[0][0],
-                          cluster_tolerance)[0]
+    return _clusters(_map_sorted([spec], np.concatenate(raw)[None])[0],
+                     np.array([cluster_tolerance], dtype=float))[1:5]
+
+
+def energy_levels(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """The ``level_arrays`` as ``Level`` objects."""
+    return tuple(map(Level, *(array.tolist() for array in level_arrays(spec, cluster_tolerance))))
 
 
 def batch_size(n_sites: int) -> int:

@@ -28,6 +28,13 @@ step: the reference for ``analysis._bisect``, which bisects many intervals in
 lockstep and solves each round's midpoints as one batch.  ``sign_changes``
 compares one curve's concurrence at one interval's ends: the reference for
 ``analysis._sign_changes``, which compares every curve and interval at once.
+
+``cluster_levels`` clusters one ascending eigenvalue list into ``Level`` objects by the
+package's gap rule (``spectra._clusters``), for the dense ``diagonalize`` and as the one-list
+form the clustering tests read.  ``emit_csv`` writes a CSV cell by cell from tuple rows, and
+``table_text`` gives the ``spectrum`` and ``concurrence`` output from such rows, each alpha
+solved alone (``energy_levels``, ``_momentum_records``): the references for
+``serialize.emit_csv``, which writes the commands' level arrays, and for their batched solves.
 """
 
 from __future__ import annotations
@@ -41,13 +48,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinring.analysis import JUMP_SCALE_DEFAULT, _SignChange, _check_energy_identity
+from spinring.analysis import (JUMP_SCALE_DEFAULT, _check_energy_identity, _momentum_records,
+                               _SignChange)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
                             build_sector_blocks, read_only, sector_block, sector_states,
                             separation_weights, total_weight, variant_map)
+from spinring.serialize import SCHEMA_VERSION, emit_json
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
-                              LevelPairing, SpectralDecomposition, cluster_levels)
+                              LevelPairing, SpectralDecomposition, energy_levels)
 from spinring import spectra
 
 
@@ -73,6 +82,26 @@ class DenseDecomposition:
 def eigenvectors(dec) -> np.ndarray:
     """The dense 2^N x 2^N eigenvector matrix of a block decomposition."""
     return dec.level_vectors(Level(0.0, dec.spec.dimension, 0, 0.0))
+
+
+def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
+    """Group an ascending eigenvalue list into degenerate levels.
+
+    Greedy gap rule: consecutive eigenvalues join one level iff their gap
+    is below ``tolerance * max(1, spectral_range)``.  The level energy is
+    the cluster mean.  Returns (levels, warnings); a warning is recorded
+    for any cluster whose internal spread exceeds half the gap threshold,
+    which flags a marginal split (typically a near-crossing).
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    values = np.asarray(eigenvalues, dtype=float)
+    if values.size == 0:
+        return (), ()
+    if np.any(np.diff(values) < 0):
+        raise ValueError("eigenvalues must be sorted ascending")
+    _, *arrays, (warnings,) = spectra._clusters(values[None], np.array([tolerance], dtype=float))
+    return tuple(map(Level, *(array.tolist() for array in arrays))), warnings
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -592,3 +621,49 @@ def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
                 if brackets[k] != (a, b):  # else the halving rounded back
                     active.append(k)
     return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]
+
+
+def emit_csv(header, rows) -> str:
+    """CSV with '\\n' line endings; reals as ``format_real`` gives them, by one %-template a row:
+    %.17g, or %.1f where %.17g prints no point or exponent (integral, below 1e17 in size)."""
+    lines = [",".join(header)]
+    for row in rows:
+        template, values = [], []
+        for cell in row:
+            if isinstance(cell, float):  # the common cell, tested first; no bool is one
+                if cell != cell:
+                    raise ValueError("NaN has no serialized form")
+                template.append("%.1f" if cell.is_integer() and -1e17 < cell < 1e17 else "%.17g")
+                values.append(cell)
+            else:  # bools as true and false, the rest as str prints them
+                template.append("%s")
+                values.append(("true" if cell else "false") if isinstance(cell, bool) else cell)
+        lines.append(",".join(template) % tuple(values))
+    return "\n".join(lines) + "\n"
+
+
+def table_text(config) -> str:
+    """The output of the ``spectrum`` or ``concurrence`` run ``config`` row by row: each alpha
+    solved alone, a tuple a row, written by ``emit_csv`` or as JSON row dicts."""
+    settings, rows = {}, []
+    for alpha in config.alphas:
+        spec = RingSpec(config.n_sites, alpha, config.variant)
+        if config.command == "spectrum":
+            header = ("alpha", "level_index", "energy", "multiplicity")
+            rows += [(alpha, li, level.energy, level.multiplicity)
+                     for li, level in enumerate(energy_levels(spec, config.cluster_tolerance))]
+            continue
+        header = ("alpha", "level_index", "energy", "multiplicity", "separation",
+                  "concurrence", "a", "b", "c", "structure_residual")
+        settings = {"structure_tolerance": config.structure_tolerance}
+        levels, cells = _momentum_records(spec, config.cluster_tolerance,
+                                          config.structure_tolerance)
+        rows += [(alpha, li, level.energy, level.multiplicity, sep, *values)
+                 for li, (level, row) in enumerate(zip(levels, cells.tolist()))
+                 for sep, values in enumerate(row, start=1)]
+    if config.output_format == "csv":
+        return emit_csv(header, rows)
+    return emit_json({"schema_version": SCHEMA_VERSION, "command": config.command,
+                      "n_sites": config.n_sites, "variant": config.variant.value,
+                      "cluster_tolerance": config.cluster_tolerance, **settings,
+                      "rows": [dict(zip(header, row)) for row in rows]})

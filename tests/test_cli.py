@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,13 +9,15 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 import spinring
 import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.entanglement as entanglement_module
 import spinring.spectra as spectra_module
 from spinring import PairStateWarning
-from spinring.cli import main
+from spinring.cli import build_parser, main, resolve_config
+from spinring.model import block_layout
 from spinring.spectra import UniformEigenstate
 
 REPORT_KEYS = {
@@ -150,6 +153,79 @@ def test_memory_error_exits_3(capsys, monkeypatch):
         assert code == 3 and out == ""
         assert err == "spinring: out of memory: Unable to allocate 2.00 GiB for an array\n"
     assert len(calls) == 2
+
+
+def test_concurrence_solver_failures_exit_3(capsys, monkeypatch):
+    # a batch of alphas fails as one alpha does: a failed batch is solved an alpha at a time,
+    # and the error names the sector of the first group eigh solves
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    for n in (4, 10):
+        sector = next(g.blocks[0][0] for g in block_layout(n) if g.shape[1] > 1)
+        for replacement, message in (
+                (diverged, f"numerical failure: eigensolver failed in magnetization sector "
+                           f"{sector}: Eigenvalues did not converge"),
+                (exhausted, "out of memory: Unable to allocate 2.00 GiB for an array")):
+            monkeypatch.setattr(np.linalg, "eigh", replacement)
+            code, out, err = run(capsys, "concurrence", "--n", str(n),
+                                 "--alpha", "0.7", "--alpha", "3.3")
+            assert (code, out, err) == (3, "", f"spinring: {message}\n")
+
+
+def test_concurrence_solves_its_alphas_as_one_batch(capsys, monkeypatch):
+    # N = 10: two alphas share one eigh per block_layout group wider than 1 (11 of the 12
+    # groups; the group of seven 1 x 1 blocks is read directly), not one per alpha (22)
+    real, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda stack: shapes.append(stack.shape) or real(stack))
+    assert run(capsys, "concurrence", "--n", "10", "--alpha", "0.7", "--alpha", "3.3")[0] == 0
+    assert len(shapes) == sum(g.shape[1] > 1 for g in block_layout(10)) == 11
+    assert all(shape[0] == 2 for shape in shapes)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_tables_match_the_row_by_row_oracle(capsys, n):
+    # the level-array tables against each alpha solved alone and written row by row, cell by
+    # cell: the same bytes, or the same failure where alpha = 1e-7 fails the Werner check
+    for variant in ("standard", "shifted", "ferromagnetic"):
+        for alphas in (("0", "1e-7", "2", "inf"), ("0", "0.7", "2", "inf")):
+            for command in ("spectrum", "concurrence"):
+                for output_format in ("csv", "json"):
+                    argv = [command, "--n", str(n), "--variant", variant,
+                            "--format", output_format, *(f"--alpha={a}" for a in alphas)]
+                    code, out, err = run(capsys, *argv)
+                    try:
+                        want, want_err = oracles.table_text(resolve_config(
+                            build_parser().parse_args(argv))), ""
+                    except entanglement_module.StructureError as exc:
+                        want, want_err = "", f"spinring: numerical failure: {exc}\n"
+                    assert (code, err) == (3 if want_err else 0, want_err), argv
+                    assert hashlib.sha256(out.encode()).digest() == \
+                        hashlib.sha256(want.encode()).digest(), argv
+
+
+def test_negative_zero_alpha_is_zero(capsys, tmp_path):
+    # "-0" is read as 0, so one alpha set gives the same bytes however it is written, by
+    # --alpha, --extra or the config file, and in either order
+    config = tmp_path / "run.json"
+    config.write_text('{"alpha": [-0.0, 1.0]}')
+    for head in (("spectrum", "--n", "2"), ("concurrence", "--n", "3"),
+                 ("report", "--n", "4", "--grid", "0.5:6:4")):
+        outputs = set()
+        for argv in (("--alpha", "0", "--alpha", "-0", "--alpha", "1"),
+                     ("--alpha", "-0", "--alpha", "0", "--alpha", "1"),
+                     ("--alpha", "1", "--extra", "-0"), ("--config", str(config))):
+            code, out, err = run(capsys, *head, *argv)
+            assert (code, err) == (0, "")
+            outputs.add(out)
+        assert outputs == {run(capsys, *head, "--alpha", "0", "--alpha", "1")[1]}
+        if head[0] == "report":
+            assert math.copysign(1.0, json.loads(out)["alpha_grid"][0]) == 1.0
+        else:
+            assert [line.split(",")[0] for line in out.splitlines()[1:3]] == ["0.0", "0.0"]
 
 
 def test_a_bug_in_the_sweep_gives_a_traceback(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinring import atomic_write, emit_csv, emit_json, format_real, parse_real
-from spinring.serialize import JSON_INFINITY, write_output
+import oracles
+from spinring import atomic_write, emit_json, format_real, parse_real
+from spinring.serialize import JSON_INFINITY, emit_csv, write_output
 
 
 def test_format_real_basic_forms():
@@ -72,28 +73,55 @@ def test_emit_json_escapes_strings():
     assert json.loads(text)["k"] == 'quote " and \\ backslash'
 
 
+def _table(alpha, energies, multiplicities, cells=None):
+    return (alpha, np.array(energies, dtype=float), np.array(multiplicities, dtype=int),
+            None if cells is None else np.array(cells, dtype=float))
+
+
+def _table_rows(tables) -> list:
+    """The tuple rows of ``emit_csv``'s tables, cell by cell."""
+    return [(alpha, li, energy, m, *([] if cells is None else [sep, *cells[li, sep - 1]]))
+            for alpha, energies, multiplicities, cells in tables
+            for li, (energy, m) in enumerate(zip(energies.tolist(), multiplicities.tolist()))
+            for sep in ([None] if cells is None else range(1, cells.shape[1] + 1))]
+
+
 def test_emit_csv_tokens():
-    text = emit_csv(("alpha", "flag", "n"), [(math.inf, True, 2), (0.05, False, 3)])
+    text = emit_csv(("alpha", "level_index", "energy", "multiplicity"),
+                    [_table(math.inf, [-3.0, 1.0], [1, 3]), _table(0.05, [0.5], [2])])
     lines = text.splitlines()
-    assert lines[0] == "alpha,flag,n"
-    assert lines[1] == "inf,true,2"
-    assert lines[2].startswith("0.050000000000000003,false,3")
+    assert lines[0] == "alpha,level_index,energy,multiplicity"
+    assert lines[1:3] == ["inf,0,-3.0,1", "inf,1,1.0,3"]
+    assert lines[3] == "0.050000000000000003,0,0.5,2"
     assert text.endswith("\n")
 
 
 def test_emit_csv_pins_bytes():
     rows = [(3, True, False, math.inf, -math.inf, -0.0, 1e22, 1e-300, 12.0),
             (-7, 0, 1.5, np.float64(2.0), 1e16, -1e17, 5e-324, 0.1, 2.0 ** 60)]
-    assert emit_csv(tuple("abcdefghi"), rows) == (
+    assert oracles.emit_csv(tuple("abcdefghi"), rows) == (
         "a,b,c,d,e,f,g,h,i\n"
         "3,true,false,inf,-inf,-0.0,1e+22,1e-300,12.0\n"
         "-7,0,1.5,2.0,10000000000000000.0,-1e+17,4.9406564584124654e-324,"
+        "0.10000000000000001,1.152921504606847e+18\n")
+    # the same reals through the level tables
+    tables = [_table(math.inf, [-0.0, 1e22], [3, 1], [[[-math.inf, 1e-300, 12.0, 1.5, 2.0]],
+                                                      [[1e16, -1e17, 5e-324, 0.1, 2.0 ** 60]]])]
+    assert emit_csv(tuple("abcdefghij"), tables) == (
+        "a,b,c,d,e,f,g,h,i,j\n"
+        "inf,0,-0.0,3,1,-inf,1e-300,12.0,1.5,2.0\n"
+        "inf,1,1e+22,1,1,10000000000000000.0,-1e+17,4.9406564584124654e-324,"
         "0.10000000000000001,1.152921504606847e+18\n")
 
 
 EDGE_REALS = (0.0, -0.0, 1.0, -2.0, 0.5, 1e16, -1e16, 9007199254740993.0, 99999999999999984.0,
               1e17, -1e17, 1e22, 2.0 ** 60, math.inf, -math.inf, 5e-324, -5e-324, 1e-300,
               0.1, 1 / 3, 12.0, np.float64(2.0), np.float64(-0.0), np.float64(1e17))
+
+# where %.17g and %.1f part: +-0, +-1e17 and 2^53 and their neighbours, subnormals, infinities
+BOUNDARY_REALS = (0.0, -0.0, *(sign * x for sign in (1.0, -1.0) for x in (
+    1e17, np.nextafter(1e17, 0.0), np.nextafter(1e17, math.inf), 2.0 ** 53 - 1, 2.0 ** 53,
+    2.0 ** 53 + 2, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, math.inf)))
 
 
 def _format_real_row(row) -> str:
@@ -102,17 +130,53 @@ def _format_real_row(row) -> str:
                     ("true" if c else "false") if isinstance(c, bool) else str(c) for c in row)
 
 
+def _format_real_text(header, rows) -> str:
+    return ",".join(header) + "\n" + "".join(_format_real_row(r) + "\n" for r in rows)
+
+
 def test_emit_csv_row_templates_match_format_real():
     rows = [EDGE_REALS, (3, True, 1e16, False, "x%sy", -0.0, 7)]
-    assert emit_csv(("h",), rows) == "h\n" + "".join(_format_real_row(r) + "\n" for r in rows)
+    assert oracles.emit_csv(("h",), rows) == _format_real_text(("h",), rows)
     with pytest.raises(ValueError, match="NaN"):
-        emit_csv(("a", "b"), [(1.0, math.nan)])
+        oracles.emit_csv(("a", "b"), [(1.0, math.nan)])
+    # every edge real as alpha, as an energy, and in every cell column
+    reals = [float(x) for x in EDGE_REALS]
+    cells = np.resize(reals, (len(reals), 2, 5))
+    tables = [_table(alpha, reals, range(len(reals)), cells) for alpha in reals]
+    assert emit_csv(("h",), tables) == _format_real_text(("h",), _table_rows(tables))
+    tables = [_table(alpha, reals, range(len(reals))) for alpha in reals]
+    assert emit_csv(("h",), tables) == _format_real_text(("h",), _table_rows(tables))
+    for table in ((math.nan, [1.0], [1]), (1.0, [math.nan], [1]),
+                  (1.0, [1.0], [1], [[[0.0, math.nan, 0.0, 0.0, 0.0]]])):
+        with pytest.raises(ValueError, match="NaN has no serialized form"):
+            emit_csv(("h",), [_table(*table)])
+
+
+reals = st.one_of(st.floats(allow_nan=False), st.sampled_from(BOUNDARY_REALS))
+
+
+@st.composite
+def level_tables(draw):
+    """A list of (alpha, energies, multiplicities, cells or None) of any non-NaN reals."""
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_levels, n_seps = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        cells = None if draw(st.booleans()) else [
+            [draw(st.lists(reals, min_size=5, max_size=5)) for _ in range(n_seps)]
+            for _ in range(n_levels)]
+        tables.append(_table(draw(reals), draw(st.lists(reals, min_size=n_levels,
+                                                        max_size=n_levels)),
+                             draw(st.lists(st.integers(1, 10 ** 6), min_size=n_levels,
+                                           max_size=n_levels)), cells))
+    return tables
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
-def test_emit_csv_matches_format_real_on_any_floats(row):
-    assert emit_csv(("h",), [row]) == "h\n" + _format_real_row(row) + "\n"
+@given(level_tables())
+def test_emit_csv_matches_format_real_on_any_floats(tables):
+    header = ("alpha", "level_index", "energy", "multiplicity")
+    assert emit_csv(header, tables) == _format_real_text(header, _table_rows(tables))
+    assert emit_csv(header, tables) == oracles.emit_csv(header, _table_rows(tables))
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):

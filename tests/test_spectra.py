@@ -7,9 +7,10 @@ import pytest
 
 import oracles
 import spinring.spectra as spectra_module
+from oracles import cluster_levels
 from spinring.model import block_layout, separation_weights, variant_map
 from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
-                      Variant, build_hamiltonian, cluster_levels,
+                      Variant, build_hamiltonian,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
                       match_single_level, momentum_decomposition, overlap_matrix, projector,
                       total_weight, uniform_state)
