@@ -5,7 +5,7 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     SectorBlock, Variant, build_hamiltonian, build_sector_blocks,
                     chord_distance, coupling_weight, separation_weights,
                     top_eigenspace_basis, total_weight, variant_map)
-from .spectra import (DecompositionCache, EigensolverError, IllConditionedError,
+from .spectra import (EigensolverError, IllConditionedError,
                       Level, LevelPairing, MomentumDecomposition, SpectralDecomposition,
                       UniformEigenstate, diagonalize, energy_levels, lagrange_projector,
                       match_levels, match_single_level, momentum_decomposition,

@@ -13,7 +13,6 @@ numerics fail or memory runs out.
 import argparse
 import json
 import math
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import INFINITY, RingSizeError, RingSpec, Variant
-from .spectra import (CLUSTER_TOLERANCE_DEFAULT, DecompositionCache, EigensolverError,
-                      level_arrays, momentum_decompositions)
+from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, level_arrays,
+                      momentum_decompositions)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, werner_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
@@ -35,8 +34,6 @@ from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-CACHE_DIR_ENV = "SPINRING_CACHE_DIR"
 
 
 class UsageError(Exception):
@@ -58,7 +55,6 @@ class RunConfig:
     resolution: float
     output_format: str
     output_path: str | None
-    cache_dir: str | None
     oliveira_inner_over_n: bool
 
 
@@ -119,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default=None, choices=["csv", "json"])
     common.add_argument("--output", default=None, metavar="PATH",
                         help="output file (written atomically); default stdout")
-    common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help=f"decomposition cache of spectrum; also {CACHE_DIR_ENV}")
     common.add_argument("--oliveira-normalization", default=None,
                         choices=["as-printed", "over-n"])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,7 +140,7 @@ def _load_config_file(path: str) -> dict:
 
 _CONFIG_KEYS = {"n", "alpha", "grid", "extra", "variant", "cluster_tolerance",
                 "structure_tolerance", "concurrence_threshold", "resolution",
-                "format", "output", "cache_dir", "oliveira_normalization"}
+                "format", "output", "oliveira_normalization"}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -213,10 +207,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    cache_dir = pick_text("cache_dir")
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_DIR_ENV) or None
-
     oliveira = pick_text("oliveira_normalization", "as-printed")
     if oliveira not in ("as-printed", "over-n"):
         raise UsageError(f"oliveira_normalization must be as-printed or over-n, "
@@ -245,7 +235,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         resolution=positive("resolution", RESOLUTION_DEFAULT),
         output_format=output_format,
         output_path=pick_text("output"),
-        cache_dir=cache_dir,
         oliveira_inner_over_n=(oliveira == "over-n"),
     )
 
@@ -270,16 +259,11 @@ def _emit_table(config: RunConfig, header: tuple, tables: list, **settings) -> s
 
 
 def cmd_spectrum(config: RunConfig) -> str:
-    """Level table: one row per (alpha, level), ordered by (alpha, energy)."""
-    cache = DecompositionCache(config.cache_dir) if config.cache_dir else None
-    tables = []
-    for alpha in config.alphas:  # no decomposition is held while the next is solved
-        spec = RingSpec(config.n_sites, alpha, config.variant)
-        if cache is None:  # eigenvalues alone, unless the cache keeps the decomposition for reuse
-            tables.append((alpha, *level_arrays(spec, config.cluster_tolerance)[:2], None))
-        else:
-            dec = cache.get(spec, config.cluster_tolerance)
-            tables.append((alpha, dec.energies, dec.multiplicities, None))
+    """Level table: one row per (alpha, level), ordered by (alpha, energy), from eigenvalues
+    alone."""
+    tables = [(alpha, *level_arrays(RingSpec(config.n_sites, alpha, config.variant),
+                                    config.cluster_tolerance)[:2], None)
+              for alpha in config.alphas]
     return _emit_table(config, ("alpha", "level_index", "energy", "multiplicity"), tables)
 
 

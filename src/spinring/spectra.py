@@ -17,16 +17,12 @@ arrays; each decomposition views its row, and ``levels`` builds ``Level`` object
 read.  The batch keeps the eigenvectors for the levels' pair correlators, sum V (K_d V) with
 each dense K_d built once a batch and one scatter per group to every alpha's levels, and for
 projector overlaps, (V_a^T V_b)^2 summed ``count`` times.  ``momentum_decomposition`` is a
-batch of one, and ``diagonalize`` assembles its sectors as one.  The cache stores sector blocks.
+batch of one, and ``diagonalize`` assembles its sectors as one.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import os
-import tempfile
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -88,16 +84,13 @@ class MomentumEigensystem(NamedTuple):
 class BlockDecomposition:
     """Full spectrum of one ring spec, clustered into levels, kept as the eigenpairs of its
     solved blocks, w x w or B x w x w stacks: each block's eigenvalues enter the sorted list
-    ``count`` times, sorted eigenvalue i is flat column ``columns[i]`` (b w + c for column c of
-    block b) of entry ``sectors[i]``, and ``members[e]`` holds the levels of entry e's columns.
-    Level l has energy ``energies[l]`` and owns the ``multiplicities[l]`` sorted eigenvalues from
+    ``count`` times, and ``members[e]`` holds the levels of entry e's columns.  Level l has
+    energy ``energies[l]`` and owns the ``multiplicities[l]`` sorted eigenvalues from
     ``starts[l]`` on.  The arrays are read-only views of row ``index`` of ``batch``."""
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
     blocks: tuple = field(repr=False)              # of SectorEigensystem or MomentumEigensystem
-    sectors: np.ndarray = field(repr=False)
-    columns: np.ndarray = field(repr=False)
     members: tuple = field(repr=False)
     energies: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
@@ -105,7 +98,7 @@ class BlockDecomposition:
     batch: _Batch = field(repr=False)
     index: int
     cluster_tolerance: float
-    warnings: tuple = ()
+    warnings: tuple
 
     @property
     def spectral_range(self) -> float:
@@ -120,8 +113,13 @@ class BlockDecomposition:
             self.energies, self.multiplicities, self.starts, spreads))))
 
 
+@dataclass(frozen=True)
 class SpectralDecomposition(BlockDecomposition):
-    """The decomposition of ``diagonalize``: every magnetization block, each counted once."""
+    """The decomposition of ``diagonalize``: every magnetization block, each counted once, and
+    sorted eigenvalue i is column ``columns[i]`` of block ``sectors[i]``."""
+
+    sectors: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
 
     def level_vectors(self, level: Level) -> np.ndarray:
         """The level's eigenvectors as 2^N x m, in sorted order, with the strides of a
@@ -178,16 +176,13 @@ def _pair_columns(group: BlockGroup, vectors: np.ndarray, rows=slice(None)) -> n
 @dataclass(eq=False)
 class _Batch:
     """The sorted eigenvalues and clustered levels of the A (spec, cluster tolerance) ``jobs`` of
-    one ring size, assembled at once (``_assembled``): row a of ``values``, ``sectors``,
-    ``columns`` and ``members`` (each value's level, block entries in order, cut by ``spans``)
-    is job a's, and so are levels ``bounds[a]:bounds[a + 1]`` of ``energies``,
-    ``multiplicities`` and ``starts``.  A momentum batch also keeps each group's (group, values,
-    vectors), with a leading axis of A."""
+    one ring size, assembled at once (``_assembled``): row a of ``values`` and ``members`` (each
+    value's level, block entries in order, cut by ``spans``) is job a's, and so are levels
+    ``bounds[a]:bounds[a + 1]`` of ``energies``, ``multiplicities`` and ``starts``.  A momentum
+    batch also keeps each group's (group, values, vectors), with a leading axis of A."""
 
     jobs: list
     values: np.ndarray
-    sectors: np.ndarray
-    columns: np.ndarray
     members: np.ndarray
     spans: list
     energies: np.ndarray
@@ -197,13 +192,14 @@ class _Batch:
     warnings: tuple
     groups: tuple = ()
 
-    def decomposition(self, kind, a: int, blocks: tuple) -> BlockDecomposition:
-        """The ``kind`` of decomposition of job ``a``, its solved blocks being ``blocks``."""
+    def decomposition(self, kind, a: int, blocks: tuple, *fields) -> BlockDecomposition:
+        """The ``kind`` of decomposition of job ``a``, its solved blocks being ``blocks``, and
+        ``fields`` the ones ``kind`` adds."""
         (spec, tolerance), levels = self.jobs[a], slice(*self.bounds[a:a + 2])
-        return kind(spec, self.values[a], blocks, self.sectors[a], self.columns[a],
+        return kind(spec, self.values[a], blocks,
                     tuple(self.members[a, start:stop] for start, stop in self.spans),
                     self.energies[levels], self.multiplicities[levels], self.starts[levels],
-                    self, a, tolerance, self.warnings[a])
+                    self, a, tolerance, self.warnings[a], *fields)
 
     @functools.cached_property
     def correlators(self) -> np.ndarray:
@@ -261,7 +257,8 @@ def diagonalize(spec: RingSpec,
     and their eigenvalues mapped; a negative scale reverses the order.  Sectors are
     built and solved one at a time in ascending magnetization order and merged with a
     stable sort, so repeated runs on the same spec give bitwise-identical output.
-    Signs are fixed per block, which is exact: a column is zero outside its sector.
+    Signs are fixed per block, which is exact: a column is zero outside its sector.  The
+    sectors are assembled as a batch of one.
     """
     standard, blocks = replace(spec, variant=Variant.STANDARD), []
     for s, states in enumerate(sector_states(spec.n_sites)):
@@ -269,19 +266,15 @@ def diagonalize(spec: RingSpec,
             w, v = np.linalg.eigh(sector_block(standard, s).block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(s, exc) from exc
-        blocks.append(SectorEigensystem(states, w, _fix_signs(v)))
-    return _sector_decomposition(spec, tuple(blocks), cluster_tolerance)
-
-
-def _sector_decomposition(spec: RingSpec, blocks: tuple,
-                          tolerance: float) -> SpectralDecomposition:
-    """The ``SpectralDecomposition`` of the solved sector ``blocks``, as a batch of one."""
-    for block in blocks:
-        read_only(block.vectors)
+        blocks.append(SectorEigensystem(states, w, read_only(_fix_signs(v))))
     sizes = [block.values.size for block in blocks]
-    batch = _assembled([(spec, tolerance)], np.concatenate([b.values for b in blocks])[None],
-                       np.ones(sum(sizes), dtype=int), sizes)
-    return batch.decomposition(SpectralDecomposition, 0, blocks)
+    batch, order = _assembled([(spec, cluster_tolerance)],
+                              np.concatenate([b.values for b in blocks])[None],
+                              np.ones(sum(sizes), dtype=int), sizes)
+    sectors = np.repeat(np.arange(len(sizes)), sizes)[order[0]]
+    columns = np.concatenate([np.arange(size) for size in sizes])[order[0]]
+    return batch.decomposition(SpectralDecomposition, 0, tuple(blocks),
+                               read_only(sectors), read_only(columns))
 
 
 def _solved_groups(specs, vectors: bool = False):
@@ -341,8 +334,9 @@ def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
         for _, w, v in solved:
             read_only(w)
             read_only(v)
-        assembled = _assembled(batch, np.hstack([w.reshape(len(batch), -1) for _, w, _ in solved]),
-                               np.concatenate(copies), [c.size for c in copies], solved)
+        assembled, _ = _assembled(
+            batch, np.hstack([w.reshape(len(batch), -1) for _, w, _ in solved]),
+            np.concatenate(copies), [c.size for c in copies], solved)
         for a in range(len(batch)):
             yield assembled.decomposition(MomentumDecomposition, a, tuple(
                 MomentumEigensystem(g, g.counts, w[a], v[a]) for g, w, v in solved))
@@ -364,26 +358,25 @@ def _map_sorted(specs, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * np.take_along_axis(raw, order, axis=1) + shift, order
 
 
-def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes, groups=()) -> _Batch:
+def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes,
+               groups=()) -> tuple[_Batch, np.ndarray]:
     """The ``_Batch`` of the A ``jobs`` from the STANDARD eigenvalues of their solved blocks,
     A x M, block entries in order, of ``sizes`` values each: value i enters ``copies[i]`` times
     in a row, and the copies are equal, so they fall in one level.  One sort, one clustering and
-    one scatter of each value's level serve all A."""
+    one scatter of each value's level serve all A.  Also returns the sort: row a's sorted value
+    i is its repeated value ``order[a, i]``."""
     values, order = _map_sorted([spec for spec, _ in jobs], np.repeat(raw, copies, axis=1))
     head, energies, counts, starts, _, warnings = _clusters(
         values, np.array([tolerance for _, tolerance in jobs], dtype=float))
     level_of = np.empty_like(order)
     np.put_along_axis(level_of, order, np.cumsum(head, axis=1) - 1, axis=1)
     per_row = head.sum(axis=1)
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
-    columns = np.arange(block_of.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     stops = np.cumsum(sizes).tolist()
-    return _Batch(jobs, *map(read_only, (
-        values, np.repeat(block_of, copies)[order], np.repeat(columns, copies)[order],
-        level_of[:, np.cumsum(copies) - copies])), list(zip([0, *stops], stops)),
+    return _Batch(jobs, *map(read_only, (values, level_of[:, np.cumsum(copies) - copies])),
+        list(zip([0, *stops], stops)),
         *map(read_only, (energies, counts,
                          starts - np.repeat(np.arange(len(values)) * values.shape[1], per_row))),
-        [0, *np.cumsum(per_row).tolist()], warnings, groups)
+        [0, *np.cumsum(per_row).tolist()], warnings, groups), order
 
 
 def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:
@@ -598,91 +591,3 @@ def match_single_level(dec_a: BlockDecomposition, index_a: int,
     """Best-overlap partner in ``dec_b`` for one level of ``dec_a``: ``best_partners`` of one."""
     partners, overlaps = best_partners([(dec_a, [index_a], dec_b)])[0]
     return int(partners[0]), float(overlaps[0])
-
-
-# ---------------------------------------------------------------------------
-# On-disk cache: JSON header line + raw float64 payload (the STANDARD blocks'
-# eigenvalues, sector 0 .. N, then their eigenvectors, row-major).  Purely an
-# accelerator: ``load`` maps, sorts and clusters as ``diagonalize`` does, so one
-# entry per (N, alpha) serves every variant and cluster tolerance,
-# bit-identically.  An entry with a foreign header, the wrong length or a
-# payload failing the header's CRC-32 is a miss.
-
-_CACHE_MAGIC = "spinring-decomposition-v3"
-
-# header fields that must match the requested spec for an entry to load
-_CACHE_IDENTITY = ("magic", "n_sites", "alpha", "dimension")
-
-
-def _cache_header(spec: RingSpec) -> dict:
-    return {"magic": _CACHE_MAGIC, "n_sites": spec.n_sites,
-            "alpha": repr(spec.alpha), "dimension": spec.dimension}
-
-
-class DecompositionCache:
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, spec: RingSpec) -> str:
-        name = f"dec_n{spec.n_sites}_a{spec.alpha!r}.bin"
-        return os.path.join(self.directory, name)
-
-    def load(self, spec: RingSpec, tolerance: float) -> SpectralDecomposition | None:
-        """The stored decomposition clustered at ``tolerance``, or None when
-        the entry is missing, was written for another spec, or is corrupt or
-        truncated."""
-        path = self._path(spec)
-        if not os.path.exists(path):
-            return None
-        expected = _cache_header(spec)
-        all_states = sector_states(spec.n_sites)
-        with open(path, "rb") as handle:
-            line = handle.readline(4096)  # a header is one short JSON line
-            try:
-                header = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return None
-            if not isinstance(header, dict) or any(
-                    header.get(key) != expected[key] for key in _CACHE_IDENTITY):
-                return None
-            size = 8 * sum(states.size * (states.size + 1) for states in all_states)
-            payload = handle.read(size + 1)  # a byte more exposes trailing data
-        if len(payload) != size or zlib.crc32(payload) != header.get("checksum"):
-            return None
-        # read-only views of the payload: all blocks' values, then their vectors
-        sizes = np.array([states.size for states in all_states])
-        parts = np.split(np.frombuffer(payload, dtype=np.float64),
-                         np.cumsum(np.concatenate([sizes, sizes ** 2]))[:-1])
-        blocks = tuple(SectorEigensystem(states, w, v.reshape(w.size, w.size))
-                       for states, w, v in zip(all_states, parts, parts[sizes.size:]))
-        return _sector_decomposition(spec, blocks, tolerance)
-
-    def store(self, decomposition: SpectralDecomposition) -> str:
-        spec = decomposition.spec
-        path = self._path(spec)
-        blocks = decomposition.blocks
-        arrays = [b.values for b in blocks] + [b.vectors for b in blocks]
-        checksum = functools.reduce(lambda crc, array: zlib.crc32(array, crc), arrays, 0)
-        header = {**_cache_header(spec), "checksum": checksum}
-        fd, tmp = tempfile.mkstemp(dir=self.directory)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write((json.dumps(header) + "\n").encode("utf-8"))
-                for array in arrays:
-                    handle.write(array)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
-
-    def get(self, spec: RingSpec,
-            tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> SpectralDecomposition:
-        cached = self.load(spec, tolerance)
-        if cached is not None:
-            return cached
-        dec = diagonalize(spec, tolerance)
-        self.store(dec)
-        return dec

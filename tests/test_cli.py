@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.entanglement as entanglement_module
 import spinring.spectra as spectra_module
-from spinring import PairStateWarning
+from spinring import PairStateWarning, RingSpec, Variant, diagonalize
 from spinring.cli import build_parser, main, resolve_config
 from spinring.model import block_layout
 from spinring.spectra import UniformEigenstate
@@ -99,7 +100,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                    {"n": 4, "alpha": [1], "variant": 5},
                    {"n": 4, "alpha": [1], "format": "xml"},
                    {"n": 4, "alpha": [1], "output": 7},
-                   {"n": 4, "alpha": [1], "cache_dir": 5}):
+                   {"n": 4, "alpha": [1], "cache_dir": "somewhere"}):
         config.write_text(json.dumps(values))
         code, _, err = run(capsys, "spectrum", "--config", str(config))
         assert code == 2, values
@@ -277,13 +278,6 @@ def test_report_writes_a_one_point_backbone(capsys, alphas):
     assert doc["crossings"] == [] and doc["entanglement_boundaries"] == []
 
 
-def test_report_leaves_the_cache_dir_absent(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    code, _, _ = run(capsys, "report", "--n", "4", "--grid", "0.5:6:6", "--cache-dir", str(cache))
-    assert code == 0
-    assert not cache.exists()  # report neither reads nor writes cache entries
-
-
 def test_commands_reduce_no_level_state_cell_by_cell(capsys, monkeypatch):
     def refuse(state, sites):
         raise AssertionError("a pair was reduced from one level state")
@@ -335,49 +329,53 @@ def test_grid_flag_expansion(capsys):
     assert alphas == {"1.0", "1.5", "2.0"}
 
 
-def test_cache_dir_flag_and_env(capsys, tmp_path, monkeypatch):
-    cache_a = tmp_path / "a"
-    code, out, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1",
-                       "--cache-dir", str(cache_a))
-    assert code == 0
-    assert len(list(cache_a.iterdir())) == 1
-    code, out2, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1",
-                        "--cache-dir", str(cache_a))
-    assert out2 == out
-    # a truncated or overwritten entry is recomputed, not a crash
-    (entry,) = cache_a.iterdir()
-    for bad in (entry.read_bytes()[:100], b"garbage"):
-        entry.write_bytes(bad)
-        code, out3, err = run(capsys, "spectrum", "--n", "4", "--alpha", "1",
-                              "--cache-dir", str(cache_a))
-        assert code == 0 and err == "" and out3 == out
-    cache_b = tmp_path / "b"
-    monkeypatch.setenv("SPINRING_CACHE_DIR", str(cache_b))
-    code, _, _ = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
-    assert code == 0
-    assert len(list(cache_b.iterdir())) == 1
-
-
-def test_spectrum_without_cache_solves_eigenvalues_only(capsys, tmp_path, monkeypatch):
-    argv = ("spectrum", "--n", "8", "--variant", "shifted",
-            "--alpha", "0", "--alpha", "0.4", "--alpha", "2", "--alpha", "inf")
-    code, cached, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
-    assert code == 0
+def test_spectrum_without_cache_solves_eigenvalues_only(capsys, monkeypatch):
+    # the table of eigenvalues alone against the levels of the sector eigensystem
+    alphas = (0.0, 0.4, 2.0, math.inf)
+    expected = [(alpha, index, level) for alpha in alphas for index, level in enumerate(
+        diagonalize(RingSpec(8, alpha, Variant.SHIFTED)).levels)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("spectrum without a cache computed eigenvectors")
+        raise AssertionError("spectrum computed eigenvectors")
 
     monkeypatch.setattr(cli_module, "diagonalize", refuse, raising=False)
     monkeypatch.setattr(spectra_module, "diagonalize", refuse)
-    code, plain, err = run(capsys, *argv)
+    code, out, err = run(capsys, "spectrum", "--n", "8", "--variant", "shifted",
+                         "--alpha", "0", "--alpha", "0.4", "--alpha", "2", "--alpha", "inf")
     assert code == 0 and err == ""
-    rows = [line.split(",") for line in plain.splitlines()]
-    expected = [line.split(",") for line in cached.splitlines()]
-    assert len(rows) == len(expected) and rows[0] == expected[0]
-    for (alpha, index, energy, mult), (alpha_c, index_c, energy_c, mult_c) in \
-            zip(rows[1:], expected[1:]):
-        assert (alpha, index, mult) == (alpha_c, index_c, mult_c)
-        assert abs(float(energy) - float(energy_c)) <= 1e-12 * max(1.0, abs(float(energy_c)))
+    rows = [line.split(",") for line in out.splitlines()]
+    assert rows[0] == ["alpha", "level_index", "energy", "multiplicity"]
+    assert len(rows) == 1 + len(expected)
+    for (alpha, index, energy, mult), (alpha_d, index_d, level) in zip(rows[1:], expected):
+        assert (float(alpha), int(index), int(mult)) == (alpha_d, index_d, level.multiplicity)
+        assert abs(float(energy) - level.energy) <= 1e-12 * max(1.0, abs(level.energy))
+
+
+def test_the_removed_cache_options_are_refused_or_ignored(capsys, tmp_path, monkeypatch):
+    # the decomposition cache is gone: its flag and config key are usage errors, and its
+    # environment variable is not read
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--n", "4", "--alpha", "1", "--cache-dir", str(cache)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 4, "alpha": [1], "cache_dir": str(cache)}))
+    assert run(capsys, "spectrum", "--config", str(config)) == \
+        (2, "", "spinring: unknown config keys: ['cache_dir']\n")
+    plain = run(capsys, "spectrum", "--n", "4", "--alpha", "1")
+    monkeypatch.setenv("SPINRING_CACHE_DIR", str(cache))
+    assert run(capsys, "spectrum", "--n", "4", "--alpha", "1") == plain
+    assert not cache.exists()
+
+
+def test_config_keys_are_the_common_flags():
+    # every common flag but --config is a config key of the same name, and nothing else is
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, parser in commands.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config"}
+        assert dests == cli_module._CONFIG_KEYS, name
 
 
 def test_report_document_shape(capsys, monkeypatch):

@@ -1,6 +1,4 @@
-import json
 import math
-import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ import oracles
 import spinring.spectra as spectra_module
 from oracles import cluster_levels
 from spinring.model import block_layout, separation_weights, variant_map
-from spinring import (INFINITY, DecompositionCache, IllConditionedError, RingSpec,
+from spinring import (INFINITY, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
                       match_single_level, momentum_decomposition, overlap_matrix, projector,
@@ -235,8 +233,7 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
         want = momentum_decomposition(spec, tolerance)
         assert got.spec == spec and got.levels == want.levels
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        for array in ("sectors", "columns", "members"):
-            assert np.array_equal(np.hstack(getattr(got, array)), np.hstack(getattr(want, array)))
+        assert np.array_equal(np.hstack(got.members), np.hstack(want.members))
         for a, b in zip(got.blocks, want.blocks):
             assert a.group is b.group
             assert a.values.tobytes() == b.values.tobytes()
@@ -262,7 +259,7 @@ def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
     assert any(dec.warnings for dec in solved) or n == 5  # marginal clusters from N = 6 on
     for (spec, tolerance), got in zip(jobs, solved, strict=True):
         want = momentum_decomposition(spec, tolerance)
-        for name in ("eigenvalues", "energies", "multiplicities", "starts", "sectors", "columns"):
+        for name in ("eigenvalues", "energies", "multiplicities", "starts"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             assert not a.flags.writeable
@@ -490,100 +487,6 @@ def test_match_single_level_tracks_multiplicity(dec):
     for ia, level in enumerate(a.levels):
         jb, _ = match_single_level(a, ia, b)
         assert b.levels[jb].multiplicity == level.multiplicity
-
-
-def test_cache_round_trip(tmp_path):
-    cache = DecompositionCache(str(tmp_path))
-    spec = RingSpec(4, 1.3)
-    first = cache.get(spec)
-    assert len(list(tmp_path.iterdir())) == 1
-    loaded = cache.load(spec, first.cluster_tolerance)
-    assert np.array_equal(loaded.eigenvalues, first.eigenvalues)
-    assert np.array_equal(oracles.eigenvectors(loaded), oracles.eigenvectors(first))
-    assert loaded.levels == first.levels
-    # one entry serves every cluster tolerance: load re-clusters
-    coarse = cache.load(spec, 0.5)
-    assert coarse.levels == diagonalize(spec, 0.5).levels
-    assert len(coarse.levels) < len(first.levels)
-    assert len(list(tmp_path.iterdir())) == 1
-
-
-def test_cache_hit_skips_recomputation(tmp_path, monkeypatch):
-    cache = DecompositionCache(str(tmp_path))
-    spec = RingSpec(4, 0.9)
-    first = cache.get(spec)
-
-    def boom(*args, **kwargs):
-        raise AssertionError("diagonalize called despite a cached entry")
-
-    monkeypatch.setattr(spectra_module, "diagonalize", boom)
-    second = cache.get(spec)
-    assert np.array_equal(second.eigenvalues, first.eigenvalues)
-
-
-def test_cache_serves_every_variant_from_one_entry(tmp_path, monkeypatch):
-    cache = DecompositionCache(str(tmp_path))
-    cache.get(RingSpec(5, 1.3))
-    fresh = {variant: diagonalize(RingSpec(5, 1.3, variant))
-             for variant in (Variant.FERROMAGNETIC, Variant.SHIFTED)}
-
-    def boom(*args, **kwargs):
-        raise AssertionError("diagonalize called despite a cached entry")
-
-    monkeypatch.setattr(spectra_module, "diagonalize", boom)
-    for variant, expected in fresh.items():
-        loaded = cache.get(RingSpec(5, 1.3, variant))
-        assert loaded.spec.variant is variant
-        assert loaded.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
-        assert loaded.levels == expected.levels
-    assert len(list(tmp_path.iterdir())) == 1
-
-
-def test_cache_ignores_foreign_files(tmp_path):
-    cache = DecompositionCache(str(tmp_path))
-    spec = RingSpec(4, 0.7)
-    path = cache._path(spec)
-    with open(path, "wb") as handle:
-        handle.write(b'{"magic": "something-else"}\n')
-    assert cache.load(spec, 1e-9) is None
-    assert cache.get(spec).eigenvalues.size == 16
-    with open(path, "rb") as handle:
-        good = handle.read()
-    header_end = good.index(b"\n") + 1
-    other = RingSpec(4, 0.9)
-    with open(cache.store(diagonalize(other)), "rb") as handle:
-        foreign = handle.read()
-    with open(cache.store(diagonalize(RingSpec(5, 0.7))), "rb") as handle:
-        other_size = handle.read()
-    fresh = diagonalize(spec)
-
-    def flipped(offset):  # one bit of the payload flipped
-        return good[:offset] + bytes([good[offset] ^ 1]) + good[offset + 1:]
-
-    dense = oracles.diagonalize(spec)  # format v2: sorted values, dense vectors
-    v2_payload = dense.eigenvalues.tobytes() + dense.eigenvectors.tobytes()
-    v2_header = {"magic": "spinring-decomposition-v2", "n_sites": 4, "alpha": repr(0.7),
-                 "variant": "standard", "dimension": 16, "checksum": zlib.crc32(v2_payload)}
-    v2 = (json.dumps(v2_header) + "\n").encode() + v2_payload
-
-    for bad in (good[:header_end + 8 * 16 + 40],        # truncated payload
-                flipped(header_end + 3),                # an eigenvalue
-                flipped(len(good) - 1),                 # an eigenvector
-                b"garbage" + good[header_end - 1:],     # garbage header
-                foreign,                                # entry of another spec
-                other_size,                             # entry of another ring size
-                v2,                                     # entry of format v2
-                good + b"\0"):                         # trailing bytes
-        with open(path, "wb") as handle:
-            handle.write(bad)
-        for variant in Variant:  # every variant reads the same entry
-            assert cache.load(RingSpec(4, 0.7, variant), 1e-9) is None
-        recovered = cache.get(spec)
-        assert np.array_equal(recovered.eigenvalues, fresh.eigenvalues)
-        assert np.array_equal(oracles.eigenvectors(recovered), oracles.eigenvectors(fresh))
-        assert recovered.levels == fresh.levels
-        with open(path, "rb") as handle:
-            assert handle.read() == good
 
 
 def test_shifted_total_trace(dec):
