@@ -13,10 +13,11 @@ k; H is real, so the antiunitary R K (K: complex conjugation) maps block k onto 
 and in a basis it fixes the block is real, split into R-even and R-odd blocks where
 2k = 0 mod N (``_reflection_blocks``; Sandvik, AIP Conf. Proc. 1297, 135 (2010)).
 Where a block's entries sit depends on N alone, so it is cached per process and each
-alpha only scatters its weights: per sector (``_sector_pattern``), and for the real
-blocks of half the spectrum stacked by width into ``BlockGroup``s (``block_layout``),
-assembled by one bincount as sum_d w_d K_d, for one alpha or a batch, or as one dense
-K_d (``BlockGroup.stack``).
+alpha only scatters its weights: per sector (``_sector_pattern``), and for real blocks
+stacked by width into ``BlockGroup``s (``block_groups``), assembled by one bincount as
+sum_d w_d K_d, for one alpha or a batch, or as one dense K_d (``BlockGroup.stack``).  The
+eigenvectors stack the sectors with 2s >= N (``block_layout``), the eigenvalues the top
+sector alone, one member of every SU(2) multiplet (``spectra.spin_layout``).
 """
 
 from __future__ import annotations
@@ -370,13 +371,17 @@ class BlockGroup(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def block_layout(n_sites: int) -> tuple:
-    """The nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) of the sectors
-    with 2s >= N, which stand for every block (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), as
-    ``BlockGroup``s by width in order of first (sector, momentum, parity); cached.  A group's
-    entries are built when it is, so no other group's entries are held meanwhile; each sector's
-    pair-term arrays are held until the whole layout is built."""
+    """The ``block_groups`` of the sectors with 2s >= N, which stand for every block; cached."""
+    return block_groups(n_sites, range((n_sites + 1) // 2, n_sites + 1))
+
+
+def block_groups(n_sites: int, sectors) -> tuple:
+    """The nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) of ``sectors`` as
+    ``BlockGroup``s by width in order of first (sector, momentum, parity).  A group's entries
+    are built when it is, so no other group's entries are held meanwhile; each sector's
+    pair-term arrays are held until all the groups are built."""
     groups = {}
-    for s in range((n_sites + 1) // 2, n_sites + 1):
+    for s in sectors:
         blocks, widths, entries = _reflection_blocks(n_sites, s)
         for b, ((k, parity), width) in enumerate(zip(blocks, widths.tolist())):
             if width:  # standing for its spin-flip mirror and, at parity 0, block -k

@@ -4,12 +4,12 @@ Eigenvalues of the ring Hamiltonian come in exactly degenerate groups (total-spi
 lattice symmetries), so the raw eigh output is clustered into levels before anything
 downstream looks at it.  A level owns a contiguous slice of the globally sorted eigenvalue
 list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` solves every
-magnetization sector and embeds a level's 2^N x m block on demand.  ``energy_levels`` and
-``momentum_decomposition`` solve half the sectors, mirrored by the spin flip, in their
-lattice-momentum blocks k = 0 .. N//2, made real by the ring reflection (k = 0 and N/2 each
-split into its even and odd block), the rest being conjugates; each solved block stands for
-``count`` blocks.  Each ``block_layout`` group of equal-width real blocks is assembled by one
-bincount and solved by one eigvalsh or eigh, a 1 x 1 block being its own eigenvalue.
+magnetization sector and embeds a level's 2^N x m block on demand.  ``momentum_decomposition``
+solves half the sectors, mirrored by the spin flip, in their lattice-momentum blocks
+k = 0 .. N//2, made real by the ring reflection (k = 0 and N/2 each split into its even and
+odd block), the rest being conjugates; each solved block stands for ``count`` blocks.  Each
+``block_layout`` group of equal-width real blocks is assembled by one bincount and solved by
+one eigh, a 1 x 1 block being its own eigenvalue.
 ``momentum_decompositions`` does so for a batch of alphas at once, as many as ``BATCH_BYTES``
 of eigenvectors hold, and assembles the batch at once too (``_assembled``): one sort, one
 clustering and one member scatter for all its alphas, whose levels a ``_Batch`` keeps as
@@ -17,7 +17,9 @@ arrays; each decomposition views its row, and ``levels`` builds ``Level`` object
 read.  The batch keeps the eigenvectors for the levels' pair correlators, sum V (K_d V) with
 each dense K_d built once a batch and one scatter per group to every alpha's levels, and for
 projector overlaps, (V_a^T V_b)^2 summed ``count`` times.  ``momentum_decomposition`` is a
-batch of one, and ``diagonalize`` assembles its sectors as one.
+batch of one, and ``diagonalize`` assembles its sectors as one.  ``level_arrays`` solves the
+top sector alone, one member of every SU(2) multiplet, split by total spin (``spin_layout``);
+the decompositions cannot, as the Werner residual needs <ZZ_d> from every member.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pairs, block_layout,
-                    read_only, sector_block, sector_states, separation_weights, variant_map)
+from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pairs, block_groups,
+                    block_layout, read_only, sector_block, sector_states, separation_weights,
+                    variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
+CASIMIR_TOLERANCE = 1e-9  # how far a Casimir eigenvalue may lie from 2S(S+1) - 3N/2
 
 # eigenvector bytes one batch of alphas holds; the blocks are real, so 8 w^2 bytes a block:
 # 109 points at N = 8 (4.7 KB each), 10 at 10, 1 at 12
@@ -277,28 +281,59 @@ def diagonalize(spec: RingSpec,
                                read_only(sectors), read_only(columns))
 
 
-def _solved_groups(specs, vectors: bool = False):
-    """Yield each ``block_layout`` group with the eigenvalues of its A stacks at the A ``specs``
-    and, if ``vectors``, their eigenvectors (else None); a 1 x 1 block is its own eigenvalue,
-    with eigenvector 1, as eigh gives them."""
+def _solved_groups(specs):
+    """Yield each ``block_layout`` group with the eigenvalues and eigenvectors of its A stacks at
+    the A ``specs``; a 1 x 1 block's are its entry and 1, as eigh gives them."""
     weights = np.array([separation_weights(spec.n_sites, spec.alpha) for spec in specs])
     for group in block_layout(specs[0].n_sites):
         stack = group.stack(weights)
         try:
-            if group.shape[1] == 1:
-                solved = stack[..., 0], np.ones_like(stack) if vectors else None
-            else:
-                solved = np.linalg.eigh(stack) if vectors else (np.linalg.eigvalsh(stack), None)
+            solved = (stack[..., 0], np.ones_like(stack)) if group.shape[1] == 1 else \
+                np.linalg.eigh(stack)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(group.blocks[0][0], exc) from exc
         yield group, *solved
 
 
+@functools.lru_cache(maxsize=None)
+def spin_layout(n_sites: int) -> tuple:
+    """The ``block_groups`` of the top sector s0 = ceil(N/2), each with the eigenvectors Q of its
+    Casimir sum_d K_d, eigenvalues 2S(S+1) - 3N/2 ascending, and each block's runs (start, stop,
+    states) of the columns of one S, each standing for (2S + 1) 2^(parity == 0) states; cached.
+    Raises ``EigensolverError`` for an eigenvalue over ``CASIMIR_TOLERANCE`` from all those."""
+    n, s0, layout = n_sites, (n_sites + 1) // 2, []
+    for group in block_groups(n, [s0]):
+        try:
+            casimir, vectors = np.linalg.eigh(group.stack(np.ones(n // 2)))
+            two_s = np.rint(np.sqrt(np.maximum(0.0, 2 * casimir + 3 * n + 1)) - 1).astype(int)
+            residual = np.abs(casimir - (two_s * (two_s + 2) - 3 * n) / 2).max()
+            if not residual <= CASIMIR_TOLERANCE:  # NaN too
+                raise np.linalg.LinAlgError(f"Casimir eigenvalue {residual:.1e} off 2S(S+1) - 3N/2")
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(s0, exc) from exc
+        cuts = [np.flatnonzero(np.diff(row, prepend=-1, append=-1)).tolist() for row in two_s]
+        runs = tuple(tuple((start, stop, (row[start] + 1) * 2 ** (parity == 0))  # one S each
+                           for start, stop in zip(cut, cut[1:]))
+                     for (*_, parity), row, cut in zip(group.blocks, two_s.tolist(), cuts))
+        layout.append((group, read_only(vectors), runs))
+    return tuple(layout)
+
+
 def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The energies, multiplicities, starts and spreads of the clustered levels of
-    ``diagonalize``, as arrays, from one eigvalsh per ``block_layout`` group."""
-    raw = [np.repeat(values[0], group.counts, axis=0).ravel()
-           for group, values, _ in _solved_groups([spec])]
+    """The energies, multiplicities, starts and spreads of ``diagonalize``'s levels from the
+    S-blocks Q_S^T H Q_S of ``spin_layout``, one eigvalsh per width, a value per state."""
+    weights, blocks = separation_weights(spec.n_sites, spec.alpha), {}
+    for group, vectors, runs in spin_layout(spec.n_sites):
+        for hamiltonian, q, block_runs in zip(group.stack(weights), vectors, runs):
+            product = hamiltonian @ q
+            for start, stop, states in block_runs:
+                blocks.setdefault(stop - start, []).append(
+                    (q[:, start:stop].T @ product[:, start:stop], states))
+    try:
+        raw = [np.repeat(np.linalg.eigvalsh(np.stack(squares)), states, axis=0).ravel()
+               for squares, states in (zip(*members) for members in blocks.values())]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError((spec.n_sites + 1) // 2, exc) from exc
     return _clusters(_map_sorted([spec], np.concatenate(raw)[None])[0],
                      np.array([cluster_tolerance], dtype=float))[1:5]
 
@@ -325,7 +360,7 @@ def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
     copies = [np.repeat(g.counts, g.shape[1]) for g in layout]
     for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
         try:
-            solved = tuple(_solved_groups([spec for spec, _ in batch], vectors=True))
+            solved = tuple(_solved_groups([spec for spec, _ in batch]))
         except EigensolverError:
             if len(batch) == 1:
                 raise

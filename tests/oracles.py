@@ -22,6 +22,9 @@ projects the sector block onto them, and ``momentum_correlators`` and
 ``block_overlap_matrix`` work through a momentum decomposition one block at a
 time, its columns taken back to the complex basis: the references for the group
 stacks and the correlators and overlaps reduced from them.
+``layout_level_arrays`` solves the eigenvalues of every block of the sectors
+with 2s >= N: the reference for ``spectra.level_arrays``, which solves the top
+sector alone, split by total spin.
 
 ``bisect`` locates the events of one backbone interval with one solve per
 step: the reference for ``analysis._bisect``, which bisects many intervals in
@@ -52,8 +55,8 @@ from spinring.analysis import (JUMP_SCALE_DEFAULT, _check_energy_identity, _mome
                                _SignChange)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
-                            build_sector_blocks, read_only, sector_block, sector_states,
-                            separation_weights, total_weight, variant_map)
+                            block_layout, build_sector_blocks, read_only, sector_block,
+                            sector_states, separation_weights, total_weight, variant_map)
 from spinring.serialize import SCHEMA_VERSION, emit_json
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
                               LevelPairing, SpectralDecomposition, energy_levels)
@@ -577,6 +580,20 @@ def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
                                                                    _momentum_blocks(dec_b)):
         np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
     return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
+
+
+def layout_level_arrays(spec: RingSpec,
+                        cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """``spectra.level_arrays`` from every block of ``model.block_layout``, all the sectors with
+    2s >= N, one eigvalsh per group, each block's eigenvalues entering its ``count`` times: the
+    reference for the top sector's spin-resolved solve."""
+    weights, raw = separation_weights(spec.n_sites, spec.alpha), []
+    for group in block_layout(spec.n_sites):
+        stack = group.stack(weights)
+        values = stack[..., 0] if group.shape[1] == 1 else np.linalg.eigvalsh(stack)
+        raw.append(np.repeat(values, group.counts, axis=0).ravel())
+    values = spectra._map_sorted([spec], np.concatenate(raw)[None])[0]
+    return spectra._clusters(values, np.array([cluster_tolerance], dtype=float))[1:5]
 
 
 def sign_changes(curve, i: int, j: int, separations, threshold: float,

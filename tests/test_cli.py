@@ -130,6 +130,30 @@ def test_spectrum_eigensolver_failure_exits_3(capsys, monkeypatch):
     assert "magnetization sector 2" in err
 
 
+def test_spectrum_casimir_failures_exit_3(capsys, monkeypatch):
+    # the top sector's Casimir eigh fails, or returns an eigenvalue 1e-6 from every
+    # 2S(S+1) - 3N/2: exit 3, nothing written, the sector named
+    real = np.linalg.eigh
+
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def shifted(matrix):
+        values, vectors = real(matrix)
+        values[..., 0] += 1e-6
+        return values, vectors
+
+    prefix = "spinring: numerical failure: eigensolver failed in magnetization sector 3: "
+    for replacement, reason in ((diverged, "Eigenvalues did not converge"),
+                                (shifted, "Casimir eigenvalue 1.0e-06 off 2S(S+1) - 3N/2")):
+        spectra_module.spin_layout.cache_clear()  # else the layout is not solved again
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", replacement)
+            code, out, err = run(capsys, "spectrum", "--n", "6", "--alpha", "1")
+        assert (code, out, err) == (3, "", f"{prefix}{reason}\n")
+    assert run(capsys, "spectrum", "--n", "6", "--alpha", "1")[0] == 0
+
+
 def test_memory_error_exits_3(capsys, monkeypatch):
     # report meets it at the sweep's first batched solve, in the bisection after the sweep
     # and at the fit; concurrence at its first solve
@@ -420,16 +444,28 @@ def test_variant_flag(capsys):
     assert rows[-1][3] == "5"
 
 
-def test_report_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma on its first call (numpy 2.4); the bisection's level
-    # matches must not pay for it
+def _assert_numpy_ma_unimported(*commands):
+    """Run the argvs one after another in one fresh interpreter; none may import numpy.ma."""
     script = ("import contextlib, io, sys\n"
               "from spinring.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    assert main(['report', '--n', '4', '--grid', '0.5:8:15', "
-              "'--resolution', '0.1']) == 0\n"
-              "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+              f"for argv in {commands!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(list(argv)) == 0, argv\n"
+              "    assert 'numpy.ma' not in sys.modules, f'{argv[0]} imported numpy.ma'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinring.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_report_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call (numpy 2.4); the bisection's level
+    # matches must not pay for it
+    _assert_numpy_ma_unimported(("report", "--n", "4", "--grid", "0.5:8:15", "--resolution", "0.1"))
+
+
+def test_commands_leave_numpy_ma_unimported():
+    # nor may any command's own path, which a first np.unique call slows by some 13 ms
+    _assert_numpy_ma_unimported(("spectrum", "--n", "6", "--alpha", "0.7", "--alpha", "2"),
+                                ("concurrence", "--n", "6", "--alpha", "0.7", "--alpha", "2"),
+                                ("report", "--n", "6", "--grid", "0.5:8:15"))

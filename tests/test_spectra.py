@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import spinring.spectra as spectra_module
 from oracles import cluster_levels
 from spinring.model import block_layout, separation_weights, variant_map
 from spinring import (INFINITY, IllConditionedError, RingSpec,
-                      Variant, build_hamiltonian,
+                      Variant, build_hamiltonian, default_alpha_grid,
                       diagonalize, energy_levels, lagrange_projector, match_levels,
                       match_single_level, momentum_decomposition, overlap_matrix, projector,
                       total_weight, uniform_state)
@@ -353,6 +354,52 @@ def test_energy_levels_match_diagonalize_large_rings(n):
     for alpha in (1.0, 2.0):
         spec = RingSpec(n, alpha)
         _assert_same_levels(energy_levels(spec), diagonalize(spec).levels)
+
+
+SPIN_ALPHAS = (0.0, 1e-7, 0.3, 1.0, 2.0, 2.00001, 3.3, 7.0, INFINITY)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_spin_resolved_levels_match_every_sector(n):
+    # the top sector's S-blocks give the levels, multiplicities and starts of the blocks of all
+    # the sectors with 2s >= N, and their energies within 1e-12 of max(1, |E|)
+    alphas = SPIN_ALPHAS + (default_alpha_grid(40) if n <= 10 else ())
+    for variant in Variant:
+        for alpha in alphas:
+            spec = RingSpec(n, alpha, variant)
+            got, want = spectra_module.level_arrays(spec), oracles.layout_level_arrays(spec)
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * np.maximum(1.0, np.abs(want[0])))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_spin_layout_holds_every_multiplet_once(n):
+    # the top sector's Casimir eigenvalues are 2S(S+1) - 3N/2, its eigenvectors Q take it to
+    # that diagonal, S by S as the layout's runs say, and the runs hold C(N, N/2 - S) -
+    # C(N, N/2 - S - 1) multiplets of each S, (2S + 1) states each, 2^N states in all
+    allowed = np.array([t * (t + 2) / 2 - 1.5 * n for t in range(n % 2, n + 1, 2)])  # t = 2S
+    multiplets, states = Counter(), 0
+    for group, vectors, runs in spectra_module.spin_layout(n):
+        casimir = group.stack(np.ones(n // 2))
+        values = np.linalg.eigvalsh(casimir).ravel()
+        assert np.max(np.min(np.abs(values[:, None] - allowed), axis=1)) <= 1e-9
+        for b, ((sector, _, parity), block_runs) in enumerate(zip(group.blocks, runs)):
+            assert sector == (n + 1) // 2
+            starts, stops, copies = np.array(block_runs).T
+            assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1])
+            assert stops[-1] == group.shape[1]
+            two_s = copies // 2 ** (parity == 0) - 1
+            assert np.array_equal(copies, (two_s + 1) * 2 ** (parity == 0))
+            diagonal = np.repeat(two_s * (two_s + 2) / 2 - 1.5 * n, stops - starts)
+            rotated = vectors[b].T @ casimir[b] @ vectors[b]
+            assert np.max(np.abs(rotated - np.diag(diagonal))) <= 1e-9
+            for t, width, copy in zip(two_s.tolist(), (stops - starts).tolist(), copies.tolist()):
+                multiplets[t] += width * 2 ** (parity == 0)
+                states += width * copy
+    lowest = [(n - t) // 2 for t in range(n % 2, n + 1, 2)]
+    assert multiplets == {t: math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+                          for t, k in zip(range(n % 2, n + 1, 2), lowest)}
+    assert states == 2 ** n
 
 
 CLOSED_FORMS = {2.0: oracles.haldane_shastry_levels, 0.0: oracles.all_to_all_levels}
