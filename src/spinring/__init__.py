@@ -5,11 +5,10 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     SectorBlock, Variant, build_hamiltonian, build_sector_blocks,
                     chord_distance, coupling_weight, separation_weights,
                     top_eigenspace_basis, total_weight, variant_map)
-from .spectra import (EigensolverError, IllConditionedError,
-                      Level, LevelPairing, MomentumDecomposition, SpectralDecomposition,
-                      UniformEigenstate, diagonalize, energy_levels, lagrange_projector,
-                      match_levels, match_single_level, momentum_decomposition,
-                      overlap_matrix, projector, uniform_state)
+from .spectra import (EigensolverError, IllConditionedError, Level, MomentumDecomposition,
+                      SpectralDecomposition, UniformEigenstate, diagonalize, energy_levels,
+                      lagrange_projector, momentum_decomposition, overlap_matrix, projector,
+                      uniform_state)
 from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
                            extract_abc, meyer_wallach, oliveira_global, pair_concurrence,
@@ -17,7 +16,7 @@ from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, CrossingEvent, CurveCensus,
                        CurveEntanglement, InsufficientDataError, LevelCurve,
                        LinearFit, SweepError, SweepPoint, SweepResult,
-                       all_crossings, count_distinct_levels, default_alpha_grid,
+                       count_distinct_levels, default_alpha_grid,
                        distance_selectivity_check, entangled_level_census,
                        entangled_projector_census, entanglement_boundaries,
                        find_last_crossing, locate_crossing, nn_linear_fit,

@@ -13,10 +13,12 @@ threaded only across "backbone" points, the grid points whose distinct level cou
 generic count; collapse points (alpha = 0, the Haldane-Shastry point, the nearest-neighbor
 limit) are kept as data points but skipped by the threading.  Each point is paired with the
 previous backbone point as it is reached, so besides one batch at most two solutions are held;
-a pairing above overlap 1/2 is conflict-free, so it takes no loop.  Every event inside a
-backbone interval is then located by one grouped bisection of that interval, in lockstep with
-the other intervals: each round solves all their midpoints as one batch and matches the levels
-their probes follow in one overlap pass.  ``concurrence`` solves its points as the sweep does;
+each level takes the partner of its row's overlap above 1/2, and as every row and column of
+the overlaps sums to at most 1, no other level can claim that partner (``_partners``).  Every
+event inside a backbone interval is then located by one grouped bisection of that interval, in
+lockstep with the other intervals: each round solves all their midpoints as one batch, matches
+the levels their probes follow in one overlap pass, and reads concurrences from the batch's
+correlators of every level.  ``concurrence`` solves its points as the sweep does;
 one point's table (``_momentum_records``) serves the single-alpha parts of ``report``.
 """
 
@@ -29,8 +31,8 @@ import numpy as np
 
 from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, MomentumDecomposition,
-                      batch_size, best_partners, energy_levels, match_levels,
-                      momentum_decomposition, momentum_decompositions)
+                      batch_size, best_partners, energy_levels, momentum_decomposition,
+                      momentum_decompositions, overlap_matrix)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
@@ -186,11 +188,13 @@ def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
     """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed
     ``levels``.  Each level projector is invariant under SU(2) and translation, so its pair
     states are Werner states (Werner, PRA 40, 4277 (1989)) fixed by the mean correlators
-    xx + yy + zz and zz (``MomentumDecomposition.correlators``): a = (1 + zz)/4,
+    xx + yy + zz and zz (``MomentumDecomposition.correlators``, of every level, from which the
+    listed ones are sliced): a = (1 + zz)/4,
     b = (1 - zz)/4, c = (xx + yy)/4, with the Werner residual |c - (a - b)|.  Raises
     StructureError on a residual at the tolerance or on a level whose energy misses the sum
     of its pair correlators."""
-    dots, zz = dec.correlators(levels)
+    correlators = dec.correlators()
+    dots, zz = correlators if levels is None else correlators[..., levels]
     a, b, c = (1 + zz) / 4, (1 - zz) / 4, (dots - zz) / 4
     residual = np.abs(c - (a - b))
     if residual.max() >= structure_tolerance:
@@ -221,6 +225,13 @@ def _validate_grid(alpha_grid) -> np.ndarray:
     return grid
 
 
+def _partners(overlaps: np.ndarray) -> np.ndarray:
+    """Each row's column of ``overlap_matrix`` holding an overlap above 1/2, else -1.  Every row
+    and column sums to at most 1, so such an entry is alone in its row and its column."""
+    best = overlaps.argmax(axis=1)
+    return np.where(overlaps[np.arange(best.size), best] > 0.5, best, -1)
+
+
 def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
@@ -248,12 +259,12 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
             curve_idx[:, i] = np.arange(count)
             notes = []
         elif count == anchor.energies.size:
-            pairing = match_levels(anchor, dec)
-            if not pairing.is_bijection:
+            partners = _partners(overlap_matrix(anchor, dec))
+            if (partners < 0).any():
                 notes.append(f"partial level pairing between alpha={points[prev].alpha!r} "
                              f"and alpha={alpha!r}")
-            mapping = pairing.as_map()
-            curve_idx[:, i] = [mapping.get(la, -1) for la in curve_idx[:, prev].tolist()]
+            held = curve_idx[:, prev]
+            curve_idx[:, i] = np.where(held >= 0, partners[held], -1)
         else:
             continue
         anchor, prev = dec, i
@@ -291,8 +302,10 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 # a probe that follows its ``levels`` by projector overlap from the interval's
 # left end and maps a midpoint solution to its next bracket; probes whose
 # brackets coincide share that step's solve, and one ``best_partners`` pass
-# matches every level the probes of a batch of solves follow.  The cluster
-# tolerance shrinks with the bracket so near-degenerate levels stay resolved.
+# matches every level the probes of a batch of solves follow; a sign change
+# reads its level's cells from the correlators the batch reduces for every
+# level at once.  The cluster tolerance shrinks with the bracket so
+# near-degenerate levels stay resolved.
 
 
 @dataclass(frozen=True)
@@ -481,12 +494,6 @@ def find_last_crossing(n_sites: int, alpha_max_search: float,
     intervals = [s for s in _interval_probes(sweep_result) if s[0] <= alpha_max_search]
     located = _bisect(sweep_result, intervals[-1:], resolution)[0] if intervals else []
     return _last_crossing(sweep_result, located, alpha_max_search)
-
-
-def all_crossings(sweep_result: SweepResult,
-                  resolution: float = RESOLUTION_DEFAULT) -> tuple:
-    """Bisect every order swap flagged by the scan, ascending in alpha."""
-    return _located_events(sweep_result, resolution)[0]
 
 
 def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,

@@ -14,9 +14,11 @@ one eigh, a 1 x 1 block being its own eigenvalue.
 of eigenvectors hold, and assembles the batch at once too (``_assembled``): one sort, one
 clustering and one member scatter for all its alphas, whose levels a ``_Batch`` keeps as
 arrays; each decomposition views its row, and ``levels`` builds ``Level`` objects only when
-read.  The batch keeps the eigenvectors for the levels' pair correlators, sum V (K_d V) with
-each dense K_d built once a batch and one scatter per group to every alpha's levels, and for
-projector overlaps, (V_a^T V_b)^2 summed ``count`` times.  ``momentum_decomposition`` is a
+read.  The batch keeps the eigenvectors for the pair correlators of all its levels at once,
+sum V (K_d V) with each dense K_d built once a batch and one scatter per group to every
+alpha's levels, and for projector overlaps, (V_a^T V_b)^2 summed ``count`` times: every level
+pair of two decompositions (``overlap_matrix``) or the listed levels' rows of many pairs in one
+pass (``best_partners``).  ``momentum_decomposition`` is a
 batch of one, and ``diagonalize`` assembles its sectors as one.  ``level_arrays`` solves the
 top sector alone, one member of every SU(2) multiplet, split by total spin (``spin_layout``);
 the decompositions cannot, as the Werner residual needs <ZZ_d> from every member.
@@ -140,40 +142,21 @@ class SpectralDecomposition(BlockDecomposition):
 class MomentumDecomposition(BlockDecomposition):
     """The decomposition of ``momentum_decomposition``: a ``MomentumEigensystem`` per group."""
 
-    def correlators(self, levels=None) -> np.ndarray:
-        """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level
-        or of the listed ``levels``, 2 x N//2 x levels: the batch's (``_Batch.correlators``) for
-        every level, else ``_pair_columns`` of just the blocks and columns holding them."""
-        if levels is None:
-            return self.batch.correlators[..., slice(*self.batch.bounds[self.index:self.index + 2])]
-        n, every = self.spec.n_sites, np.arange(self.energies.size)
-        wanted = every[levels]
-        slot = np.full(every.size, -1)
-        slot[wanted] = np.arange(wanted.size)
-        targets, parts = [np.zeros(0, dtype=int)], [np.zeros((2, n // 2, 0))]
-        for block, members in zip(self.blocks, self.members):
-            members = slot[members].reshape(block.group.shape[:2])
-            keep = members >= 0
-            if keep.any():
-                rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
-                values = _pair_columns(block.group, block.vectors[rows][:, :, cols][None], rows)[0]
-                keep, members = keep[np.ix_(rows, cols)], members[np.ix_(rows, cols)]
-                targets.append(members[keep])
-                parts.append((values * block.count[rows, None])[..., keep])
-        sums = np.zeros((2, n // 2, wanted.size))
-        np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
-        return sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities[wanted]
+    def correlators(self) -> np.ndarray:
+        """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level,
+        2 x N//2 x levels: this decomposition's slice of ``_Batch.correlators``."""
+        return self.batch.correlators[..., slice(*self.batch.bounds[self.index:self.index + 2])]
 
 
-def _pair_columns(group: BlockGroup, vectors: np.ndarray, rows=slice(None)) -> np.ndarray:
+def _pair_columns(group: BlockGroup, vectors: np.ndarray) -> np.ndarray:
     """sum V (K_d V) and the diagonal ZZ_d(r) V^2, d = 1 .. N//2, of each column of the
-    A x R x w x c eigenvectors V of the group's blocks ``rows``, as A x 2 x N//2 x R x c: each
-    dense K_d is built once and reduces all A alphas with one broadcast product."""
+    A x B x w x w eigenvectors V of the group's blocks, as A x 2 x N//2 x B x w: each dense K_d
+    is built once and reduces all A alphas with one broadcast product."""
     half = group.alignments.shape[1]
     out = np.empty((len(vectors), 2, half, *vectors.shape[1::2]))
     for d, separation in enumerate(np.eye(half)):  # K_d, one d at a time
-        out[:, 0, d] = (vectors * (group.stack(separation)[rows] @ vectors)).sum(axis=-2)
-    out[:, 1] = (group.alignments[rows] @ np.square(vectors)).swapaxes(1, 2)
+        out[:, 0, d] = (vectors * (group.stack(separation) @ vectors)).sum(axis=-2)
+    out[:, 1] = (group.alignments @ np.square(vectors)).swapaxes(1, 2)
     return out
 
 
@@ -476,23 +459,6 @@ def lagrange_projector(hamiltonian: HamiltonianMatrix | np.ndarray,
     return result
 
 
-@dataclass(frozen=True)
-class LevelPairing:
-    """Greedy maximum-overlap assignment between the levels of two decompositions."""
-
-    pairs: tuple            # (index_a, index_b, overlap), overlap in [0, 1]
-    unmatched_a: tuple
-    unmatched_b: tuple
-    ambiguous: tuple        # subset of pairs whose runner-up overlap was close
-
-    def as_map(self) -> dict:
-        return {ia: ib for ia, ib, _ in self.pairs}
-
-    @property
-    def is_bijection(self) -> bool:
-        return not self.unmatched_a and not self.unmatched_b
-
-
 def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.ndarray:
     """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^T V_b per
     entry and one bincount: a block adds (V_a^T V_b)^2 ``count`` times, which is exact, since
@@ -509,53 +475,6 @@ def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.n
                          dec_a.energies.size * size_b)
     norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
     return summed.reshape(norm.shape) / norm
-
-
-def match_levels(dec_a: BlockDecomposition, dec_b: BlockDecomposition,
-                 overlap_threshold: float = 0.5,
-                 ambiguity_window: float = 0.05) -> LevelPairing:
-    """Pair levels of two decompositions by descending projector overlap.
-
-    Away from crossings the overlaps are essentially 0 or 1, so the greedy
-    assignment is exact.  Pairs whose row or column held a second overlap
-    within ``ambiguity_window`` of the accepted one are flagged rather than
-    resolved; levels with no overlap above ``overlap_threshold`` are left
-    unmatched (crossing candidates).
-    """
-    return _greedy_pairing(overlap_matrix(dec_a, dec_b), overlap_threshold, ambiguity_window)
-
-
-def _greedy_pairing(overlaps: np.ndarray, overlap_threshold: float,
-                    ambiguity_window: float) -> LevelPairing:
-    """``match_levels`` on an overlap matrix: the entries above the threshold,
-    descending (ties: the later row-major one first), each accepted unless its
-    row or column is taken, and ambiguous when the rest of its row or column
-    holds a value above it minus the window.  An entry alone in its row and column
-    above the threshold is always taken, so the loop walks only the others: of
-    ``overlap_matrix``, whose rows and columns each sum to at most 1, a threshold
-    of 1/2 leaves none."""
-    flat = np.flatnonzero(overlaps > overlap_threshold)
-    order = flat[np.argsort(overlaps.flat[flat], kind="stable")[::-1]]
-    ia, ib = np.unravel_index(order, overlaps.shape)
-    taken = ((np.bincount(ia, minlength=overlaps.shape[0]) == 1)[ia]
-             & (np.bincount(ib, minlength=overlaps.shape[1]) == 1)[ib])
-    used_a, used_b = (np.zeros(size, dtype=bool) for size in overlaps.shape)
-    used_a[ia[taken]] = used_b[ib[taken]] = True
-    for k in np.flatnonzero(~taken).tolist():
-        if not (used_a[ia[k]] or used_b[ib[k]]):
-            taken[k] = used_a[ia[k]] = used_b[ib[k]] = True
-    ia, ib = ia[taken], ib[taken]
-    value, rest = overlaps[ia, ib], np.arange(ia.size)
-    # the largest entry but this one of its row, and of its column
-    row, col = overlaps[ia], overlaps[:, ib].T
-    row[rest, ib] = col[rest, ia] = -np.inf
-    runner = np.maximum(row.max(axis=1, initial=-np.inf), col.max(axis=1, initial=-np.inf))
-    pairs = list(zip(ia.tolist(), ib.tolist(), value.tolist()))
-    ambiguous = [pair for pair, close in zip(pairs, runner > value - ambiguity_window) if close]
-    return LevelPairing(pairs=tuple(sorted(pairs)),
-                        unmatched_a=tuple(np.flatnonzero(~used_a).tolist()),
-                        unmatched_b=tuple(np.flatnonzero(~used_b).tolist()),
-                        ambiguous=tuple(ambiguous))
 
 
 def best_partners(matches) -> list:
@@ -620,9 +539,3 @@ def best_partners(matches) -> list:
     partner = partner[best] - offsets[np.repeat(np.arange(len(levels)), np.diff(firsts))]
     return list(zip(np.split(partner, firsts[1:-1]), np.split(overlaps[best], firsts[1:-1])))
 
-
-def match_single_level(dec_a: BlockDecomposition, index_a: int,
-                       dec_b: BlockDecomposition) -> tuple[int, float]:
-    """Best-overlap partner in ``dec_b`` for one level of ``dec_a``: ``best_partners`` of one."""
-    partners, overlaps = best_partners([(dec_a, [index_a], dec_b)])[0]
-    return int(partners[0]), float(overlaps[0])

@@ -1,7 +1,7 @@
 import pytest
 
-from spinring import (RingSpec, Variant, all_crossings, default_alpha_grid,
-                      diagonalize, sweep)
+import oracles
+from spinring import RingSpec, Variant, default_alpha_grid, diagonalize, sweep
 
 _DEC_MEMO = {}
 
@@ -28,4 +28,4 @@ def sweep8():
 
 @pytest.fixture(scope="session")
 def crossings8(sweep8):
-    return all_crossings(sweep8)
+    return oracles.all_crossings(sweep8)

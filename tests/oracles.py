@@ -26,11 +26,18 @@ stacks and the correlators and overlaps reduced from them.
 with 2s >= N: the reference for ``spectra.level_arrays``, which solves the top
 sector alone, split by total spin.
 
+``match_levels`` pairs two decompositions' levels greedily, entry by entry in
+descending overlap: the reference for the sweep's pairing rule, each level's
+partner above overlap 1/2 (``analysis._partners``).
+
 ``bisect`` locates the events of one backbone interval with one solve per
-step: the reference for ``analysis._bisect``, which bisects many intervals in
-lockstep and solves each round's midpoints as one batch.  ``sign_changes``
-compares one curve's concurrence at one interval's ends: the reference for
+step, matching one level at a time (``best_partner``): the reference for
+``analysis._bisect``, which bisects many intervals in lockstep and solves each
+round's midpoints as one batch.  ``sign_changes`` compares one curve's
+concurrence at one interval's ends: the reference for
 ``analysis._sign_changes``, which compares every curve and interval at once.
+``all_crossings`` gives the crossings ``report`` locates, for the tests that
+read them alone.
 
 ``cluster_levels`` clusters one ascending eigenvalue list into ``Level`` objects by the
 package's gap rule (``spectra._clusters``), for the dense ``diagonalize`` and as the one-list
@@ -51,15 +58,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinring.analysis import (JUMP_SCALE_DEFAULT, _check_energy_identity, _momentum_records,
-                               _SignChange)
+from spinring.analysis import (JUMP_SCALE_DEFAULT, RESOLUTION_DEFAULT, _check_energy_identity,
+                               _located_events, _momentum_records, _SignChange)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
                             block_layout, build_sector_blocks, read_only, sector_block,
                             sector_states, separation_weights, total_weight, variant_map)
 from spinring.serialize import SCHEMA_VERSION, emit_json
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
-                              LevelPairing, SpectralDecomposition, energy_levels)
+                              SpectralDecomposition, energy_levels)
 from spinring import spectra
 
 
@@ -195,6 +202,23 @@ def sector_block_reference(spec: RingSpec, sector: int) -> SectorBlock:
     diagonal = np.cumsum((1.0 - 2.0 * anti) * weights, axis=1)[:, -1]
     np.fill_diagonal(block, diagonal + shift)
     return SectorBlock(sector=sector, states=states, block=block)
+
+
+@dataclass(frozen=True)
+class LevelPairing:
+    """Greedy maximum-overlap assignment between the levels of two decompositions."""
+
+    pairs: tuple            # (index_a, index_b, overlap), overlap in [0, 1]
+    unmatched_a: tuple
+    unmatched_b: tuple
+    ambiguous: tuple        # subset of pairs whose runner-up overlap was close
+
+    def as_map(self) -> dict:
+        return {ia: ib for ia, ib, _ in self.pairs}
+
+    @property
+    def is_bijection(self) -> bool:
+        return not self.unmatched_a and not self.unmatched_b
 
 
 def match_levels(overlaps: np.ndarray, overlap_threshold: float = 0.5,
@@ -560,7 +584,7 @@ def _momentum_blocks(dec):
                    sector, momentum, parity)
 
 
-def momentum_correlators(dec, levels=None) -> np.ndarray:
+def momentum_correlators(dec) -> np.ndarray:
     """``MomentumDecomposition.correlators`` block by block with ``separation_correlators``, each
     block's columns taken to the complex basis by ``basis_change``."""
     n, sums = dec.spec.n_sites, np.zeros((2, dec.spec.n_sites // 2, len(dec.levels)))
@@ -568,8 +592,7 @@ def momentum_correlators(dec, levels=None) -> np.ndarray:
         change = basis_change(n, sector, momentum, parity)
         values = separation_correlators(n, sector, momentum, change @ vectors)
         np.add.at(sums, (slice(None), slice(None), members), count * values)
-    means = sums / dec.multiplicities
-    return means if levels is None else means[..., levels]
+    return sums / dec.multiplicities
 
 
 def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
@@ -631,13 +654,25 @@ def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
                 RingSpec(ring.n_sites, mid, ring.variant),
                 cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
             # each level is matched once per step
-            match = functools.cache(
-                lambda level, dec=dec: spectra.match_single_level(ref, level, dec))
+            match = functools.cache(lambda level, dec=dec: best_partner(ref, level, dec))
             for k in members:
                 brackets[k] = probes[k].step(ref, a, b, dec, match)
                 if brackets[k] != (a, b):  # else the halving rounded back
                     active.append(k)
     return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]
+
+
+def best_partner(dec_a, index_a: int, dec_b) -> tuple[int, float]:
+    """``spectra.best_partners`` of one level: its best-overlap partner in ``dec_b`` and that
+    overlap."""
+    (partners, overlaps), = spectra.best_partners([(dec_a, [index_a], dec_b)])
+    return int(partners[0]), float(overlaps[0])
+
+
+def all_crossings(sweep_result, resolution: float = RESOLUTION_DEFAULT) -> tuple:
+    """Every order swap flagged by the scan, bisected, ascending in alpha: the crossings of
+    ``analysis._located_events``, as ``report`` locates them."""
+    return _located_events(sweep_result, resolution)[0]
 
 
 def emit_csv(header, rows) -> str:

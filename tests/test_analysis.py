@@ -14,11 +14,11 @@ import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.spectra as spectra_module
 from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
-                      all_crossings, count_distinct_levels, default_alpha_grid,
+                      count_distinct_levels, default_alpha_grid,
                       diagonalize, distance_selectivity_check,
                       entangled_level_census, entangled_projector_census,
                       entanglement_boundaries, find_last_crossing,
-                      locate_crossing, match_levels, nn_linear_fit,
+                      locate_crossing, nn_linear_fit,
                       projector_dimension_histogram, RingSpec,
                       separation_existence_intervals, separation_gaps, sweep,
                       uniform_state, pair_concurrence, concurrence_structured,
@@ -136,13 +136,14 @@ def test_sweep_restarts_its_curves_when_the_level_count_rises():
     result = sweep(6, grid)
     counts = [p.count for p in result.points]
     assert counts[0] < counts[1] < counts[2] == counts[3] == counts[4]
-    # reference: thread by match_levels over the points with the maximum count
+    # reference: thread by the greedy pairing of dense overlaps over the points with the
+    # maximum count
     backbone = [i for i, count in enumerate(counts) if count == max(counts)]
-    decs = {i: diagonalize(RingSpec(6, grid[i])) for i in backbone}
+    decs = {i: oracles.diagonalize(RingSpec(6, grid[i])) for i in backbone}
     expected = np.full((max(counts), len(grid)), -1)
     expected[:, backbone[0]] = np.arange(max(counts))
     for i, j in zip(backbone[:-1], backbone[1:]):
-        mapping = match_levels(decs[i], decs[j]).as_map()
+        mapping = oracles.match_levels(oracles.overlap_matrix(decs[i], decs[j])).as_map()
         expected[:, j] = [mapping.get(level, -1) for level in expected[:, i].tolist()]
     assert result.backbone.tolist() == backbone
     assert [c.level_indices.tolist() for c in result.curves] == expected.tolist()
@@ -439,7 +440,7 @@ def test_single_interval_callers_match_one_interval_at_a_time(sweep8, monkeypatc
 def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
     res = sweep(8, np.geomspace(0.5, 8, 15))
     calls = _recording_solves(monkeypatch)
-    events = all_crossings(res, 0.1)
+    events = oracles.all_crossings(res, 0.1)
     keys = [(spec.alpha, tolerance) for spec, tolerance in calls]
     assert len(events) > 100
     assert len(keys) == len(set(keys))
@@ -448,7 +449,7 @@ def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
 def test_bisection_matches_each_level_once_per_step(monkeypatch):
     res = sweep(8, np.geomspace(0.5, 8, 15))
     calls = _recording(monkeypatch, analysis_module, "best_partners")
-    all_crossings(res, 0.1)
+    oracles.all_crossings(res, 0.1)
     keys = [(ref.spec.alpha, level, dec.spec.alpha, dec.cluster_tolerance)
             for (matches,), _ in calls for ref, levels, dec in matches for level in levels]
     assert len(keys) > 100
@@ -458,18 +459,22 @@ def test_bisection_matches_each_level_once_per_step(monkeypatch):
 @pytest.mark.parametrize("n", range(6, 10))
 def test_overlaps_of_neighbouring_alphas_leave_greedy_pairing_no_choice(n):
     # tr(P_i P_j) summed over j is m_i, so each row and column of the normalised overlaps sums
-    # to at most 1 and no two entries above 1/2 share one: the sweep's pairings take every
-    # entry above 1/2, as the entry-by-entry greedy loop does
+    # to at most 1 and no two entries above 1/2 share one: the sweep's rule, each level's
+    # partner above 1/2, pairs exactly as the entry-by-entry greedy loop does
     grid = [0.0, *np.geomspace(0.05, 12, 40).tolist(), 2.0, INFINITY]
     decs = list(spectra_module.momentum_decompositions(
         (RingSpec(n, alpha), 1e-9) for alpha in sorted(grid)))
+    assert len(decs) == 43
     for dec_a, dec_b in zip(decs[:-1], decs[1:]):
         overlaps = spectra_module.overlap_matrix(dec_a, dec_b)
         assert overlaps.sum(axis=0).max() <= 1 + 1e-12
         assert overlaps.sum(axis=1).max() <= 1 + 1e-12
-        got = spectra_module._greedy_pairing(overlaps, 0.5, 0.05)
-        assert got == oracles.match_levels(overlaps, 0.5, 0.05)
-        assert len(got.pairs) == (overlaps > 0.5).sum()
+        partners = analysis_module._partners(overlaps)
+        rows = np.flatnonzero(partners >= 0)
+        got = tuple(zip(rows.tolist(), partners[rows].tolist(),
+                        overlaps[rows, partners[rows]].tolist()))
+        assert got == oracles.match_levels(overlaps, 0.5, 0.05).pairs
+        assert len(got) == (overlaps > 0.5).sum()
 
 
 REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]

@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-import oracles
 from oracles import pair_table
 
 from spinring import (INFINITY, RingSpec, StructureError, coupling_weight,
                       diagonalize, pair_concurrence, reduce_two_sites, uniform_state)
 from spinring.cli import main
-from spinring.spectra import _greedy_pairing
 
 ALPHAS = st.one_of(st.floats(min_value=0.0, max_value=12.0),
                    st.sampled_from([0.0, 2.0, INFINITY]))
@@ -63,25 +60,6 @@ def test_unresolved_levels_keep_pair_structure():
     dec = diagonalize(RingSpec(6, 1e-7))
     for level in dec.levels:
         pair_concurrence(uniform_state(level, dec), 1, 2)
-
-
-# a quarter grid makes exact ties, entries at the threshold and runner-ups at
-# exactly value - window (all these differences are exact in binary)
-QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
-OVERLAPS = hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
-                      elements=st.one_of(QUARTERS, st.floats(0.0, 1.0)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(overlaps=OVERLAPS, threshold=QUARTERS, window=st.sampled_from([0.0, 0.05, 0.25, 0.5]))
-@example(overlaps=np.full((3, 4), 0.75), threshold=0.5, window=0.05)           # ties
-@example(overlaps=np.array([[0.25, 1.0, 1.0, 0.5]]), threshold=0.5, window=0.05)
-@example(overlaps=np.array([[1.0], [0.75], [0.0]]), threshold=0.5, window=0.25)
-@example(overlaps=np.full((2, 3), 0.5), threshold=0.5, window=0.05)            # none above
-@example(overlaps=np.array([[1.0, 0.75], [0.5, 1.0]]), threshold=0.5, window=0.25)
-def test_greedy_pairing_matches_entry_by_entry_loop(overlaps, threshold, window):
-    got = _greedy_pairing(overlaps, threshold, window)
-    assert got == oracles.match_levels(overlaps, threshold, window)
 
 
 # near alpha = 0 and the Haldane-Shastry point alpha = 2 the eigensolver mixes levels split

@@ -10,8 +10,8 @@ from oracles import cluster_levels
 from spinring.model import block_layout, separation_weights, variant_map
 from spinring import (INFINITY, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, default_alpha_grid,
-                      diagonalize, energy_levels, lagrange_projector, match_levels,
-                      match_single_level, momentum_decomposition, overlap_matrix, projector,
+                      diagonalize, energy_levels, lagrange_projector,
+                      momentum_decomposition, overlap_matrix, projector,
                       total_weight, uniform_state)
 
 
@@ -81,7 +81,7 @@ def test_sector_blocks_match_dense_oracle(n, variant):
             gap = overlap_matrix(a, b) - oracles.overlap_matrix(dense_a, dense_b)
             assert np.max(np.abs(gap)) < 1e-12
         for index in range(len(d_near.levels)):
-            assert match_single_level(d_near, index, d)[0] == \
+            assert oracles.best_partner(d_near, index, d)[0] == \
                 oracles.match_single_level(dense_near, index, dense)[0]
 
 
@@ -101,8 +101,8 @@ def test_momentum_overlaps_match_the_sector_overlaps(n):
                 got = overlap_matrix(momentum[a], momentum[b])
                 assert np.max(np.abs(got - overlap_matrix(sector[a], sector[b]))) < 1e-12
             for index in range(len(sector[1].levels)):
-                got = match_single_level(momentum[1], index, momentum[0])
-                want = match_single_level(sector[1], index, sector[0])
+                got = oracles.best_partner(momentum[1], index, momentum[0])
+                want = oracles.best_partner(sector[1], index, sector[0])
                 assert got[0] == want[0] and abs(got[1] - want[1]) < 1e-12
 
 
@@ -240,9 +240,9 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
             assert a.values.tobytes() == b.values.tobytes()
             assert a.vectors.tobytes() == b.vectors.tobytes()
             assert a.vectors.strides == b.vectors.strides
-        count = len(want.levels)
-        for levels in (None, [0], [count - 1, 0], list(range(0, count, 3))):
-            assert np.max(np.abs(got.correlators(levels) - want.correlators(levels))) <= 1e-15
+        count, gap = len(want.levels), got.correlators() - want.correlators()
+        for levels in (slice(None), [0], [count - 1, 0], list(range(0, count, 3))):
+            assert np.max(np.abs(gap[..., levels])) <= 1e-15
     assert next(solved, None) is None
 
 
@@ -309,12 +309,12 @@ def test_grouped_correlators_match_one_block_at_a_time(n):
     for variant in Variant:
         for alpha in (0.0, 0.7, 2.0, INFINITY):
             dec = momentum_decomposition(RingSpec(n, alpha, variant))
-            count = len(dec.levels)
-            for levels in (None, [0], [count - 1, 0], list(range(0, count, 3))):
-                got = dec.correlators(levels)
-                want = oracles.momentum_correlators(dec, levels)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) < 1e-13
+            count, every = len(dec.levels), dec.correlators()
+            want = oracles.momentum_correlators(dec)
+            for levels in (slice(None), [0], [count - 1, 0], list(range(0, count, 3))):
+                got = every[..., levels]
+                assert got.shape == want[..., levels].shape
+                assert np.max(np.abs(got - want[..., levels])) < 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -329,7 +329,7 @@ def test_grouped_overlaps_match_one_block_at_a_time(n):
             # a generic neighbour's levels each lie inside one level at alpha
             want = oracles.block_overlap_matrix(b, a)
             for index in range(len(b.levels)):
-                j, value = match_single_level(b, index, a)
+                j, value = oracles.best_partner(b, index, a)
                 assert j == int(np.argmax(want[index]))
                 assert abs(value - want[index, j]) < 1e-14
 
@@ -515,7 +515,7 @@ def test_overlap_matrix_self_is_identity(dec):
 def test_match_levels_nearby_alpha(dec):
     a = dec(6, 1.00)
     b = dec(6, 1.02)
-    pairing = match_levels(a, b)
+    pairing = oracles.match_levels(overlap_matrix(a, b))
     assert pairing.is_bijection
     assert pairing.ambiguous == ()
     assert all(ov > 0.999 for _, _, ov in pairing.pairs)
@@ -523,7 +523,7 @@ def test_match_levels_nearby_alpha(dec):
     assert all(ia == ib for ia, ib, _ in pairing.pairs)
     mapping = pairing.as_map()
     for ia in range(len(a.levels)):
-        jb, ov = match_single_level(a, ia, b)
+        jb, ov = oracles.best_partner(a, ia, b)
         assert jb == mapping[ia]
         assert ov > 0.999
 
@@ -532,7 +532,7 @@ def test_match_single_level_tracks_multiplicity(dec):
     a = dec(6, 1.00)
     b = dec(6, 1.02)
     for ia, level in enumerate(a.levels):
-        jb, _ = match_single_level(a, ia, b)
+        jb, _ = oracles.best_partner(a, ia, b)
         assert b.levels[jb].multiplicity == level.multiplicity
 
 
