@@ -1,14 +1,14 @@
 """Parameter sweeps over alpha: level-curve tracking, located events (level crossings and
 entanglement onsets/offsets), censuses, and the nearest-neighbor linear concurrence fit.
 
-A sweep solves the ring's lattice-momentum blocks at the points of an ascending alpha grid
-(``momentum_decompositions``: one eigh per width group of the cached ``block_layout`` and one
+A sweep solves the top sector's spin-resolved blocks at the points of an ascending alpha grid
+(``momentum_decompositions``: one eigh per S-block width of the cached ``spin_layout`` and one
 assembly for a batch of points, whose levels are kept as arrays), keeps the concurrence, a, b,
-c and Werner residual of every (level, separation) cell as one array per point, and threads
+c and two-solve residual of every (level, separation) cell as one array per point, and threads
 levels into curves by projector overlap.
 Each level projector is invariant under SU(2) and the ring translation, so its pair states are
-Werner states fixed by the groups' dense-K_d correlators, reduced once for a whole batch of
-points with one scatter per group; no magnetization-sector eigenvector is built.  Curves are
+Werner states fixed by the S-block correlators, reduced once for a whole batch of points with
+one scatter per width; no magnetization-sector eigenvector is built.  Curves are
 threaded only across "backbone" points, the grid points whose distinct level count equals the
 generic count; collapse points (alpha = 0, the Haldane-Shastry point, the nearest-neighbor
 limit) are kept as data points but skipped by the threading.  Each point is paired with the
@@ -185,24 +185,22 @@ def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
 
 def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
                  levels=None) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed
-    ``levels``.  Each level projector is invariant under SU(2) and translation, so its pair
-    states are Werner states (Werner, PRA 40, 4277 (1989)) fixed by the mean correlators
-    xx + yy + zz and zz (``MomentumDecomposition.correlators``, of every level, from which the
-    listed ones are sliced): a = (1 + zz)/4,
-    b = (1 - zz)/4, c = (xx + yy)/4, with the Werner residual |c - (a - b)|.  Raises
-    StructureError on a residual at the tolerance or on a level whose energy misses the sum
-    of its pair correlators."""
-    correlators = dec.correlators()
-    dots, zz = correlators if levels is None else correlators[..., levels]
-    a, b, c = (1 + zz) / 4, (1 - zz) / 4, (dots - zz) / 4
-    residual = np.abs(c - (a - b))
+    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``.
+    Each level projector is invariant under SU(2) and translation, so its pair states are Werner
+    states (Werner, PRA 40, 4277 (1989)) fixed by z = <sigma_1 . sigma_{1+d}>/3 (``correlators``):
+    a = (1 + z)/4, b = (1 - z)/4, c = z/2, with the change of c between two solves (``residuals``).
+    Raises StructureError on a residual at the tolerance or on a level whose energy misses the
+    sum of its pair correlators."""
+    picked = slice(None) if levels is None else levels
+    dots = dec.correlators()[:, picked]
+    residual = dec.residuals(structure_tolerance)[:, picked]
     if residual.max() >= structure_tolerance:
-        raise StructureError(f"pair state at separation {residual.max(axis=1).argmax() + 1} "
-                             f"deviates from the structured form c = a - b by "
-                             f"{residual.max():.3e} (tolerance {structure_tolerance:.3e})")
-    energies = dec.energies if levels is None else dec.energies[levels]
-    _check_energy_identity(dec.spec, energies, dots, levels)
+        worst = residual.max(axis=1)
+        raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "
+                             f"by {worst.max():.3e} (tolerance {structure_tolerance:.3e})")
+    _check_energy_identity(dec.spec, dec.energies[picked], dots, levels)
+    z = dots / 3
+    a, b, c = (1 + z) / 4, (1 - z) / 4, z / 2
     cells = np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c, residual], axis=2)
     return read_only(cells.swapaxes(0, 1))
 
@@ -236,7 +234,7 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
           concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT) -> SweepResult:
-    """Solve the momentum blocks on the grid, record all concurrences, thread level curves.
+    """Solve the S-blocks on the grid, record all concurrences, thread level curves.
 
     Each point is compared with the anchor, the last point at the running
     maximum level count: a higher count restarts the curves, an equal one is

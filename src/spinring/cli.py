@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["standard", "shifted", "ferromagnetic"])
     common.add_argument("--cluster-tolerance", type=float, default=None)
     common.add_argument("--structure-tolerance", type=float, default=None,
-                        help="bound on a pair state's Werner residual |c - (a - b)|")
+                        help="bound on the change of c between two solves (exit 3 beyond)")
     common.add_argument("--concurrence-threshold", type=float, default=None)
     common.add_argument("--resolution", type=float, default=None,
                         help="bisection bracket width for located events")

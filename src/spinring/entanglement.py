@@ -7,8 +7,8 @@ the anti-aligned pair states.  The concurrence of such a state has the
 closed form max{2(|c| - a), 0}; an X-state evaluation of the same matrix
 serves as an independent cross-check.
 
-The commands never reduce a state: a level projector is SU(2)-invariant,
-so its pair states are Werner states read from correlators
+The commands never reduce a state: a level projector is SU(2)-invariant, so its
+pair states are Werner states read from the S-block correlators
 (``analysis._point_cells``), and ``werner_measures`` evaluates the global
 measures from them.  The per-state reductions here, from a level's 2^N x m
 block or by the dense partial trace, are the checks they are tested against.

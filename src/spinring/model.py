@@ -16,8 +16,8 @@ Where a block's entries sit depends on N alone, so it is cached per process and 
 alpha only scatters its weights: per sector (``_sector_pattern``), and for real blocks
 stacked by width into ``BlockGroup``s (``block_groups``), assembled by one bincount as
 sum_d w_d K_d, for one alpha or a batch, or as one dense K_d (``BlockGroup.stack``).  The
-eigenvectors stack the sectors with 2s >= N (``block_layout``), the eigenvalues the top
-sector alone, one member of every SU(2) multiplet (``spectra.spin_layout``).
+commands solve the real blocks of the top sector alone, one member of every SU(2) multiplet,
+split by total spin (``spectra.spin_layout``).
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ import numpy as np
 
 INFINITY = math.inf
 
-# The eigenvectors take 8 C(2N, N) bytes in magnetization blocks (321 MB at 14).
+# Measured: ``report --n 14`` on a 40-point grid peaks at about 1.36 GB.
 MAX_SITES = 14
 
 
 class RingSizeError(ValueError):
-    """Site count exceeds MAX_SITES, set by the block eigenvectors' 8 C(2N, N) bytes."""
+    """Site count exceeds MAX_SITES, set by the memory ``report`` takes at 14 sites."""
 
 
 class Variant(enum.Enum):
@@ -79,7 +79,7 @@ class RingSpec:
         if self.n_sites > MAX_SITES:
             raise RingSizeError(
                 f"n_sites={self.n_sites} exceeds the cap of {MAX_SITES} "
-                f"(the block eigenvectors take 8 C(2N, N) bytes)")
+                f"(report at 14 sites already peaks at about 1.36 GB)")
         a = float(self.alpha)
         if math.isnan(a) or a < 0:
             raise ValueError(f"alpha must be a non-negative real or inf, got {self.alpha!r}")
@@ -283,7 +283,7 @@ def _reflection(n_sites: int, states: np.ndarray) -> np.ndarray:
 
 def _reflection_blocks(n_sites: int, sector: int) -> tuple:
     """The sector's blocks (momentum, parity), k = 0 .. N//2, their widths, and a function of b
-    giving block b's (flat, seps, amplitudes, alignments), as ``BlockGroup`` holds them.
+    giving block b's (flat, seps, amplitudes), as ``BlockGroup`` holds them.
     |r, k> ~ sum_j e^{-2 pi i k j/N} T^j |r> for the orbit representatives r whose period allows
     k; R |r> = T^m |rbar> gives R K |r, k> = e^{i theta} |rbar, k>, theta = 2 pi k m/N.  Basis,
     ascending in r <= rbar: (|r, k> + R K |r, k>)/sqrt2 and i (|r, k> - R K |r, k>)/sqrt2 if
@@ -340,23 +340,20 @@ def _reflection_blocks(n_sites: int, sector: int) -> tuple:
         d, diagonal = np.nonzero(zz)
         return (np.concatenate([np.ravel(flat)[keep], diagonal * (width + 1)]).astype(np.int32),
                 np.concatenate([seps[term][keep % term.size], d]).astype(np.int8),
-                np.concatenate([values[keep], zz[d, diagonal]]), zz)
+                np.concatenate([values[keep], zz[d, diagonal]]))
 
     return blocks, span.sum(axis=1), entries
 
 
 class BlockGroup(NamedTuple):
     """Real blocks of one width as a B x w x w stack: block b is (sector, momentum, parity)
-    ``blocks[b]`` (``_reflection_blocks``), standing for ``counts[b]`` blocks (its spin-flip
-    mirror, and block -k if parity is 0), with the N//2 x w ZZ_d(r) ``alignments[b]``; entry i
+    ``blocks[b]`` (``_reflection_blocks``), which at parity 0 stands for block -k too; entry i
     adds ``amplitudes[i]`` to K_d at ``flat[i]``, d - 1 = ``seps[i]``."""
     blocks: tuple
     shape: tuple
-    counts: np.ndarray
     flat: np.ndarray
     seps: np.ndarray
     amplitudes: np.ndarray
-    alignments: np.ndarray
 
     def stack(self, weights: np.ndarray) -> np.ndarray:
         """sum_d weights[..., d - 1] K_d of every block, B x w x w, or A x B x w x w for the A rows
@@ -369,30 +366,19 @@ class BlockGroup(NamedTuple):
         return stacks.reshape(*weights.shape[:-1], *self.shape)
 
 
-@functools.lru_cache(maxsize=None)
-def block_layout(n_sites: int) -> tuple:
-    """The ``block_groups`` of the sectors with 2s >= N, which stand for every block; cached."""
-    return block_groups(n_sites, range((n_sites + 1) // 2, n_sites + 1))
-
-
-def block_groups(n_sites: int, sectors) -> tuple:
-    """The nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) of ``sectors`` as
-    ``BlockGroup``s by width in order of first (sector, momentum, parity).  A group's entries
-    are built when it is, so no other group's entries are held meanwhile; each sector's
-    pair-term arrays are held until all the groups are built."""
+def block_groups(n_sites: int, sector: int) -> tuple:
+    """The sector's nonempty real momentum blocks k = 0 .. N//2 (``_reflection_blocks``) as
+    ``BlockGroup``s by width in order of first (momentum, parity).  A group's entries are built
+    when it is, so no other group's entries are held meanwhile."""
+    blocks, widths, entries = _reflection_blocks(n_sites, sector)
     groups = {}
-    for s in sectors:
-        blocks, widths, entries = _reflection_blocks(n_sites, s)
-        for b, ((k, parity), width) in enumerate(zip(blocks, widths.tolist())):
-            if width:  # standing for its spin-flip mirror and, at parity 0, block -k
-                count = 2 ** ((2 * s > n_sites) + (parity == 0))
-                groups.setdefault(width, []).append(((s, k, parity), count, entries, b))
+    for b in np.flatnonzero(widths).tolist():
+        groups.setdefault(int(widths[b]), []).append(b)
     layout = []
     for width, members in groups.items():
-        blocks, counts, makers, indices = zip(*members)
-        flats, seps, amplitudes, alignments = zip(*map(lambda make, b: make(b), makers, indices))
-        flat = np.concatenate([b * width ** 2 + f for b, f in enumerate(flats)])
-        layout.append(BlockGroup(blocks, (len(blocks), width, width), *map(read_only, (
-            np.array(counts), flat, np.concatenate(seps),
-            np.concatenate(amplitudes), np.stack(alignments)))))
+        flats, seps, amplitudes = zip(*map(entries, members))
+        flat = np.concatenate([i * width ** 2 + f for i, f in enumerate(flats)])
+        layout.append(BlockGroup(tuple((sector, *blocks[b]) for b in members),
+                                 (len(members), width, width), *map(read_only, (
+                                     flat, np.concatenate(seps), np.concatenate(amplitudes)))))
     return tuple(layout)

@@ -1,27 +1,21 @@
 """Diagonalization, degenerate-level clustering, spectral projectors.
 
-Eigenvalues of the ring Hamiltonian come in exactly degenerate groups (total-spin and
-lattice symmetries), so the raw eigh output is clustered into levels before anything
-downstream looks at it.  A level owns a contiguous slice of the globally sorted eigenvalue
-list; the eigenvectors stay in the blocks they were solved in.  ``diagonalize`` solves every
-magnetization sector and embeds a level's 2^N x m block on demand.  ``momentum_decomposition``
-solves half the sectors, mirrored by the spin flip, in their lattice-momentum blocks
-k = 0 .. N//2, made real by the ring reflection (k = 0 and N/2 each split into its even and
-odd block), the rest being conjugates; each solved block stands for ``count`` blocks.  Each
-``block_layout`` group of equal-width real blocks is assembled by one bincount and solved by
-one eigh, a 1 x 1 block being its own eigenvalue.
-``momentum_decompositions`` does so for a batch of alphas at once, as many as ``BATCH_BYTES``
-of eigenvectors hold, and assembles the batch at once too (``_assembled``): one sort, one
-clustering and one member scatter for all its alphas, whose levels a ``_Batch`` keeps as
-arrays; each decomposition views its row, and ``levels`` builds ``Level`` objects only when
-read.  The batch keeps the eigenvectors for the pair correlators of all its levels at once,
-sum V (K_d V) with each dense K_d built once a batch and one scatter per group to every
-alpha's levels, and for projector overlaps, (V_a^T V_b)^2 summed ``count`` times: every level
-pair of two decompositions (``overlap_matrix``) or the listed levels' rows of many pairs in one
-pass (``best_partners``).  ``momentum_decomposition`` is a
-batch of one, and ``diagonalize`` assembles its sectors as one.  ``level_arrays`` solves the
-top sector alone, one member of every SU(2) multiplet, split by total spin (``spin_layout``);
-the decompositions cannot, as the Werner residual needs <ZZ_d> from every member.
+Eigenvalues of the ring Hamiltonian come in exactly degenerate groups (total-spin and lattice
+symmetries), so the raw eigh output is clustered into levels before anything downstream looks
+at it.  A level owns a contiguous slice of the globally sorted eigenvalue list; the eigenvectors
+stay in the blocks they were solved in.  ``diagonalize`` solves every magnetization sector and
+embeds a level's 2^N x m block on demand; no command calls it.  The commands solve the top
+sector's real momentum blocks split by total spin S (``spin_layout``): an S-block Q_S^T H Q_S
+holds one member of each of its multiplets and stands for their ``states``.  ``level_arrays``
+solves the S-blocks' eigenvalues; ``momentum_decompositions`` solves a batch of alphas, as many
+as ``BATCH_BYTES`` of S-block eigenvectors hold, with one eigh per width, and assembles it at
+once (``_assembled``), its levels kept as arrays that each decomposition views.  By
+Wigner-Eckart every member of a multiplet has the same correlators and Gram entries, so the
+batch reduces every level's <sigma_1 . sigma_{1+d}> from u^T K_d^S u, K_d^S = Q_S^T K_d Q_S
+cached per ring size (``spin_bonds``), and projector overlaps from (V_a^T V_b)^2, each S-block
+counted ``states`` times: every level pair of two decompositions (``overlap_matrix``) or the
+listed levels' rows of many pairs in one pass (``best_partners``).  ``_Batch.residuals`` solves
+the S-blocks whose levels lie close a second time and measures the change of the correlators.
 """
 
 from __future__ import annotations
@@ -32,15 +26,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import (BlockGroup, HamiltonianMatrix, RingSpec, Variant, _ring_pairs, block_groups,
-                    block_layout, read_only, sector_block, sector_states, separation_weights,
-                    variant_map)
+from .model import (HamiltonianMatrix, RingSpec, Variant, block_groups, read_only,
+                    sector_block, sector_states, separation_weights, variant_map)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 CASIMIR_TOLERANCE = 1e-9  # how far a Casimir eigenvalue may lie from 2S(S+1) - 3N/2
 
-# eigenvector bytes one batch of alphas holds; the blocks are real, so 8 w^2 bytes a block:
-# 109 points at N = 8 (4.7 KB each), 10 at 10, 1 at 12
+# S-block eigenvector bytes one batch of alphas holds; the blocks are real, so 8 w^2 bytes a
+# block: 569 points at N = 8 (920 B each), 70 at 10 (7.2 KB), 7 at 12, 1 at 14
 BATCH_BYTES = 2 ** 19
 
 
@@ -70,20 +63,13 @@ class Level:
         return self.start + self.multiplicity
 
 
-class SectorEigensystem(NamedTuple):
-    """Eigenpairs of one total-magnetization block of the STANDARD Hamiltonian."""
-    states: np.ndarray   # basis integers, ascending
-    values: np.ndarray   # ascending, as eigh returns them
-    vectors: np.ndarray  # sign-fixed orthonormal columns
-    count: int = 1       # blocks it stands for
-
-
-class MomentumEigensystem(NamedTuple):
-    """Eigenpairs of one group's STANDARD blocks at one alpha of a batch, as views."""
-    group: BlockGroup
-    count: np.ndarray    # the group's counts: block b stands for count[b] blocks
-    values: np.ndarray   # B x w, each row ascending
-    vectors: np.ndarray  # B x w x w, real orthonormal columns
+class Eigensystem(NamedTuple):
+    """Eigenpairs of the STANDARD Hamiltonian: a magnetization block of ``diagonalize``, or the
+    M S-blocks of one width at one alpha of a batch, over their ``spin_layout`` columns."""
+    values: np.ndarray   # ascending, as eigh returns them; M x w for S-blocks
+    vectors: np.ndarray  # orthonormal columns, sign-fixed in a sector; M x w x w
+    count: object = 1    # blocks or states it stands for, per block
+    states: np.ndarray = None  # a sector's basis integers, ascending
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,7 @@ class BlockDecomposition:
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
-    blocks: tuple = field(repr=False)              # of SectorEigensystem or MomentumEigensystem
+    blocks: tuple = field(repr=False)              # of Eigensystem
     members: tuple = field(repr=False)
     energies: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
@@ -140,24 +126,15 @@ class SpectralDecomposition(BlockDecomposition):
 
 
 class MomentumDecomposition(BlockDecomposition):
-    """The decomposition of ``momentum_decomposition``: a ``MomentumEigensystem`` per group."""
+    """The decomposition of ``momentum_decomposition``: an ``Eigensystem`` per S-block width, and
+    its slices of the batch's ``correlators`` and ``residuals``."""
 
     def correlators(self) -> np.ndarray:
-        """Mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every level,
-        2 x N//2 x levels: this decomposition's slice of ``_Batch.correlators``."""
-        return self.batch.correlators[..., slice(*self.batch.bounds[self.index:self.index + 2])]
+        return self.batch.correlators[:, slice(*self.batch.bounds[self.index:self.index + 2])]
 
-
-def _pair_columns(group: BlockGroup, vectors: np.ndarray) -> np.ndarray:
-    """sum V (K_d V) and the diagonal ZZ_d(r) V^2, d = 1 .. N//2, of each column of the
-    A x B x w x w eigenvectors V of the group's blocks, as A x 2 x N//2 x B x w: each dense K_d
-    is built once and reduces all A alphas with one broadcast product."""
-    half = group.alignments.shape[1]
-    out = np.empty((len(vectors), 2, half, *vectors.shape[1::2]))
-    for d, separation in enumerate(np.eye(half)):  # K_d, one d at a time
-        out[:, 0, d] = (vectors * (group.stack(separation) @ vectors)).sum(axis=-2)
-    out[:, 1] = (group.alignments @ np.square(vectors)).swapaxes(1, 2)
-    return out
+    def residuals(self, tolerance: float) -> np.ndarray:
+        own = slice(*self.batch.bounds[self.index:self.index + 2])
+        return self.batch.residuals(tolerance)[:, own]
 
 
 @dataclass(eq=False)
@@ -166,7 +143,8 @@ class _Batch:
     one ring size, assembled at once (``_assembled``): row a of ``values`` and ``members`` (each
     value's level, block entries in order, cut by ``spans``) is job a's, and so are levels
     ``bounds[a]:bounds[a + 1]`` of ``energies``, ``multiplicities`` and ``starts``.  A momentum
-    batch also keeps each group's (group, values, vectors), with a leading axis of A."""
+    batch also keeps each S-block width's (hamiltonians, states, values, vectors), with a leading
+    axis of A, and its ``residuals`` by tolerance."""
 
     jobs: list
     values: np.ndarray
@@ -178,6 +156,7 @@ class _Batch:
     bounds: list
     warnings: tuple
     groups: tuple = ()
+    checked: dict = field(default_factory=dict)
 
     def decomposition(self, kind, a: int, blocks: tuple, *fields) -> BlockDecomposition:
         """The ``kind`` of decomposition of job ``a``, its solved blocks being ``blocks``, and
@@ -188,19 +167,51 @@ class _Batch:
                     self.energies[levels], self.multiplicities[levels], self.starts[levels],
                     self, a, tolerance, self.warnings[a], *fields)
 
+    def _levels(self, e: int) -> np.ndarray:
+        """The level, numbered across the batch, of each column of S-block width ``e``."""
+        return (self.members[:, slice(*self.spans[e])].reshape(self.groups[e][2].shape)
+                + np.array(self.bounds[:-1])[:, None, None])
+
+    def _means(self, e: int, blocks, levels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """The columns ``vectors`` of S-blocks ``blocks`` of width ``e``, at their ``levels``: each
+        one's share of its level's mean <sigma_1 . sigma_{1+d}>, u^T K_d^S u times its ``states``
+        over n_d and the multiplicity, summed per level, N//2 x levels."""
+        n, states = self.jobs[0][0].n_sites, self.groups[e][1][blocks, None]
+        shares = [(states * (vectors * (spin_bonds(n, d)[e][blocks] @ vectors)).sum(axis=-2)
+                   / (n // (1 + (2 * d == n)) * self.multiplicities[levels])).ravel()
+                  for d in range(1, n // 2 + 1)]
+        return np.array([np.bincount(levels.ravel(), share, self.bounds[-1]) for share in shares])
+
     @functools.cached_property
     def correlators(self) -> np.ndarray:
-        """``MomentumDecomposition.correlators`` of every level of every job, 2 x N//2 x levels, on
-        first use: one ``_pair_columns`` of each group's A stacks, and one scatter of them all."""
-        n, targets, parts = self.jobs[0][0].n_sites, [], []
-        first_levels = np.array(self.bounds[:-1])[:, None]
-        for (group, _, vectors), (start, stop) in zip(self.groups, self.spans):
-            values = _pair_columns(group, vectors) * group.counts[:, None]
-            parts.append(np.moveaxis(values, 0, 2).reshape(2, n // 2, -1))
-            targets.append((self.members[:, start:stop] + first_levels).ravel())
-        sums = np.zeros((2, n // 2, self.bounds[-1]))
-        np.add.at(sums, (..., np.concatenate(targets)), np.concatenate(parts, axis=2))
-        return read_only(sums / np.bincount(_ring_pairs(n)[2])[:, None] / self.multiplicities)
+        """The mean <sigma_1 . sigma_{1+d}>, d = 1 .. N//2, of every level of every job,
+        N//2 x levels, on first use: each K_d^S reduces a width's A stacks in one product."""
+        return read_only(sum(self._means(e, slice(None), self._levels(e), group[3])
+                             for e, group in enumerate(self.groups)))
+
+    def residuals(self, tolerance: float) -> np.ndarray:
+        """The change of every level's c = <sigma_1 . sigma_{1+d}>/6 between this solve and a
+        second one, N//2 x levels, cached per tolerance.  Only the S-blocks whose Davis-Kahan
+        estimate eps range/gap (the gap from a column to the nearest other level of its block)
+        reaches ``tolerance`` are solved again, in a fixed rotation of their basis."""
+        if tolerance not in self.checked:
+            change = np.zeros((self.jobs[0][0].n_sites // 2, self.bounds[-1]))
+            ranges = np.ptp(np.hstack([group[2].reshape(len(self.jobs), -1)
+                                       for group in self.groups]), axis=1)  # STANDARD, as gaps
+            for e, (hamiltonians, _, values, vectors) in enumerate(self.groups):
+                levels, width = self._levels(e), values.shape[-1]
+                gaps = np.where(levels[..., :, None] != levels[..., None, :],
+                                np.abs(values[..., :, None] - values[..., None, :]), np.inf)
+                jobs, blocks = np.nonzero(np.finfo(float).eps * ranges[:, None]
+                                          >= tolerance * gaps.min(axis=(-2, -1)))
+                if not jobs.size:
+                    continue
+                turn = np.linalg.qr(np.random.default_rng(width).normal(size=(width,) * 2))[0]
+                second = turn @ np.linalg.eigh(turn.T @ hamiltonians[jobs, blocks] @ turn)[1]
+                change += (self._means(e, blocks, levels[jobs, blocks], second)
+                           - self._means(e, blocks, levels[jobs, blocks], vectors[jobs, blocks]))
+            self.checked[tolerance] = read_only(np.abs(change) / 6)
+        return self.checked[tolerance]
 
 
 def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
@@ -253,7 +264,7 @@ def diagonalize(spec: RingSpec,
             w, v = np.linalg.eigh(sector_block(standard, s).block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(s, exc) from exc
-        blocks.append(SectorEigensystem(states, w, read_only(_fix_signs(v))))
+        blocks.append(Eigensystem(w, read_only(_fix_signs(v)), 1, states))
     sizes = [block.values.size for block in blocks]
     batch, order = _assembled([(spec, cluster_tolerance)],
                               np.concatenate([b.values for b in blocks])[None],
@@ -264,20 +275,6 @@ def diagonalize(spec: RingSpec,
                                read_only(sectors), read_only(columns))
 
 
-def _solved_groups(specs):
-    """Yield each ``block_layout`` group with the eigenvalues and eigenvectors of its A stacks at
-    the A ``specs``; a 1 x 1 block's are its entry and 1, as eigh gives them."""
-    weights = np.array([separation_weights(spec.n_sites, spec.alpha) for spec in specs])
-    for group in block_layout(specs[0].n_sites):
-        stack = group.stack(weights)
-        try:
-            solved = (stack[..., 0], np.ones_like(stack)) if group.shape[1] == 1 else \
-                np.linalg.eigh(stack)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(group.blocks[0][0], exc) from exc
-        yield group, *solved
-
-
 @functools.lru_cache(maxsize=None)
 def spin_layout(n_sites: int) -> tuple:
     """The ``block_groups`` of the top sector s0 = ceil(N/2), each with the eigenvectors Q of its
@@ -285,7 +282,7 @@ def spin_layout(n_sites: int) -> tuple:
     states) of the columns of one S, each standing for (2S + 1) 2^(parity == 0) states; cached.
     Raises ``EigensolverError`` for an eigenvalue over ``CASIMIR_TOLERANCE`` from all those."""
     n, s0, layout = n_sites, (n_sites + 1) // 2, []
-    for group in block_groups(n, [s0]):
+    for group in block_groups(n, s0):
         try:
             casimir, vectors = np.linalg.eigh(group.stack(np.ones(n // 2)))
             two_s = np.rint(np.sqrt(np.maximum(0.0, 2 * casimir + 3 * n + 1)) - 1).astype(int)
@@ -302,19 +299,35 @@ def spin_layout(n_sites: int) -> tuple:
     return tuple(layout)
 
 
-def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """The energies, multiplicities, starts and spreads of ``diagonalize``'s levels from the
-    S-blocks Q_S^T H Q_S of ``spin_layout``, one eigvalsh per width, a value per state."""
-    weights, blocks = separation_weights(spec.n_sites, spec.alpha), {}
-    for group, vectors, runs in spin_layout(spec.n_sites):
-        for hamiltonian, q, block_runs in zip(group.stack(weights), vectors, runs):
-            product = hamiltonian @ q
+def spin_blocks(n_sites: int, weights: np.ndarray) -> list:
+    """The S-blocks Q_S^T (sum_d weights[..., d - 1] K_d) Q_S of ``spin_layout`` for the N//2
+    ``weights``, or for each row of A x N//2 ``weights``, stacked by width in order of first
+    appearance, as (stack ... x M x w x w, the M blocks' ``states``)."""
+    blocks = {}
+    for group, vectors, runs in spin_layout(n_sites):
+        product = group.stack(weights) @ vectors
+        for b, (q, block_runs) in enumerate(zip(vectors, runs)):
             for start, stop, states in block_runs:
                 blocks.setdefault(stop - start, []).append(
-                    (q[:, start:stop].T @ product[:, start:stop], states))
+                    (q[:, start:stop].T @ product[..., b, :, start:stop], states))
+    return [(np.stack(squares, axis=-3), np.array(states))
+            for squares, states in (zip(*members) for members in blocks.values())]
+
+
+@functools.lru_cache(maxsize=None)
+def spin_bonds(n_sites: int, separation: int) -> tuple:
+    """The ``spin_blocks`` of K_d, d = ``separation``, which are all of K_d that S-block
+    eigenvectors meet (K_d commutes with S^2), and do not depend on alpha; cached."""
+    return tuple(read_only(stack) for stack, _ in spin_blocks(
+        n_sites, np.eye(n_sites // 2)[separation - 1]))
+
+
+def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
+    """The energies, multiplicities, starts and spreads of ``diagonalize``'s levels from the
+    ``spin_blocks``, one eigvalsh per width, a value per state."""
     try:
-        raw = [np.repeat(np.linalg.eigvalsh(np.stack(squares)), states, axis=0).ravel()
-               for squares, states in (zip(*members) for members in blocks.values())]
+        raw = [np.repeat(np.linalg.eigvalsh(stack), states, axis=0).ravel() for stack, states
+               in spin_blocks(spec.n_sites, separation_weights(spec.n_sites, spec.alpha))]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError((spec.n_sites + 1) // 2, exc) from exc
     return _clusters(_map_sorted([spec], np.concatenate(raw)[None])[0],
@@ -327,43 +340,45 @@ def energy_levels(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_D
 
 
 def batch_size(n_sites: int) -> int:
-    """The alphas a batch solves: as many as BATCH_BYTES of eigenvectors hold, at least one."""
-    point = 8 * sum(g.shape[0] * g.shape[1] ** 2 for g in block_layout(n_sites))
+    """The alphas a batch solves: as many as BATCH_BYTES of S-block eigenvectors hold, or one."""
+    point = 8 * sum((stop - start) ** 2 for *_, runs in spin_layout(n_sites)
+                    for block_runs in runs for start, stop, _ in block_runs)
     return max(1, BATCH_BYTES // point)
 
 
 def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
     """The ``momentum_decomposition`` of each (spec, cluster tolerance) of ``jobs``, one ring size,
-    in order: ``batch_size`` alphas share one eigh per ``block_layout`` group and one assembly,
-    each is made when reached, and a failed batch is solved an alpha at a time to name it."""
+    in order: ``batch_size`` alphas share one ``spin_blocks`` assembly, one eigh per S-block
+    width and one ``_assembled``, each is made when reached, and a failed batch is solved an
+    alpha at a time to name it."""
     jobs = list(jobs)
     if not jobs:
         return
-    size, layout = batch_size(jobs[0][0].n_sites), block_layout(jobs[0][0].n_sites)
-    copies = [np.repeat(g.counts, g.shape[1]) for g in layout]
+    n, size = jobs[0][0].n_sites, batch_size(jobs[0][0].n_sites)
     for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
-        try:
-            solved = tuple(_solved_groups([spec for spec, _ in batch]))
-        except EigensolverError:
+        weights = np.array([separation_weights(n, spec.alpha) for spec, _ in batch])
+        try:  # (hamiltonians, states, values, vectors) by width, each with a leading axis of A
+            solved = tuple(tuple(map(read_only, (stack, states, *np.linalg.eigh(stack))))
+                           for stack, states in spin_blocks(n, weights))
+        except np.linalg.LinAlgError as exc:
             if len(batch) == 1:
-                raise
+                raise EigensolverError((n + 1) // 2, exc) from exc
             yield from (dec for job in batch for dec in momentum_decompositions([job]))
             continue
-        for _, w, v in solved:
-            read_only(w)
-            read_only(v)
+        copies = [np.repeat(states, values.shape[-1]) for _, states, values, _ in solved]
         assembled, _ = _assembled(
-            batch, np.hstack([w.reshape(len(batch), -1) for _, w, _ in solved]),
+            batch, np.hstack([values.reshape(len(batch), -1) for _, _, values, _ in solved]),
             np.concatenate(copies), [c.size for c in copies], solved)
         for a in range(len(batch)):
             yield assembled.decomposition(MomentumDecomposition, a, tuple(
-                MomentumEigensystem(g, g.counts, w[a], v[a]) for g, w, v in solved))
+                Eigensystem(values[a], vectors[a], states)
+                for _, states, values, vectors in solved))
         del solved, assembled  # before the next batch is solved
 
 
 def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
                            ) -> MomentumDecomposition:
-    """The levels of ``energy_levels`` with one eigh per ``block_layout`` group."""
+    """The levels of ``energy_levels`` with one eigh per S-block width."""
     return next(momentum_decompositions([(spec, cluster_tolerance)]))
 
 

@@ -15,16 +15,17 @@ measures from those tables: the reference for the momentum-block Werner cells.
 
 ``momentum_block`` assembles one complex lattice-momentum block entry by
 entry (``_momentum_entries``), and ``separation_correlators`` reduces its columns
-by gathering its nonzeros one separation at a time.  ``reflection_basis`` builds
-the columns of each real ``model.block_layout`` block as sector-space vectors
-from the translation and reflection permutations alone, ``reflection_blocks``
-projects the sector block onto them, and ``momentum_correlators`` and
-``block_overlap_matrix`` work through a momentum decomposition one block at a
-time, its columns taken back to the complex basis: the references for the group
-stacks and the correlators and overlaps reduced from them.
-``layout_level_arrays`` solves the eigenvalues of every block of the sectors
-with 2s >= N: the reference for ``spectra.level_arrays``, which solves the top
-sector alone, split by total spin.
+by gathering its nonzeros one separation at a time.  ``block_layout`` stacks the
+real momentum blocks of every sector with 2s >= N, which stand for all the
+blocks, and ``reflection_basis`` builds the columns of each as sector-space
+vectors from the translation and reflection permutations alone;
+``reflection_blocks`` projects the sector block onto them.
+``layout_decomposition`` solves every block of ``block_layout``, and
+``momentum_correlators`` and ``block_overlap_matrix`` work through it one block
+at a time, its columns taken back to the complex basis: the references for the
+group stacks and for the correlators and overlaps the package reduces from the
+top sector's S-blocks alone.  ``layout_level_arrays`` solves the eigenvalues of
+every block of ``block_layout``: the reference for ``spectra.level_arrays``.
 
 ``match_levels`` pairs two decompositions' levels greedily, entry by entry in
 descending overlap: the reference for the sweep's pairing rule, each level's
@@ -62,7 +63,7 @@ from spinring.analysis import (JUMP_SCALE_DEFAULT, RESOLUTION_DEFAULT, _check_en
                                _located_events, _momentum_records, _SignChange)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
-                            block_layout, build_sector_blocks, read_only, sector_block,
+                            block_groups, build_sector_blocks, read_only, sector_block,
                             sector_states, separation_weights, total_weight, variant_map)
 from spinring.serialize import SCHEMA_VERSION, emit_json
 from spinring.spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, Level,
@@ -511,8 +512,22 @@ def momentum_vectors(n_sites: int, sector: int, momentum: int) -> np.ndarray:
     return np.array(columns, dtype=complex).reshape(-1, len(position)).T
 
 
+@functools.lru_cache(maxsize=None)
+def block_layout(n_sites: int) -> tuple:
+    """The ``model.block_groups`` of the sectors with 2s >= N, which stand for every block;
+    cached."""
+    return tuple(group for s in range((n_sites + 1) // 2, n_sites + 1)
+                 for group in block_groups(n_sites, s))
+
+
+def layout_counts(n_sites: int, group) -> np.ndarray:
+    """The blocks each block of a ``block_layout`` group stands for: its spin-flip mirror
+    where 2s > N, and block -k at parity 0."""
+    return np.array([2 ** ((2 * s > n_sites) + (parity == 0)) for s, _, parity in group.blocks])
+
+
 def reflection_basis(n_sites: int, sector: int, momentum: int, parity: int) -> np.ndarray:
-    """The columns of block (sector, momentum, parity) of ``model.block_layout`` over the
+    """The columns of block (sector, momentum, parity) of ``block_layout`` over the
     sector's states: for each pair of orbits r < rbar = the orbit of R r, (v + R K v)/sqrt2 and
     i (v - R K v)/sqrt2 with v = |r, k>, or, at 2k = 0 mod N, (v + parity R v)/sqrt2; for
     R r = T^m r, e^{i pi k m/N} v, or v if R v = parity v at 2k = 0 mod N."""
@@ -574,47 +589,67 @@ def basis_change(n_sites: int, sector: int, momentum: int, parity: int) -> np.nd
                      @ reflection_basis(n_sites, sector, momentum, parity))
 
 
-def _momentum_blocks(dec):
-    """(count, vectors, levels of its columns, sector, momentum, parity) of every block of a
-    momentum decomposition, one at a time."""
-    for entry, members in zip(dec.blocks, dec.members):
-        width = entry.vectors.shape[-1]
-        for b, (sector, momentum, parity) in enumerate(entry.group.blocks):
-            yield (entry.count[b], entry.vectors[b], members[b * width:(b + 1) * width],
-                   sector, momentum, parity)
+class LayoutDecomposition(NamedTuple):
+    """Every block of ``block_layout`` solved: the levels as arrays, and each block as (count,
+    eigenvectors, levels of its columns, sector, momentum, parity)."""
+
+    spec: RingSpec
+    energies: np.ndarray
+    multiplicities: np.ndarray
+    starts: np.ndarray
+    blocks: tuple
 
 
-def momentum_correlators(dec) -> np.ndarray:
-    """``MomentumDecomposition.correlators`` block by block with ``separation_correlators``, each
+def layout_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT):
+    """Every block of ``block_layout`` solved by one eigh per group, each block's eigenvalues
+    entering the sorted list its ``layout_counts`` times, clustered as the package clusters."""
+    n, weights = spec.n_sites, separation_weights(spec.n_sites, spec.alpha)
+    solved = [(group, layout_counts(n, group), *np.linalg.eigh(group.stack(weights)))
+              for group in block_layout(n)]
+    copies = [np.repeat(counts, group.shape[1]) for group, counts, _, _ in solved]
+    raw = np.concatenate([values.ravel() for *_, values, _ in solved])[None]
+    batch, _ = spectra._assembled([(spec, cluster_tolerance)], raw, np.concatenate(copies),
+                                  [c.size for c in copies])
+    blocks, members = [], iter(np.split(batch.members[0], np.cumsum(
+        [w for group, *_ in solved for w in [group.shape[1]] * group.shape[0]])[:-1]))
+    for group, counts, _, vectors in solved:
+        blocks += [(count, block, next(members), *key)
+                   for count, block, key in zip(counts, vectors, group.blocks)]
+    return LayoutDecomposition(spec, batch.energies, batch.multiplicities, batch.starts,
+                               tuple(blocks))
+
+
+def momentum_correlators(dec: LayoutDecomposition) -> np.ndarray:
+    """The mean <sigma_1 . sigma_{1+d}> and <sigma^z_1 sigma^z_{1+d}>, d = 1 .. N//2, of every
+    level of ``dec``, 2 x N//2 x levels, block by block with ``separation_correlators``, each
     block's columns taken to the complex basis by ``basis_change``."""
-    n, sums = dec.spec.n_sites, np.zeros((2, dec.spec.n_sites // 2, len(dec.levels)))
-    for count, vectors, members, sector, momentum, parity in _momentum_blocks(dec):
+    n, sums = dec.spec.n_sites, np.zeros((2, dec.spec.n_sites // 2, len(dec.energies)))
+    for count, vectors, members, sector, momentum, parity in dec.blocks:
         change = basis_change(n, sector, momentum, parity)
         values = separation_correlators(n, sector, momentum, change @ vectors)
         np.add.at(sums, (slice(None), slice(None), members), count * values)
     return sums / dec.multiplicities
 
 
-def block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
-    """``overlap_matrix`` of two momentum decompositions one block at a time: each block adds
-    count |V_a^H V_b|^2 to its level pairs."""
-    summed = np.zeros((len(dec_a.levels), len(dec_b.levels)))
-    for (count, v_a, levels_a, *_), (_, v_b, levels_b, *_) in zip(_momentum_blocks(dec_a),
-                                                                   _momentum_blocks(dec_b)):
+def block_overlap_matrix(dec_a: LayoutDecomposition, dec_b: LayoutDecomposition) -> np.ndarray:
+    """``spectra.overlap_matrix`` of two layout decompositions one block at a time: each block
+    adds count |V_a^H V_b|^2 to its level pairs."""
+    summed = np.zeros((len(dec_a.energies), len(dec_b.energies)))
+    for (count, v_a, levels_a, *_), (_, v_b, levels_b, *_) in zip(dec_a.blocks, dec_b.blocks):
         np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
     return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
 
 
 def layout_level_arrays(spec: RingSpec,
                         cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
-    """``spectra.level_arrays`` from every block of ``model.block_layout``, all the sectors with
-    2s >= N, one eigvalsh per group, each block's eigenvalues entering its ``count`` times: the
-    reference for the top sector's spin-resolved solve."""
+    """``spectra.level_arrays`` from every block of ``block_layout``, all the sectors with
+    2s >= N, one eigvalsh per group, each block's eigenvalues entering its ``layout_counts``
+    times: the reference for the top sector's spin-resolved solve."""
     weights, raw = separation_weights(spec.n_sites, spec.alpha), []
     for group in block_layout(spec.n_sites):
         stack = group.stack(weights)
         values = stack[..., 0] if group.shape[1] == 1 else np.linalg.eigvalsh(stack)
-        raw.append(np.repeat(values, group.counts, axis=0).ravel())
+        raw.append(np.repeat(values, layout_counts(spec.n_sites, group), axis=0).ravel())
     values = spectra._map_sorted([spec], np.concatenate(raw)[None])[0]
     return spectra._clusters(values, np.array([cluster_tolerance], dtype=float))[1:5]
 

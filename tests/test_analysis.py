@@ -62,8 +62,8 @@ def test_sweep_wraps_numerical_failures():
 def test_a_failed_batched_eigh_names_its_alpha_and_sector(monkeypatch):
     # the batch is solved again one alpha at a time, so the failure lands on its own alpha
     n, grid = 6, np.geomspace(0.5, 8, 9).tolist()
-    group, real = spectra_module.block_layout(n)[0], np.linalg.eigh
-    poison = group.stack(separation_weights(n, grid[4]))
+    poison, real = next(stack for stack, _ in spectra_module.spin_blocks(
+        n, separation_weights(n, grid[4])) if stack.shape[-1] > 1), np.linalg.eigh
     solved = []
 
     def eigh(stack):
@@ -78,7 +78,7 @@ def test_a_failed_batched_eigh_names_its_alpha_and_sector(monkeypatch):
         sweep(n, grid)
     assert info.value.alpha == grid[4]
     assert isinstance(info.value.original, spectra_module.EigensolverError)
-    assert info.value.original.sector == group.blocks[0][0]
+    assert info.value.original.sector == 3  # the top sector
     assert solved[0] == (9,)  # the batched solve failed first
     assert main(["report", "--n", "6", "--grid", "0.5:8:9:log"]) == 3
 
@@ -109,7 +109,7 @@ def test_sweep_small_ring_structure():
 def test_sweep_holds_at_most_two_decompositions(monkeypatch):
     # three points a batch: besides the batch being solved, every live batch array is one
     # that a live decomposition views, and at most two assembled decompositions are live
-    point = 8 * sum(math.prod(g.shape) for g in spectra_module.block_layout(6))
+    point = 8 * sum(stack.size for stack in spectra_module.spin_bonds(6, 1))  # S-block bytes
     monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
     real, solved, live, batches = spectra_module._Batch.decomposition, [], [], []
 
@@ -342,18 +342,17 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
 def test_golden_report_solve_counts(monkeypatch, capsys):
     # the golden n8 report's counts when they were pinned: 84 alphas given to the batched
     # solver (15 grid points, 68 bisection steps and references, and the fit) in 7 batches
-    # (the sweep, the references, four bisection rounds and the fit), each one eigh per
-    # block_layout group wider than 1 (7 x 7: the 26 nonempty real blocks, none wider than 9,
-    # fall in 8 groups across sectors, and the group of six 1 x 1 blocks is read directly;
-    # 7 x 8 = 56 when eigh solved it too, the 21 complex blocks in 10 groups made 7 x 10 = 70,
-    # one solve per alpha 84 x 8 = 672 with the two 1 x 1 groups read directly, and the sector
-    # path 84 + 1 solves of 9 eigh calls up to 70 wide); a change that adds solves fails here,
-    # not only in the wall time
+    # (the sweep, the references, four bisection rounds and the fit), each one eigh per S-block
+    # width (7 x 4: the 22 S-blocks of the top sector fall in 4 widths), and no S-block close
+    # enough to another level to be solved twice; 7 x 7 = 49 when every real block of the
+    # sectors with 2s >= N was solved, one eigh per width across sectors but none for 1 x 1
+    # blocks; a change that adds solves fails here, not only in the wall time
+    spectra_module.spin_layout(8)  # its Casimir eigh is solved once per process
     solves = _recording_solves(monkeypatch)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 49)
+    assert (len(solves), len(eighs)) == (84, 28)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -645,10 +644,11 @@ def _assert_momentum_records_match(spec, dec):
         assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
     expected = oracles._point_records(dec, 1e-10)
     assert cells.shape == expected.shape and not cells.flags.writeable
-    # concurrence, a, b, c; the residual column is the Werner residual |c - (a - b)|,
-    # not the sector path's deviation from diag(a, b, b, a) + c (1.3e-12 at N = 12, alpha = 1)
+    # concurrence, a, b, c; the residual column is the change of c between two solves of an
+    # S-block, not the sector path's deviation from diag(a, b, b, a) + c (1.3e-12 at N = 12,
+    # alpha = 1); a Werner state has c = a - b by construction
     assert np.abs(cells[..., :4] - expected[..., :4]).max() <= 1e-12
-    assert np.array_equal(cells[..., 4], np.abs(cells[..., 3] - (cells[..., 1] - cells[..., 2])))
+    assert np.abs(cells[..., 3] - (cells[..., 1] - cells[..., 2])).max() <= 1e-15
     assert cells[..., 4].max() <= 1e-12
 
 

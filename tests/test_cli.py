@@ -18,7 +18,6 @@ import spinring.entanglement as entanglement_module
 import spinring.spectra as spectra_module
 from spinring import PairStateWarning, RingSpec, Variant, diagonalize
 from spinring.cli import build_parser, main, resolve_config
-from spinring.model import block_layout
 from spinring.spectra import UniformEigenstate
 
 REPORT_KEYS = {
@@ -114,7 +113,7 @@ def test_unparseable_flags_exit_2(capsys):
 
 
 def test_numerical_failure_exits_3(capsys):
-    code, _, err = run(capsys, "concurrence", "--n", "4", "--alpha", "1",
+    code, _, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1",
                        "--structure-tolerance", "1e-20")
     assert code == 3
     assert "numerical" in err
@@ -171,7 +170,7 @@ def test_memory_error_exits_3(capsys, monkeypatch):
             (np.linalg, "eigh", exhausted, report),
             (analysis_module, "momentum_decompositions", after_the_sweep, report),
             (analysis_module, "momentum_decomposition", exhausted, report),
-            (np.linalg, "eigh", exhausted, ("concurrence", "--n", "4", "--alpha", "1"))):
+            (np.linalg, "eigh", exhausted, ("concurrence", "--n", "6", "--alpha", "1"))):
         with monkeypatch.context() as patched:
             patched.setattr(module, name, replacement)
             code, out, err = run(capsys, *argv)
@@ -182,15 +181,18 @@ def test_memory_error_exits_3(capsys, monkeypatch):
 
 def test_concurrence_solver_failures_exit_3(capsys, monkeypatch):
     # a batch of alphas fails as one alpha does: a failed batch is solved an alpha at a time,
-    # and the error names the sector of the first group eigh solves
+    # and the error names the top sector, whose S-blocks eigh solves (at N = 4 and 5 every
+    # S-block is 1 x 1 and needs no eigh)
     def diverged(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.00 GiB for an array")
 
-    for n in (4, 10):
-        sector = next(g.blocks[0][0] for g in block_layout(n) if g.shape[1] > 1)
+    for n in (6, 10):
+        spectra_module.spin_layout(n)  # so the S-block solve fails, not the Casimir one
+    for n in (6, 10):
+        sector = (n + 1) // 2
         for replacement, message in (
                 (diverged, f"numerical failure: eigensolver failed in magnetization sector "
                            f"{sector}: Eigenvalues did not converge"),
@@ -202,19 +204,20 @@ def test_concurrence_solver_failures_exit_3(capsys, monkeypatch):
 
 
 def test_concurrence_solves_its_alphas_as_one_batch(capsys, monkeypatch):
-    # N = 10: two alphas share one eigh per block_layout group wider than 1 (11 of the 12
-    # groups; the group of seven 1 x 1 blocks is read directly), not one per alpha (22)
+    # N = 10: two alphas share one eigh per S-block width (9 widths), not one per alpha (18),
+    # and neither alpha has an S-block close enough to another level to be solved twice
     real, shapes = np.linalg.eigh, []
+    widths = [stack.shape[-1] for stack, _ in spectra_module.spin_blocks(10, np.ones(5))]
     monkeypatch.setattr(np.linalg, "eigh", lambda stack: shapes.append(stack.shape) or real(stack))
     assert run(capsys, "concurrence", "--n", "10", "--alpha", "0.7", "--alpha", "3.3")[0] == 0
-    assert len(shapes) == sum(g.shape[1] > 1 for g in block_layout(10)) == 11
+    assert len(shapes) == len(widths) == 9
     assert all(shape[0] == 2 for shape in shapes)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_tables_match_the_row_by_row_oracle(capsys, n):
     # the level-array tables against each alpha solved alone and written row by row, cell by
-    # cell: the same bytes, or the same failure where alpha = 1e-7 fails the Werner check
+    # cell: the same bytes, or the same failure where alpha = 1e-7 fails the two-solve check
     for variant in ("standard", "shifted", "ferromagnetic"):
         for alphas in (("0", "1e-7", "2", "inf"), ("0", "0.7", "2", "inf")):
             for command in ("spectrum", "concurrence"):
@@ -263,19 +266,33 @@ def test_a_bug_in_the_sweep_gives_a_traceback(monkeypatch):
 
 
 def test_mixed_levels_exit_3(capsys):
+    # levels of one S-block split by ~1e-7 of the range: two solves of the block disagree
     code, _, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
     assert code == 3
-    assert "structured form" in err
+    assert "two-solve check" in err and "changes by" in err
+
+
+def test_two_solves_refuse_only_unresolved_levels(capsys):
+    # N = 6, alpha = 1e-7: levels of one S-block split by ~1e-7 of the range change c by ~1e-9
+    # between two solves; N = 7, alpha = 1e-6 and N = 12, alpha = 1.99 also have S-blocks whose
+    # Davis-Kahan estimate reaches the tolerance (4.8e-10 at N = 12), but their two solves
+    # agree within it
+    code, out, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
+    assert (code, out) == (3, "") and "two-solve check" in err
+    for n, alpha in ((7, "1e-6"), (12, "1.99")):
+        code, out, err = run(capsys, "concurrence", "--n", str(n), "--alpha", alpha)
+        assert (code, err) == (0, "")
+        residuals = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+        assert 0 < max(residuals) < 1e-10  # measured, not skipped
 
 
 def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
-    # at N = 5 just below the Haldane-Shastry point the solver mixes levels that differ in S
+    # at N = 5 just below the Haldane-Shastry point every S-block is 1 x 1, so no levels mix
     for argv in (("report", "--n", "5", "--grid", "1.9:2.1:3", "--extra", "1.9999999"),
                  ("concurrence", "--n", "5", "--alpha", "1.9999999")):
-        code, _, err = run(capsys, *argv)
-        assert code == 3 and "c = a - b" in err
-    # near the collapse points the two commands agree case by case, and both fail on the
-    # Werner residual where they fail
+        assert run(capsys, *argv)[0] == 0
+    # near the collapse points the two commands agree case by case, and both fail the
+    # two-solve check where they fail
     failed = []
     for n in range(2, 9):
         for alpha in ("0", "1e-8", "1e-7", "1e-6", "1e-5", "1e-4", "1.9999999", "2.0000001"):
@@ -285,9 +302,10 @@ def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
                 report = run(capsys, "report", "--n", str(n), "--grid", "0.5:4:2", "--extra", alpha)
             assert report[0] == code
             if code:
-                assert code == 3 and "c = a - b" in err and "c = a - b" in report[2]
+                assert code == 3 and "two-solve check" in err and "two-solve check" in report[2]
                 failed.append((n, alpha))
-    assert (5, "1.9999999") in failed and len(failed) >= 10
+    assert failed == [(6, "1e-8"), (6, "1e-7"), (7, "1e-8"), (7, "1e-7"),
+                      (8, "1e-8"), (8, "1e-7"), (8, "1e-6")]
 
 
 @pytest.mark.parametrize("alphas", [("1",), ("1", "2")])

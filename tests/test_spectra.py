@@ -7,7 +7,8 @@ import pytest
 import oracles
 import spinring.spectra as spectra_module
 from oracles import cluster_levels
-from spinring.model import block_layout, separation_weights, variant_map
+from oracles import block_layout
+from spinring.model import separation_weights, variant_map
 from spinring import (INFINITY, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, default_alpha_grid,
                       diagonalize, energy_levels, lagrange_projector,
@@ -128,14 +129,6 @@ def test_decomposition_holds_only_sector_blocks():
         assert d.level_vectors(level).shape == (2 ** n, level.multiplicity)
 
 
-def _layout_blocks(n):
-    """Every nonempty (sector, momentum, parity) block that ``block_layout(n)`` must hold, by
-    ``oracles.reflection_basis``, sorted."""
-    return sorted((s, k, q) for s in range((n + 1) // 2, n + 1) for k in range(n // 2 + 1)
-                  for q in ((1, -1) if 2 * k % n == 0 else (0,))
-                  if oracles.reflection_basis(n, s, k, q).size)
-
-
 def _assert_projected(block, projected):
     """A layout block against ``oracles.reflection_blocks``: the projection is real, and the
     entries agree within 1e-13 of max(1, |entry|) (the projection rounds integer sums that the
@@ -146,28 +139,30 @@ def _assert_projected(block, projected):
 
 
 def test_stacked_momentum_solves_match_one_solve_per_block():
-    # every block_layout group, across sectors, is assembled and solved as one stack, a 1 x 1
-    # group too; every block still gets exactly the eigh and eigvalsh of solving it alone
+    # every S-block width is assembled and solved as one stack, a 1 x 1 width too; every
+    # S-block still gets exactly the eigh of solving it alone, and it is the top sector's
+    # reflection block, projected onto the columns of one S
     for n in (2, 5, 8, 11, 12):
-        spec = RingSpec(n, 0.7)
+        spec, s0 = RingSpec(n, 0.7), (n + 1) // 2
         dec = momentum_decomposition(spec)
-        solved = [block for entry in dec.blocks for block in entry.group.blocks]
-        assert solved == [block for group in block_layout(n) for block in group.blocks]
-        assert sorted(solved) == _layout_blocks(n)
-        if n >= 8:
-            assert any(len({s for s, *_ in entry.group.blocks}) > 1 for entry in dec.blocks)
-        for entry in dec.blocks:
-            stack = entry.group.stack(separation_weights(n, 0.7))
-            stacked_values = np.linalg.eigvalsh(stack)
-            for b, (s, k, q) in enumerate(entry.group.blocks):
-                block = stack[b].copy()
-                _assert_projected(block, oracles.reflection_blocks(spec, s, [(k, q)])[0])
+        stacks = spectra_module.spin_blocks(n, separation_weights(n, 0.7))
+        assert [entry.vectors.shape for entry in dec.blocks] == [stack.shape for stack, _ in stacks]
+        projected = {}
+        for group, q, runs in spectra_module.spin_layout(n):
+            for (_, k, parity), vectors, block_runs in zip(group.blocks, q, runs):
+                block = oracles.reflection_blocks(spec, s0, [(k, parity)])[0].real
+                for start, stop, states in block_runs:
+                    projected.setdefault(stop - start, []).append(
+                        vectors[:, start:stop].T @ block @ vectors[:, start:stop])
+        for entry, (stack, states) in zip(dec.blocks, stacks):
+            assert np.array_equal(entry.count, states)
+            assert np.max(np.abs(stack - np.array(projected[stack.shape[-1]]))) <= 1e-12
+            for b, block in enumerate(stack):
                 alone_w, alone_v = np.linalg.eigh(block)
                 assert np.array_equal(entry.values[b], alone_w)
                 assert np.array_equal(entry.vectors[b], alone_v)
                 assert entry.vectors[b].dtype == alone_v.dtype == np.float64
-                assert entry.vectors[b].strides == alone_v.strides
-                assert np.array_equal(stacked_values[b], np.linalg.eigvalsh(block))
+        assert sum(entry.count.sum() * entry.values.shape[-1] for entry in dec.blocks) == 2 ** n
 
 
 BATCH_ALPHAS = (0.0, 1e-7, 0.7, 2.0, 3.3, INFINITY)
@@ -199,10 +194,10 @@ def test_batched_stacks_match_one_alpha_at_a_time(n):
 def test_real_blocks_match_the_complex_momentum_blocks(n):
     # count times width covers half the space, mirrored by the spin flip; the count-weighted
     # spectra of the real blocks give every level and multiplicity of the complex blocks of
-    # every sector and momentum, and their columns, taken to the complex basis, the same
-    # correlators and overlaps
+    # every sector and momentum, as do the top sector's S-blocks, and the overlaps of two
+    # S-block decompositions are those of the real blocks' columns, taken to the complex basis
     counts = [(int(c), g.shape[1], s) for g in block_layout(n)
-              for c, (s, *_) in zip(g.counts, g.blocks)]
+              for c, (s, *_) in zip(oracles.layout_counts(n, g), g.blocks)]
     assert sum(c * w // (1 + (2 * s > n)) for c, w, s in counts) == \
         sum(math.comb(n, s) for s in range(n + 1) if 2 * s >= n)
     assert sum(c * w for c, w, _ in counts) == 2 ** n
@@ -217,10 +212,11 @@ def test_real_blocks_match_the_complex_momentum_blocks(n):
             _assert_same_levels(energy_levels(spec), want)
             dec = momentum_decomposition(spec)
             _assert_same_levels(dec.levels, want)
-            assert np.max(np.abs(dec.correlators() - oracles.momentum_correlators(dec))) <= 1e-12
-            if alpha:
-                near = momentum_decomposition(RingSpec(n, BATCH_ALPHAS[0], variant))
-                gap = overlap_matrix(dec, near) - oracles.block_overlap_matrix(dec, near)
+            if alpha:  # each level at alpha lies in one level at 0, whatever mixes within it
+                near = RingSpec(n, BATCH_ALPHAS[0], variant)
+                gap = overlap_matrix(dec, momentum_decomposition(near)) - \
+                    oracles.block_overlap_matrix(oracles.layout_decomposition(spec),
+                                                 oracles.layout_decomposition(near))
                 assert np.max(np.abs(gap)) <= 1e-12
 
 
@@ -236,7 +232,7 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert np.array_equal(np.hstack(got.members), np.hstack(want.members))
         for a, b in zip(got.blocks, want.blocks):
-            assert a.group is b.group
+            assert np.array_equal(a.count, b.count)
             assert a.values.tobytes() == b.values.tobytes()
             assert a.vectors.tobytes() == b.vectors.tobytes()
             assert a.vectors.strides == b.vectors.strides
@@ -267,14 +263,16 @@ def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
         assert [m.tobytes() for m in got.members] == [m.tobytes() for m in want.members]
         assert got.warnings == want.warnings and got.levels == want.levels
         assert got.correlators().tobytes() == want.correlators().tobytes()
+        assert got.residuals(1e-10).tobytes() == want.residuals(1e-10).tobytes()
 
 
 def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
     # the batch's solve fails, so it is solved again an alpha at a time: the alphas before the
     # failing one come out whole, and the error comes at the failing one
     n, grid = 7, np.geomspace(0.5, 8, 6).tolist()
-    group, real, shapes = block_layout(n)[0], np.linalg.eigh, []
-    poison = group.stack(separation_weights(n, grid[3]))
+    real, shapes = np.linalg.eigh, []
+    poison = next(stack for stack, _ in spectra_module.spin_blocks(
+        n, separation_weights(n, grid[3])) if stack.shape[-1] > 1)
 
     def eigh(stack):
         shapes.append(stack.shape[:-3])
@@ -289,14 +287,16 @@ def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
         assert next(solved).spec.alpha == alpha
     with pytest.raises(spectra_module.EigensolverError) as info:
         next(solved)
-    assert info.value.sector == group.blocks[0][0]
-    assert shapes[0] == (6,) and shapes[-1] == (1,)
-    assert shapes.count((6,)) == 1
+    assert info.value.sector == (n + 1) // 2
+    # the batch of six solves its 1 x 1 width, then fails at the poisoned width, once
+    assert shapes[:2] == [(6,), (6,)] and shapes[-1] == (1,)
+    assert shapes.count((6,)) == 2
 
 
 def test_batch_size_bounds_the_eigenvector_bytes():
-    for n, size in ((8, 109), (10, 10), (12, 1), (14, 1)):
-        point = 8 * sum(math.prod(g.shape) for g in block_layout(n))  # real eigenvectors
+    for n, size in ((8, 569), (10, 70), (12, 7), (14, 1)):
+        # real S-block eigenvectors
+        point = 8 * sum(stack.size for stack, _ in spectra_module.spin_blocks(n, np.ones(n // 2)))
         assert spectra_module.batch_size(n) == size
         assert size * point <= spectra_module.BATCH_BYTES or size == 1
     # the whole 43-point report grid at N = 8 is one batch
@@ -305,33 +305,39 @@ def test_batch_size_bounds_the_eigenvector_bytes():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_grouped_correlators_match_one_block_at_a_time(n):
-    # dense K_d stacks per group against the per-block gather of the block's nonzeros
+    # the S-block correlators against every real block of the sectors with 2s >= N, each
+    # reduced in the complex basis by gathering its nonzeros; the all-sector levels are Werner
+    # states, their residual |c - (a - b)| = |<sigma_1 . sigma_{1+d}> - 3 <ZZ_d>|/4 small
     for variant in Variant:
         for alpha in (0.0, 0.7, 2.0, INFINITY):
-            dec = momentum_decomposition(RingSpec(n, alpha, variant))
-            count, every = len(dec.levels), dec.correlators()
-            want = oracles.momentum_correlators(dec)
-            for levels in (slice(None), [0], [count - 1, 0], list(range(0, count, 3))):
-                got = every[..., levels]
-                assert got.shape == want[..., levels].shape
-                assert np.max(np.abs(got - want[..., levels])) < 1e-13
+            spec = RingSpec(n, alpha, variant)
+            dec, layout = momentum_decomposition(spec), oracles.layout_decomposition(spec)
+            assert np.array_equal(dec.multiplicities, layout.multiplicities)
+            assert np.array_equal(dec.starts, layout.starts)
+            dots, zz = oracles.momentum_correlators(layout)
+            assert dec.correlators().shape == dots.shape
+            assert np.max(np.abs(dec.correlators() - dots)) <= 1e-12
+            assert np.max(np.abs(dots - 3 * zz)) / 4 <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_grouped_overlaps_match_one_block_at_a_time(n):
+    # the S-block overlaps, each block counted for its states, against every real block of the
+    # sectors with 2s >= N, one block at a time in the complex basis
     for variant in Variant:
         for alpha in (0.0, 0.7, 2.0, INFINITY):
             near = alpha + 0.05 if alpha < INFINITY else 40.0
-            a, b = (momentum_decomposition(RingSpec(n, x, variant)) for x in (alpha, near))
-            for dec_a, dec_b in ((a, b), (b, a)):
-                want = oracles.block_overlap_matrix(dec_a, dec_b)
-                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-14
+            specs = [RingSpec(n, x, variant) for x in (alpha, near)]
+            a, b = map(momentum_decomposition, specs)
+            layout_a, layout_b = map(oracles.layout_decomposition, specs)
+            for dec_a, dec_b, want in ((a, b, oracles.block_overlap_matrix(layout_a, layout_b)),
+                                       (b, a, oracles.block_overlap_matrix(layout_b, layout_a))):
+                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-12
             # a generic neighbour's levels each lie inside one level at alpha
-            want = oracles.block_overlap_matrix(b, a)
             for index in range(len(b.levels)):
                 j, value = oracles.best_partner(b, index, a)
                 assert j == int(np.argmax(want[index]))
-                assert abs(value - want[index, j]) < 1e-14
+                assert abs(value - want[index, j]) < 1e-12
 
 
 def _assert_same_levels(got, expected):
