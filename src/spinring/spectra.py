@@ -68,7 +68,7 @@ class Eigensystem(NamedTuple):
     M S-blocks of one width at one alpha of a batch, over their ``spin_layout`` columns."""
     values: np.ndarray   # ascending, as eigh returns them; M x w for S-blocks
     vectors: np.ndarray  # orthonormal columns, sign-fixed in a sector; M x w x w
-    count: object = 1    # blocks or states it stands for, per block
+    count: np.ndarray | int = 1  # blocks or states it stands for, per block
     states: np.ndarray = None  # a sector's basis integers, ascending
 
 

@@ -170,7 +170,7 @@ def test_memory_error_exits_3(capsys, monkeypatch):
             (np.linalg, "eigh", exhausted, report),
             (analysis_module, "momentum_decompositions", after_the_sweep, report),
             (analysis_module, "momentum_decomposition", exhausted, report),
-            (np.linalg, "eigh", exhausted, ("concurrence", "--n", "6", "--alpha", "1"))):
+            (np.linalg, "eigh", exhausted, ("concurrence", "--n", "4", "--alpha", "1"))):
         with monkeypatch.context() as patched:
             patched.setattr(module, name, replacement)
             code, out, err = run(capsys, *argv)
@@ -181,8 +181,7 @@ def test_memory_error_exits_3(capsys, monkeypatch):
 
 def test_concurrence_solver_failures_exit_3(capsys, monkeypatch):
     # a batch of alphas fails as one alpha does: a failed batch is solved an alpha at a time,
-    # and the error names the top sector, whose S-blocks eigh solves (at N = 4 and 5 every
-    # S-block is 1 x 1 and needs no eigh)
+    # and the error names the top sector, whose S-blocks eigh solves
     def diverged(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
