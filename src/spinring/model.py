@@ -32,7 +32,7 @@ import numpy as np
 
 INFINITY = math.inf
 
-# Measured: ``report --n 14`` on a 40-point grid peaks at about 1.36 GB.
+# Measured: ``report --n 14`` on a 40-point grid peaks at about 1.35 GB (1352 MB).
 MAX_SITES = 14
 
 
@@ -79,7 +79,7 @@ class RingSpec:
         if self.n_sites > MAX_SITES:
             raise RingSizeError(
                 f"n_sites={self.n_sites} exceeds the cap of {MAX_SITES} "
-                f"(report at 14 sites already peaks at about 1.36 GB)")
+                f"(report at 14 sites already peaks at about 1.35 GB)")
         a = float(self.alpha)
         if math.isnan(a) or a < 0:
             raise ValueError(f"alpha must be a non-negative real or inf, got {self.alpha!r}")
