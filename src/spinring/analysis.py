@@ -183,17 +183,17 @@ def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
                              f"correlators by {error[bad[0]]:.3e}")
 
 
-def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
-                 levels=None) -> np.ndarray:
+def _point_cells(dec: MomentumDecomposition, levels=None) -> np.ndarray:
     """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``.
     Each level projector is invariant under SU(2) and translation, so its pair states are Werner
     states (Werner, PRA 40, 4277 (1989)) fixed by z = <sigma_1 . sigma_{1+d}>/3 (``correlators``):
     a = (1 + z)/4, b = (1 - z)/4, c = z/2, with the change of c between two solves (``residuals``).
-    Raises StructureError on a residual at the tolerance or on a level whose energy misses the
-    sum of its pair correlators."""
+    Raises StructureError on a residual at ``dec``'s structure tolerance or on a level whose
+    energy misses the sum of its pair correlators."""
     picked = slice(None) if levels is None else levels
+    structure_tolerance = dec.batch.structure_tolerance
     dots = dec.correlators()[:, picked]
-    residual = dec.residuals(structure_tolerance)[:, picked]
+    residual = dec.residuals()[:, picked]
     if residual.max() >= structure_tolerance:
         worst = residual.max(axis=1)
         raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "
@@ -208,8 +208,8 @@ def _point_cells(dec: MomentumDecomposition, structure_tolerance: float,
 def _momentum_records(spec: RingSpec, cluster_tolerance: float,
                       structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
     """The levels of ``momentum_decomposition(spec)`` and their ``_point_cells``."""
-    dec = momentum_decomposition(spec, cluster_tolerance=cluster_tolerance)
-    return dec.levels, _point_cells(dec, structure_tolerance)
+    dec = momentum_decomposition(spec, cluster_tolerance, structure_tolerance)
+    return dec.levels, _point_cells(dec)
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:
@@ -241,12 +241,12 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     paired with the anchor and replaces it, a lower one is skipped."""
     grid = _validate_grid(alpha_grid)
     points, anchor = [], None
-    decs = momentum_decompositions((RingSpec(n_sites, alpha, variant), cluster_tolerance)
-                                   for alpha in grid.tolist())
+    decs = momentum_decompositions(((RingSpec(n_sites, alpha, variant), cluster_tolerance)
+                                    for alpha in grid.tolist()), structure_tolerance)
     for i, alpha in enumerate(grid.tolist()):
         try:
             dec = next(decs)
-            cells = _point_cells(dec, structure_tolerance)
+            cells = _point_cells(dec)
         except (EigensolverError, StructureError, np.linalg.LinAlgError) as exc:
             raise SweepError(alpha, exc) from exc
         count = dec.energies.size
@@ -347,7 +347,6 @@ class _SignChange:
     positive_lo: bool
     edge: float
     threshold: float
-    structure_tolerance: float
     jump_scale: float
 
     @property
@@ -356,7 +355,7 @@ class _SignChange:
 
     def step(self, ref, lo, hi, dec, match) -> tuple:
         mid = 0.5 * (lo + hi)
-        cells = _point_cells(dec, self.structure_tolerance, levels=[match(self.level)[0]])
+        cells = _point_cells(dec, levels=[match(self.level)[0]])
         value = float(cells[0, self.separation - 1, 0])
         if (value > self.threshold) == self.positive_lo:
             return (mid, hi)
@@ -371,7 +370,7 @@ class _SignChange:
 
 
 def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold: float,
-                  structure_tolerance: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+                  jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
     """For each (i, j) of ``intervals``, the probes of the ``curves`` flagged in its row of
     ``tracked`` whose concurrence at one of ``separations`` is above ``threshold`` at one end
     only, curves in order, then separations: one comparison covers every interval."""
@@ -384,14 +383,16 @@ def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold
         probes[m].append(_SignChange(curves[c].curve_index,
                                      int(curves[c].level_indices[intervals[m][0]]),
                                      int(rows[s]) + 1, bool(above[c, s, m, 0]), ends[c, s, m].max(),
-                                     threshold, structure_tolerance, jump_scale))
+                                     threshold, jump_scale))
     return probes
 
 
-def _bisect(ring, intervals, resolution: float) -> list:
+def _bisect(ring, intervals, resolution: float,
+            structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> list:
     """Shrink the bracket of each probe of every (lo, hi, probes) in ``intervals`` until it is no
     wider than ``resolution`` or cannot shrink; returns each interval's events in probe order.
-    ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance.
+    ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance, and
+    the midpoints' concurrences are checked at ``structure_tolerance``.
     ``batch_size`` intervals, drawn from ``intervals`` as their turn comes, go in lockstep: their
     left ends form one batch, as do a round's midpoints, and each batch of midpoints matches the
     levels its probes follow in one ``best_partners`` pass."""
@@ -411,9 +412,9 @@ def _bisect(ring, intervals, resolution: float) -> list:
                 steps += [(v, a, b, members) for (a, b), members in groups.items()
                           if b - a > resolution and a < 0.5 * (a + b) < b]  # else cannot shrink
             solved, active = zip(steps, momentum_decompositions(
-                (RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
-                 max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
-                for v, a, b, _ in steps)), [[] for _ in chunk]
+                ((RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
+                  max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
+                 for v, a, b, _ in steps), structure_tolerance)), [[] for _ in chunk]
             while batch := list(itertools.islice(solved, size)):  # one batch of midpoints
                 # the levels each step's probes follow, each matched once
                 levels = [list(dict.fromkeys(level for k in members
@@ -442,7 +443,7 @@ def _interval_probes(sweep_result: SweepResult, separations=()):
     index = np.array([curve.level_indices for curve in sweep_result.curves])  # curve x point
     tracked = ((index[:, backbone[:-1]] >= 0) & (index[:, backbone[1:]] >= 0)).T
     signs = _sign_changes(sweep_result.curves, intervals, tracked, separations,
-                          sweep_result.concurrence_threshold, sweep_result.structure_tolerance)
+                          sweep_result.concurrence_threshold)
     for (i, j), both, probes in zip(intervals, tracked, signs):
         # the curves by level at i (no two share one); the pairs whose later curve is below
         # at j, in the row-major order of itertools.combinations
@@ -461,7 +462,8 @@ def _located_events(sweep_result: SweepResult, resolution: float, separations=()
     interval is bisected once for all of its events.  The sorts are stable, so
     ties keep interval order per (curve, separation), as entanglement_boundaries does."""
     intervals = _interval_probes(sweep_result, separations)
-    events = [event for located in _bisect(sweep_result, intervals, resolution)
+    events = [event for located in _bisect(sweep_result, intervals, resolution,
+                                           sweep_result.structure_tolerance)
               for event in located]
     return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),
             sorted((e for e in events if e.kind != "crossing"),
@@ -524,7 +526,7 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     idx, alphas = np.nonzero(curve.valid)[0].tolist(), curve.alpha_grid.tolist()
     pairs = list(zip(idx[:-1], idx[1:]))
     signs = _sign_changes([curve], pairs, np.ones((len(pairs), 1), dtype=bool), [separation],
-                          threshold, STRUCTURE_TOLERANCE_DEFAULT, jump_scale)
+                          threshold, jump_scale)
     intervals = [(alphas[i], alphas[j], probes) for (i, j), probes in zip(pairs, signs) if probes]
     return tuple(event for (event,) in _bisect(curve, intervals, resolution))
 

@@ -270,10 +270,11 @@ def cmd_spectrum(config: RunConfig) -> str:
 def cmd_concurrence(config: RunConfig) -> str:
     """Concurrence table: one row per (alpha, level, separation), the alphas solved in batches
     as ``sweep`` solves them (``momentum_decompositions``), each with its ``_point_cells``."""
-    decs = momentum_decompositions((RingSpec(config.n_sites, alpha, config.variant),
-                                    config.cluster_tolerance) for alpha in config.alphas)
-    tables = [(dec.spec.alpha, dec.energies, dec.multiplicities,
-               _point_cells(dec, config.structure_tolerance)) for dec in decs]
+    decs = momentum_decompositions(((RingSpec(config.n_sites, alpha, config.variant),
+                                     config.cluster_tolerance) for alpha in config.alphas),
+                                   config.structure_tolerance)
+    tables = [(dec.spec.alpha, dec.energies, dec.multiplicities, _point_cells(dec))
+              for dec in decs]
     header = ("alpha", "level_index", "energy", "multiplicity", "separation",
               "concurrence", "a", "b", "c", "structure_residual")
     return _emit_table(config, header, tables, structure_tolerance=config.structure_tolerance)

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import UniformEigenstate
-
-STRUCTURE_TOLERANCE_DEFAULT = 1e-10
+from .spectra import STRUCTURE_TOLERANCE_DEFAULT, UniformEigenstate  # noqa: F401
 
 
 class StructureError(ValueError):

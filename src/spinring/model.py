@@ -32,7 +32,7 @@ import numpy as np
 
 INFINITY = math.inf
 
-# Measured: ``report --n 14`` on a 40-point grid peaks at about 1.35 GB (1352 MB).
+# Measured: ``report --n 14`` on a 40-point grid peaks at about 1.35 GB (1349-1355 MB).
 MAX_SITES = 14
 
 
@@ -129,6 +129,12 @@ def separation_weights(n_sites: int, alpha: float) -> np.ndarray:
     """Coupling weights w_d for the ring separations d = 1 .. n_sites//2; cached, read-only."""
     return read_only(np.array([coupling_weight(n_sites, d, alpha)
                                for d in range(1, n_sites // 2 + 1)]))
+
+
+def weight_offsets(n_sites: int, alpha: float) -> np.ndarray:
+    """The ``separation_weights`` less 1 by expm1, exact to rounding also near alpha = 0."""
+    logs = np.log([chord_distance(n_sites, d) for d in range(2, n_sites // 2 + 1)])  # r_1 = 1
+    return np.concatenate([[0.0], np.expm1(-alpha * logs)])
 
 
 @functools.lru_cache(maxsize=None)

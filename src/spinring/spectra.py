@@ -8,32 +8,35 @@ embeds a level's 2^N x m block on demand; no command calls it.  The commands sol
 sector's real momentum blocks split by total spin S (``spin_layout``): an S-block Q_S^T H Q_S
 holds one member of each of its multiplets and stands for their ``states``.  ``level_arrays``
 solves the S-blocks' eigenvalues; ``momentum_decompositions`` solves a batch of alphas, as many
-as ``BATCH_BYTES`` of S-block eigenvectors hold, with one eigh per width, and assembles it at
-once (``_assembled``), its levels kept as arrays that each decomposition views.  By
-Wigner-Eckart every member of a multiplet has the same correlators and Gram entries, so the
-batch reduces every level's <sigma_1 . sigma_{1+d}> from u^T K_d^S u, K_d^S = Q_S^T K_d Q_S
-cached per ring size (``spin_bonds``), and projector overlaps from (V_a^T V_b)^2, each S-block
-counted ``states`` times: every level pair of two decompositions (``overlap_matrix``) or the
-listed levels' rows of many pairs in one pass (``best_partners``).  ``_Batch.residuals`` solves
-the S-blocks whose levels lie close a second time and measures the change of the correlators.
+as ``BATCH_BYTES`` hold (``batch_size``), with one eigh per width of H^S less its Casimir part,
+and assembles it at once (``_assembled``), its levels kept as arrays that each decomposition
+views.  By Wigner-Eckart every member of a multiplet has the same correlators and Gram entries,
+so the batch reduces every level's <sigma_1 . sigma_{1+d}> from u^T K_d^S u, K_d^S =
+Q_S^T K_d Q_S cached per ring size (``spin_bonds``), and projector overlaps from
+(V_a^T V_b)^2, each S-block counted ``states`` times: every level pair of two decompositions
+(``overlap_matrix``) or the listed levels' rows of many pairs in one pass (``best_partners``).
+``_Batch.residuals`` solves the S-blocks whose levels lie close a second time, from K_d^S, and
+measures the change of the correlators.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .model import (HamiltonianMatrix, RingSpec, Variant, block_groups, read_only,
-                    sector_block, sector_states, separation_weights, variant_map)
+                    sector_block, sector_states, separation_weights, variant_map, weight_offsets)
 
 CLUSTER_TOLERANCE_DEFAULT = 1e-9
 CASIMIR_TOLERANCE = 1e-9  # how far a Casimir eigenvalue may lie from 2S(S+1) - 3N/2
+STRUCTURE_TOLERANCE_DEFAULT = 1e-10  # bound on the change of c between two solves
 
-# S-block eigenvector bytes one batch of alphas holds; the blocks are real, so 8 w^2 bytes a
-# block: 569 points at N = 8 (920 B each), 70 at 10 (7.2 KB), 7 at 12, 1 at 14
+# bytes one batch of alphas holds while it is assembled and solved (``batch_size``): 106
+# points at N = 8 (4.9 KB each), 9 at 10 (55 KB), 1 from 12 on (338 KB at 12)
 BATCH_BYTES = 2 ** 19
 
 
@@ -63,13 +66,20 @@ class Level:
         return self.start + self.multiplicity
 
 
-class Eigensystem(NamedTuple):
-    """Eigenpairs of the STANDARD Hamiltonian: a magnetization block of ``diagonalize``, or the
-    M S-blocks of one width at one alpha of a batch, over their ``spin_layout`` columns."""
-    values: np.ndarray   # ascending, as eigh returns them; M x w for S-blocks
-    vectors: np.ndarray  # orthonormal columns, sign-fixed in a sector; M x w x w
-    count: np.ndarray | int = 1  # blocks or states it stands for, per block
-    states: np.ndarray = None  # a sector's basis integers, ascending
+class SectorEigensystem(NamedTuple):
+    """Eigenpairs of one total-magnetization block of the STANDARD Hamiltonian."""
+    states: np.ndarray   # basis integers, ascending
+    values: np.ndarray   # ascending, as eigh returns them
+    vectors: np.ndarray  # sign-fixed orthonormal columns
+    count: int = 1       # blocks it stands for
+
+
+class SpinEigensystem(NamedTuple):
+    """Eigenpairs of the M S-blocks of one width at one alpha of a batch, over their
+    ``spin_layout`` columns, as views."""
+    count: np.ndarray    # the blocks' ``states``: block b's eigenvalues enter count[b] times
+    values: np.ndarray   # M x w, each row ascending
+    vectors: np.ndarray  # M x w x w, real orthonormal columns
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class BlockDecomposition:
 
     spec: RingSpec
     eigenvalues: np.ndarray = field(repr=False)    # ascending, length 2^N
-    blocks: tuple = field(repr=False)              # of Eigensystem
+    blocks: tuple = field(repr=False)              # of SectorEigensystem or SpinEigensystem
     members: tuple = field(repr=False)
     energies: np.ndarray = field(repr=False)
     multiplicities: np.ndarray = field(repr=False)
@@ -126,15 +136,14 @@ class SpectralDecomposition(BlockDecomposition):
 
 
 class MomentumDecomposition(BlockDecomposition):
-    """The decomposition of ``momentum_decomposition``: an ``Eigensystem`` per S-block width, and
-    its slices of the batch's ``correlators`` and ``residuals``."""
+    """The decomposition of ``momentum_decomposition``: a ``SpinEigensystem`` per S-block width,
+    and its slices of the batch's ``correlators`` and ``residuals``."""
 
     def correlators(self) -> np.ndarray:
         return self.batch.correlators[:, slice(*self.batch.bounds[self.index:self.index + 2])]
 
-    def residuals(self, tolerance: float) -> np.ndarray:
-        own = slice(*self.batch.bounds[self.index:self.index + 2])
-        return self.batch.residuals(tolerance)[:, own]
+    def residuals(self) -> np.ndarray:
+        return self.batch.residuals[:, slice(*self.batch.bounds[self.index:self.index + 2])]
 
 
 @dataclass(eq=False)
@@ -143,8 +152,8 @@ class _Batch:
     one ring size, assembled at once (``_assembled``): row a of ``values`` and ``members`` (each
     value's level, block entries in order, cut by ``spans``) is job a's, and so are levels
     ``bounds[a]:bounds[a + 1]`` of ``energies``, ``multiplicities`` and ``starts``.  A momentum
-    batch also keeps each S-block width's (hamiltonians, states, values, vectors), with a leading
-    axis of A, and its ``residuals`` by tolerance."""
+    batch also keeps each S-block width's (states, Casimir values, values, vectors), the last two
+    with a leading axis of A, and the ``structure_tolerance`` of its ``residuals``."""
 
     jobs: list
     values: np.ndarray
@@ -156,7 +165,7 @@ class _Batch:
     bounds: list
     warnings: tuple
     groups: tuple = ()
-    checked: dict = field(default_factory=dict)
+    structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT
 
     def decomposition(self, kind, a: int, blocks: tuple, *fields) -> BlockDecomposition:
         """The ``kind`` of decomposition of job ``a``, its solved blocks being ``blocks``, and
@@ -176,7 +185,7 @@ class _Batch:
         """The columns ``vectors`` of S-blocks ``blocks`` of width ``e``, at their ``levels``: each
         one's share of its level's mean <sigma_1 . sigma_{1+d}>, u^T K_d^S u times its ``states``
         over n_d and the multiplicity, summed per level, N//2 x levels."""
-        n, states = self.jobs[0][0].n_sites, self.groups[e][1][blocks, None]
+        n, states = self.jobs[0][0].n_sites, self.groups[e][0][blocks, None]
         shares = [(states * (vectors * (spin_bonds(n, d)[e][blocks] @ vectors)).sum(axis=-2)
                    / (n // (1 + (2 * d == n)) * self.multiplicities[levels])).ravel()
                   for d in range(1, n // 2 + 1)]
@@ -189,29 +198,34 @@ class _Batch:
         return read_only(sum(self._means(e, slice(None), self._levels(e), group[3])
                              for e, group in enumerate(self.groups)))
 
-    def residuals(self, tolerance: float) -> np.ndarray:
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
         """The change of every level's c = <sigma_1 . sigma_{1+d}>/6 between this solve and a
-        second one, N//2 x levels, cached per tolerance.  Only the S-blocks whose Davis-Kahan
-        estimate eps range/gap (the gap from a column to the nearest other level of its block)
-        reaches ``tolerance`` are solved again, in a fixed rotation of their basis."""
-        if tolerance not in self.checked:
-            change = np.zeros((self.jobs[0][0].n_sites // 2, self.bounds[-1]))
-            ranges = np.ptp(np.hstack([group[2].reshape(len(self.jobs), -1)
-                                       for group in self.groups]), axis=1)  # STANDARD, as gaps
-            for e, (hamiltonians, _, values, vectors) in enumerate(self.groups):
-                levels, width = self._levels(e), values.shape[-1]
-                gaps = np.where(levels[..., :, None] != levels[..., None, :],
-                                np.abs(values[..., :, None] - values[..., None, :]), np.inf)
-                jobs, blocks = np.nonzero(np.finfo(float).eps * ranges[:, None]
-                                          >= tolerance * gaps.min(axis=(-2, -1)))
-                if not jobs.size:
-                    continue
-                turn = np.linalg.qr(np.random.default_rng(width).normal(size=(width,) * 2))[0]
-                second = turn @ np.linalg.eigh(turn.T @ hamiltonians[jobs, blocks] @ turn)[1]
-                change += (self._means(e, blocks, levels[jobs, blocks], second)
-                           - self._means(e, blocks, levels[jobs, blocks], vectors[jobs, blocks]))
-            self.checked[tolerance] = read_only(np.abs(change) / 6)
-        return self.checked[tolerance]
+        second one, N//2 x levels, on first use.  Only the S-blocks whose Davis-Kahan estimate
+        eps norm/gap reaches the ``structure_tolerance`` are solved again, assembled from K_d^S
+        in a fixed rotation of their basis: the norm is the job's largest |eigenvalue| of
+        H^S - c_S, the matrices solved, and the gap that from a column to the nearest other
+        level of its block."""
+        n = self.jobs[0][0].n_sites
+        offsets = np.array([weight_offsets(n, spec.alpha) for spec, _ in self.jobs])
+        change = np.zeros((n // 2, self.bounds[-1]))
+        norms = np.max([np.abs(values - casimirs[:, None]).max(axis=(-2, -1))
+                        for _, casimirs, values, _ in self.groups], axis=0)
+        for e, (_, _, values, vectors) in enumerate(self.groups):
+            levels, width = self._levels(e), values.shape[-1]
+            gaps = np.where(levels[..., :, None] != levels[..., None, :],
+                            np.abs(values[..., :, None] - values[..., None, :]), np.inf)
+            jobs, blocks = np.nonzero(np.finfo(float).eps * norms[:, None]
+                                      >= self.structure_tolerance * gaps.min(axis=(-2, -1)))
+            if not jobs.size:
+                continue
+            hamiltonians = sum(offsets[jobs, d - 1, None, None] * spin_bonds(n, d)[e][blocks]
+                               for d in range(1, n // 2 + 1))
+            turn = np.linalg.qr(np.random.default_rng(width).normal(size=(width,) * 2))[0]
+            second = turn @ np.linalg.eigh(turn.T @ hamiltonians @ turn)[1]
+            change += (self._means(e, blocks, levels[jobs, blocks], second)
+                       - self._means(e, blocks, levels[jobs, blocks], vectors[jobs, blocks]))
+        return read_only(np.abs(change) / 6)
 
 
 def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
@@ -264,7 +278,7 @@ def diagonalize(spec: RingSpec,
             w, v = np.linalg.eigh(sector_block(standard, s).block)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(s, exc) from exc
-        blocks.append(Eigensystem(w, read_only(_fix_signs(v)), 1, states))
+        blocks.append(SectorEigensystem(states, w, read_only(_fix_signs(v))))
     sizes = [block.values.size for block in blocks]
     batch, order = _assembled([(spec, cluster_tolerance)],
                               np.concatenate([b.values for b in blocks])[None],
@@ -278,9 +292,10 @@ def diagonalize(spec: RingSpec,
 @functools.lru_cache(maxsize=None)
 def spin_layout(n_sites: int) -> tuple:
     """The ``block_groups`` of the top sector s0 = ceil(N/2), each with the eigenvectors Q of its
-    Casimir sum_d K_d, eigenvalues 2S(S+1) - 3N/2 ascending, and each block's runs (start, stop,
-    states) of the columns of one S, each standing for (2S + 1) 2^(parity == 0) states; cached.
-    Raises ``EigensolverError`` for an eigenvalue over ``CASIMIR_TOLERANCE`` from all those."""
+    Casimir sum_d K_d, eigenvalues c_S = 2S(S+1) - 3N/2 ascending, and each block's runs (start,
+    stop, states, c_S) of the columns of one S, each standing for (2S + 1) 2^(parity == 0)
+    states; cached.  Raises ``EigensolverError`` for an eigenvalue over ``CASIMIR_TOLERANCE``
+    from all those."""
     n, s0, layout = n_sites, (n_sites + 1) // 2, []
     for group in block_groups(n, s0):
         try:
@@ -292,7 +307,8 @@ def spin_layout(n_sites: int) -> tuple:
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(s0, exc) from exc
         cuts = [np.flatnonzero(np.diff(row, prepend=-1, append=-1)).tolist() for row in two_s]
-        runs = tuple(tuple((start, stop, (row[start] + 1) * 2 ** (parity == 0))  # one S each
+        runs = tuple(tuple((start, stop, (row[start] + 1) * 2 ** (parity == 0),  # one S each
+                            (row[start] * (row[start] + 2) - 3 * n) / 2)
                            for start, stop in zip(cut, cut[1:]))
                      for (*_, parity), row, cut in zip(group.blocks, two_s.tolist(), cuts))
         layout.append((group, read_only(vectors), runs))
@@ -302,23 +318,23 @@ def spin_layout(n_sites: int) -> tuple:
 def spin_blocks(n_sites: int, weights: np.ndarray) -> list:
     """The S-blocks Q_S^T (sum_d weights[..., d - 1] K_d) Q_S of ``spin_layout`` for the N//2
     ``weights``, or for each row of A x N//2 ``weights``, stacked by width in order of first
-    appearance, as (stack ... x M x w x w, the M blocks' ``states``)."""
+    appearance, as (stack ... x M x w x w, the M blocks' ``states``, their c_S)."""
     blocks = {}
     for group, vectors, runs in spin_layout(n_sites):
         product = group.stack(weights) @ vectors
         for b, (q, block_runs) in enumerate(zip(vectors, runs)):
-            for start, stop, states in block_runs:
+            for start, stop, *labels in block_runs:
                 blocks.setdefault(stop - start, []).append(
-                    (q[:, start:stop].T @ product[..., b, :, start:stop], states))
-    return [(np.stack(squares, axis=-3), np.array(states))
-            for squares, states in (zip(*members) for members in blocks.values())]
+                    (q[:, start:stop].T @ product[..., b, :, start:stop], *labels))
+    return [(np.stack(squares, axis=-3), np.array(states), np.array(casimirs))
+            for squares, states, casimirs in (zip(*members) for members in blocks.values())]
 
 
 @functools.lru_cache(maxsize=None)
 def spin_bonds(n_sites: int, separation: int) -> tuple:
     """The ``spin_blocks`` of K_d, d = ``separation``, which are all of K_d that S-block
     eigenvectors meet (K_d commutes with S^2), and do not depend on alpha; cached."""
-    return tuple(read_only(stack) for stack, _ in spin_blocks(
+    return tuple(read_only(stack) for stack, *_ in spin_blocks(
         n_sites, np.eye(n_sites // 2)[separation - 1]))
 
 
@@ -326,7 +342,7 @@ def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DE
     """The energies, multiplicities, starts and spreads of ``diagonalize``'s levels from the
     ``spin_blocks``, one eigvalsh per width, a value per state."""
     try:
-        raw = [np.repeat(np.linalg.eigvalsh(stack), states, axis=0).ravel() for stack, states
+        raw = [np.repeat(np.linalg.eigvalsh(stack), states, axis=0).ravel() for stack, states, _
                in spin_blocks(spec.n_sites, separation_weights(spec.n_sites, spec.alpha))]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError((spec.n_sites + 1) // 2, exc) from exc
@@ -340,46 +356,57 @@ def energy_levels(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_D
 
 
 def batch_size(n_sites: int) -> int:
-    """The alphas a batch solves: as many as BATCH_BYTES of S-block eigenvectors hold, or one."""
-    point = 8 * sum((stop - start) ** 2 for *_, runs in spin_layout(n_sites)
-                    for block_runs in runs for start, stop, _ in block_runs)
-    return max(1, BATCH_BYTES // point)
+    """The alphas a batch solves: as many as BATCH_BYTES hold of what ``spin_blocks`` and the
+    solve hold for one alpha, the largest layout group's stack and its product with Q, and the
+    S-blocks and their eigenvectors; or one."""
+    layout = spin_layout(n_sites)
+    stack = max(math.prod(group.shape) for group, *_ in layout)
+    blocks = sum((stop - start) ** 2 for *_, runs in layout
+                 for block_runs in runs for start, stop, *_ in block_runs)
+    return max(1, BATCH_BYTES // (16 * (stack + blocks)))
 
 
-def momentum_decompositions(jobs) -> Iterator[MomentumDecomposition]:
+def momentum_decompositions(jobs, structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT
+                            ) -> Iterator[MomentumDecomposition]:
     """The ``momentum_decomposition`` of each (spec, cluster tolerance) of ``jobs``, one ring size,
     in order: ``batch_size`` alphas share one ``spin_blocks`` assembly, one eigh per S-block
     width and one ``_assembled``, each is made when reached, and a failed batch is solved an
-    alpha at a time to name it."""
+    alpha at a time to name it.  Each S-block is solved as H^S - c_S = sum_d (w_d - 1) K_d^S,
+    so that levels split by a small alpha are resolved beyond eps c_S, and c_S added back."""
     jobs = list(jobs)
     if not jobs:
         return
     n, size = jobs[0][0].n_sites, batch_size(jobs[0][0].n_sites)
     for batch in (jobs[start:start + size] for start in range(0, len(jobs), size)):
-        weights = np.array([separation_weights(n, spec.alpha) for spec, _ in batch])
-        try:  # (hamiltonians, states, values, vectors) by width, each with a leading axis of A
-            solved = tuple(tuple(map(read_only, (stack, states, *np.linalg.eigh(stack))))
-                           for stack, states in spin_blocks(n, weights))
+        offsets = np.array([weight_offsets(n, spec.alpha) for spec, _ in batch])
+        solved = []  # (states, c_S, values, vectors) by width, the last two with an axis of A
+        try:
+            for stack, states, casimirs in spin_blocks(n, offsets):
+                values, vectors = np.linalg.eigh(stack)
+                solved.append(tuple(map(read_only, (states, casimirs, values + casimirs[:, None],
+                                                    vectors))))
         except np.linalg.LinAlgError as exc:
             if len(batch) == 1:
                 raise EigensolverError((n + 1) // 2, exc) from exc
-            yield from (dec for job in batch for dec in momentum_decompositions([job]))
+            yield from (dec for job in batch
+                        for dec in momentum_decompositions([job], structure_tolerance))
             continue
-        copies = [np.repeat(states, values.shape[-1]) for _, states, values, _ in solved]
+        copies = [np.repeat(states, values.shape[-1]) for states, _, values, _ in solved]
         assembled, _ = _assembled(
             batch, np.hstack([values.reshape(len(batch), -1) for _, _, values, _ in solved]),
-            np.concatenate(copies), [c.size for c in copies], solved)
+            np.concatenate(copies), [c.size for c in copies], tuple(solved), structure_tolerance)
         for a in range(len(batch)):
             yield assembled.decomposition(MomentumDecomposition, a, tuple(
-                Eigensystem(values[a], vectors[a], states)
-                for _, states, values, vectors in solved))
+                SpinEigensystem(states, values[a], vectors[a])
+                for states, _, values, vectors in solved))
         del solved, assembled  # before the next batch is solved
 
 
-def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT
+def momentum_decomposition(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
+                           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT
                            ) -> MomentumDecomposition:
     """The levels of ``energy_levels`` with one eigh per S-block width."""
-    return next(momentum_decompositions([(spec, cluster_tolerance)]))
+    return next(momentum_decompositions([(spec, cluster_tolerance)], structure_tolerance))
 
 
 def _map_sorted(specs, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,8 +418,9 @@ def _map_sorted(specs, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scale * np.take_along_axis(raw, order, axis=1) + shift, order
 
 
-def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes,
-               groups=()) -> tuple[_Batch, np.ndarray]:
+def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes, groups=(),
+               structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT
+               ) -> tuple[_Batch, np.ndarray]:
     """The ``_Batch`` of the A ``jobs`` from the STANDARD eigenvalues of their solved blocks,
     A x M, block entries in order, of ``sizes`` values each: value i enters ``copies[i]`` times
     in a row, and the copies are equal, so they fall in one level.  One sort, one clustering and
@@ -409,7 +437,7 @@ def _assembled(jobs: list, raw: np.ndarray, copies: np.ndarray, sizes,
         list(zip([0, *stops], stops)),
         *map(read_only, (energies, counts,
                          starts - np.repeat(np.arange(len(values)) * values.shape[1], per_row))),
-        [0, *np.cumsum(per_row).tolist()], warnings, groups), order
+        [0, *np.cumsum(per_row).tolist()], warnings, groups, structure_tolerance), order
 
 
 def projector(level: Level, decomposition: SpectralDecomposition) -> np.ndarray:

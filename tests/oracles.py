@@ -640,6 +640,35 @@ def block_overlap_matrix(dec_a: LayoutDecomposition, dec_b: LayoutDecomposition)
     return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
 
 
+def spin_block_correlators(dec) -> np.ndarray:
+    """``MomentumDecomposition.correlators`` one S-block column at a time, from the same
+    eigenvectors: each adds states u^T K_d^S u / n_d to its level, N//2 x levels, over the
+    multiplicity."""
+    n, sums = dec.spec.n_sites, np.zeros((dec.spec.n_sites // 2, len(dec.energies)))
+    for e, (entry, members) in enumerate(zip(dec.blocks, dec.members)):
+        levels = members.reshape(entry.values.shape)
+        for d in range(1, n // 2 + 1):
+            bonds, pairs = spectra.spin_bonds(n, d)[e], n // (1 + (2 * d == n))
+            for b, (count, vectors) in enumerate(zip(entry.count, entry.vectors)):
+                for u, level in zip(vectors.T, levels[b]):
+                    sums[d - 1, level] += count * (u @ bonds[b] @ u) / pairs
+    return sums / dec.multiplicities
+
+
+def spin_block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
+    """``spectra.overlap_matrix`` of two S-block decompositions one S-block at a time: each
+    adds states (V_a^T V_b)^2 to its level pairs."""
+    summed = np.zeros((len(dec_a.energies), len(dec_b.energies)))
+    for entry_a, entry_b, members_a, members_b in zip(dec_a.blocks, dec_b.blocks,
+                                                      dec_a.members, dec_b.members):
+        levels_a, levels_b = (members.reshape(entry_a.values.shape)
+                              for members in (members_a, members_b))
+        for count, v_a, v_b, row_a, row_b in zip(entry_a.count, entry_a.vectors,
+                                                 entry_b.vectors, levels_a, levels_b):
+            np.add.at(summed, np.ix_(row_a, row_b), count * np.square(v_a.T @ v_b))
+    return summed / np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
+
+
 def layout_level_arrays(spec: RingSpec,
                         cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
     """``spectra.level_arrays`` from every block of ``block_layout``, all the sectors with
@@ -655,22 +684,24 @@ def layout_level_arrays(spec: RingSpec,
 
 
 def sign_changes(curve, i: int, j: int, separations, threshold: float,
-                 structure_tolerance: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+                 jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
     """The probes of one curve's concurrence at each of ``separations`` whose sign changes
     between grid points i and j, in the order of ``separations``, one comparison per
     separation: the reference for ``analysis._sign_changes``."""
     values = curve.concurrence[:, [i, j]]
     above = (values > threshold).tolist()
     return [_SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
-                        values[sep - 1].max(), threshold, structure_tolerance, jump_scale)
+                        values[sep - 1].max(), threshold, jump_scale)
             for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
 
 
-def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
+def bisect(ring, lo: float, hi: float, probes, resolution: float,
+           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> list:
     """Shrink [lo, hi] around the event of every probe until its bracket is
     no wider than ``resolution`` or cannot shrink; returns the events in
     probe order.  ``ring`` is the SweepResult or LevelCurve giving the ring
-    size, variant and cluster tolerance."""
+    size, variant and cluster tolerance; midpoints are checked at
+    ``structure_tolerance``."""
     base = ring.cluster_tolerance
     ref = spectra.momentum_decomposition(RingSpec(ring.n_sites, lo, ring.variant),
                                          cluster_tolerance=base)
@@ -687,7 +718,8 @@ def bisect(ring, lo: float, hi: float, probes, resolution: float) -> list:
                 continue  # resolved, or no float strictly inside: cannot shrink
             dec = spectra.momentum_decomposition(
                 RingSpec(ring.n_sites, mid, ring.variant),
-                cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))))
+                cluster_tolerance=max(1e-12, min(base, base * (b - a) / (hi - lo))),
+                structure_tolerance=structure_tolerance)
             # each level is matched once per step
             match = functools.cache(lambda level, dec=dec: best_partner(ref, level, dec))
             for k in members:

@@ -24,7 +24,7 @@ from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
                       uniform_state, pair_concurrence, concurrence_structured,
                       StructureError, extract_abc, reduce_two_sites)
 from spinring.cli import main
-from spinring.model import separation_weights
+from spinring.model import weight_offsets
 
 THRESHOLD = 1e-10
 
@@ -62,8 +62,8 @@ def test_sweep_wraps_numerical_failures():
 def test_a_failed_batched_eigh_names_its_alpha_and_sector(monkeypatch):
     # the batch is solved again one alpha at a time, so the failure lands on its own alpha
     n, grid = 6, np.geomspace(0.5, 8, 9).tolist()
-    poison, real = next(stack for stack, _ in spectra_module.spin_blocks(
-        n, separation_weights(n, grid[4])) if stack.shape[-1] > 1), np.linalg.eigh
+    poison, real = next(stack for stack, *_ in spectra_module.spin_blocks(
+        n, weight_offsets(n, grid[4])) if stack.shape[-1] > 1), np.linalg.eigh
     solved = []
 
     def eigh(stack):
@@ -109,8 +109,9 @@ def test_sweep_small_ring_structure():
 def test_sweep_holds_at_most_two_decompositions(monkeypatch):
     # three points a batch: besides the batch being solved, every live batch array is one
     # that a live decomposition views, and at most two assembled decompositions are live
-    point = 8 * sum(stack.size for stack in spectra_module.spin_bonds(6, 1))  # S-block bytes
+    point = spectra_module.BATCH_BYTES // spectra_module.batch_size(6)  # bytes an alpha holds
     monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
+    assert spectra_module.batch_size(6) == 3
     real, solved, live, batches = spectra_module._Batch.decomposition, [], [], []
 
     def tracked(assembled, kind, a, blocks):
@@ -296,11 +297,11 @@ def _recording_solves(monkeypatch, limit=INFINITY):
     returns the list."""
     real, jobs = spectra_module.momentum_decompositions, []
 
-    def recorded(batch):
+    def recorded(batch, *args):
         jobs.extend(batch := list(batch))
         if len(jobs) > limit:
             raise RuntimeError(f"more than {limit} solves")
-        return real(batch)
+        return real(batch, *args)
 
     for module in (analysis_module, spectra_module):
         monkeypatch.setattr(module, "momentum_decompositions", recorded)
@@ -369,8 +370,7 @@ def test_interval_probes_match_the_pairwise_scan(n):
                   for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
         probes += [probe for curve in tracked
                    for probe in oracles.sign_changes(
-                       curve, i, j, separations, res.concurrence_threshold,
-                       res.structure_tolerance)]
+                       curve, i, j, separations, res.concurrence_threshold)]
         if probes:
             expected.append((res.points[i].alpha, res.points[j].alpha, probes))
     got = list(analysis_module._interval_probes(res, separations))
@@ -381,8 +381,8 @@ def test_interval_probes_match_the_pairwise_scan(n):
         pairs = list(zip(idx[:-1], idx[1:]))
         for sep in separations:
             scanned = analysis_module._sign_changes(
-                [curve], pairs, np.ones((len(pairs), 1), bool), [sep], 1e-10, 1e-10)
-            assert scanned == [oracles.sign_changes(curve, i, j, [sep], 1e-10, 1e-10)
+                [curve], pairs, np.ones((len(pairs), 1), bool), [sep], 1e-10)
+            assert scanned == [oracles.sign_changes(curve, i, j, [sep], 1e-10)
                                for i, j in pairs]
     swaps = [p for _, _, probes in got for p in probes if isinstance(p, analysis_module._OrderSwap)]
     assert swaps and all(type(x) is int for p in swaps for x in (p.a, p.b, *p.label))
@@ -527,7 +527,7 @@ def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
     for arguments in bound:
         arguments.apply_defaults()
     assert sum(b.arguments["levels"] is not None for b in bound) > 10  # bisection steps
-    assert {b.arguments["structure_tolerance"] for b in bound} == {1e-9}
+    assert {b.arguments["dec"].batch.structure_tolerance for b in bound} == {1e-9}
 
 
 def test_separation_existence_and_gaps(sweep8):
@@ -611,17 +611,17 @@ def test_point_cells_check_the_energy_correlator_identity():
         for variant in Variant:
             for alpha in (0.0, 1.3, 2.0, INFINITY):
                 dec = spectra_module.momentum_decomposition(RingSpec(n, alpha, variant))
-                cells = analysis_module._point_cells(dec, 1e-10)
-                some = analysis_module._point_cells(dec, 1e-10, levels=[1, 0])
+                cells = analysis_module._point_cells(dec)
+                some = analysis_module._point_cells(dec, levels=[1, 0])
                 assert np.abs(some - cells[[1, 0]]).max() <= 1e-14
     d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
     energies = d.energies.copy()
     energies[3] += 1e-6
     shifted = dataclasses.replace(d, energies=energies)
     with pytest.raises(StructureError, match="level 3 energy"):
-        analysis_module._point_cells(shifted, 1e-10)
+        analysis_module._point_cells(shifted)
     with pytest.raises(StructureError, match="level 3 energy"):  # numbered as in dec
-        analysis_module._point_cells(shifted, 1e-10, levels=[3])
+        analysis_module._point_cells(shifted, levels=[3])
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():

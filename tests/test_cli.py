@@ -161,9 +161,9 @@ def test_memory_error_exits_3(capsys, monkeypatch):
 
     solve, calls = analysis_module.momentum_decompositions, []
 
-    def after_the_sweep(jobs):
+    def after_the_sweep(jobs, *args):
         calls.append(jobs)
-        return exhausted() if len(calls) > 1 else solve(jobs)
+        return exhausted() if len(calls) > 1 else solve(jobs, *args)
 
     report = ("report", "--n", "6", "--grid", "0.5:8:5")
     for module, name, replacement, argv in (
@@ -206,7 +206,7 @@ def test_concurrence_solves_its_alphas_as_one_batch(capsys, monkeypatch):
     # N = 10: two alphas share one eigh per S-block width (9 widths), not one per alpha (18),
     # and neither alpha has an S-block close enough to another level to be solved twice
     real, shapes = np.linalg.eigh, []
-    widths = [stack.shape[-1] for stack, _ in spectra_module.spin_blocks(10, np.ones(5))]
+    widths = [stack.shape[-1] for stack, *_ in spectra_module.spin_blocks(10, np.ones(5))]
     monkeypatch.setattr(np.linalg, "eigh", lambda stack: shapes.append(stack.shape) or real(stack))
     assert run(capsys, "concurrence", "--n", "10", "--alpha", "0.7", "--alpha", "3.3")[0] == 0
     assert len(shapes) == len(widths) == 9
@@ -265,24 +265,26 @@ def test_a_bug_in_the_sweep_gives_a_traceback(monkeypatch):
 
 
 def test_mixed_levels_exit_3(capsys):
-    # levels of one S-block split by ~1e-7 of the range: two solves of the block disagree
-    code, _, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
+    # levels of one S-block split by ~1e-7 near the Haldane-Shastry point: two solves of the
+    # block disagree
+    code, _, err = run(capsys, "concurrence", "--n", "10", "--alpha", "1.9999999")
     assert code == 3
     assert "two-solve check" in err and "changes by" in err
 
 
 def test_two_solves_refuse_only_unresolved_levels(capsys):
-    # N = 6, alpha = 1e-7: levels of one S-block split by ~1e-7 of the range change c by ~1e-9
-    # between two solves; N = 7, alpha = 1e-6 and N = 12, alpha = 1.99 also have S-blocks whose
-    # Davis-Kahan estimate reaches the tolerance (4.8e-10 at N = 12), but their two solves
-    # agree within it
-    code, out, err = run(capsys, "concurrence", "--n", "6", "--alpha", "1e-7")
+    # N = 10, alpha = 1.9999999: levels of one S-block split by ~1e-7 change c by ~8e-9 between
+    # two solves; N = 12, alpha = 1.99 has S-blocks whose Davis-Kahan estimate reaches the
+    # tolerance, but its two solves agree within it; at N = 6, alpha = 1e-7 and N = 7,
+    # alpha = 1e-6 the levels are split by ~alpha, but H^S - c_S, the matrix solved, is of
+    # that size too, so they are resolved and no block is solved twice
+    code, out, err = run(capsys, "concurrence", "--n", "10", "--alpha", "1.9999999")
     assert (code, out) == (3, "") and "two-solve check" in err
-    for n, alpha in ((7, "1e-6"), (12, "1.99")):
+    for n, alpha, solved_twice in ((12, "1.99", True), (6, "1e-7", False), (7, "1e-6", False)):
         code, out, err = run(capsys, "concurrence", "--n", str(n), "--alpha", alpha)
         assert (code, err) == (0, "")
         residuals = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
-        assert 0 < max(residuals) < 1e-10  # measured, not skipped
+        assert max(residuals) < 1e-10 and (max(residuals) > 0) == solved_twice
 
 
 def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
@@ -291,20 +293,19 @@ def test_report_bounds_the_werner_residual_as_concurrence_does(capsys):
                  ("concurrence", "--n", "5", "--alpha", "1.9999999")):
         assert run(capsys, *argv)[0] == 0
     # near the collapse points the two commands agree case by case, and both fail the
-    # two-solve check where they fail
-    failed = []
-    for n in range(2, 9):
-        for alpha in ("0", "1e-8", "1e-7", "1e-6", "1e-5", "1e-4", "1.9999999", "2.0000001"):
-            code, _, err = run(capsys, "concurrence", "--n", str(n), "--alpha", alpha)
-            with warnings.catch_warnings():  # N = 2 warns of its Oliveira normalization
-                warnings.simplefilter("ignore", PairStateWarning)
-                report = run(capsys, "report", "--n", str(n), "--grid", "0.5:4:2", "--extra", alpha)
-            assert report[0] == code
-            if code:
-                assert code == 3 and "two-solve check" in err and "two-solve check" in report[2]
-                failed.append((n, alpha))
-    assert failed == [(6, "1e-8"), (6, "1e-7"), (7, "1e-8"), (7, "1e-7"),
-                      (8, "1e-8"), (8, "1e-7"), (8, "1e-6")]
+    # two-solve check where they fail: only where one S-block holds levels split by ~1e-7
+    # near the Haldane-Shastry point, first at N = 10
+    failed, alphas = [], ("0", "1e-8", "1e-7", "1e-6", "1e-5", "1e-4", "1.9999999", "2.0000001")
+    for n, alpha in [*((n, alpha) for n in range(2, 9) for alpha in alphas), (10, "1.9999999")]:
+        code, _, err = run(capsys, "concurrence", "--n", str(n), "--alpha", alpha)
+        with warnings.catch_warnings():  # N = 2 warns of its Oliveira normalization
+            warnings.simplefilter("ignore", PairStateWarning)
+            report = run(capsys, "report", "--n", str(n), "--grid", "0.5:4:2", "--extra", alpha)
+        assert report[0] == code
+        if code:
+            assert code == 3 and "two-solve check" in err and "two-solve check" in report[2]
+            failed.append((n, alpha))
+    assert failed == [(10, "1.9999999")]
 
 
 @pytest.mark.parametrize("alphas", [("1",), ("1", "2")])

@@ -9,7 +9,7 @@ from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       coupling_weight, separation_weights, top_eigenspace_basis,
                       total_weight)
 from spinring.model import (_sector_pattern, _translation_orbits, popcounts, sector_block,
-                            sector_states)
+                            sector_states, weight_offsets)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -81,6 +81,21 @@ def test_separation_weights_match_pair_sum():
             explicit = sum(coupling_weight(n, k - j, alpha)
                            for j in range(1, n + 1) for k in range(j + 1, n + 1))
             assert total_weight(n, alpha) == pytest.approx(explicit, rel=1e-14)
+
+
+def test_weight_offsets_keep_their_precision_near_alpha_zero():
+    # w_d - 1 = expm1(-alpha ln r_d): the weights less 1, and near alpha = 0, where every
+    # weight is near 1, still -alpha ln r_d (1 - alpha ln r_d / 2) to relative rounding, which
+    # the rounded weight less 1 misses by about eps / alpha
+    for n in range(2, 15):
+        logs = np.log([chord_distance(n, d) for d in range(1, n // 2 + 1)])
+        for alpha in (0.0, 1e-12, 1e-8, 0.7, 2.0, INFINITY):
+            offsets = weight_offsets(n, alpha)
+            assert offsets.shape == (n // 2,) and offsets[0] == 0.0
+            assert np.max(np.abs(offsets - (separation_weights(n, alpha) - 1))) <= 1e-15
+        for alpha in (1e-12, 1e-14):
+            series = -alpha * logs * (1 - alpha * logs / 2)
+            assert np.allclose(weight_offsets(n, alpha), series, rtol=1e-14, atol=0)
 
 
 def test_ringspec_validation():

@@ -8,7 +8,7 @@ import oracles
 import spinring.spectra as spectra_module
 from oracles import cluster_levels
 from oracles import block_layout
-from spinring.model import separation_weights, variant_map
+from spinring.model import separation_weights, variant_map, weight_offsets
 from spinring import (INFINITY, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, default_alpha_grid,
                       diagonalize, energy_levels, lagrange_projector,
@@ -139,29 +139,38 @@ def _assert_projected(block, projected):
 
 
 def test_stacked_momentum_solves_match_one_solve_per_block():
-    # every S-block width is assembled and solved as one stack, a 1 x 1 width too; every
-    # S-block still gets exactly the eigh of solving it alone, and it is the top sector's
-    # reflection block, projected onto the columns of one S
+    # every S-block width is assembled and solved as one stack, a 1 x 1 width too, less its
+    # Casimir part c_S: every S-block still gets exactly the eigh of solving it alone, with its
+    # strides, c_S added to its eigenvalues, and with c_S it is the top sector's reflection
+    # block, projected onto the columns of one S
     for n in (2, 5, 8, 11, 12):
         spec, s0 = RingSpec(n, 0.7), (n + 1) // 2
         dec = momentum_decomposition(spec)
-        stacks = spectra_module.spin_blocks(n, separation_weights(n, 0.7))
-        assert [entry.vectors.shape for entry in dec.blocks] == [stack.shape for stack, _ in stacks]
+        stacks = spectra_module.spin_blocks(n, weight_offsets(n, 0.7))
+        assert [entry.vectors.shape for entry in dec.blocks] == \
+            [stack.shape for stack, *_ in stacks]
         projected = {}
         for group, q, runs in spectra_module.spin_layout(n):
             for (_, k, parity), vectors, block_runs in zip(group.blocks, q, runs):
                 block = oracles.reflection_blocks(spec, s0, [(k, parity)])[0].real
-                for start, stop, states in block_runs:
+                for start, stop, *_ in block_runs:
                     projected.setdefault(stop - start, []).append(
                         vectors[:, start:stop].T @ block @ vectors[:, start:stop])
-        for entry, (stack, states) in zip(dec.blocks, stacks):
+        for entry, (stack, states, casimirs) in zip(dec.blocks, stacks):
             assert np.array_equal(entry.count, states)
-            assert np.max(np.abs(stack - np.array(projected[stack.shape[-1]]))) <= 1e-12
+            whole = stack + casimirs[:, None, None] * np.eye(stack.shape[-1])
+            assert np.max(np.abs(whole - np.array(projected[stack.shape[-1]]))) <= 1e-12
             for b, block in enumerate(stack):
                 alone_w, alone_v = np.linalg.eigh(block)
-                assert np.array_equal(entry.values[b], alone_w)
+                assert np.array_equal(entry.values[b], alone_w + casimirs[b])
                 assert np.array_equal(entry.vectors[b], alone_v)
                 assert entry.vectors[b].dtype == alone_v.dtype == np.float64
+                assert entry.vectors[b].strides == alone_v.strides
+        # level_arrays' stacked eigvalsh of H^S, c_S inside, is each S-block's alone
+        for stack, *_ in spectra_module.spin_blocks(n, separation_weights(n, 0.7)):
+            stacked_values = np.linalg.eigvalsh(stack)
+            for b, block in enumerate(stack):
+                assert np.array_equal(stacked_values[b], np.linalg.eigvalsh(block.copy()))
         assert sum(entry.count.sum() * entry.values.shape[-1] for entry in dec.blocks) == 2 ** n
 
 
@@ -263,7 +272,7 @@ def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
         assert [m.tobytes() for m in got.members] == [m.tobytes() for m in want.members]
         assert got.warnings == want.warnings and got.levels == want.levels
         assert got.correlators().tobytes() == want.correlators().tobytes()
-        assert got.residuals(1e-10).tobytes() == want.residuals(1e-10).tobytes()
+        assert got.residuals().tobytes() == want.residuals().tobytes()
 
 
 def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
@@ -271,8 +280,8 @@ def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
     # failing one come out whole, and the error comes at the failing one
     n, grid = 7, np.geomspace(0.5, 8, 6).tolist()
     real, shapes = np.linalg.eigh, []
-    poison = next(stack for stack, _ in spectra_module.spin_blocks(
-        n, separation_weights(n, grid[3])) if stack.shape[-1] > 1)
+    poison = next(stack for stack, *_ in spectra_module.spin_blocks(
+        n, weight_offsets(n, grid[3])) if stack.shape[-1] > 1)
 
     def eigh(stack):
         shapes.append(stack.shape[:-3])
@@ -294,50 +303,64 @@ def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
 
 
 def test_batch_size_bounds_the_eigenvector_bytes():
-    for n, size in ((8, 569), (10, 70), (12, 7), (14, 1)):
-        # real S-block eigenvectors
-        point = 8 * sum(stack.size for stack, _ in spectra_module.spin_blocks(n, np.ones(n // 2)))
+    # per alpha a batch holds the largest layout group's stack and its product with Q while
+    # spin_blocks assembles it, and then the S-blocks and their eigenvectors
+    for n, size in ((8, 106), (10, 9), (12, 1), (14, 1)):
+        weights = np.ones((1, n // 2))
+        stack = max(2 * group.stack(weights).nbytes for group, *_ in spectra_module.spin_layout(n))
+        blocks = 2 * sum(square.nbytes for square, *_ in spectra_module.spin_blocks(n, weights))
         assert spectra_module.batch_size(n) == size
-        assert size * point <= spectra_module.BATCH_BYTES or size == 1
+        assert size * (stack + blocks) <= spectra_module.BATCH_BYTES or size == 1
     # the whole 43-point report grid at N = 8 is one batch
     assert spectra_module.batch_size(8) >= 43
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_grouped_correlators_match_one_block_at_a_time(n):
-    # the S-block correlators against every real block of the sectors with 2s >= N, each
-    # reduced in the complex basis by gathering its nonzeros; the all-sector levels are Werner
-    # states, their residual |c - (a - b)| = |<sigma_1 . sigma_{1+d}> - 3 <ZZ_d>|/4 small
+    # the batched S-block reductions against a loop over the same S-block columns and K_d^S;
+    # and against every real block of the sectors with 2s >= N, solved apart and each reduced
+    # in the complex basis by gathering its nonzeros, whose levels are Werner states, their
+    # residual |c - (a - b)| = |<sigma_1 . sigma_{1+d}> - 3 <ZZ_d>|/4 small
     for variant in Variant:
         for alpha in (0.0, 0.7, 2.0, INFINITY):
             spec = RingSpec(n, alpha, variant)
             dec, layout = momentum_decomposition(spec), oracles.layout_decomposition(spec)
+            count, every, want = len(dec.levels), dec.correlators(), \
+                oracles.spin_block_correlators(dec)
+            for levels in (slice(None), [0], [count - 1, 0], list(range(0, count, 3))):
+                got = every[..., levels]
+                assert got.shape == want[..., levels].shape
+                assert np.max(np.abs(got - want[..., levels])) < 1e-14
             assert np.array_equal(dec.multiplicities, layout.multiplicities)
             assert np.array_equal(dec.starts, layout.starts)
             dots, zz = oracles.momentum_correlators(layout)
-            assert dec.correlators().shape == dots.shape
-            assert np.max(np.abs(dec.correlators() - dots)) <= 1e-12
+            assert every.shape == dots.shape
+            assert np.max(np.abs(every - dots)) <= 1e-12
             assert np.max(np.abs(dots - 3 * zz)) / 4 <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_grouped_overlaps_match_one_block_at_a_time(n):
-    # the S-block overlaps, each block counted for its states, against every real block of the
-    # sectors with 2s >= N, one block at a time in the complex basis
+    # the S-block overlaps, each block counted for its states, against a loop over the same
+    # S-blocks, and against every real block of the sectors with 2s >= N, solved apart, one
+    # block at a time in the complex basis
     for variant in Variant:
         for alpha in (0.0, 0.7, 2.0, INFINITY):
             near = alpha + 0.05 if alpha < INFINITY else 40.0
             specs = [RingSpec(n, x, variant) for x in (alpha, near)]
             a, b = map(momentum_decomposition, specs)
             layout_a, layout_b = map(oracles.layout_decomposition, specs)
-            for dec_a, dec_b, want in ((a, b, oracles.block_overlap_matrix(layout_a, layout_b)),
-                                       (b, a, oracles.block_overlap_matrix(layout_b, layout_a))):
-                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-12
+            for dec_a, dec_b, layout in ((a, b, oracles.block_overlap_matrix(layout_a, layout_b)),
+                                         (b, a, oracles.block_overlap_matrix(layout_b, layout_a))):
+                want = oracles.spin_block_overlap_matrix(dec_a, dec_b)
+                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-14
+                assert np.max(np.abs(want - layout)) < 1e-12
             # a generic neighbour's levels each lie inside one level at alpha
+            want = oracles.spin_block_overlap_matrix(b, a)
             for index in range(len(b.levels)):
                 j, value = oracles.best_partner(b, index, a)
                 assert j == int(np.argmax(want[index]))
-                assert abs(value - want[index, j]) < 1e-12
+                assert abs(value - want[index, j]) < 1e-14
 
 
 def _assert_same_levels(got, expected):
@@ -381,8 +404,9 @@ def test_spin_resolved_levels_match_every_sector(n):
 @pytest.mark.parametrize("n", range(2, 15))
 def test_spin_layout_holds_every_multiplet_once(n):
     # the top sector's Casimir eigenvalues are 2S(S+1) - 3N/2, its eigenvectors Q take it to
-    # that diagonal, S by S as the layout's runs say, and the runs hold C(N, N/2 - S) -
-    # C(N, N/2 - S - 1) multiplets of each S, (2S + 1) states each, 2^N states in all
+    # that diagonal, S by S as the layout's runs say, with the c_S they name, and the runs
+    # hold C(N, N/2 - S) - C(N, N/2 - S - 1) multiplets of each S, (2S + 1) states each, 2^N
+    # states in all
     allowed = np.array([t * (t + 2) / 2 - 1.5 * n for t in range(n % 2, n + 1, 2)])  # t = 2S
     multiplets, states = Counter(), 0
     for group, vectors, runs in spectra_module.spin_layout(n):
@@ -391,12 +415,14 @@ def test_spin_layout_holds_every_multiplet_once(n):
         assert np.max(np.min(np.abs(values[:, None] - allowed), axis=1)) <= 1e-9
         for b, ((sector, _, parity), block_runs) in enumerate(zip(group.blocks, runs)):
             assert sector == (n + 1) // 2
-            starts, stops, copies = np.array(block_runs).T
+            starts, stops, copies, casimirs = np.array(block_runs).T
+            starts, stops, copies = (column.astype(int) for column in (starts, stops, copies))
             assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1])
             assert stops[-1] == group.shape[1]
             two_s = copies // 2 ** (parity == 0) - 1
             assert np.array_equal(copies, (two_s + 1) * 2 ** (parity == 0))
-            diagonal = np.repeat(two_s * (two_s + 2) / 2 - 1.5 * n, stops - starts)
+            assert np.array_equal(casimirs, two_s * (two_s + 2) / 2 - 1.5 * n)
+            diagonal = np.repeat(casimirs, stops - starts)
             rotated = vectors[b].T @ casimir[b] @ vectors[b]
             assert np.max(np.abs(rotated - np.diag(diagonal))) <= 1e-9
             for t, width, copy in zip(two_s.tolist(), (stops - starts).tolist(), copies.tolist()):
