@@ -12,14 +12,15 @@ one scatter per width; no magnetization-sector eigenvector is built.  Curves are
 threaded only across "backbone" points, the grid points whose distinct level count equals the
 generic count; collapse points (alpha = 0, the Haldane-Shastry point, the nearest-neighbor
 limit) are kept as data points but skipped by the threading.  Each point is paired with the
-previous backbone point as it is reached, so besides one batch at most two solutions are held;
-each level takes the partner of its row's overlap above 1/2, and as every row and column of
-the overlaps sums to at most 1, no other level can claim that partner (``_partners``).  Every
-event inside a backbone interval is then located by one grouped bisection of that interval, in
-lockstep with the other intervals: each round solves all their midpoints as one batch, matches
-the levels their probes follow in one overlap pass, and reads concurrences from the batch's
-correlators of every level.  ``concurrence`` solves its points as the sweep does;
-one point's table (``_momentum_records``) serves the single-alpha parts of ``report``.
+previous backbone point as it is reached; each level takes the partner of its row's overlap
+above 1/2, and as every row and column of the overlaps sums to at most 1, no other level can
+claim that partner (``_partners``).  Besides one batch a sweep holds two solutions, and for
+``report`` up to a batch of backbone ones.  Every event inside a backbone interval is then
+located by one grouped bisection of that interval, in lockstep with the other intervals: its
+left end is the sweep's solution where held, each round solves all their midpoints as one
+batch, matches the levels their probes follow in one overlap pass, and reads concurrences
+from the batch's cells.  ``concurrence`` solves its points as the sweep does; one alpha's
+``_momentum_point`` serves the single-alpha parts of ``report``.
 """
 
 import itertools
@@ -184,32 +185,31 @@ def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
 
 
 def _point_cells(dec: MomentumDecomposition, levels=None) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``.
-    Each level projector is invariant under SU(2) and translation, so its pair states are Werner
-    states (Werner, PRA 40, 4277 (1989)) fixed by z = <sigma_1 . sigma_{1+d}>/3 (``correlators``):
-    a = (1 + z)/4, b = (1 - z)/4, c = z/2, with the change of c between two solves (``residuals``).
-    Raises StructureError on a residual at ``dec``'s structure tolerance or on a level whose
-    energy misses the sum of its pair correlators."""
+    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``,
+    sliced from its batch's Werner cells (``MomentumDecomposition.cells``).  Raises
+    StructureError on a residual of those levels at ``dec``'s structure tolerance, or on one of
+    them whose energy misses the sum of its pair correlators."""
     picked = slice(None) if levels is None else levels
     structure_tolerance = dec.batch.structure_tolerance
-    dots = dec.correlators()[:, picked]
-    residual = dec.residuals()[:, picked]
-    if residual.max() >= structure_tolerance:
-        worst = residual.max(axis=1)
+    cells = dec.cells()[picked]
+    if cells[..., 4].max() >= structure_tolerance:
+        worst = cells[..., 4].max(axis=0)
         raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "
                              f"by {worst.max():.3e} (tolerance {structure_tolerance:.3e})")
-    _check_energy_identity(dec.spec, dec.energies[picked], dots, levels)
-    z = dots / 3
-    a, b, c = (1 + z) / 4, (1 - z) / 4, z / 2
-    cells = np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c, residual], axis=2)
-    return read_only(cells.swapaxes(0, 1))
+    _check_energy_identity(dec.spec, dec.energies[picked], dec.correlators()[:, picked], levels)
+    return read_only(cells)
 
 
-def _momentum_records(spec: RingSpec, cluster_tolerance: float,
-                      structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> tuple:
-    """The levels of ``momentum_decomposition(spec)`` and their ``_point_cells``."""
-    dec = momentum_decomposition(spec, cluster_tolerance, structure_tolerance)
-    return dec.levels, _point_cells(dec)
+def _sweep_point(dec: MomentumDecomposition) -> SweepPoint:
+    """The ``SweepPoint`` of ``dec``: its levels and their ``_point_cells``."""
+    return SweepPoint(dec.spec.alpha, dec.energies.size, dec.energies, dec.multiplicities,
+                      _point_cells(dec))
+
+
+def _momentum_point(spec: RingSpec, cluster_tolerance: float,
+                    structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> SweepPoint:
+    """The ``_sweep_point`` of ``momentum_decomposition(spec)``."""
+    return _sweep_point(momentum_decomposition(spec, cluster_tolerance, structure_tolerance))
 
 
 def _validate_grid(alpha_grid) -> np.ndarray:
@@ -233,12 +233,15 @@ def _partners(overlaps: np.ndarray) -> np.ndarray:
 def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
-          concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT) -> SweepResult:
+          concurrence_threshold: float = CONCURRENCE_THRESHOLD_DEFAULT,
+          references: dict | None = None) -> SweepResult:
     """Solve the S-blocks on the grid, record all concurrences, thread level curves.
 
     Each point is compared with the anchor, the last point at the running
     maximum level count: a higher count restarts the curves, an equal one is
-    paired with the anchor and replaces it, a lower one is skipped."""
+    paired with the anchor and replaces it, a lower one is skipped.  A dict
+    ``references`` keeps, by alpha, the decompositions of the first
+    ``batch_size`` anchors since the last restart, for ``_located_events``."""
     grid = _validate_grid(alpha_grid)
     points, anchor = [], None
     decs = momentum_decompositions(((RingSpec(n_sites, alpha, variant), cluster_tolerance)
@@ -246,16 +249,16 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     for i, alpha in enumerate(grid.tolist()):
         try:
             dec = next(decs)
-            cells = _point_cells(dec)
+            points.append(_sweep_point(dec))
         except (EigensolverError, StructureError, np.linalg.LinAlgError) as exc:
             raise SweepError(alpha, exc) from exc
         count = dec.energies.size
-        points.append(SweepPoint(alpha=alpha, count=count, energies=dec.energies,
-                                 multiplicities=dec.multiplicities, cells=cells))
         if anchor is None or count > anchor.energies.size:
             curve_idx = np.full((count, grid.size), -1, dtype=int)
             curve_idx[:, i] = np.arange(count)
             notes = []
+            if references is not None:
+                references.clear()
         elif count == anchor.energies.size:
             partners = _partners(overlap_matrix(anchor, dec))
             if (partners < 0).any():
@@ -266,6 +269,8 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
         else:
             continue
         anchor, prev = dec, i
+        if references is not None and len(references) < batch_size(n_sites):
+            references[alpha] = dec
 
     # the last restart came at the first point with the generic count
     n_pts, generic = len(points), len(curve_idx)
@@ -388,19 +393,22 @@ def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold
 
 
 def _bisect(ring, intervals, resolution: float,
-            structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT) -> list:
+            structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT, references=None) -> list:
     """Shrink the bracket of each probe of every (lo, hi, probes) in ``intervals`` until it is no
     wider than ``resolution`` or cannot shrink; returns each interval's events in probe order.
     ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance, and
     the midpoints' concurrences are checked at ``structure_tolerance``.
-    ``batch_size`` intervals, drawn from ``intervals`` as their turn comes, go in lockstep: their
-    left ends form one batch, as do a round's midpoints, and each batch of midpoints matches the
-    levels its probes follow in one ``best_partners`` pass."""
+    ``batch_size`` intervals, drawn from ``intervals`` as their turn comes, go in lockstep: each
+    pops its left end from the sweep's ``references`` (by alpha; emptied at the end), the
+    missing ones solved as one batch; a round's midpoints form one batch, and each batch of
+    midpoints matches the levels its probes follow in one ``best_partners`` pass."""
     base, size, events = ring.cluster_tolerance, batch_size(ring.n_sites), []
-    intervals = iter(intervals)
+    intervals, references = iter(intervals), {} if references is None else references
     while chunk := list(itertools.islice(intervals, size)):
-        refs = list(momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
-                                            for lo, _, _ in chunk))
+        refs = [references.pop(lo, None) for lo, _, _ in chunk]
+        missing = momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
+                                          for (lo, _, _), ref in zip(chunk, refs) if ref is None)
+        refs = [next(missing) if ref is None else ref for ref in refs]
         brackets = [[(lo, hi)] * len(probes) for lo, hi, probes in chunk]
         active = [list(range(len(probes))) for _, _, probes in chunk]
         while any(active):
@@ -431,6 +439,7 @@ def _bisect(ring, intervals, resolution: float,
                             active[v].append(k)
         events += [[probe.event(*bracket) for probe, bracket in zip(probes, held)]
                    for (_, _, probes), held in zip(chunk, brackets)]
+    references.clear()
     return events
 
 
@@ -456,14 +465,16 @@ def _interval_probes(sweep_result: SweepResult, separations=()):
             yield sweep_result.points[i].alpha, sweep_result.points[j].alpha, probes
 
 
-def _located_events(sweep_result: SweepResult, resolution: float, separations=()) -> tuple:
+def _located_events(sweep_result: SweepResult, resolution: float, separations=(),
+                    references=None) -> tuple:
     """The crossings, ascending in alpha, and every curve's onsets and offsets
     at ``separations``, ascending in (alpha, curve, separation); each backbone
-    interval is bisected once for all of its events.  The sorts are stable, so
-    ties keep interval order per (curve, separation), as entanglement_boundaries does."""
+    interval is bisected once for all of its events, from the sweep's
+    ``references``.  The sorts are stable, so ties keep interval order per
+    (curve, separation), as entanglement_boundaries does."""
     intervals = _interval_probes(sweep_result, separations)
     events = [event for located in _bisect(sweep_result, intervals, resolution,
-                                           sweep_result.structure_tolerance)
+                                           sweep_result.structure_tolerance, references)
               for event in located]
     return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),
             sorted((e for e in events if e.kind != "crossing"),
@@ -586,7 +597,7 @@ def entangled_level_census(n_sites: int, alpha: float, *,
                            cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                            variant: Variant = Variant.STANDARD) -> dict:
     """Per-separation count of levels with positive concurrence."""
-    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
+    cells = _momentum_point(RingSpec(n_sites, alpha, variant), cluster_tolerance).cells
     counts = (cells[:, :, 0] > threshold).sum(axis=0)
     return dict(enumerate(counts.tolist(), start=1))
 
@@ -671,13 +682,17 @@ def nn_linear_fit(n_sites: int, alpha: float = INFINITY, *,
                   cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
                   variant: Variant = Variant.STANDARD) -> LinearFit:
     """Fit the nearest-neighbor concurrence against level energy."""
-    levels, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
-    nn = cells[:, 0, 0]
-    energies = np.array([level.energy for level in levels])[nn > threshold]
-    values = nn[nn > threshold]
+    return _linear_fit(_momentum_point(RingSpec(n_sites, alpha, variant), cluster_tolerance),
+                       threshold)
+
+
+def _linear_fit(point: SweepPoint, threshold: float) -> LinearFit:
+    """``nn_linear_fit`` of the levels of ``point``."""
+    nn = point.cells[:, 0, 0]
+    energies, values = point.energies[nn > threshold], nn[nn > threshold]
     if values.size < 2:
         raise InsufficientDataError(
-            f"{values.size} positive nearest-neighbor points at alpha={alpha!r}; need 2")
+            f"{values.size} positive nearest-neighbor points at alpha={point.alpha!r}; need 2")
     slope, intercept = np.polyfit(energies, values, 1)
     residual = np.max(np.abs(values - (slope * energies + intercept)))
     return LinearFit(a=float(-slope), b=float(-intercept),
@@ -692,7 +707,7 @@ def distance_selectivity_check(n_sites: int, alpha: float, *,
     """Levels entangled at separation 1 or 2 that also carry entanglement at
     any other separation.  Returns (level_index, positive separations) pairs;
     coexistence limited to separations 3 and 4 alone is not reported."""
-    _, cells = _momentum_records(RingSpec(n_sites, alpha, variant), cluster_tolerance)
+    cells = _momentum_point(RingSpec(n_sites, alpha, variant), cluster_tolerance).cells
     positive = cells[:, :, 0] > threshold
     found = [(li, tuple((np.flatnonzero(row) + 1).tolist())) for li, row in enumerate(positive)]
     return [(li, seps) for li, seps in found if len(seps) > 1 and (1 in seps or 2 in seps)]

@@ -25,9 +25,9 @@ from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, level_arrays,
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, StructureError, werner_measures
 from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        InsufficientDataError, SweepError, _gaps_between,
-                       _last_crossing, _located_events, _point_cells,
-                       default_alpha_grid, entangled_projector_census,
-                       nn_linear_fit, separation_existence_intervals, sweep)
+                       _last_crossing, _linear_fit, _located_events, _momentum_point,
+                       _point_cells, default_alpha_grid, entangled_projector_census,
+                       separation_existence_intervals, sweep)
 from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
                         write_output)
 
@@ -295,10 +295,12 @@ def _event_doc(event) -> dict:
 
 def cmd_report(config: RunConfig) -> str:
     """Sweep the grid and assemble the full JSON report."""
+    references: dict = {}  # the sweep's decompositions that bisection starts from
     result = sweep(config.n_sites, config.alphas, config.variant,
                    cluster_tolerance=config.cluster_tolerance,
                    structure_tolerance=config.structure_tolerance,
-                   concurrence_threshold=config.concurrence_threshold)
+                   concurrence_threshold=config.concurrence_threshold,
+                   references=references)
 
     backbone = [int(b) for b in result.backbone]
     rep_point = result.points[min(backbone, key=lambda i: abs(result.points[i].alpha - 1.0))]
@@ -325,7 +327,8 @@ def cmd_report(config: RunConfig) -> str:
         } for e in census.entangled],
     }
 
-    crossings, boundaries = _located_events(result, config.resolution, range(1, n_seps + 1))
+    crossings, boundaries = _located_events(result, config.resolution, range(1, n_seps + 1),
+                                            references)
     last = _last_crossing(result, crossings, max(result.points[i].alpha for i in backbone))
 
     gaps_doc = {}
@@ -340,11 +343,12 @@ def cmd_report(config: RunConfig) -> str:
                       if e.kind == "onset" and e.separation == n_seps]
     max_distance_onset = min(max_sep_onsets, key=lambda e: e.alpha, default=None)
 
+    at_infinity = result.points[-1]  # the fit's point, the sweep's if the grid holds it
+    if at_infinity.alpha != INFINITY:
+        at_infinity = _momentum_point(RingSpec(config.n_sites, INFINITY, config.variant),
+                                      config.cluster_tolerance, config.structure_tolerance)
     try:
-        fit = nn_linear_fit(config.n_sites,
-                            threshold=config.concurrence_threshold,
-                            cluster_tolerance=config.cluster_tolerance,
-                            variant=config.variant)
+        fit = _linear_fit(at_infinity, config.concurrence_threshold)
         fit_doc = {"alpha": INFINITY, "a": fit.a, "b": fit.b,
                    "max_residual": fit.max_residual, "n_points": fit.n_points,
                    "max_concurrence": fit.max_concurrence}

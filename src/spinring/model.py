@@ -131,10 +131,15 @@ def separation_weights(n_sites: int, alpha: float) -> np.ndarray:
                                for d in range(1, n_sites // 2 + 1)]))
 
 
+@functools.lru_cache(maxsize=None)
+def _chord_logs(n_sites: int) -> np.ndarray:
+    """log r_d of the chord distances, d = 2 .. n_sites//2 (r_1 = 1); cached, read-only."""
+    return read_only(np.log([chord_distance(n_sites, d) for d in range(2, n_sites // 2 + 1)]))
+
+
 def weight_offsets(n_sites: int, alpha: float) -> np.ndarray:
     """The ``separation_weights`` less 1 by expm1, exact to rounding also near alpha = 0."""
-    logs = np.log([chord_distance(n_sites, d) for d in range(2, n_sites // 2 + 1)])  # r_1 = 1
-    return np.concatenate([[0.0], np.expm1(-alpha * logs)])
+    return np.concatenate([[0.0], np.expm1(-alpha * _chord_logs(n_sites))])
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,11 +5,11 @@ Reals are printed with 17 significant digits so parsing the output recovers the 
 double.  Identical inputs produce byte-identical output.
 """
 
-import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quoted  # what json.dumps runs for a str
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def _emit(obj, out, indent: int, infinity_token: str) -> None:
             return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(inner + json.dumps(str(key)) + ": ")
+            out.append(inner + _quoted(str(key)) + ": ")
             _emit(value, out, indent + 2, infinity_token)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
@@ -62,7 +62,7 @@ def _emit(obj, out, indent: int, infinity_token: str) -> None:
     elif isinstance(obj, float):
         out.append(format_real(obj, infinity_token))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quoted(obj))
     elif obj is None:
         out.append("null")
     else:

@@ -7,22 +7,22 @@ stay in the blocks they were solved in.  ``diagonalize`` solves every magnetizat
 embeds a level's 2^N x m block on demand; no command calls it.  The commands solve the top
 sector's real momentum blocks split by total spin S (``spin_layout``): an S-block Q_S^T H Q_S
 holds one member of each of its multiplets and stands for their ``states``.  ``level_arrays``
-solves the S-blocks' eigenvalues; ``momentum_decompositions`` solves a batch of alphas, as many
-as ``BATCH_BYTES`` hold (``batch_size``), with one eigh per width of H^S less its Casimir part,
-and assembles it at once (``_assembled``), its levels kept as arrays that each decomposition
-views.  By Wigner-Eckart every member of a multiplet has the same correlators and Gram entries,
-so the batch reduces every level's <sigma_1 . sigma_{1+d}> from u^T K_d^S u, K_d^S =
-Q_S^T K_d Q_S cached per ring size (``spin_bonds``), and projector overlaps from
-(V_a^T V_b)^2, each S-block counted ``states`` times: every level pair of two decompositions
-(``overlap_matrix``) or the listed levels' rows of many pairs in one pass (``best_partners``).
-``_Batch.residuals`` solves the S-blocks whose levels lie close a second time, from K_d^S, and
-measures the change of the correlators.
+solves the S-blocks' eigenvalues.  ``momentum_decompositions`` solves a batch of alphas, as
+many as ``BATCH_BYTES`` hold (``batch_size``), with one eigh per width of H^S less its Casimir
+part, H^S - c_S = sum_d (w_d - 1) K_d^S, summed from the K_d^S = Q_S^T K_d Q_S that one
+projection per ring size gives (``spin_bonds``), and assembles it at once (``_assembled``), its
+levels kept as arrays that each decomposition views.  By Wigner-Eckart every member of a
+multiplet has the same correlators and Gram entries, so the batch reduces every level's
+<sigma_1 . sigma_{1+d}> from u^T K_d^S u, and its Werner cells from those, and projector
+overlaps from (V_a^T V_b)^2, each S-block counted ``states`` times: every level pair of two
+decompositions (``overlap_matrix``) or the listed levels' rows of many pairs in one pass
+(``best_partners``).  ``_Batch.residuals`` solves the S-blocks whose levels lie close a second
+time, from K_d^S, and measures the change of the correlators.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -35,8 +35,8 @@ CLUSTER_TOLERANCE_DEFAULT = 1e-9
 CASIMIR_TOLERANCE = 1e-9  # how far a Casimir eigenvalue may lie from 2S(S+1) - 3N/2
 STRUCTURE_TOLERANCE_DEFAULT = 1e-10  # bound on the change of c between two solves
 
-# bytes one batch of alphas holds while it is assembled and solved (``batch_size``): 106
-# points at N = 8 (4.9 KB each), 9 at 10 (55 KB), 1 from 12 on (338 KB at 12)
+# bytes one batch of alphas holds in its S-block stacks and their eigenvectors (``batch_size``):
+# 284 points at N = 8 (1.8 KB each), 35 at 10 (15 KB), 3 at 12 (143 KB), 1 at 14 (1.5 MB)
 BATCH_BYTES = 2 ** 19
 
 
@@ -137,13 +137,13 @@ class SpectralDecomposition(BlockDecomposition):
 
 class MomentumDecomposition(BlockDecomposition):
     """The decomposition of ``momentum_decomposition``: a ``SpinEigensystem`` per S-block width,
-    and its slices of the batch's ``correlators`` and ``residuals``."""
+    and its slices of the batch's ``correlators`` and ``cells``."""
 
     def correlators(self) -> np.ndarray:
         return self.batch.correlators[:, slice(*self.batch.bounds[self.index:self.index + 2])]
 
-    def residuals(self) -> np.ndarray:
-        return self.batch.residuals[:, slice(*self.batch.bounds[self.index:self.index + 2])]
+    def cells(self) -> np.ndarray:
+        return self.batch.cells[slice(*self.batch.bounds[self.index:self.index + 2])]
 
 
 @dataclass(eq=False)
@@ -184,12 +184,16 @@ class _Batch:
     def _means(self, e: int, blocks, levels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """The columns ``vectors`` of S-blocks ``blocks`` of width ``e``, at their ``levels``: each
         one's share of its level's mean <sigma_1 . sigma_{1+d}>, u^T K_d^S u times its ``states``
-        over n_d and the multiplicity, summed per level, N//2 x levels."""
-        n, states = self.jobs[0][0].n_sites, self.groups[e][0][blocks, None]
-        shares = [(states * (vectors * (spin_bonds(n, d)[e][blocks] @ vectors)).sum(axis=-2)
-                   / (n // (1 + (2 * d == n)) * self.multiplicities[levels])).ravel()
-                  for d in range(1, n // 2 + 1)]
-        return np.array([np.bincount(levels.ravel(), share, self.bounds[-1]) for share in shares])
+        over n_d and the multiplicity, summed per level, N//2 x levels: one product takes every
+        K_d^S, and one bincount sums every d, each in the order of ``levels``."""
+        n, size, states = self.jobs[0][0].n_sites, self.bounds[-1], self.groups[e][0][blocks, None]
+        bonds = spin_bonds(n)[e][0][:, blocks]
+        d = np.arange(len(bonds)).reshape(-1, *(1,) * levels.ndim)  # d - 1
+        bonds = np.expand_dims(bonds, tuple(range(1, levels.ndim - 1)))  # over A, if given
+        shares = (states * (vectors * (bonds @ vectors)).sum(axis=-2)
+                  / (n // (1 + (2 * d + 2 == n)) * self.multiplicities[levels]))
+        return np.bincount((size * d + levels).ravel(), shares.ravel(), d.size * size
+                           ).reshape(d.size, size)
 
     @functools.cached_property
     def correlators(self) -> np.ndarray:
@@ -219,13 +223,22 @@ class _Batch:
                                       >= self.structure_tolerance * gaps.min(axis=(-2, -1)))
             if not jobs.size:
                 continue
-            hamiltonians = sum(offsets[jobs, d - 1, None, None] * spin_bonds(n, d)[e][blocks]
-                               for d in range(1, n // 2 + 1))
+            hamiltonians = spin_hamiltonians(spin_bonds(n)[e][0][:, blocks], offsets[jobs])
             turn = np.linalg.qr(np.random.default_rng(width).normal(size=(width,) * 2))[0]
             second = turn @ np.linalg.eigh(turn.T @ hamiltonians @ turn)[1]
             change += (self._means(e, blocks, levels[jobs, blocks], second)
                        - self._means(e, blocks, levels[jobs, blocks], vectors[jobs, blocks]))
         return read_only(np.abs(change) / 6)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """Every level's concurrence, a, b, c and ``residuals`` at each separation, levels x N//2
+        x 5, on first use: SU(2) and translation make its pair states Werner states (PRA 40,
+        4277 (1989)), fixed by z = <sigma_1 . sigma_{1+d}>/3: a, b = (1 -+ z)/4, c = z/2."""
+        z = self.correlators / 3
+        a, b, c = (1 + z) / 4, (1 - z) / 4, z / 2
+        return read_only(np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c,
+                                   self.residuals], axis=2).swapaxes(0, 1))
 
 
 def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:
@@ -331,11 +344,18 @@ def spin_blocks(n_sites: int, weights: np.ndarray) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def spin_bonds(n_sites: int, separation: int) -> tuple:
-    """The ``spin_blocks`` of K_d, d = ``separation``, which are all of K_d that S-block
-    eigenvectors meet (K_d commutes with S^2), and do not depend on alpha; cached."""
-    return tuple(read_only(stack) for stack, *_ in spin_blocks(
-        n_sites, np.eye(n_sites // 2)[separation - 1]))
+def spin_bonds(n_sites: int) -> tuple:
+    """The ``spin_blocks`` of every K_d, d = 1 .. N//2, from one projection, as (K_d^S stacked
+    N//2 x M x w x w, states, c_S) by width: all of K_d that S-block eigenvectors meet (K_d
+    commutes with S^2), and independent of alpha; cached, read-only."""
+    return tuple(tuple(map(read_only, width)) for width in spin_blocks(
+        n_sites, np.eye(n_sites // 2)))
+
+
+def spin_hamiltonians(bonds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """H^S - c_S = sum_d offsets[..., d - 1] K_d^S of the N//2 x ... stacked ``bonds``, one
+    elementwise product and sum in d order, so each block rounds alike in any batch."""
+    return sum(offsets[..., d, None, None] * bond for d, bond in enumerate(bonds))
 
 
 def level_arrays(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT) -> tuple:
@@ -356,23 +376,18 @@ def energy_levels(spec: RingSpec, cluster_tolerance: float = CLUSTER_TOLERANCE_D
 
 
 def batch_size(n_sites: int) -> int:
-    """The alphas a batch solves: as many as BATCH_BYTES hold of what ``spin_blocks`` and the
-    solve hold for one alpha, the largest layout group's stack and its product with Q, and the
-    S-blocks and their eigenvectors; or one."""
-    layout = spin_layout(n_sites)
-    stack = max(math.prod(group.shape) for group, *_ in layout)
-    blocks = sum((stop - start) ** 2 for *_, runs in layout
-                 for block_runs in runs for start, stop, *_ in block_runs)
-    return max(1, BATCH_BYTES // (16 * (stack + blocks)))
+    """The alphas a batch solves: as many as BATCH_BYTES hold of the S-block stacks of one alpha
+    and their eigenvectors; or one."""
+    return max(1, BATCH_BYTES // (16 * sum(bonds[0].size for bonds, *_ in spin_bonds(n_sites))))
 
 
 def momentum_decompositions(jobs, structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT
                             ) -> Iterator[MomentumDecomposition]:
     """The ``momentum_decomposition`` of each (spec, cluster tolerance) of ``jobs``, one ring size,
-    in order: ``batch_size`` alphas share one ``spin_blocks`` assembly, one eigh per S-block
-    width and one ``_assembled``, each is made when reached, and a failed batch is solved an
-    alpha at a time to name it.  Each S-block is solved as H^S - c_S = sum_d (w_d - 1) K_d^S,
-    so that levels split by a small alpha are resolved beyond eps c_S, and c_S added back."""
+    in order: ``batch_size`` alphas share one eigh per S-block width and one ``_assembled``, each
+    is made when reached, and a failed batch is solved an alpha at a time to name it.  Each
+    S-block is solved as H^S - c_S = sum_d (w_d - 1) K_d^S (``spin_hamiltonians``), so that
+    levels split by a small alpha are resolved beyond eps c_S, and c_S added back."""
     jobs = list(jobs)
     if not jobs:
         return
@@ -381,8 +396,8 @@ def momentum_decompositions(jobs, structure_tolerance: float = STRUCTURE_TOLERAN
         offsets = np.array([weight_offsets(n, spec.alpha) for spec, _ in batch])
         solved = []  # (states, c_S, values, vectors) by width, the last two with an axis of A
         try:
-            for stack, states, casimirs in spin_blocks(n, offsets):
-                values, vectors = np.linalg.eigh(stack)
+            for bonds, states, casimirs in spin_bonds(n):
+                values, vectors = np.linalg.eigh(spin_hamiltonians(bonds, offsets[:, None]))
                 solved.append(tuple(map(read_only, (states, casimirs, values + casimirs[:, None],
                                                     vectors))))
         except np.linalg.LinAlgError as exc:

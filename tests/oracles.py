@@ -44,7 +44,7 @@ read them alone.
 package's gap rule (``spectra._clusters``), for the dense ``diagonalize`` and as the one-list
 form the clustering tests read.  ``emit_csv`` writes a CSV cell by cell from tuple rows, and
 ``table_text`` gives the ``spectrum`` and ``concurrence`` output from such rows, each alpha
-solved alone (``energy_levels``, ``_momentum_records``): the references for
+solved alone (``energy_levels``, ``_momentum_point``): the references for
 ``serialize.emit_csv``, which writes the commands' level arrays, and for their batched solves.
 """
 
@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from spinring.analysis import (JUMP_SCALE_DEFAULT, RESOLUTION_DEFAULT, _check_energy_identity,
-                               _located_events, _momentum_records, _SignChange)
+                               _located_events, _momentum_point, _SignChange)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
                             block_groups, build_sector_blocks, read_only, sector_block,
@@ -648,7 +648,7 @@ def spin_block_correlators(dec) -> np.ndarray:
     for e, (entry, members) in enumerate(zip(dec.blocks, dec.members)):
         levels = members.reshape(entry.values.shape)
         for d in range(1, n // 2 + 1):
-            bonds, pairs = spectra.spin_bonds(n, d)[e], n // (1 + (2 * d == n))
+            bonds, pairs = spectra.spin_bonds(n)[e][0][d - 1], n // (1 + (2 * d == n))
             for b, (count, vectors) in enumerate(zip(entry.count, entry.vectors)):
                 for u, level in zip(vectors.T, levels[b]):
                     sums[d - 1, level] += count * (u @ bonds[b] @ u) / pairs
@@ -775,10 +775,11 @@ def table_text(config) -> str:
         header = ("alpha", "level_index", "energy", "multiplicity", "separation",
                   "concurrence", "a", "b", "c", "structure_residual")
         settings = {"structure_tolerance": config.structure_tolerance}
-        levels, cells = _momentum_records(spec, config.cluster_tolerance,
-                                          config.structure_tolerance)
-        rows += [(alpha, li, level.energy, level.multiplicity, sep, *values)
-                 for li, (level, row) in enumerate(zip(levels, cells.tolist()))
+        point = _momentum_point(spec, config.cluster_tolerance, config.structure_tolerance)
+        rows += [(alpha, li, energy, m, sep, *values)
+                 for li, (energy, m, row) in enumerate(zip(point.energies.tolist(),
+                                                            point.multiplicities.tolist(),
+                                                            point.cells.tolist()))
                  for sep, values in enumerate(row, start=1)]
     if config.output_format == "csv":
         return emit_csv(header, rows)

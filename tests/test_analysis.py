@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
@@ -62,8 +63,9 @@ def test_sweep_wraps_numerical_failures():
 def test_a_failed_batched_eigh_names_its_alpha_and_sector(monkeypatch):
     # the batch is solved again one alpha at a time, so the failure lands on its own alpha
     n, grid = 6, np.geomspace(0.5, 8, 9).tolist()
-    poison, real = next(stack for stack, *_ in spectra_module.spin_blocks(
-        n, weight_offsets(n, grid[4])) if stack.shape[-1] > 1), np.linalg.eigh
+    poison, real = next(spectra_module.spin_hamiltonians(bonds, weight_offsets(n, grid[4]))
+                        for bonds, *_ in spectra_module.spin_bonds(n)
+                        if bonds.shape[-1] > 1), np.linalg.eigh
     solved = []
 
     def eigh(stack):
@@ -130,6 +132,64 @@ def test_sweep_holds_at_most_two_decompositions(monkeypatch):
     sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
     assert len(live) == 14 and len(batches) == 5
     assert max(live) <= 2
+
+
+@pytest.mark.parametrize("cap", (None, 3))
+def test_report_holds_the_running_maximum_until_its_events_are_located(cap, monkeypatch,
+                                                                        capsys):
+    # report's sweep holds the previous point, its anchor and the first batch_size points at the
+    # running maximum level count since its last restart, no other; those are backbone points,
+    # handed to _located_events, which takes interval left ends from them and lets them all go
+    if cap is not None:
+        monkeypatch.setattr(analysis_module, "batch_size", lambda n_sites: cap)
+    real, made = spectra_module._Batch.decomposition, []  # (alpha, weakref) of every solution
+
+    def tracked(assembled, kind, a, blocks):
+        made.append((assembled.jobs[a][0].alpha, weakref.ref(dec := real(assembled, kind, a,
+                                                                          blocks))))
+        return dec
+
+    def live(refs):
+        gc.collect()
+        return [alpha for alpha, ref in refs if ref() is not None]
+
+    seen, handed = [], []
+    real_sweep, real_located = cli_module.sweep, cli_module._located_events
+
+    def sweep_watched(*args, **kwargs):
+        monkeypatch.setattr(spectra_module._Batch, "decomposition", watched)
+        return real_sweep(*args, **kwargs)
+
+    def watched(assembled, kind, a, blocks):
+        seen.append(live(made))  # the sweep's solutions alive as this point is made
+        return tracked(assembled, kind, a, blocks)
+
+    def located(result, resolution, separations, references):
+        monkeypatch.setattr(spectra_module._Batch, "decomposition", tracked)
+        swept = list(made)
+        handed.append((sorted(references), live(swept)))
+        events = real_located(result, resolution, separations, references)
+        handed.append((sorted(references), live(swept)))
+        return events
+
+    monkeypatch.setattr(cli_module, "sweep", sweep_watched)
+    monkeypatch.setattr(cli_module, "_located_events", located)
+    assert main(["report", "--n", "6", "--grid", "0.5:8:12", "--extra", "0", "--extra", "2",
+                 "--extra", "inf", "--resolution", "0.1"]) == 0
+    capsys.readouterr()
+    res = sweep(6, sorted(cli_module._parse_grid("0.5:8:12") + (0.0, 2.0, INFINITY)))
+    alphas, counts = [p.alpha for p in res.points], [p.count for p in res.points]
+    two = alphas.index(2.0)  # a restart, and points skipped inside the backbone and at its end
+    assert counts[0] < counts[1] and counts[two] < counts[two + 1] and counts[-1] < max(counts)
+    held, anchor, top = [], [], 0
+    for i, count in enumerate(counts):
+        assert seen[i] == sorted({*held, *anchor, *alphas[i - 1:i]})
+        if count >= top:  # an anchor; a restart if the count rises
+            held, anchor, top = (held if count == top else []) + [alphas[i]], [alphas[i]], count
+        held = held[:cap]
+    backbone = [alphas[i] for i in res.backbone.tolist()]
+    assert held == backbone[:cap] and len(backbone) > 3 and len(alphas) > len(backbone)
+    assert handed == [(held, held), ([], [])]
 
 
 def test_sweep_restarts_its_curves_when_the_level_count_rises():
@@ -341,19 +401,20 @@ def test_bisection_stops_at_float_resolution(monkeypatch, capsys):
 
 
 def test_golden_report_solve_counts(monkeypatch, capsys):
-    # the golden n8 report's counts when they were pinned: 84 alphas given to the batched
-    # solver (15 grid points, 68 bisection steps and references, and the fit) in 7 batches
-    # (the sweep, the references, four bisection rounds and the fit), each one eigh per S-block
-    # width (7 x 4: the 22 S-blocks of the top sector fall in 4 widths), and no S-block close
-    # enough to another level to be solved twice; 7 x 7 = 49 when every real block of the
-    # sectors with 2s >= N was solved, one eigh per width across sectors but none for 1 x 1
-    # blocks; a change that adds solves fails here, not only in the wall time
+    # the golden n8 report's counts when they were pinned: 71 alphas given to the batched
+    # solver (15 grid points, 55 bisection steps, and the fit, as inf is off the grid) in 6
+    # batches (the sweep, four bisection rounds and the fit), each one eigh per S-block width
+    # (6 x 4: the 22 S-blocks of the top sector fall in 4 widths), and no S-block close enough
+    # to another level to be solved twice; 84 alphas and 7 x 4 eighs when the 13 intervals'
+    # left ends were solved again as references, 7 x 7 = 49 eighs when every real block of the
+    # sectors with 2s >= N was solved; a change that adds solves fails here, not only in the
+    # wall time
     spectra_module.spin_layout(8)  # its Casimir eigh is solved once per process
     solves = _recording_solves(monkeypatch)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
     assert main(["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]) == 0
     capsys.readouterr()
-    assert (len(solves), len(eighs)) == (84, 28)
+    assert (len(solves), len(eighs)) == (71, 24)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -510,17 +571,9 @@ def test_report_boundaries_are_those_of_each_census_curve(capsys):
 
 
 def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
+    # the sweep, every bisection step and the fit's own solve, as inf is off the grid
     signature = inspect.signature(analysis_module._point_cells)
     calls = _recording(monkeypatch, analysis_module, "_point_cells")
-    real_fit = cli_module.nn_linear_fit
-
-    def fit_unrecorded(*args, **kwargs):  # the fit takes no structure tolerance
-        start = len(calls)
-        result = real_fit(*args, **kwargs)
-        del calls[start:]
-        return result
-
-    monkeypatch.setattr(cli_module, "nn_linear_fit", fit_unrecorded)
     assert main([*REPORT_N8, "--structure-tolerance", "1e-9"]) == 0
     capsys.readouterr()
     bound = [signature.bind(*args, **kwargs) for args, kwargs in calls]
@@ -528,6 +581,29 @@ def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
         arguments.apply_defaults()
     assert sum(b.arguments["levels"] is not None for b in bound) > 10  # bisection steps
     assert {b.arguments["dec"].batch.structure_tolerance for b in bound} == {1e-9}
+
+
+def test_the_fit_reads_the_sweep_or_solves_at_the_run_tolerance(monkeypatch, capsys):
+    # inf off the grid: the fit solves it alone, at the run's structure tolerance; on the grid,
+    # the fit reads the sweep's point, solves nothing more, and the document is the same
+    real, calls = spectra_module.momentum_decompositions, []
+
+    def recorded(jobs, *args):
+        jobs = list(jobs)
+        calls.append(([spec.alpha for spec, _ in jobs], args))
+        return real(jobs, *args)
+
+    for module in (analysis_module, spectra_module):
+        monkeypatch.setattr(module, "momentum_decompositions", recorded)
+    docs = []
+    for extra in ([], ["--extra", "inf"]):
+        calls.clear()
+        assert main([*REPORT_N8, "--structure-tolerance", "1e-9", *extra]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+        with_inf = [(alphas, args) for alphas, args in calls if INFINITY in alphas]
+        assert len(with_inf) == 1 and with_inf[0][1] == (1e-9,)
+        assert len(with_inf[0][0]) == (1 if not extra else 16)  # alone, or the sweep's grid
+    assert docs[0]["nn_linear_fit"] == docs[1]["nn_linear_fit"] is not None
 
 
 def test_separation_existence_and_gaps(sweep8):
@@ -637,11 +713,11 @@ def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
 
 
 def _assert_momentum_records_match(spec, dec):
-    levels, cells = analysis_module._momentum_records(spec, 1e-9, 1e-10)
-    assert [(lv.start, lv.multiplicity) for lv in levels] == \
-        [(lv.start, lv.multiplicity) for lv in dec.levels]
-    for got, want in zip(levels, dec.levels):
-        assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
+    point = analysis_module._momentum_point(spec, 1e-9, 1e-10)
+    cells = point.cells
+    assert point.multiplicities.tolist() == [lv.multiplicity for lv in dec.levels]  # so starts
+    for got, want in zip(point.energies.tolist(), dec.levels):
+        assert abs(got - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
     expected = oracles._point_records(dec, 1e-10)
     assert cells.shape == expected.shape and not cells.flags.writeable
     # concurrence, a, b, c; the residual column is the change of c between two solves of an

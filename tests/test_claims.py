@@ -12,7 +12,7 @@ import math
 import pytest
 
 from spinring import INFINITY, RingSpec
-from spinring.analysis import CONCURRENCE_THRESHOLD_DEFAULT, _momentum_records
+from spinring.analysis import CONCURRENCE_THRESHOLD_DEFAULT, _momentum_point
 
 ALPHAS = (0.5, 1.0, 2.0, 3.0, 6.0, INFINITY)
 SIZES = range(4, 15)
@@ -21,8 +21,8 @@ C1_SPREAD = 0.03
 
 @pytest.fixture(scope="module")
 def records():
-    """(levels, cells) for every (N, alpha) of the sample, about 2 s in all."""
-    return {(n, alpha): _momentum_records(RingSpec(n, alpha), 1e-9, 1e-10)
+    """The levels and cells of every (N, alpha) of the sample, about 2 s in all."""
+    return {(n, alpha): _momentum_point(RingSpec(n, alpha), 1e-9, 1e-10)
             for n in SIZES for alpha in ALPHAS}
 
 
@@ -32,25 +32,24 @@ def _entangled(cells):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_no_level_is_entangled_beyond_nearest_neighbours_at_alpha_two(records, n):
-    _, cells = records[n, 2.0]
-    assert not _entangled(cells)[:, 1:].any()
+    assert not _entangled(records[n, 2.0].cells)[:, 1:].any()
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_ground_level_is_entangled_at_nearest_neighbours_only(records, n):
     for alpha in ALPHAS:
-        entangled = _entangled(records[n, alpha][1])[0]
+        entangled = _entangled(records[n, alpha].cells)[0]
         assert entangled[0] and not entangled[1:].any(), alpha
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_ground_level_multiplicity(records, n):
     expected = 1 if n % 2 == 0 else 4
-    assert {records[n, alpha][0][0].multiplicity for alpha in ALPHAS} == {expected}
+    assert {int(records[n, alpha].multiplicities[0]) for alpha in ALPHAS} == {expected}
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_ground_nearest_neighbour_concurrence_barely_moves(records, n):
-    values = [float(records[n, alpha][1][0, 0, 0]) for alpha in ALPHAS]
+    values = [float(records[n, alpha].cells[0, 0, 0]) for alpha in ALPHAS]
     assert all(math.isfinite(v) and v > 0 for v in values)
     assert (max(values) - min(values)) / max(values) < C1_SPREAD

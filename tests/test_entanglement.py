@@ -10,7 +10,7 @@ from spinring import (PairStateWarning, RingSpec, StructureError, TwoSpinState,
                       diagonalize, extract_abc, meyer_wallach, oliveira_global,
                       pair_concurrence, reduce_one_site, reduce_sites, reduce_two_sites,
                       uniform_state, werner_measures)
-from spinring.analysis import _momentum_records
+from spinring.analysis import _momentum_point
 
 SIGMA_YY = np.array([[0.0, 0.0, 0.0, -1.0],
                      [0.0, 0.0, 1.0, 0.0],
@@ -316,7 +316,7 @@ def test_level_measures_match_per_state_measures(dec, inner_over_n):
 def test_werner_measures_match_the_sector_level_measures(dec, inner_over_n):
     for n in range(2, 11):
         for alpha in (0.0, 0.7, 2.0, math.inf):
-            _, cells = _momentum_records(RingSpec(n, alpha), 1e-9, 1e-10)
+            cells = _momentum_point(RingSpec(n, alpha), 1e-9, 1e-10).cells
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PairStateWarning)
                 got = werner_measures(cells, n, inner_over_n)
@@ -324,7 +324,7 @@ def test_werner_measures_match_the_sector_level_measures(dec, inner_over_n):
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() < 1e-12
     with pytest.warns(PairStateWarning, match="degenerate"):
-        werner_measures(_momentum_records(RingSpec(2, 1.0), 1e-9, 1e-10)[1], 2)
+        werner_measures(_momentum_point(RingSpec(2, 1.0), 1e-9, 1e-10).cells, 2)
 
 
 def test_level_measures_warn_on_degenerate_normalization(dec):

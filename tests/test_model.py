@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import spinring.model as model_module
 from spinring import (INFINITY, RingSizeError, RingSpec, Variant,
                       build_hamiltonian, build_sector_blocks, chord_distance,
                       coupling_weight, separation_weights, top_eigenspace_basis,
@@ -81,6 +82,18 @@ def test_separation_weights_match_pair_sum():
             explicit = sum(coupling_weight(n, k - j, alpha)
                            for j in range(1, n + 1) for k in range(j + 1, n + 1))
             assert total_weight(n, alpha) == pytest.approx(explicit, rel=1e-14)
+
+
+def test_weight_offsets_read_the_cached_chord_logs():
+    # the logs of the chord distances are taken once per ring size, and the offsets are the
+    # bytes of taking them at every call
+    for n in range(2, 15):
+        assert model_module._chord_logs(n) is model_module._chord_logs(n)
+        assert not model_module._chord_logs(n).flags.writeable
+        logs = np.log([chord_distance(n, d) for d in range(2, n // 2 + 1)])
+        for alpha in (0.0, 1e-12, 0.05, 0.7, 2.0, 12.0, INFINITY):
+            want = np.concatenate([[0.0], np.expm1(-alpha * logs)])
+            assert weight_offsets(n, alpha).tobytes() == want.tobytes()
 
 
 def test_weight_offsets_keep_their_precision_near_alpha_zero():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import spinring.serialize as serialize_module
 from spinring import atomic_write, emit_json, format_real, parse_real
 from spinring.serialize import JSON_INFINITY, emit_csv, write_output
 
@@ -71,6 +72,19 @@ def test_emit_json_rejects_unknown_types():
 def test_emit_json_escapes_strings():
     text = emit_json({"k": 'quote " and \\ backslash'})
     assert json.loads(text)["k"] == 'quote " and \\ backslash'
+
+
+def test_emit_json_quotes_keys_and_strings_as_json_dumps_does():
+    # keys and strings are written by json's own ASCII quoting, which json.dumps runs for a str
+    texts = ["", "plain", 'say "hi"', "back\\slash \\u0041", "tab\tline\nfeed\r\x00\x1f\x7f",
+             "caf\u00e9 \u03b1 \u2260 \u221e", "\U0001f600 \ud800", "/</script>"]
+    for text in texts:
+        assert serialize_module._quoted(text) == json.dumps(text)
+        doc = emit_json({text: [text, {text: text}]})
+        assert doc == (f'{{\n  {json.dumps(text)}: [\n    {json.dumps(text)},\n    {{\n'
+                       f'      {json.dumps(text)}: {json.dumps(text)}\n    }}\n  ]\n}}\n')
+        assert json.loads(doc) == {text: [text, {text: text}]}
+        assert doc.isascii()
 
 
 def _table(alpha, energies, multiplicities, cells=None):

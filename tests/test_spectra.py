@@ -139,14 +139,16 @@ def _assert_projected(block, projected):
 
 
 def test_stacked_momentum_solves_match_one_solve_per_block():
-    # every S-block width is assembled and solved as one stack, a 1 x 1 width too, less its
-    # Casimir part c_S: every S-block still gets exactly the eigh of solving it alone, with its
-    # strides, c_S added to its eigenvalues, and with c_S it is the top sector's reflection
-    # block, projected onto the columns of one S
-    for n in (2, 5, 8, 11, 12):
+    # every S-block width is assembled from its K_d^S and solved as one stack, a 1 x 1 width
+    # too, less its Casimir part c_S: every S-block still gets exactly the eigh of solving it
+    # alone, with its strides, c_S added to its eigenvalues, and with c_S it is Q_S^T H Q_S,
+    # the top sector's reflection block projected onto the columns of one S, within 1e-12
+    for n in (2, 3, 5, 8, 11, 12):
         spec, s0 = RingSpec(n, 0.7), (n + 1) // 2
         dec = momentum_decomposition(spec)
-        stacks = spectra_module.spin_blocks(n, weight_offsets(n, 0.7))
+        stacks = [(spectra_module.spin_hamiltonians(bonds, weight_offsets(n, 0.7)), *labels)
+                  for bonds, *labels in spectra_module.spin_bonds(n)]
+        assert all(bonds.shape[0] == n // 2 for bonds, *_ in spectra_module.spin_bonds(n))
         assert [entry.vectors.shape for entry in dec.blocks] == \
             [stack.shape for stack, *_ in stacks]
         projected = {}
@@ -251,6 +253,25 @@ def test_batched_decompositions_match_one_alpha_at_a_time(n, monkeypatch):
     assert next(solved, None) is None
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_an_alpha_solves_alike_alone_and_in_batches(n, monkeypatch):
+    # the S-blocks are summed from K_d^S elementwise in d order, so an alpha's values, vectors,
+    # correlators and residuals are the same bytes solved alone and in batches of 2 and 7; N = 2
+    # and 3 have one separation, and 2 - 1e-7 solves an S-block twice from N = 10 on
+    alphas = [0.0, 1e-7, 0.05, 0.3, 0.7, 1.0, 1.9999999, 2.0, 2.5, 3.3, 5.0, 7.0, 12.0, INFINITY]
+    jobs = [(RingSpec(n, alpha), 1e-9) for alpha in alphas]
+    solved = {}
+    for size in (1, 2, 7):
+        monkeypatch.setattr(spectra_module, "batch_size", lambda n_sites: size)
+        solved[size] = [(tuple(entry.values.tobytes() for entry in dec.blocks),
+                         tuple(entry.vectors.tobytes() for entry in dec.blocks),
+                         dec.correlators().tobytes(), dec.cells()[..., 4].tobytes())
+                        for dec in spectra_module.momentum_decompositions(jobs)]
+    assert solved[2] == solved[1] and solved[7] == solved[1]
+    twice = [np.frombuffer(residuals).any() for *_, residuals in solved[1]]  # cells' last column
+    assert any(twice) == (n >= 10)
+
+
 @pytest.mark.parametrize("n", range(5, 10))
 def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
     # one batch of a grid through alpha = 0, 2 and infinity, near-degenerate points and every
@@ -272,7 +293,7 @@ def test_batch_assembly_matches_a_batch_of_one_bit_for_bit(n, monkeypatch):
         assert [m.tobytes() for m in got.members] == [m.tobytes() for m in want.members]
         assert got.warnings == want.warnings and got.levels == want.levels
         assert got.correlators().tobytes() == want.correlators().tobytes()
-        assert got.residuals().tobytes() == want.residuals().tobytes()
+        assert got.cells().tobytes() == want.cells().tobytes()  # residuals last
 
 
 def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
@@ -280,8 +301,8 @@ def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
     # failing one come out whole, and the error comes at the failing one
     n, grid = 7, np.geomspace(0.5, 8, 6).tolist()
     real, shapes = np.linalg.eigh, []
-    poison = next(stack for stack, *_ in spectra_module.spin_blocks(
-        n, weight_offsets(n, grid[3])) if stack.shape[-1] > 1)
+    poison = next(spectra_module.spin_hamiltonians(bonds, weight_offsets(n, grid[3]))
+                  for bonds, *_ in spectra_module.spin_bonds(n) if bonds.shape[-1] > 1)
 
     def eigh(stack):
         shapes.append(stack.shape[:-3])
@@ -303,14 +324,13 @@ def test_a_failed_batch_is_solved_one_alpha_at_a_time(monkeypatch):
 
 
 def test_batch_size_bounds_the_eigenvector_bytes():
-    # per alpha a batch holds the largest layout group's stack and its product with Q while
-    # spin_blocks assembles it, and then the S-blocks and their eigenvectors
-    for n, size in ((8, 106), (10, 9), (12, 1), (14, 1)):
-        weights = np.ones((1, n // 2))
-        stack = max(2 * group.stack(weights).nbytes for group, *_ in spectra_module.spin_layout(n))
-        blocks = 2 * sum(square.nbytes for square, *_ in spectra_module.spin_blocks(n, weights))
-        assert spectra_module.batch_size(n) == size
-        assert size * (stack + blocks) <= spectra_module.BATCH_BYTES or size == 1
+    # per alpha a batch holds its S-block stacks, summed from K_d^S, and their eigenvectors,
+    # and it takes as many alphas as BATCH_BYTES holds
+    for n, size in ((8, 284), (10, 35), (12, 3), (14, 1)):
+        offsets = weight_offsets(n, 0.7)
+        blocks = 2 * sum(spectra_module.spin_hamiltonians(bonds, offsets).nbytes
+                         for bonds, *_ in spectra_module.spin_bonds(n))
+        assert spectra_module.batch_size(n) == size == max(1, spectra_module.BATCH_BYTES // blocks)
     # the whole 43-point report grid at N = 8 is one batch
     assert spectra_module.batch_size(8) >= 43
 
