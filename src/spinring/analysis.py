@@ -15,12 +15,11 @@ limit) are kept as data points but skipped by the threading.  Each point is pair
 previous backbone point as it is reached; each level takes the partner of its row's overlap
 above 1/2, and as every row and column of the overlaps sums to at most 1, no other level can
 claim that partner (``_partners``).  Besides one batch a sweep holds two solutions, and for
-``report`` up to a batch of backbone ones.  Every event inside a backbone interval is then
-located by one grouped bisection of that interval, in lockstep with the other intervals: its
-left end is the sweep's solution where held, each round solves all their midpoints as one
-batch, matches the levels their probes follow in one overlap pass, and reads concurrences
-from the batch's cells.  ``concurrence`` solves its points as the sweep does; one alpha's
-``_momentum_point`` serves the single-alpha parts of ``report``.
+``report`` up to a batch of backbone ones.  The events inside the backbone intervals are then
+located as one table of arrays, bisected in lockstep from the sweep's solutions where held,
+each round's midpoints solved in batches that match their probes' levels in one overlap pass.
+``concurrence`` solves its points as the sweep does; one alpha's ``_momentum_point`` serves
+the single-alpha parts of ``report``.
 """
 
 import itertools
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INFINITY, RingSpec, Variant, read_only, separation_weights, variant_map
+from .model import INFINITY, RingSpec, Variant, read_only
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, MomentumDecomposition,
                       batch_size, best_partners, energy_levels, momentum_decomposition,
                       momentum_decompositions, overlap_matrix)
@@ -168,35 +167,21 @@ def count_distinct_levels(n_sites: int, alpha: float,
     return len(energy_levels(RingSpec(n_sites, alpha, variant), tolerance))
 
 
-def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
-                           indices=None) -> None:
-    """Raise StructureError unless E = scale * sum_d w_d n_d <s_1 . s_{1+d}> + shift for
-    every level, with n_d pairs at separation d and their correlation in row d - 1; the
-    levels are numbered by ``indices`` when given, else by position."""
-    n, (scale, shift) = spec.n_sites, variant_map(spec)
-    pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)
-    terms = (pairs * separation_weights(n, spec.alpha))[:, None] * correlations
-    error = np.abs((energies - shift) / scale - terms.sum(axis=0))
-    bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * (1 + np.abs(terms).sum(axis=0)))
-    if bad.size:
-        level = bad[0] if indices is None else indices[bad[0]]
-        raise StructureError(f"level {level} energy differs from the sum of its pair "
-                             f"correlators by {error[bad[0]]:.3e}")
-
-
 def _point_cells(dec: MomentumDecomposition, levels=None) -> np.ndarray:
-    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``,
-    sliced from its batch's Werner cells (``MomentumDecomposition.cells``).  Raises
-    StructureError on a residual of those levels at ``dec``'s structure tolerance, or on one of
-    them whose energy misses the sum of its pair correlators."""
+    """The read-only ``SweepPoint.cells`` of every level of ``dec``, or of the listed ``levels``;
+    raises StructureError on a residual of theirs at ``dec``'s structure tolerance, else on the
+    first of them whose energy misses the sum of its pair correlators (``_Batch.identity``)."""
     picked = slice(None) if levels is None else levels
-    structure_tolerance = dec.batch.structure_tolerance
-    cells = dec.cells()[picked]
+    cells, structure_tolerance = dec.cells()[picked], dec.batch.structure_tolerance
     if cells[..., 4].max() >= structure_tolerance:
         worst = cells[..., 4].max(axis=0)
         raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "
                              f"by {worst.max():.3e} (tolerance {structure_tolerance:.3e})")
-    _check_energy_identity(dec.spec, dec.energies[picked], dec.correlators()[:, picked], levels)
+    error, scale = dec.identity()[:, picked]
+    bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * scale)
+    if bad.size:  # numbered as in dec
+        raise StructureError(f"level {bad[0] if levels is None else levels[bad[0]]} energy "
+                             f"differs from the sum of its pair correlators by {error[bad[0]]:.3e}")
     return read_only(cells)
 
 
@@ -298,197 +283,176 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
 
 
 # ---------------------------------------------------------------------------
-# Located events.  A backbone interval holds a crossing where its pairing swaps
-# the energy order of two levels, and an onset or offset where a curve's
-# concurrence at some separation changes sign.  One grouped bisection locates
-# them all, and the intervals share each round's batched solve.  Each event is
-# a probe that follows its ``levels`` by projector overlap from the interval's
-# left end and maps a midpoint solution to its next bracket; probes whose
-# brackets coincide share that step's solve, and one ``best_partners`` pass
-# matches every level the probes of a batch of solves follow; a sign change
-# reads its level's cells from the correlators the batch reduces for every
-# level at once.  The cluster tolerance shrinks with the bracket so
-# near-degenerate levels stay resolved.
+# Located events.  Each crossing, onset or offset inside a backbone interval is a probe, a
+# ``_PROBE`` row of a table that one grouped bisection steps as arrays (``_bisect``): the levels it
+# follows, indexed at the left end (a crossing's pair, the lower first; a sign change's level
+# twice), and their curves; its separation, 0 for a crossing; whether the concurrence is above the
+# threshold at lo; ``edge``, the in-range grid value the jump test reads until an in-range
+# midpoint becomes hi; and its bracket.
+_PROBE = np.dtype([("levels", int, 2), ("curves", int, 2), ("separation", int),
+                   ("positive_lo", bool), ("edge", float), ("lo", float), ("hi", float)])
 
 
-@dataclass(frozen=True)
-class _OrderSwap:
-    """Probe for the alpha where levels ``a`` and ``b`` of the reference
-    exchange energy order; ``label`` holds their curve indices."""
-
-    a: int
-    b: int
-    label: tuple
-
-    @property
-    def levels(self) -> tuple:
-        return self.a, self.b
-
-    def step(self, ref, lo, hi, dec, match) -> tuple:
-        mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
-        (ja, ova), (jb, ovb) = match(self.a), match(self.b)
-        if ja == jb or min(ova, ovb) < 0.5:
-            return (mid - half, mid + half)  # merged at this resolution; the crossing is here
-        f_mid = dec.energies[ja] - dec.energies[jb]
-        if f_mid == 0.0:
-            return (mid, mid)
-        f_lo = ref.energies[self.a] - ref.energies[self.b]
-        return (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
-
-    def event(self, lo, hi) -> CrossingEvent:
-        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "crossing", self.label)
+def _events(probes: np.ndarray, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+    """The ``CrossingEvent`` of each of the ``_PROBE`` rows ``probes``, in order."""
+    return [CrossingEvent(0.5 * (lo + hi), (lo, hi), ("onset", "offset")[positive] if sep
+                          else "crossing", tuple(curves[:2 - bool(sep)]), sep or None,
+                          sep > 0 and edge > jump_scale)
+            for curves, sep, positive, edge, lo, hi in zip(
+                *(probes[name].tolist() for name in _PROBE.names[1:]))]
 
 
-@dataclass
-class _SignChange:
-    """Probe for the alpha where the concurrence of reference level ``level``
-    (curve ``curve_index``) at ``separation`` crosses ``threshold``.  The jump
-    test reads ``edge``, the in-range grid value until an in-range midpoint
-    becomes ``hi``; it changes as the probe is bisected, so a probe serves once."""
-
-    curve_index: int
-    level: int
-    separation: int
-    positive_lo: bool
-    edge: float
-    threshold: float
-    jump_scale: float
-
-    @property
-    def levels(self) -> tuple:
-        return self.level,
-
-    def step(self, ref, lo, hi, dec, match) -> tuple:
-        mid = 0.5 * (lo + hi)
-        cells = _point_cells(dec, levels=[match(self.level)[0]])
-        value = float(cells[0, self.separation - 1, 0])
-        if (value > self.threshold) == self.positive_lo:
-            return (mid, hi)
-        if value > self.threshold:
-            self.edge = value
-        return (lo, mid)
-
-    def event(self, lo, hi) -> CrossingEvent:
-        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "offset" if self.positive_lo else "onset",
-                             (self.curve_index,), self.separation,
-                             crossing_coincident=bool(self.edge > self.jump_scale))
-
-
-def _sign_changes(curves, intervals, tracked: np.ndarray, separations, threshold: float,
-                  jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
-    """For each (i, j) of ``intervals``, the probes of the ``curves`` flagged in its row of
-    ``tracked`` whose concurrence at one of ``separations`` is above ``threshold`` at one end
-    only, curves in order, then separations: one comparison covers every interval."""
-    probes, rows = [[] for _ in intervals], np.asarray(separations, dtype=int) - 1
-    ends = np.array([c.concurrence[rows] for c in curves])[
-        :, :, np.array(intervals, dtype=int).reshape(-1, 2)]  # an int index, also when empty
+def _sign_changes(curves, intervals, tracked, separations, threshold: float) -> np.ndarray:
+    """The ``_PROBE`` rows, by interval, then curve, then separation, of the ``curves`` flagged in
+    the row of ``tracked`` of each (i, j) of ``intervals`` whose concurrence at one of
+    ``separations`` is above ``threshold`` at one end only: one comparison covers them all."""
+    rows, pairs = np.asarray(separations, dtype=int) - 1, np.array(intervals, dtype=int)
+    pairs = pairs.reshape(-1, 2)  # an int index, also when empty
+    ends = np.array([c.concurrence[rows] for c in curves])[:, :, pairs]
     above = ends > threshold  # curve x separation x interval x end
     changed = (above[..., 0] != above[..., 1]) & tracked.T[:, None]
-    for c, s, m in zip(*(axis.tolist() for axis in np.nonzero(changed))):
-        probes[m].append(_SignChange(curves[c].curve_index,
-                                     int(curves[c].level_indices[intervals[m][0]]),
-                                     int(rows[s]) + 1, bool(above[c, s, m, 0]), ends[c, s, m].max(),
-                                     threshold, jump_scale))
+    m, c, s = np.nonzero(changed.transpose(2, 0, 1))  # by interval, then curve, separation
+    table, alphas = np.zeros(m.size, _PROBE), curves[0].alpha_grid
+    table["levels"] = np.array([curve.level_indices for curve in curves])[c, pairs[m, 0], None]
+    table["curves"] = np.array([curve.curve_index for curve in curves])[c, None]
+    table["separation"], table["positive_lo"] = rows[s] + 1, above[c, s, m, 0]
+    table["edge"], (table["lo"], table["hi"]) = ends[c, s, m].max(-1), alphas[pairs[m]].T
+    return table
+
+
+def _bisect(ring, probes, resolution: float, threshold: float = CONCURRENCE_THRESHOLD_DEFAULT,
+            structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+            references=None) -> np.ndarray:
+    """The ``_PROBE`` rows ``probes``, by interval in ascending order, each bracket shrunk until
+    it is no wider than ``resolution`` or cannot shrink.  ``ring`` (SweepResult or LevelCurve)
+    gives the ring size, variant and cluster tolerance, which shrinks with the bracket.
+    ``batch_size`` intervals go in lockstep, each from its left end popped from ``references``
+    (by alpha; emptied at the end) or solved with the others; a round solves one midpoint per
+    interval and bracket, in order of first appearance, a ``_step`` per batch."""
+    base, size, probes = ring.cluster_tolerance, batch_size(ring.n_sites), probes.copy()
+    references = {} if references is None else references
+    firsts = [*np.flatnonzero(np.diff(probes["lo"], prepend=np.nan) != 0).tolist(), len(probes)]
+    for c in range(0, len(firsts) - 1, size):
+        bounds = firsts[c:c + size + 1]  # of the chunk's intervals, and where the next starts
+        chunk = probes[bounds[0]:bounds[-1]]  # stepped in place
+        ends = list(zip(*(probes[end][bounds[:-1]].tolist() for end in ("lo", "hi"))))
+        refs = [references.pop(lo, None) for lo, _ in ends]
+        missing = momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
+                                          for (lo, _), ref in zip(ends, refs) if ref is None)
+        refs = [next(missing) if ref is None else ref for ref in refs]
+        interval = np.repeat(np.arange(len(ends)), np.diff(bounds))
+        order = np.arange(interval.size)  # the active probes, in the order they step
+        while order.size:
+            keys = np.stack([interval[order], chunk["lo"][order], chunk["hi"][order]])
+            by = np.lexsort(keys[::-1])
+            fresh = np.append(True, (keys[:, by[1:]] != keys[:, by[:-1]]).any(axis=0))
+            step = np.empty_like(by)  # each probe's step: its bracket's rank of first appearance
+            step[by] = np.argsort(np.argsort(by[fresh]))[np.cumsum(fresh) - 1]
+            order, step = order[np.argsort(step, kind="stable")], np.sort(step)
+            heads = order[np.flatnonzero(np.diff(step, prepend=-1))]
+            v, a, b = interval[heads], chunk["lo"][heads], chunk["hi"][heads]
+            shrinks = (b - a > resolution) & (a < 0.5 * (a + b)) & (0.5 * (a + b) < b)
+            order, step = order[shrinks[step]], (np.cumsum(shrinks) - 1)[step[shrinks[step]]]
+            v, a, b = v[shrinks].tolist(), a[shrinks].tolist(), b[shrinks].tolist()
+            solved, active = momentum_decompositions(
+                ((RingSpec(ring.n_sites, 0.5 * (x + y), ring.variant),
+                  max(1e-12, min(base, base * (y - x) / (ends[u][1] - ends[u][0]))))
+                 for u, x, y in zip(v, a, b)), structure_tolerance), [order[:0]]
+            for first in range(0, len(v), size):
+                x, y = np.searchsorted(step, [first, first + size]).tolist()
+                batch = list(itertools.islice(solved, size))  # one batch of midpoints
+                moved = _step(chunk, order[x:y], step[x:y] - first, batch,
+                              [refs[u] for u in v[first:first + size]], threshold)
+                active.append(order[x:y][moved])
+            order = np.concatenate(active)
+    references.clear()
     return probes
 
 
-def _bisect(ring, intervals, resolution: float,
-            structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT, references=None) -> list:
-    """Shrink the bracket of each probe of every (lo, hi, probes) in ``intervals`` until it is no
-    wider than ``resolution`` or cannot shrink; returns each interval's events in probe order.
-    ``ring`` (SweepResult or LevelCurve) gives the ring size, variant and cluster tolerance, and
-    the midpoints' concurrences are checked at ``structure_tolerance``.
-    ``batch_size`` intervals, drawn from ``intervals`` as their turn comes, go in lockstep: each
-    pops its left end from the sweep's ``references`` (by alpha; emptied at the end), the
-    missing ones solved as one batch; a round's midpoints form one batch, and each batch of
-    midpoints matches the levels its probes follow in one ``best_partners`` pass."""
-    base, size, events = ring.cluster_tolerance, batch_size(ring.n_sites), []
-    intervals, references = iter(intervals), {} if references is None else references
-    while chunk := list(itertools.islice(intervals, size)):
-        refs = [references.pop(lo, None) for lo, _, _ in chunk]
-        missing = momentum_decompositions((RingSpec(ring.n_sites, lo, ring.variant), base)
-                                          for (lo, _, _), ref in zip(chunk, refs) if ref is None)
-        refs = [next(missing) if ref is None else ref for ref in refs]
-        brackets = [[(lo, hi)] * len(probes) for lo, hi, probes in chunk]
-        active = [list(range(len(probes))) for _, _, probes in chunk]
-        while any(active):
-            steps = []  # (interval, bracket, probes), in the order one interval steps them
-            for v, held in enumerate(active):
-                groups: dict = {}
-                for k in held:
-                    groups.setdefault(brackets[v][k], []).append(k)
-                steps += [(v, a, b, members) for (a, b), members in groups.items()
-                          if b - a > resolution and a < 0.5 * (a + b) < b]  # else cannot shrink
-            solved, active = zip(steps, momentum_decompositions(
-                ((RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
-                  max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
-                 for v, a, b, _ in steps), structure_tolerance)), [[] for _ in chunk]
-            while batch := list(itertools.islice(solved, size)):  # one batch of midpoints
-                # the levels each step's probes follow, each matched once
-                levels = [list(dict.fromkeys(level for k in members
-                                             for level in chunk[v][2][k].levels))
-                          for (v, _, _, members), _ in batch]
-                found = best_partners([(refs[v], wanted, dec)
-                                       for ((v, *_), dec), wanted in zip(batch, levels)])
-                for ((v, a, b, members), dec), wanted, (partners, overlaps) in zip(
-                        batch, levels, found):
-                    match = dict(zip(wanted, zip(partners.tolist(), overlaps.tolist()))).__getitem__
-                    for k in members:
-                        brackets[v][k] = chunk[v][2][k].step(refs[v], a, b, dec, match)
-                        if brackets[v][k] != (a, b):  # else the halving rounded back
-                            active[v].append(k)
-        events += [[probe.event(*bracket) for probe, bracket in zip(probes, held)]
-                   for (_, _, probes), held in zip(chunk, brackets)]
-    references.clear()
-    return events
+def _step(probes: np.ndarray, q, t, batch, refs, threshold: float) -> np.ndarray:
+    """Move the ``_PROBE`` rows q of ``probes`` to their next brackets in place, q[i] by solution
+    ``batch[t[i]]`` at its midpoint, its levels matched from ``refs[t[i]]`` in one best_partners
+    call; returns which moved.  A bracket keeps the end where the pair is out of order or the
+    concurrence (``_point_cells``) not as at lo; a merged pair keeps the middle half, a tie mid."""
+    span = probes["levels"].max() + 1
+    keys = t[:, None] * span + probes["levels"][q]
+    wanted = np.sort(keys, axis=None)
+    wanted = wanted[np.diff(wanted, prepend=-1) > 0]  # each step's levels, once each
+    cuts = np.searchsorted(wanted // span, np.arange(len(batch) + 1)).tolist()
+    found = best_partners([(ref, wanted[x:y] % span, dec)
+                           for ref, dec, x, y in zip(refs, batch, cuts, cuts[1:])])
+    partners, overlaps = (np.concatenate(p)[np.searchsorted(wanted, keys)] for p in zip(*found))
+    firsts = np.cumsum([0] + [dec.energies.size for dec in batch])[t, None]
+    gap = np.subtract(*np.concatenate([dec.energies for dec in batch])[firsts + partners].T)
+    separation, value = probes["separation"][q], np.zeros(q.size)
+    swap = separation == 0
+    for k in np.flatnonzero(separation).tolist():  # the few sign changes, each with its check
+        value[k] = _point_cells(batch[t[k]], partners[k, :1])[0, separation[k] - 1, 0]
+    positive = np.where(swap, gap, value - threshold) > 0
+    merged = swap & ((partners[:, 0] == partners[:, 1]) | (overlaps.min(axis=1) < 0.5))
+    tied = swap & ~merged & (gap == 0)
+    right = ~merged & ~tied & (positive == probes["positive_lo"][q])
+    a, b = probes["lo"][q], probes["hi"][q]
+    mid, half = 0.5 * (a + b), 0.25 * (b - a)
+    probes["edge"][q] = np.where(~swap & positive & ~right, value, probes["edge"][q])
+    probes["lo"][q] = lo = np.where(merged, mid - half, np.where(right | tied, mid, a))
+    probes["hi"][q] = hi = np.where(merged, mid + half, np.where(right, b, mid))
+    return (lo != a) | (hi != b)
 
 
-def _interval_probes(sweep_result: SweepResult, separations=()):
-    """Yield (alpha_lo, alpha_hi, probes) for every consecutive backbone interval holding an
-    event: the level pairs (indexed at alpha_lo) whose pairing swaps energy order, then every
-    curve's sign changes at each of ``separations`` (``_sign_changes``)."""
-    backbone = [int(b) for b in sweep_result.backbone]
-    intervals = list(zip(backbone[:-1], backbone[1:]))
+def _interval_probes(sweep_result: SweepResult, separations=()) -> np.ndarray:
+    """The ``_PROBE`` rows of the events in the consecutive backbone intervals, by interval: the
+    level pairs (indexed at its left end) whose pairing swaps energy order, then every curve's
+    sign changes at each of ``separations`` (``_sign_changes``)."""
+    ends = np.stack([sweep_result.backbone[:-1], sweep_result.backbone[1:]], axis=1)  # (i, j)
     index = np.array([curve.level_indices for curve in sweep_result.curves])  # curve x point
-    tracked = ((index[:, backbone[:-1]] >= 0) & (index[:, backbone[1:]] >= 0)).T
-    signs = _sign_changes(sweep_result.curves, intervals, tracked, separations,
-                          sweep_result.concurrence_threshold)
-    for (i, j), both, probes in zip(intervals, tracked, signs):
-        # the curves by level at i (no two share one); the pairs whose later curve is below
-        # at j, in the row-major order of itertools.combinations
-        held = np.flatnonzero(both)[np.argsort(index[both, i])]
-        curves, at_i, at_j = held.tolist(), index[held, i].tolist(), index[held, j]
-        first, second = np.nonzero(np.triu(np.greater.outer(at_j, at_j), 1))
-        probes = [_OrderSwap(at_i[p], at_i[q], (curves[p], curves[q]))
-                  for p, q in zip(first.tolist(), second.tolist())] + probes
-        if probes:
-            yield sweep_result.points[i].alpha, sweep_result.points[j].alpha, probes
+    tracked = ((index[:, ends[:, 0]] >= 0) & (index[:, ends[:, 1]] >= 0)).T
+    # each interval's curve at each level of its left end (no two share one) and that curve's
+    # level at its right end, -1 if untracked; the level pairs whose curves swap order, by
+    # interval in the row-major order of itertools.combinations, 2^22 of them a slab
+    m, c = np.nonzero(tracked)
+    curve, at_j = np.full((len(ends), len(index)), -1), np.full((len(ends), len(index)), np.nan)
+    curve[m, index[c, ends[m, 0]]], at_j[m, index[c, ends[m, 0]]] = c, index[c, ends[m, 1]]
+    slab, swaps = max(1, 2 ** 22 // len(index) ** 2), [np.zeros((3, 0), int)]
+    upper = np.less.outer(np.arange(len(index)), np.arange(len(index)))
+    for first in range(0, len(ends), slab):
+        near = at_j[first:first + slab]  # NaN, untracked, compares false
+        found = np.flatnonzero((near[:, :, None] > near[:, None, :]) & upper)
+        m, a, b = np.unravel_index(found, near.shape + near.shape[-1:])
+        swaps.append(np.stack([m + first, a, b]))
+    m, *levels = np.hstack(swaps)
+    probes = np.zeros(m.size, _PROBE)
+    probes["levels"], probes["curves"] = np.transpose(levels), curve[m, levels].T
+    probes["lo"], probes["hi"] = sweep_result.alpha_grid[ends[m]].T
+    signs = _sign_changes(sweep_result.curves, ends, tracked, separations,
+                          sweep_result.concurrence_threshold)  # after each interval's crossings
+    return np.insert(probes, np.searchsorted(probes["lo"], signs["lo"], side="right"), signs)
 
 
 def _located_events(sweep_result: SweepResult, resolution: float, separations=(),
                     references=None) -> tuple:
-    """The crossings, ascending in alpha, and every curve's onsets and offsets
-    at ``separations``, ascending in (alpha, curve, separation); each backbone
-    interval is bisected once for all of its events, from the sweep's
-    ``references``.  The sorts are stable, so ties keep interval order per
-    (curve, separation), as entanglement_boundaries does."""
-    intervals = _interval_probes(sweep_result, separations)
-    events = [event for located in _bisect(sweep_result, intervals, resolution,
-                                           sweep_result.structure_tolerance, references)
-              for event in located]
-    return (tuple(sorted((e for e in events if e.kind == "crossing"), key=lambda e: e.alpha)),
-            sorted((e for e in events if e.kind != "crossing"),
+    """The crossings as ``_PROBE`` rows ascending in alpha, and the onsets and offsets at
+    ``separations`` as ``CrossingEvent``s ascending in (alpha, curve, separation), by stable sorts,
+    as entanglement_boundaries orders them; one bisection from the sweep's ``references``."""
+    located = _bisect(sweep_result, _interval_probes(sweep_result, separations), resolution,
+                      sweep_result.concurrence_threshold, sweep_result.structure_tolerance,
+                      references)
+    crossings = located[located["separation"] == 0]
+    return (crossings[np.argsort(0.5 * (crossings["lo"] + crossings["hi"]), kind="stable")],
+            sorted(_events(located[located["separation"] > 0]),
                    key=lambda e: (e.alpha, e.curve_indices, e.separation)))
 
 
-def _last_crossing(sweep_result: SweepResult, crossings,
+def _last_crossing(sweep_result: SweepResult, crossings: np.ndarray,
                    alpha_max_search: float) -> CrossingEvent | None:
-    """The highest of the located ``crossings`` and of the exact crossings on
-    non-backbone grid points at or below ``alpha_max_search``."""
-    on_grid = [CrossingEvent(p.alpha, (p.alpha, p.alpha), "crossing", ())
-               for p in sweep_result.points if p.count < sweep_result.generic_count
-               and 0.0 < p.alpha < INFINITY and p.alpha <= alpha_max_search]
-    return max([*crossings, *on_grid], key=lambda e: e.alpha, default=None)
+    """The highest of the located ``crossings``, the first on a tie, and of the exact crossings
+    on non-backbone grid points at or below ``alpha_max_search``."""
+    alphas = 0.5 * (crossings["lo"] + crossings["hi"])
+    on_grid = max((p.alpha for p in sweep_result.points if p.count < sweep_result.generic_count
+                   and 0.0 < p.alpha < INFINITY and p.alpha <= alpha_max_search), default=-math.inf)
+    if on_grid > alphas.max(initial=-math.inf):
+        return CrossingEvent(on_grid, (on_grid, on_grid), "crossing", ())
+    return (_events(crossings[alphas == alphas.max(initial=0.0)][:1]) or [None])[0]
 
 
 def find_last_crossing(n_sites: int, alpha_max_search: float,
@@ -502,9 +466,10 @@ def find_last_crossing(n_sites: int, alpha_max_search: float,
         grid = default_alpha_grid(lo=min(DEFAULT_GRID_MIN, alpha_max_search / 2),
                                   hi=alpha_max_search, extras=())
         sweep_result = sweep(n_sites, grid, variant, cluster_tolerance=cluster_tolerance)
-    intervals = [s for s in _interval_probes(sweep_result) if s[0] <= alpha_max_search]
-    located = _bisect(sweep_result, intervals[-1:], resolution)[0] if intervals else []
-    return _last_crossing(sweep_result, located, alpha_max_search)
+    probes = _interval_probes(sweep_result)
+    lo = probes["lo"][probes["lo"] <= alpha_max_search].max(initial=-math.inf)  # the last
+    return _last_crossing(sweep_result, _bisect(sweep_result, probes[probes["lo"] == lo],
+                                                resolution), alpha_max_search)
 
 
 def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,
@@ -517,10 +482,11 @@ def locate_crossing(curve_a: LevelCurve, curve_b: LevelCurve,
     if len(changes) == 0:
         return None
     i, j = int(idx[changes[0]]), int(idx[changes[0] + 1])
-    probe = _OrderSwap(int(curve_a.level_indices[i]), int(curve_b.level_indices[i]),
-                       (curve_a.curve_index, curve_b.curve_index))
-    alphas = curve_a.alpha_grid.tolist()
-    return _bisect(curve_a, [(alphas[i], alphas[j], [probe])], resolution)[0][0]
+    probe = np.zeros(1, _PROBE)
+    probe["levels"] = sorted([curve_a.level_indices[i], curve_b.level_indices[i]])  # lower first
+    probe["curves"] = curve_a.curve_index, curve_b.curve_index
+    probe["lo"], probe["hi"] = curve_a.alpha_grid[[i, j]]
+    return _events(_bisect(curve_a, probe, resolution))[0]
 
 
 def entanglement_boundaries(curve: LevelCurve, separation: int,
@@ -534,12 +500,11 @@ def entanglement_boundaries(curve: LevelCurve, separation: int,
     the boundary is a discontinuity at a level crossing, not a smooth zero;
     it is returned with ``crossing_coincident=True``.
     """
-    idx, alphas = np.nonzero(curve.valid)[0].tolist(), curve.alpha_grid.tolist()
+    idx = np.nonzero(curve.valid)[0].tolist()
     pairs = list(zip(idx[:-1], idx[1:]))
-    signs = _sign_changes([curve], pairs, np.ones((len(pairs), 1), dtype=bool), [separation],
-                          threshold, jump_scale)
-    intervals = [(alphas[i], alphas[j], probes) for (i, j), probes in zip(pairs, signs) if probes]
-    return tuple(event for (event,) in _bisect(curve, intervals, resolution))
+    probes = _sign_changes([curve], pairs, np.ones((len(pairs), 1), dtype=bool), [separation],
+                           threshold)
+    return tuple(_events(_bisect(curve, probes, resolution, threshold), jump_scale))
 
 
 def separation_existence_intervals(sweep_result: SweepResult, separation: int,

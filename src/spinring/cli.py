@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .analysis import (CONCURRENCE_THRESHOLD_DEFAULT, RESOLUTION_DEFAULT,
                        _last_crossing, _linear_fit, _located_events, _momentum_point,
                        _point_cells, default_alpha_grid, entangled_projector_census,
                        separation_existence_intervals, sweep)
-from .serialize import (SCHEMA_VERSION, emit_csv, emit_json, parse_real,
+from .serialize import (SCHEMA_VERSION, Fragment, emit_csv, emit_json, emit_rows, parse_real,
                         write_output)
 
 EXIT_OK = 0
@@ -280,17 +280,15 @@ def cmd_concurrence(config: RunConfig) -> str:
     return _emit_table(config, header, tables, structure_tolerance=config.structure_tolerance)
 
 
-def _event_doc(event) -> dict:
-    doc = {
-        "alpha": event.alpha,
-        "bracket": [event.bracket[0], event.bracket[1]],
-        "kind": event.kind,
-        "curve_indices": list(event.curve_indices),
-    }
-    if event.separation is not None:
-        doc["separation"] = event.separation
-        doc["crossing_coincident"] = event.crossing_coincident
-    return doc
+# a "crossings" entry: its alpha and bracket ends, then its two curves
+_CROSSING = {"alpha": Fragment("%s"), "bracket": [Fragment("%s"), Fragment("%s")],
+             "kind": "crossing", "curve_indices": [Fragment("%d"), Fragment("%d")]}
+
+
+def _event_doc(event) -> dict | None:
+    """The ``CrossingEvent``'s fields, the separation and jump flag of a boundary only."""
+    return None if event is None else dict(list(asdict(event).items())[:6 if event.separation
+                                                                       else 4])
 
 
 def cmd_report(config: RunConfig) -> str:
@@ -339,9 +337,8 @@ def cmd_report(config: RunConfig) -> str:
             gaps_doc[str(sep)] = [{"offset": _event_doc(off), "onset": _event_doc(on)}
                                   for off, on in gaps]
 
-    max_sep_onsets = [e for e in boundaries
-                      if e.kind == "onset" and e.separation == n_seps]
-    max_distance_onset = min(max_sep_onsets, key=lambda e: e.alpha, default=None)
+    max_distance_onset = min((e for e in boundaries if e.kind == "onset"
+                              and e.separation == n_seps), key=lambda e: e.alpha, default=None)
 
     at_infinity = result.points[-1]  # the fit's point, the sweep's if the grid holds it
     if at_infinity.alpha != INFINITY:
@@ -382,12 +379,13 @@ def cmd_report(config: RunConfig) -> str:
         "projector_dimension_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "entangled_level_census": {str(k): v for k, v in level_census.items()},
         "entangled_projector_census": census_doc,
-        "crossings": [_event_doc(e) for e in crossings],
-        "last_crossing": _event_doc(last) if last is not None else None,
+        "crossings": emit_rows(_CROSSING, np.column_stack([
+            0.5 * (crossings["lo"] + crossings["hi"]), crossings["lo"], crossings["hi"],
+            crossings["curves"]]), 2),
+        "last_crossing": _event_doc(last),
         "entanglement_boundaries": [_event_doc(e) for e in boundaries],
         "separation_gaps": gaps_doc,
-        "max_distance_onset": (_event_doc(max_distance_onset)
-                               if max_distance_onset is not None else None),
+        "max_distance_onset": _event_doc(max_distance_onset),
         "nn_linear_fit": fit_doc,
         "global_measures": measures,
         "sweep_warnings": list(result.warnings),

@@ -32,6 +32,10 @@ def format_real(value: float, infinity_token: str = CSV_INFINITY) -> str:
     return text
 
 
+class Fragment(str):
+    """JSON text that ``_emit`` writes as it stands, already indented for its place."""
+
+
 def _emit(obj, out, indent: int, infinity_token: str) -> None:
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -62,7 +66,7 @@ def _emit(obj, out, indent: int, infinity_token: str) -> None:
     elif isinstance(obj, float):
         out.append(format_real(obj, infinity_token))
     elif isinstance(obj, str):
-        out.append(_quoted(obj))
+        out.append(obj if isinstance(obj, Fragment) else _quoted(obj))
     elif obj is None:
         out.append("null")
     else:
@@ -78,17 +82,33 @@ def emit_json(document) -> str:
     return "".join(out)
 
 
-def _real_rows(values: np.ndarray) -> list:
-    """Each row of the R x k reals as ``format_real`` prints them, comma-joined, by one template
-    a row: %.1f where %.17g prints no point or exponent (integral, below 1e17 in size)."""
+def _real_text(values: np.ndarray, pattern: str, separator: str,
+               infinity_token: str = CSV_INFINITY) -> str:
+    """The rows of ``values`` by ``pattern``, joined by ``separator``: its %s slots print the first
+    columns as ``format_real`` does, by one template a row (%.1f where %.17g prints no point or
+    exponent: integral, below 1e17 in size), and its %d slots the integral columns after them."""
     if np.isnan(values).any():
         raise ValueError("NaN has no serialized form")
-    width = values.shape[1]  # bit j of a row's code picks %.1f for its cell j
-    templates = [",".join(("%.17g", "%.1f")[code >> j & 1] for j in range(width))
-                 for code in range(2 ** width)]
-    codes = ((values == np.trunc(values)) & (np.abs(values) < 1e17)) @ (1 << np.arange(width))
-    text = "\n".join([templates[c] for c in codes.tolist()]) % tuple(values.ravel().tolist())
-    return text.split("\n") if len(values) else []
+    parts, infinite, width = pattern.split("%s"), np.isinf(values), pattern.count("%s")
+    reals = values[:, :width]
+    kinds = ((reals == np.trunc(reals)) & (np.abs(reals) < 1e17)) + 2 * infinite[:, :width]
+    codes = (kinds @ 3 ** np.arange(width)).tolist()  # digit j: %.17g, %.1f or %s
+    templates = {code: parts[0] + "".join(("%.17g", "%.1f", "%s")[code // 3 ** j % 3] + part
+                                          for j, part in enumerate(parts[1:]))
+                 for code in set(codes)}
+    cells = values.ravel().tolist()
+    for i in np.flatnonzero(infinite).tolist():
+        cells[i] = format_real(cells[i], infinity_token)
+    return separator.join([templates[code] for code in codes]) % tuple(cells)
+
+
+def emit_rows(entry: dict, values: np.ndarray, indent: int) -> Fragment:
+    """The JSON list at ``indent`` of an ``entry`` a row of ``values``, as ``emit_json`` writes it:
+    Fragment("%s") in ``entry`` takes a real of the row, Fragment("%d") an integer after them."""
+    pattern, pad = [], "\n" + " " * (indent + 2)
+    _emit(entry, pattern, indent + 2, JSON_INFINITY)
+    text = _real_text(values, "".join(pattern), "," + pad, JSON_INFINITY)
+    return Fragment(f"[{pad}{text}\n{' ' * indent}]" if len(values) else "[]")
 
 
 def emit_csv(header, tables) -> str:
@@ -99,10 +119,12 @@ def emit_csv(header, tables) -> str:
     for alpha, energies, multiplicities, cells in tables:
         alpha = format_real(alpha)
         rows = [f"{alpha},{li},{energy},{m}" for li, (energy, m) in enumerate(
-            zip(_real_rows(energies[:, None]), multiplicities.tolist()))]
+            zip(_real_text(energies[:, None], "%s", "\n").split("\n"), multiplicities.tolist()))]
         if cells is not None:
             rows = [f"{row},{sep}," for row in rows for sep in range(1, cells.shape[1] + 1)]
-            rows = map(str.__add__, rows, _real_rows(cells.reshape(len(rows), -1)))
+            pattern = ",".join(["%s"] * cells.shape[2])
+            rows = map(str.__add__, rows, _real_text(cells.reshape(len(rows), -1), pattern,
+                                                     "\n").split("\n"))
         lines += rows
     return "\n".join(lines) + "\n"
 

@@ -145,6 +145,9 @@ class MomentumDecomposition(BlockDecomposition):
     def cells(self) -> np.ndarray:
         return self.batch.cells[slice(*self.batch.bounds[self.index:self.index + 2])]
 
+    def identity(self) -> np.ndarray:
+        return self.batch.identity[:, slice(*self.batch.bounds[self.index:self.index + 2])]
+
 
 @dataclass(eq=False)
 class _Batch:
@@ -239,6 +242,18 @@ class _Batch:
         a, b, c = (1 + z) / 4, (1 - z) / 4, z / 2
         return read_only(np.stack([np.maximum(2.0 * (np.abs(c) - a), 0.0), a, b, c,
                                    self.residuals], axis=2).swapaxes(0, 1))
+
+    @functools.cached_property
+    def identity(self) -> np.ndarray:
+        """Each level's error in E = scale sum_d n_d w_d <sigma_1 . sigma_{1+d}> + shift (n_d pairs
+        at separation d; ``variant_map``) and the 1 + sum_d |n_d w_d <...>| it is measured by."""
+        n = self.jobs[0][0].n_sites
+        pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)[:, None]
+        alpha, scale, shift = np.repeat([(spec.alpha, *variant_map(spec)) for spec, _ in self.jobs],
+                                        np.diff(self.bounds), axis=0).T
+        terms = pairs * separation_weights(n, 1.0)[:, None] ** alpha * self.correlators  # w = r^-a
+        return read_only(np.stack([np.abs((self.energies - shift) / scale - terms.sum(axis=0)),
+                                   1 + np.abs(terms).sum(axis=0)]))
 
 
 def _clusters(values: np.ndarray, tolerances: np.ndarray) -> tuple:

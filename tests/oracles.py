@@ -34,9 +34,17 @@ partner above overlap 1/2 (``analysis._partners``).
 ``bisect`` locates the events of one backbone interval with one solve per
 step, matching one level at a time (``best_partner``): the reference for
 ``analysis._bisect``, which bisects many intervals in lockstep and solves each
-round's midpoints as one batch.  ``sign_changes`` compares one curve's
-concurrence at one interval's ends: the reference for
-``analysis._sign_changes``, which compares every curve and interval at once.
+round's midpoints as one batch.  ``lockstep_bisect`` steps the same probes, one
+``OrderSwap`` or ``SignChange`` object at a time, in ``analysis._bisect``'s
+lockstep and batch order (each probe's level checked by ``point_cells``): the
+reference for its table of probes stepped as arrays.  ``interval_probes`` scans
+each backbone interval's level pairs by itertools.combinations, and
+``sign_changes`` compares one curve's concurrence at one interval's ends: the
+references for ``analysis._interval_probes`` and ``analysis._sign_changes``,
+which compare every curve and interval at once.  ``probe_objects`` and
+``probe_intervals`` turn ``analysis._PROBE`` rows into those objects, and
+``energy_identity`` checks one spec's levels at a time: the reference for
+``spectra._Batch.identity``.
 ``all_crossings`` gives the crossings ``report`` locates, for the tests that
 read them alone.
 
@@ -51,6 +59,7 @@ solved alone (``energy_levels``, ``_momentum_point``): the references for
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -59,8 +68,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinring.analysis import (JUMP_SCALE_DEFAULT, RESOLUTION_DEFAULT, _check_energy_identity,
-                               _located_events, _momentum_point, _SignChange)
+from spinring.analysis import (ENERGY_IDENTITY_RTOL, JUMP_SCALE_DEFAULT, RESOLUTION_DEFAULT,
+                               CrossingEvent, _events, _located_events, _momentum_point)
 from spinring.entanglement import STRUCTURE_TOLERANCE_DEFAULT, PairStateWarning, StructureError
 from spinring.model import (RingSpec, SectorBlock, Variant, _ring_pairs, _translation_orbits,
                             block_groups, build_sector_blocks, read_only, sector_block,
@@ -388,6 +397,31 @@ def level_measures(dec: SpectralDecomposition, inner_over_n: bool = False,
     return 2.0 - (2.0 / n) * single, (4.0 / 3.0) * (n - 1 - inner_weight * purities) / (n - 1)
 
 
+def energy_identity(spec: RingSpec, energies: np.ndarray, correlations) -> np.ndarray:
+    """Each level's error in E = scale * sum_d w_d n_d <s_1 . s_{1+d}> + shift, n_d pairs at
+    separation d with their correlation in row d - 1 of ``correlations``, and the
+    1 + sum_d |w_d n_d <...>| it is measured against: the reference for
+    ``spectra._Batch.identity``."""
+    n, (scale, shift) = spec.n_sites, variant_map(spec)
+    pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)
+    terms = (pairs * separation_weights(n, spec.alpha))[:, None] * correlations
+    return np.stack([np.abs((energies - shift) / scale - terms.sum(axis=0)),
+                     1 + np.abs(terms).sum(axis=0)])
+
+
+def _check_energy_identity(spec: RingSpec, energies: np.ndarray, correlations,
+                           indices=None) -> None:
+    """Raise StructureError unless every level's ``energy_identity`` error is within
+    ENERGY_IDENTITY_RTOL of its scale; the levels are numbered by ``indices`` when given, else
+    by position."""
+    error, scale = energy_identity(spec, energies, correlations)
+    bad = np.flatnonzero(error > ENERGY_IDENTITY_RTOL * scale)
+    if bad.size:
+        level = bad[0] if indices is None else indices[bad[0]]
+        raise StructureError(f"level {level} energy differs from the sum of its pair "
+                             f"correlators by {error[bad[0]]:.3e}")
+
+
 def _point_records(dec: SpectralDecomposition, structure_tolerance: float) -> np.ndarray:
     """The cells of every level of a sector decomposition from its pair tables: concurrence,
     a, b, c and the deviation from diag(a, b, b, a) + c at separations 1 .. N//2, after
@@ -683,6 +717,101 @@ def layout_level_arrays(spec: RingSpec,
     return spectra._clusters(values, np.array([cluster_tolerance], dtype=float))[1:5]
 
 
+def point_cells(dec, levels) -> np.ndarray:
+    """The cells of the listed ``levels`` of a momentum decomposition, after raising
+    StructureError on a residual of theirs at its structure tolerance, or on one of them whose
+    energy misses the sum of its pair correlators: the reference for ``analysis._point_cells``."""
+    structure_tolerance = dec.batch.structure_tolerance
+    cells = dec.cells()[levels]
+    if cells[..., 4].max() >= structure_tolerance:
+        worst = cells[..., 4].max(axis=0)
+        raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "
+                             f"by {worst.max():.3e} (tolerance {structure_tolerance:.3e})")
+    _check_energy_identity(dec.spec, dec.energies[levels], dec.correlators()[:, levels], levels)
+    return cells
+
+
+@dataclass(frozen=True)
+class OrderSwap:
+    """Probe for the alpha where levels ``a`` and ``b`` of the reference
+    exchange energy order; ``label`` holds their curve indices."""
+
+    a: int
+    b: int
+    label: tuple
+
+    @property
+    def levels(self) -> tuple:
+        return self.a, self.b
+
+    def step(self, ref, lo, hi, dec, match) -> tuple:
+        mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
+        (ja, ova), (jb, ovb) = match(self.a), match(self.b)
+        if ja == jb or min(ova, ovb) < 0.5:
+            return (mid - half, mid + half)  # merged at this resolution; the crossing is here
+        f_mid = dec.energies[ja] - dec.energies[jb]
+        if f_mid == 0.0:
+            return (mid, mid)
+        f_lo = ref.energies[self.a] - ref.energies[self.b]
+        return (mid, hi) if (f_mid > 0) == (f_lo > 0) else (lo, mid)
+
+    def event(self, lo, hi) -> CrossingEvent:
+        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "crossing", self.label)
+
+
+@dataclass
+class SignChange:
+    """Probe for the alpha where the concurrence of reference level ``level``
+    (curve ``curve_index``) at ``separation`` crosses ``threshold``.  The jump
+    test reads ``edge``, the in-range grid value until an in-range midpoint
+    becomes ``hi``; it changes as the probe is bisected, so a probe serves once."""
+
+    curve_index: int
+    level: int
+    separation: int
+    positive_lo: bool
+    edge: float
+    threshold: float
+    jump_scale: float
+
+    @property
+    def levels(self) -> tuple:
+        return self.level,
+
+    def step(self, ref, lo, hi, dec, match) -> tuple:
+        mid = 0.5 * (lo + hi)
+        cells = point_cells(dec, [match(self.level)[0]])
+        value = float(cells[0, self.separation - 1, 0])
+        if (value > self.threshold) == self.positive_lo:
+            return (mid, hi)
+        if value > self.threshold:
+            self.edge = value
+        return (lo, mid)
+
+    def event(self, lo, hi) -> CrossingEvent:
+        return CrossingEvent(0.5 * (lo + hi), (lo, hi), "offset" if self.positive_lo else "onset",
+                             (self.curve_index,), self.separation,
+                             crossing_coincident=bool(self.edge > self.jump_scale))
+
+
+def probe_objects(probes, threshold: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+    """The ``analysis._PROBE`` rows ``probes`` as ``OrderSwap`` and ``SignChange`` objects."""
+    return [OrderSwap(a, b, (ca, cb)) if not separation else
+            SignChange(ca, a, separation, positive, edge, threshold, jump_scale)
+            for (a, b), (ca, cb), separation, positive, edge in zip(
+                *(probes[name].tolist() for name in probes.dtype.names[:5]))]
+
+
+def probe_intervals(probes, threshold: float, jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
+    """The (lo, hi, ``probe_objects``) of each interval of the ``analysis._PROBE`` rows
+    ``probes``, which come by interval, each bracketed by it: what ``bisect`` and
+    ``lockstep_bisect`` take."""
+    firsts = [*np.flatnonzero(np.diff(probes["lo"], prepend=np.nan) != 0).tolist(), len(probes)]
+    return [(probes["lo"][a].item(), probes["hi"][a].item(),
+             probe_objects(probes[a:b], threshold, jump_scale))
+            for a, b in zip(firsts, firsts[1:])]
+
+
 def sign_changes(curve, i: int, j: int, separations, threshold: float,
                  jump_scale: float = JUMP_SCALE_DEFAULT) -> list:
     """The probes of one curve's concurrence at each of ``separations`` whose sign changes
@@ -690,9 +819,28 @@ def sign_changes(curve, i: int, j: int, separations, threshold: float,
     separation: the reference for ``analysis._sign_changes``."""
     values = curve.concurrence[:, [i, j]]
     above = (values > threshold).tolist()
-    return [_SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
-                        values[sep - 1].max(), threshold, jump_scale)
+    return [SignChange(curve.curve_index, int(curve.level_indices[i]), sep, above[sep - 1][0],
+                       values[sep - 1].max(), threshold, jump_scale)
             for sep in separations if above[sep - 1][0] != above[sep - 1][1]]
+
+
+def interval_probes(res, separations) -> list:
+    """(alpha_lo, alpha_hi, probes) of every backbone interval holding an event: the order swaps
+    of every tracked level pair, by itertools.combinations in energy order at the interval's
+    left end, then each tracked curve's ``sign_changes``: the reference for
+    ``analysis._interval_probes``."""
+    backbone, intervals = res.backbone.tolist(), []
+    for i, j in zip(backbone[:-1], backbone[1:]):
+        tracked = [c for c in res.curves if c.valid[i] and c.valid[j]]
+        held = sorted((int(c.level_indices[i]), int(c.level_indices[j]), c.curve_index)
+                      for c in tracked)
+        probes = [OrderSwap(k, l, (a, b))
+                  for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
+        probes += [probe for curve in tracked
+                   for probe in sign_changes(curve, i, j, separations, res.concurrence_threshold)]
+        if probes:
+            intervals.append((res.points[i].alpha, res.points[j].alpha, probes))
+    return intervals
 
 
 def bisect(ring, lo: float, hi: float, probes, resolution: float,
@@ -729,6 +877,56 @@ def bisect(ring, lo: float, hi: float, probes, resolution: float,
     return [probe.event(*bracket) for probe, bracket in zip(probes, brackets)]
 
 
+def lockstep_bisect(ring, intervals, resolution: float,
+                    structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
+                    references=None) -> list:
+    """``bisect`` of every (lo, hi, probes) of ``intervals``, ``spectra.batch_size`` intervals in
+    lockstep as ``analysis._bisect`` steps them, one probe object at a time: each chunk takes its
+    left ends from ``references`` (by alpha; emptied at the end) or solves them as one batch, a
+    round's midpoints form one batch, and each batch of midpoints matches the levels its probes
+    follow in one ``best_partners`` pass; returns each interval's events in probe order.  The
+    reference for ``analysis._bisect``'s arrays and its order of solves."""
+    base, size, events = ring.cluster_tolerance, spectra.batch_size(ring.n_sites), []
+    intervals, references = iter(intervals), {} if references is None else references
+    while chunk := list(itertools.islice(intervals, size)):
+        refs = [references.pop(lo, None) for lo, _, _ in chunk]
+        missing = spectra.momentum_decompositions(
+            (RingSpec(ring.n_sites, lo, ring.variant), base)
+            for (lo, _, _), ref in zip(chunk, refs) if ref is None)
+        refs = [next(missing) if ref is None else ref for ref in refs]
+        brackets = [[(lo, hi)] * len(probes) for lo, hi, probes in chunk]
+        active = [list(range(len(probes))) for _, _, probes in chunk]
+        while any(active):
+            steps = []  # (interval, bracket, probes), in the order one interval steps them
+            for v, held in enumerate(active):
+                groups: dict = {}
+                for k in held:
+                    groups.setdefault(brackets[v][k], []).append(k)
+                steps += [(v, a, b, members) for (a, b), members in groups.items()
+                          if b - a > resolution and a < 0.5 * (a + b) < b]  # else cannot shrink
+            solved, active = zip(steps, spectra.momentum_decompositions(
+                ((RingSpec(ring.n_sites, 0.5 * (a + b), ring.variant),
+                  max(1e-12, min(base, base * (b - a) / (chunk[v][1] - chunk[v][0]))))
+                 for v, a, b, _ in steps), structure_tolerance)), [[] for _ in chunk]
+            while batch := list(itertools.islice(solved, size)):  # one batch of midpoints
+                levels = [list(dict.fromkeys(level for k in members
+                                             for level in chunk[v][2][k].levels))
+                          for (v, _, _, members), _ in batch]
+                found = spectra.best_partners([(refs[v], wanted, dec)
+                                               for ((v, *_), dec), wanted in zip(batch, levels)])
+                for ((v, a, b, members), dec), wanted, (partners, overlaps) in zip(
+                        batch, levels, found):
+                    match = dict(zip(wanted, zip(partners.tolist(), overlaps.tolist()))).__getitem__
+                    for k in members:
+                        brackets[v][k] = chunk[v][2][k].step(refs[v], a, b, dec, match)
+                        if brackets[v][k] != (a, b):  # else the halving rounded back
+                            active[v].append(k)
+        events += [[probe.event(*bracket) for probe, bracket in zip(probes, held)]
+                   for (_, _, probes), held in zip(chunk, brackets)]
+    references.clear()
+    return events
+
+
 def best_partner(dec_a, index_a: int, dec_b) -> tuple[int, float]:
     """``spectra.best_partners`` of one level: its best-overlap partner in ``dec_b`` and that
     overlap."""
@@ -738,8 +936,8 @@ def best_partner(dec_a, index_a: int, dec_b) -> tuple[int, float]:
 
 def all_crossings(sweep_result, resolution: float = RESOLUTION_DEFAULT) -> tuple:
     """Every order swap flagged by the scan, bisected, ascending in alpha: the crossings of
-    ``analysis._located_events``, as ``report`` locates them."""
-    return _located_events(sweep_result, resolution)[0]
+    ``analysis._located_events``, as ``report`` locates them, as ``CrossingEvent``s."""
+    return tuple(_events(_located_events(sweep_result, resolution)[0]))
 
 
 def emit_csv(header, rows) -> str:

@@ -1,7 +1,6 @@
 import dataclasses
+import functools
 import gc
-import inspect
-import itertools
 import json
 import math
 import re
@@ -14,7 +13,7 @@ import oracles
 import spinring.analysis as analysis_module
 import spinring.cli as cli_module
 import spinring.spectra as spectra_module
-from spinring import (INFINITY, InsufficientDataError, SweepError, Variant,
+from spinring import (INFINITY, CrossingEvent, InsufficientDataError, SweepError, Variant,
                       count_distinct_levels, default_alpha_grid,
                       diagonalize, distance_selectivity_check,
                       entangled_level_census, entangled_projector_census,
@@ -28,6 +27,7 @@ from spinring.cli import main
 from spinring.model import weight_offsets
 
 THRESHOLD = 1e-10
+REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
 
 
 def test_default_alpha_grid_shape():
@@ -420,22 +420,15 @@ def test_golden_report_solve_counts(monkeypatch, capsys):
 @pytest.mark.parametrize("n", range(4, 10))
 def test_interval_probes_match_the_pairwise_scan(n):
     # the order swaps of every tracked level pair, by itertools.combinations in energy order
-    # at the interval's left end, then each tracked curve's sign changes
+    # at the interval's left end, then each tracked curve's sign changes, interval by interval,
+    # each bracketed by its interval
     res = sweep(n, sorted({*np.geomspace(0.3, 10, 14).tolist(), 2.0}))
-    backbone, separations, expected = [int(b) for b in res.backbone], range(1, n // 2 + 1), []
-    for i, j in zip(backbone[:-1], backbone[1:]):
-        tracked = [c for c in res.curves if c.valid[i] and c.valid[j]]
-        held = sorted((int(c.level_indices[i]), int(c.level_indices[j]), c.curve_index)
-                      for c in tracked)
-        probes = [analysis_module._OrderSwap(k, l, (a, b))
-                  for (k, pk, a), (l, pl, b) in itertools.combinations(held, 2) if pk > pl]
-        probes += [probe for curve in tracked
-                   for probe in oracles.sign_changes(
-                       curve, i, j, separations, res.concurrence_threshold)]
-        if probes:
-            expected.append((res.points[i].alpha, res.points[j].alpha, probes))
-    got = list(analysis_module._interval_probes(res, separations))
-    assert got == expected
+    separations, threshold = range(1, n // 2 + 1), res.concurrence_threshold
+    got = analysis_module._interval_probes(res, separations)
+    want = oracles.interval_probes(res, separations)
+    assert oracles.probe_intervals(got, threshold) == want
+    assert got["hi"].tolist() == [hi for _, hi, probes in want for _ in probes]
+    assert (got["separation"] == 0).any()
     # entanglement_boundaries' scan, one curve and separation over its valid intervals
     for curve in res.curves:
         idx = np.flatnonzero(curve.valid).tolist()
@@ -443,58 +436,128 @@ def test_interval_probes_match_the_pairwise_scan(n):
         for sep in separations:
             scanned = analysis_module._sign_changes(
                 [curve], pairs, np.ones((len(pairs), 1), bool), [sep], 1e-10)
-            assert scanned == [oracles.sign_changes(curve, i, j, [sep], 1e-10)
-                               for i, j in pairs]
-    swaps = [p for _, _, probes in got for p in probes if isinstance(p, analysis_module._OrderSwap)]
-    assert swaps and all(type(x) is int for p in swaps for x in (p.a, p.b, *p.label))
+            assert list(zip(scanned["lo"].tolist(), scanned["hi"].tolist(),
+                            oracles.probe_objects(scanned, 1e-10))) == \
+                [(res.alpha_grid[i], res.alpha_grid[j], probe) for i, j in pairs
+                 for probe in oracles.sign_changes(curve, i, j, [sep], 1e-10)]
+
+
+def _intervals(probes) -> list:
+    """The rows of each interval of the ``analysis._PROBE`` rows ``probes``."""
+    firsts = [*np.flatnonzero(np.diff(probes["lo"], prepend=np.nan) != 0).tolist(), len(probes)]
+    return [probes[a:b] for a, b in zip(firsts, firsts[1:])]
 
 
 def test_grouped_bisection_matches_one_pair_at_a_time(monkeypatch):
     res = sweep(6, np.linspace(0.5, 12, 12))
-    lo, hi, swapped = next(s for s in analysis_module._interval_probes(res) if len(s[2]) >= 8)
+    swapped = next(rows for rows in _intervals(analysis_module._interval_probes(res))
+                   if len(rows) >= 8)
 
     def bisect(probes):
-        return analysis_module._bisect(res, [(lo, hi, probes)], 1e-6)[0]
+        return analysis_module._events(analysis_module._bisect(res, probes, 1e-6))
 
     calls = _recording_solves(monkeypatch)
     grouped = bisect(swapped)
     shared = len(calls)
-    single = [bisect([probe])[0] for probe in swapped]
+    single = [bisect(swapped[k:k + 1])[0] for k in range(len(swapped))]
     assert grouped == single
     assert len({e.bracket for e in grouped}) > 1   # the brackets do part ways
     assert shared < len(calls) - shared
 
 
-def _one_interval_at_a_time(ring, intervals, resolution):
-    return [oracles.bisect(ring, lo, hi, probes, resolution) for lo, hi, probes in intervals]
+def _one_interval_at_a_time(ring, probes, resolution, threshold=THRESHOLD, jump_scale=0.01):
+    """The events of ``oracles.bisect`` on each interval of the ``analysis._PROBE`` rows."""
+    return [event for lo, hi, objects in oracles.probe_intervals(probes, threshold, jump_scale)
+            for event in oracles.bisect(ring, lo, hi, objects, resolution)]
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_lockstep_bisection_matches_one_interval_at_a_time(n, monkeypatch):
     res = sweep(n, sorted({*np.geomspace(0.3, 10, 14).tolist(), 2.0}))
-    separations = range(1, n // 2 + 1)
-    want = _one_interval_at_a_time(res, list(analysis_module._interval_probes(res, separations)),
-                                   0.05)
-    assert sum(map(len, want)) > 0
+    probes = analysis_module._interval_probes(res, range(1, n // 2 + 1))
+    want = _one_interval_at_a_time(res, probes, 0.05)
+    assert want
     for batch_bytes in (spectra_module.BATCH_BYTES, 1):  # one interval and one alpha a batch
         monkeypatch.setattr(spectra_module, "BATCH_BYTES", batch_bytes)
-        intervals = list(analysis_module._interval_probes(res, separations))  # fresh probes
-        assert analysis_module._bisect(res, intervals, 0.05) == want
+        assert analysis_module._events(analysis_module._bisect(res, probes, 0.05)) == want
+
+
+REPORT_GRID = sorted({0.0, *np.geomspace(0.05, 12, 40).tolist(), 2.0, INFINITY})
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_array_bisection_matches_the_per_probe_reference(n, monkeypatch):
+    # the probes stepped as arrays give the events, brackets and crossing_coincident flags of
+    # the per-probe lockstep loop, from the same solves in the same order, in chunks of every
+    # interval at once and of a few
+    res = sweep(n, REPORT_GRID)
+    threshold = res.concurrence_threshold
+    probes = analysis_module._interval_probes(res, range(1, n // 2 + 1))
+    for batch_bytes in (spectra_module.BATCH_BYTES, 2 ** 12):
+        monkeypatch.setattr(spectra_module, "BATCH_BYTES", batch_bytes)
+        solves = _recording_solves(monkeypatch)
+        want = oracles.lockstep_bisect(res, oracles.probe_intervals(probes, threshold), 0.1)
+        reference, solves[:] = list(solves), []
+        got = analysis_module._events(analysis_module._bisect(res, probes, 0.1, threshold))
+        assert got == [event for events in want for event in events]
+        assert solves == reference and len(solves) > len(want)
+        monkeypatch.undo()
+    assert any(e.kind != "crossing" for e in got) or n < 7
+
+
+def test_a_step_raises_exactly_when_a_probed_level_fails_its_two_solve_check(monkeypatch,
+                                                                             capsys):
+    # below the largest change of c among the levels its sign changes probe, the bisection
+    # raises the per-probe loop's error, and report exits 3; above it, both locate the same
+    # events
+    res = sweep(7, REPORT_GRID)
+    threshold = res.concurrence_threshold
+    probes = analysis_module._interval_probes(res, range(1, 4))
+
+    def outcome(bisect):
+        try:
+            return bisect()
+        except StructureError as exc:
+            return str(exc)
+
+    outcomes = []
+    for tolerance in (1e-300, 1e-18, 1e-17, 3e-17, 1e-10):
+        want = outcome(lambda: [event for events in oracles.lockstep_bisect(
+            res, oracles.probe_intervals(probes, threshold), 0.1, tolerance) for event in events])
+        got = outcome(lambda: analysis_module._events(analysis_module._bisect(
+            res, probes, 0.1, threshold, tolerance)))
+        assert got == want
+        outcomes.append(isinstance(got, str))
+    assert outcomes == [True, True, True, False, False]
+    assert got[0].kind == "crossing" and any(e.kind != "crossing" for e in got)
+    real = analysis_module._bisect
+
+    def strict(ring, probes, resolution, threshold, structure_tolerance, references):
+        return real(ring, probes, resolution, threshold, 1e-300, references)
+
+    monkeypatch.setattr(analysis_module, "_bisect", strict)
+    assert main(REPORT_N8) == 3
+    assert "numerical failure: two-solve check" in capsys.readouterr().err
 
 
 def test_single_interval_callers_match_one_interval_at_a_time(sweep8, monkeypatch):
-    def located():
-        curves = sweep8.curves
-        return (find_last_crossing(8, 3.0, 1e-4, sweep_result=sweep8),
-                locate_crossing(curves[9], curves[26], 1e-4),
-                locate_crossing(curves[0], curves[1], 1e-4),
-                [entanglement_boundaries(curve, sep, 1e-4) for curve in curves[:12]
-                 for sep in (2, 4)])
+    real, compared = analysis_module._bisect, []
 
-    got = located()
-    monkeypatch.setattr(analysis_module, "_bisect", _one_interval_at_a_time)
-    assert got == located()
+    def checked(ring, probes, resolution, threshold=THRESHOLD, *args):
+        located = real(ring, probes, resolution, threshold, *args)
+        assert analysis_module._events(located) == _one_interval_at_a_time(
+            ring, probes, resolution, threshold)
+        compared.append(len(_intervals(probes)))
+        return located
+
+    monkeypatch.setattr(analysis_module, "_bisect", checked)
+    curves = sweep8.curves
+    got = (find_last_crossing(8, 3.0, 1e-4, sweep_result=sweep8),
+           locate_crossing(curves[9], curves[26], 1e-4),
+           locate_crossing(curves[0], curves[1], 1e-4),
+           [entanglement_boundaries(curve, sep, 1e-4) for curve in curves[:12] for sep in (2, 4)])
     assert got[0] is not None and got[1] is not None and sum(map(len, got[3])) == 3
+    assert len(compared) == 2 + 24 and compared[:2] == [1, 1] and sum(compared) == 2 + 3
 
 
 def test_all_crossings_diagonalizes_each_point_once(monkeypatch):
@@ -537,9 +600,6 @@ def test_overlaps_of_neighbouring_alphas_leave_greedy_pairing_no_choice(n):
         assert len(got) == (overlaps > 0.5).sum()
 
 
-REPORT_N8 = ["report", "--n", "8", "--grid", "0.5:8:15", "--resolution", "0.1"]
-
-
 def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):
     calls = _recording_solves(monkeypatch)
     real_sweep = cli_module.sweep
@@ -567,20 +627,61 @@ def test_report_boundaries_are_those_of_each_census_curve(capsys):
               for event in entanglement_boundaries(res.curves[entry.curve_index], sep, 0.1)]
     events.sort(key=lambda e: (e.alpha, e.curve_indices))
     assert len(events) > 1
-    assert doc["entanglement_boundaries"] == [cli_module._event_doc(e) for e in events]
+    located = [CrossingEvent(d["alpha"], tuple(d["bracket"]), d["kind"], tuple(d["curve_indices"]),
+                             d["separation"], d["crossing_coincident"])
+               for d in doc["entanglement_boundaries"]]
+    assert located == events and all(len(d) == 6 for d in doc["entanglement_boundaries"])
 
 
 def test_report_bisects_at_the_structure_tolerance(monkeypatch, capsys):
-    # the sweep, every bisection step and the fit's own solve, as inf is off the grid
-    signature = inspect.signature(analysis_module._point_cells)
+    # the sweep's points, the levels every bisection step's sign changes read, and the fit's own
+    # solve, as inf is off the grid, check their cells at the run's structure tolerance
     calls = _recording(monkeypatch, analysis_module, "_point_cells")
     assert main([*REPORT_N8, "--structure-tolerance", "1e-9"]) == 0
     capsys.readouterr()
-    bound = [signature.bind(*args, **kwargs) for args, kwargs in calls]
-    for arguments in bound:
-        arguments.apply_defaults()
-    assert sum(b.arguments["levels"] is not None for b in bound) > 10  # bisection steps
-    assert {b.arguments["dec"].batch.structure_tolerance for b in bound} == {1e-9}
+    assert sum(len(args) > 1 for args, _ in calls) > 10  # bisection steps
+    assert {args[0].batch.structure_tolerance for args, _ in calls} == {1e-9}
+
+
+def test_report_builds_events_for_the_few_and_checks_each_batch_once(monkeypatch, capsys):
+    # the crossings stay arrays to the document: a CrossingEvent is built for each boundary
+    # (the gap ends and the max-distance onset are among them), the last located crossing and
+    # the last on-grid one if it is higher; each solved batch's energy-correlator identity is
+    # computed once, however many points and probes read it
+    built, batches, checked = [], set(), []
+    real_event, real_decomposition = (analysis_module.CrossingEvent,
+                                      spectra_module._Batch.decomposition)
+    real_identity = spectra_module._Batch.__dict__["identity"].func
+
+    def event(*args, **kwargs):
+        built.append(args)
+        return real_event(*args, **kwargs)
+
+    def decomposition(batch, *args):
+        batches.add(batch)
+        return real_decomposition(batch, *args)
+
+    def identity(batch):
+        checked.append(batch)
+        return real_identity(batch)
+
+    counted = functools.cached_property(identity)
+    counted.__set_name__(spectra_module._Batch, "identity")
+    monkeypatch.setattr(analysis_module, "CrossingEvent", event)
+    monkeypatch.setattr(spectra_module._Batch, "decomposition", decomposition)
+    monkeypatch.setattr(spectra_module._Batch, "identity", counted)
+    reads = _recording(monkeypatch, analysis_module, "_point_cells")
+    assert main(REPORT_N8) == 0
+    doc = json.loads(capsys.readouterr().out)
+    boundaries = doc["entanglement_boundaries"]
+    assert len(doc["crossings"]) > 100 and len(boundaries) > 1
+    assert all(end in boundaries for gaps in doc["separation_gaps"].values()
+               for gap in gaps for end in gap.values())
+    assert doc["separation_gaps"] and doc["max_distance_onset"] in boundaries
+    on_grid = doc["last_crossing"]["curve_indices"] == []
+    assert len(built) == len(boundaries) + 1 + on_grid
+    assert len(checked) == len(set(checked)) and set(checked) <= batches
+    assert len(checked) < len(reads)
 
 
 def test_the_fit_reads_the_sweep_or_solves_at_the_run_tolerance(monkeypatch, capsys):
@@ -683,21 +784,27 @@ def test_point_records_check_the_energy_correlator_identity(dec):
 
 
 def test_point_cells_check_the_energy_correlator_identity():
+    # a batch's identity errors are those of each of its specs alone, to rounding (its weights
+    # are (1/r)^alpha, array by array); a point raises for a bad level, and a probe only for the
+    # levels it reads, numbered as in its decomposition
     for n in range(2, 10):
         for variant in Variant:
-            for alpha in (0.0, 1.3, 2.0, INFINITY):
-                dec = spectra_module.momentum_decomposition(RingSpec(n, alpha, variant))
-                cells = analysis_module._point_cells(dec)
-                some = analysis_module._point_cells(dec, levels=[1, 0])
-                assert np.abs(some - cells[[1, 0]]).max() <= 1e-14
+            decs = spectra_module.momentum_decompositions(
+                (RingSpec(n, alpha, variant), 1e-9) for alpha in (0.0, 1.3, 2.0, INFINITY))
+            for dec in decs:
+                analysis_module._point_cells(dec)
+                want = oracles.energy_identity(dec.spec, dec.energies, dec.correlators())
+                assert np.abs(dec.identity() - want).max() <= 1e-13 * want[1].max()
     d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
-    energies = d.energies.copy()
+    energies = d.batch.energies.copy()
     energies[3] += 1e-6
-    shifted = dataclasses.replace(d, energies=energies)
+    shifted = dataclasses.replace(d.batch, energies=energies).decomposition(
+        spectra_module.MomentumDecomposition, 0, d.blocks)
     with pytest.raises(StructureError, match="level 3 energy"):
         analysis_module._point_cells(shifted)
     with pytest.raises(StructureError, match="level 3 energy"):  # numbered as in dec
-        analysis_module._point_cells(shifted, levels=[3])
+        analysis_module._point_cells(shifted, np.array([1, 3]))
+    analysis_module._point_cells(shifted, np.array([2, 0, 1]))
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():

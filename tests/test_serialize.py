@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import spinring.cli as cli_module
 import spinring.serialize as serialize_module
 from spinring import atomic_write, emit_json, format_real, parse_real
-from spinring.serialize import JSON_INFINITY, emit_csv, write_output
+from spinring.serialize import JSON_INFINITY, emit_csv, emit_rows, write_output
 
 
 def test_format_real_basic_forms():
@@ -191,6 +192,44 @@ def test_emit_csv_matches_format_real_on_any_floats(tables):
     header = ("alpha", "level_index", "energy", "multiplicity")
     assert emit_csv(header, tables) == _format_real_text(header, _table_rows(tables))
     assert emit_csv(header, tables) == oracles.emit_csv(header, _table_rows(tables))
+
+
+def _crossing_docs(values) -> list:
+    """The "crossings" entries of the (alpha, lo, hi, curve, curve) rows, as report wrote each
+    one's dict."""
+    return [{"alpha": alpha, "bracket": [lo, hi], "kind": "crossing", "curve_indices": [a, b]}
+            for alpha, lo, hi, a, b in ((*row[:3], *map(int, row[3:])) for row in values.tolist())]
+
+
+def _assert_crossing_rows_match_emit(values):
+    # the row template at the list's place in the report, and one level further in
+    values = np.array(values, dtype=float).reshape(-1, 5)
+    docs = _crossing_docs(values)
+    assert emit_json({"n": 1, "crossings": emit_rows(cli_module._CROSSING, values, 2), "x": None}) \
+        == emit_json({"n": 1, "crossings": docs, "x": None})
+    assert emit_json({"a": {"b": emit_rows(cli_module._CROSSING, values, 4)}}) \
+        == emit_json({"a": {"b": docs}})
+
+
+def test_crossing_rows_pin_bytes():
+    _assert_crossing_rows_match_emit([])
+    assert emit_rows(cli_module._CROSSING, np.empty((0, 5)), 2) == "[]"
+    # the interval up to --extra inf, integral and large reals, -0 and a subnormal
+    rows = [(math.inf, 7.5, math.inf, 3, 12), (-0.0, 1e17, 12.0, 0, 1),
+            (5e-324, 0.1, 2.0 ** 60, 7, 2)]
+    _assert_crossing_rows_match_emit(rows)
+    text = emit_rows(cli_module._CROSSING, np.array(rows, dtype=float), 2)
+    assert '"alpha": Infinity,' in text and '"alpha": -0.0,' in text and "1e+17" in text
+    assert json.loads(text)[0]["bracket"] == [7.5, math.inf]
+    with pytest.raises(ValueError, match="NaN has no serialized form"):
+        emit_rows(cli_module._CROSSING, np.array([[math.nan, 0.0, 1.0, 0, 1]]), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(reals, reals, reals, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                max_size=6))
+def test_crossing_rows_match_emit_on_any_floats(rows):
+    _assert_crossing_rows_match_emit(rows)
 
 
 def test_atomic_write_creates_and_replaces(tmp_path):
