@@ -172,7 +172,8 @@ def _point_cells(dec: MomentumDecomposition, levels=None) -> np.ndarray:
     raises StructureError on a residual of theirs at ``dec``'s structure tolerance, else on the
     first of them whose energy misses the sum of its pair correlators (``_Batch.identity``)."""
     picked = slice(None) if levels is None else levels
-    cells, structure_tolerance = dec.cells()[picked], dec.batch.structure_tolerance
+    structure_tolerance = dec.batch.structure_tolerance
+    cells = dec.cells()[picked]
     if cells[..., 4].max() >= structure_tolerance:
         worst = cells[..., 4].max(axis=0)
         raise StructureError(f"two-solve check: c at separation {worst.argmax() + 1} changes "

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,9 +286,18 @@ _CROSSING = {"alpha": Fragment("%s"), "bracket": [Fragment("%s"), Fragment("%s")
 
 
 def _event_doc(event) -> dict | None:
-    """The ``CrossingEvent``'s fields, the separation and jump flag of a boundary only."""
-    return None if event is None else dict(list(asdict(event).items())[:6 if event.separation
-                                                                       else 4])
+    if event is None:
+        return None
+    doc = {
+        "alpha": event.alpha,
+        "bracket": [event.bracket[0], event.bracket[1]],
+        "kind": event.kind,
+        "curve_indices": list(event.curve_indices),
+    }
+    if event.separation is not None:
+        doc["separation"] = event.separation
+        doc["crossing_coincident"] = event.crossing_coincident
+    return doc
 
 
 def cmd_report(config: RunConfig) -> str:
@@ -337,8 +346,9 @@ def cmd_report(config: RunConfig) -> str:
             gaps_doc[str(sep)] = [{"offset": _event_doc(off), "onset": _event_doc(on)}
                                   for off, on in gaps]
 
-    max_distance_onset = min((e for e in boundaries if e.kind == "onset"
-                              and e.separation == n_seps), key=lambda e: e.alpha, default=None)
+    max_sep_onsets = [e for e in boundaries
+                      if e.kind == "onset" and e.separation == n_seps]
+    max_distance_onset = min(max_sep_onsets, key=lambda e: e.alpha, default=None)
 
     at_infinity = result.points[-1]  # the fit's point, the sweep's if the grid holds it
     if at_infinity.alpha != INFINITY:

@@ -249,9 +249,11 @@ class _Batch:
         at separation d; ``variant_map``) and the 1 + sum_d |n_d w_d <...>| it is measured by."""
         n = self.jobs[0][0].n_sites
         pairs = np.where(2 * np.arange(1, n // 2 + 1) == n, n // 2, n)[:, None]
-        alpha, scale, shift = np.repeat([(spec.alpha, *variant_map(spec)) for spec, _ in self.jobs],
-                                        np.diff(self.bounds), axis=0).T
-        terms = pairs * separation_weights(n, 1.0)[:, None] ** alpha * self.correlators  # w = r^-a
+        counts = np.diff(self.bounds)
+        weights = np.repeat([separation_weights(n, spec.alpha) for spec, _ in self.jobs], counts,
+                            axis=0).T
+        scale, shift = np.repeat([variant_map(spec) for spec, _ in self.jobs], counts, axis=0).T
+        terms = pairs * weights * self.correlators
         return read_only(np.stack([np.abs((self.energies - shift) / scale - terms.sum(axis=0)),
                                    1 + np.abs(terms).sum(axis=0)]))
 

@@ -784,17 +784,18 @@ def test_point_records_check_the_energy_correlator_identity(dec):
 
 
 def test_point_cells_check_the_energy_correlator_identity():
-    # a batch's identity errors are those of each of its specs alone, to rounding (its weights
-    # are (1/r)^alpha, array by array); a point raises for a bad level, and a probe only for the
-    # levels it reads, numbered as in its decomposition
+    # a batch's identity errors are those of each of its specs alone; a point raises for a bad
+    # level, and a probe only for the levels it reads, numbered as in its decomposition
     for n in range(2, 10):
         for variant in Variant:
             decs = spectra_module.momentum_decompositions(
                 (RingSpec(n, alpha, variant), 1e-9) for alpha in (0.0, 1.3, 2.0, INFINITY))
             for dec in decs:
-                analysis_module._point_cells(dec)
-                want = oracles.energy_identity(dec.spec, dec.energies, dec.correlators())
-                assert np.abs(dec.identity() - want).max() <= 1e-13 * want[1].max()
+                cells = analysis_module._point_cells(dec)
+                assert np.array_equal(analysis_module._point_cells(dec, np.array([1, 0])),
+                                      cells[[1, 0]])
+                assert np.array_equal(dec.identity(), oracles.energy_identity(
+                    dec.spec, dec.energies, dec.correlators()))
     d = spectra_module.momentum_decomposition(RingSpec(6, 1.3))
     energies = d.batch.energies.copy()
     energies[3] += 1e-6
@@ -804,7 +805,8 @@ def test_point_cells_check_the_energy_correlator_identity():
         analysis_module._point_cells(shifted)
     with pytest.raises(StructureError, match="level 3 energy"):  # numbered as in dec
         analysis_module._point_cells(shifted, np.array([1, 3]))
-    analysis_module._point_cells(shifted, np.array([2, 0, 1]))
+    assert np.array_equal(analysis_module._point_cells(shifted, np.array([2, 0, 1])),
+                          analysis_module._point_cells(d)[[2, 0, 1]])
 
 
 def test_mixed_levels_fail_the_structure_check_as_the_dense_path_does():
