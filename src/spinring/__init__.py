@@ -7,8 +7,7 @@ from .model import (INFINITY, HamiltonianMatrix, RingSizeError, RingSpec,
                     top_eigenspace_basis, total_weight, variant_map)
 from .spectra import (EigensolverError, IllConditionedError, Level, MomentumDecomposition,
                       SpectralDecomposition, UniformEigenstate, diagonalize, energy_levels,
-                      lagrange_projector, momentum_decomposition, overlap_matrix, projector,
-                      uniform_state)
+                      lagrange_projector, momentum_decomposition, projector, uniform_state)
 from .entanglement import (ConcurrenceRecord, PairStateWarning, StructureError,
                            TwoSpinState, concurrence_structured, concurrence_xstate_oracle,
                            extract_abc, meyer_wallach, oliveira_global, pair_concurrence,

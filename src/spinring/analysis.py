@@ -11,13 +11,15 @@ Werner states fixed by the S-block correlators, reduced once for a whole batch o
 one scatter per width; no magnetization-sector eigenvector is built.  Curves are
 threaded only across "backbone" points, the grid points whose distinct level count equals the
 generic count; collapse points (alpha = 0, the Haldane-Shastry point, the nearest-neighbor
-limit) are kept as data points but skipped by the threading.  Each point is paired with the
-previous backbone point as it is reached; each level takes the partner of its row's overlap
-above 1/2, and as every row and column of the overlaps sums to at most 1, no other level can
-claim that partner (``_partners``).  Besides one batch a sweep holds two solutions, and for
-``report`` up to a batch of backbone ones.  The events inside the backbone intervals are then
-located as one table of arrays, bisected in lockstep from the sweep's solutions where held,
-each round's midpoints solved in batches that match their probes' levels in one overlap pass.
+limit) are kept as data points but skipped by the threading.  Each backbone point is paired
+with the previous one, once the batch that solved it is read: one ``best_partners`` pass pairs
+all of a batch's points, each level taking its best partner where that overlap is above 1/2;
+as every row and column of the overlaps sums to at most 1, no other level can claim that
+partner.  Besides the batch being solved a sweep holds the anchor's batch and the batch being
+paired, and for ``report`` up to a batch of backbone solutions.  The events inside the
+backbone intervals are then located as one table of arrays, bisected in lockstep from the
+sweep's solutions where held, each round's midpoints solved in batches that match their
+probes' levels in one overlap pass.
 ``concurrence`` solves its points as the sweep does; one alpha's ``_momentum_point`` serves
 the single-alpha parts of ``report``.
 """
@@ -32,7 +34,7 @@ import numpy as np
 from .model import INFINITY, RingSpec, Variant, read_only
 from .spectra import (CLUSTER_TOLERANCE_DEFAULT, EigensolverError, MomentumDecomposition,
                       batch_size, best_partners, energy_levels, momentum_decomposition,
-                      momentum_decompositions, overlap_matrix)
+                      momentum_decompositions)
 from .entanglement import STRUCTURE_TOLERANCE_DEFAULT, ConcurrenceRecord, StructureError
 
 CONCURRENCE_THRESHOLD_DEFAULT = 1e-10
@@ -209,13 +211,6 @@ def _validate_grid(alpha_grid) -> np.ndarray:
     return grid
 
 
-def _partners(overlaps: np.ndarray) -> np.ndarray:
-    """Each row's column of ``overlap_matrix`` holding an overlap above 1/2, else -1.  Every row
-    and column sums to at most 1, so such an entry is alone in its row and its column."""
-    best = overlaps.argmax(axis=1)
-    return np.where(overlaps[np.arange(best.size), best] > 0.5, best, -1)
-
-
 def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
           cluster_tolerance: float = CLUSTER_TOLERANCE_DEFAULT,
           structure_tolerance: float = STRUCTURE_TOLERANCE_DEFAULT,
@@ -224,12 +219,14 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
     """Solve the S-blocks on the grid, record all concurrences, thread level curves.
 
     Each point is compared with the anchor, the last point at the running
-    maximum level count: a higher count restarts the curves, an equal one is
-    paired with the anchor and replaces it, a lower one is skipped.  A dict
+    maximum level count: a higher count restarts the curves, an equal one
+    replaces the anchor and waits to be paired with it, a lower one is skipped.
+    The waiting pairs are paired in one ``best_partners`` pass once the batch
+    that solved them is read; a restart drops them with their curves.  A dict
     ``references`` keeps, by alpha, the decompositions of the first
     ``batch_size`` anchors since the last restart, for ``_located_events``."""
     grid = _validate_grid(alpha_grid)
-    points, anchor = [], None
+    points, anchor, waiting = [], None, []  # waiting: (anchor, its point, dec, its point)
     decs = momentum_decompositions(((RingSpec(n_sites, alpha, variant), cluster_tolerance)
                                     for alpha in grid.tolist()), structure_tolerance)
     for i, alpha in enumerate(grid.tolist()):
@@ -242,21 +239,27 @@ def sweep(n_sites: int, alpha_grid, variant: Variant = Variant.STANDARD, *,
         if anchor is None or count > anchor.energies.size:
             curve_idx = np.full((count, grid.size), -1, dtype=int)
             curve_idx[:, i] = np.arange(count)
-            notes = []
+            notes, waiting = [], []
             if references is not None:
                 references.clear()
         elif count == anchor.energies.size:
-            partners = _partners(overlap_matrix(anchor, dec))
-            if (partners < 0).any():
-                notes.append(f"partial level pairing between alpha={points[prev].alpha!r} "
-                             f"and alpha={alpha!r}")
-            held = curve_idx[:, prev]
-            curve_idx[:, i] = np.where(held >= 0, partners[held], -1)
-        else:
-            continue
-        anchor, prev = dec, i
-        if references is not None and len(references) < batch_size(n_sites):
-            references[alpha] = dec
+            waiting.append((anchor, prev, dec, i))
+        if count == len(curve_idx):  # at the running maximum: the next anchor
+            anchor, prev = dec, i
+            if references is not None and len(references) < batch_size(n_sites):
+                references[alpha] = dec
+        if waiting and (dec.index == len(dec.batch.jobs) - 1 or i == grid.size - 1):
+            # the batch or the grid is read: its pairs in one pass, each level's partner above
+            # 1/2 or none
+            found = best_partners([(a, np.arange(a.energies.size), b) for a, _, b, _ in waiting])
+            for (_, j, _, k), (partners, overlaps) in zip(waiting, found):
+                partners = np.where(overlaps > 0.5, partners, -1)
+                if (partners < 0).any():
+                    notes.append(f"partial level pairing between alpha={points[j].alpha!r} "
+                                 f"and alpha={points[k].alpha!r}")
+                held = curve_idx[:, j]
+                curve_idx[:, k] = np.where(held >= 0, partners[held], -1)
+            waiting = []
 
     # the last restart came at the first point with the generic count
     n_pts, generic = len(points), len(curve_idx)

@@ -14,10 +14,11 @@ projection per ring size gives (``spin_bonds``), and assembles it at once (``_as
 levels kept as arrays that each decomposition views.  By Wigner-Eckart every member of a
 multiplet has the same correlators and Gram entries, so the batch reduces every level's
 <sigma_1 . sigma_{1+d}> from u^T K_d^S u, and its Werner cells from those, and projector
-overlaps from (V_a^T V_b)^2, each S-block counted ``states`` times: every level pair of two
-decompositions (``overlap_matrix``) or the listed levels' rows of many pairs in one pass
-(``best_partners``).  ``_Batch.residuals`` solves the S-blocks whose levels lie close a second
-time, from K_d^S, and measures the change of the correlators.
+overlaps from (V_a^T V_b)^2, each S-block counted ``states`` times: ``best_partners`` gives the
+listed levels' best partners for many pairs of decompositions in one pass, which is exact, as
+the blocks an S-block stands for are unitary images of it.  ``_Batch.residuals`` solves the
+S-blocks whose levels lie close a second time, from K_d^S, and measures the change of the
+correlators.
 """
 
 from __future__ import annotations
@@ -534,28 +535,11 @@ def lagrange_projector(hamiltonian: HamiltonianMatrix | np.ndarray,
     return result
 
 
-def overlap_matrix(dec_a: BlockDecomposition, dec_b: BlockDecomposition) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j), one batched V_a^T V_b per
-    entry and one bincount: a block adds (V_a^T V_b)^2 ``count`` times, which is exact, since
-    the blocks it stands for are unitary images of it (the spin flip) or its conjugates."""
-    size_b, pairs, weights = dec_b.energies.size, [], []
-    for block_a, block_b, levels_a, levels_b in zip(
-            dec_a.blocks, dec_b.blocks, dec_a.members, dec_b.members):
-        width = block_a.vectors.shape[-1]
-        gram = block_a.vectors.swapaxes(-1, -2) @ block_b.vectors
-        weights.append((np.reshape(block_a.count, (-1, 1, 1)) * np.square(gram)).ravel())
-        pairs.append((levels_a.reshape(-1, width, 1) * size_b
-                      + levels_b.reshape(-1, 1, width)).ravel())
-    summed = np.bincount(np.concatenate(pairs), np.concatenate(weights),
-                         dec_a.energies.size * size_b)
-    norm = np.maximum.outer(dec_a.multiplicities, dec_b.multiplicities)
-    return summed.reshape(norm.shape) / norm
-
-
 def best_partners(matches) -> list:
     """For each (dec_a, levels, dec_b) of ``matches``, decompositions of one kind and ring size,
-    the best-overlap partner in ``dec_b`` of each listed level of ``dec_a`` and that overlap of
-    ``overlap_matrix``, as two arrays, from one pass over the block entries for all matches.
+    the best-overlap partner in ``dec_b`` of each listed level of ``dec_a`` and that normalized
+    projector overlap tr(P_i P_j) / max(m_i, m_j), as two arrays, from one pass over the block
+    entries for all matches: a block adds its squared Gram entries ``count`` times.
     Each column of a listed level meets its block of ``dec_b`` in one vector-matrix product,
     strided like a column of its block so that it rounds as one would; the squares are summed
     per (level, partner) in entry, column and row order, and ties go to the lower partner."""

@@ -3,9 +3,10 @@
 ``diagonalize`` here scatters every magnetization block into one dense
 2^N x 2^N eigenvector matrix, sorts its columns and fixes their signs over
 the whole space; ``overlap_matrix`` and ``match_single_level`` form the full
-Gram matrix of two such decompositions.  The package keeps the blocks apart
-and never builds that matrix; these are the independent checks it is
-compared against.  ``haldane_shastry_levels`` (alpha = 2) and
+Gram matrix of two such decompositions (``overlap_matrix`` also of two sector
+decompositions, their blocks embedded by ``eigenvectors``).  The package keeps
+the blocks apart and never builds that matrix; these are the independent
+checks it is compared against.  ``haldane_shastry_levels`` (alpha = 2) and
 ``all_to_all_levels`` (alpha = 0) are closed-form spectra for any N.
 
 ``pair_tables`` reduces every level of a sector decomposition to site pairs
@@ -29,7 +30,7 @@ every block of ``block_layout``: the reference for ``spectra.level_arrays``.
 
 ``match_levels`` pairs two decompositions' levels greedily, entry by entry in
 descending overlap: the reference for the sweep's pairing rule, each level's
-partner above overlap 1/2 (``analysis._partners``).
+``spectra.best_partners`` partner where that overlap is above 1/2.
 
 ``bisect`` locates the events of one backbone interval with one solve per
 step, matching one level at a time (``best_partner``): the reference for
@@ -104,6 +105,11 @@ def eigenvectors(dec) -> np.ndarray:
     return dec.level_vectors(Level(0.0, dec.spec.dimension, 0, 0.0))
 
 
+def _dense(dec) -> np.ndarray:
+    """The eigenvector matrix of a dense decomposition, or ``eigenvectors`` of a sector one."""
+    return dec.eigenvectors if isinstance(dec, DenseDecomposition) else eigenvectors(dec)
+
+
 def cluster_levels(eigenvalues: np.ndarray, tolerance: float) -> tuple[tuple, tuple]:
     """Group an ascending eigenvalue list into degenerate levels.
 
@@ -171,8 +177,9 @@ def diagonalize(spec: RingSpec,
 
 
 def overlap_matrix(dec_a, dec_b) -> np.ndarray:
-    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j)."""
-    gram = dec_a.eigenvectors.T @ dec_b.eigenvectors
+    """Normalized projector overlaps tr(P_i P_j) / max(m_i, m_j) of two dense or sector
+    decompositions, from their full Gram matrix."""
+    gram = _dense(dec_a).T @ _dense(dec_b)
     np.square(gram, out=gram)
     starts_a = np.array([lv.start for lv in dec_a.levels])
     starts_b = np.array([lv.start for lv in dec_b.levels])
@@ -666,8 +673,8 @@ def momentum_correlators(dec: LayoutDecomposition) -> np.ndarray:
 
 
 def block_overlap_matrix(dec_a: LayoutDecomposition, dec_b: LayoutDecomposition) -> np.ndarray:
-    """``spectra.overlap_matrix`` of two layout decompositions one block at a time: each block
-    adds count |V_a^H V_b|^2 to its level pairs."""
+    """``overlap_matrix`` of two layout decompositions one block at a time: each block adds
+    count |V_a^H V_b|^2 to its level pairs."""
     summed = np.zeros((len(dec_a.energies), len(dec_b.energies)))
     for (count, v_a, levels_a, *_), (_, v_b, levels_b, *_) in zip(dec_a.blocks, dec_b.blocks):
         np.add.at(summed, np.ix_(levels_a, levels_b), count * np.square(np.abs(v_a.T.conj() @ v_b)))
@@ -690,8 +697,8 @@ def spin_block_correlators(dec) -> np.ndarray:
 
 
 def spin_block_overlap_matrix(dec_a, dec_b) -> np.ndarray:
-    """``spectra.overlap_matrix`` of two S-block decompositions one S-block at a time: each
-    adds states (V_a^T V_b)^2 to its level pairs."""
+    """``overlap_matrix`` of two S-block decompositions one S-block at a time: each adds
+    states (V_a^T V_b)^2 to its level pairs, the overlaps ``spectra.best_partners`` reads."""
     summed = np.zeros((len(dec_a.energies), len(dec_b.energies)))
     for entry_a, entry_b, members_a, members_b in zip(dec_a.blocks, dec_b.blocks,
                                                       dec_a.members, dec_b.members):

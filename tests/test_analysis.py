@@ -108,40 +108,48 @@ def test_sweep_small_ring_structure():
 
 
 
-def test_sweep_holds_at_most_two_decompositions(monkeypatch):
-    # three points a batch: besides the batch being solved, every live batch array is one
-    # that a live decomposition views, and at most two assembled decompositions are live
-    point = spectra_module.BATCH_BYTES // spectra_module.batch_size(6)  # bytes an alpha holds
-    monkeypatch.setattr(spectra_module, "BATCH_BYTES", 3 * point)
-    assert spectra_module.batch_size(6) == 3
-    real, solved, live, batches = spectra_module._Batch.decomposition, [], [], []
+def _batches_of(size: int, n_sites: int, monkeypatch) -> None:
+    """Patch ``BATCH_BYTES`` so that a batch of ``n_sites`` solves ``size`` alphas."""
+    point = spectra_module.BATCH_BYTES // spectra_module.batch_size(n_sites)  # an alpha's bytes
+    monkeypatch.setattr(spectra_module, "BATCH_BYTES", size * point)
+    assert spectra_module.batch_size(n_sites) == size
+
+
+def test_sweep_holds_the_anchor_batch_and_the_batch_being_paired(monkeypatch):
+    # three points a batch: besides the batch being solved, live decompositions view at most
+    # two batches, the anchor's and the one last paired, and every live batch array is one
+    # that a live decomposition views
+    _batches_of(3, 6, monkeypatch)
+    real, solved, others, batches = spectra_module._Batch.decomposition, [], [], []
 
     def tracked(assembled, kind, a, blocks):
         batch = blocks[0].vectors.base
         if not any(ref() is batch for ref in batches):
             batches.append(weakref.ref(batch))
         held = [(ref(), base()) for ref, base in solved]
-        live.append(sum(dec is not None for dec, _ in held))
-        viewed = [base for dec, base in held if dec is not None] + [batch]
-        assert all(base is None or any(base is b for b in viewed) for _, base in held)
+        viewed = [base for dec, base in held if dec is not None]
+        others.append(len({id(base) for base in viewed if base is not batch}))
+        assert all(base is None or any(base is b for b in viewed + [batch]) for _, base in held)
         dec = real(assembled, kind, a, blocks)
         solved.append((weakref.ref(dec), weakref.ref(batch)))
         return dec
 
     monkeypatch.setattr(spectra_module._Batch, "decomposition", tracked)
     sweep(6, [0.0, *np.geomspace(0.5, 8, 12).tolist(), INFINITY])
-    assert len(live) == 14 and len(batches) == 5
-    assert max(live) <= 2
+    assert len(others) == 14 and len(batches) == 5
+    assert max(others) <= 2
 
 
 @pytest.mark.parametrize("cap", (None, 3))
 def test_report_holds_the_running_maximum_until_its_events_are_located(cap, monkeypatch,
                                                                         capsys):
-    # report's sweep holds the previous point, its anchor and the first batch_size points at the
-    # running maximum level count since its last restart, no other; those are backbone points,
-    # handed to _located_events, which takes interval left ends from them and lets them all go
+    # report's sweep, solving ``cap`` points a batch (all at once if None), holds the previous
+    # point, its anchor, the pairs of the batch being paired and the first batch's worth of
+    # points at the running maximum level count since its last restart, no other; those are
+    # backbone points, handed to _located_events, which takes interval left ends from them and
+    # lets them all go
     if cap is not None:
-        monkeypatch.setattr(analysis_module, "batch_size", lambda n_sites: cap)
+        _batches_of(cap, 6, monkeypatch)
     real, made = spectra_module._Batch.decomposition, []  # (alpha, weakref) of every solution
 
     def tracked(assembled, kind, a, blocks):
@@ -181,14 +189,20 @@ def test_report_holds_the_running_maximum_until_its_events_are_located(cap, monk
     alphas, counts = [p.alpha for p in res.points], [p.count for p in res.points]
     two = alphas.index(2.0)  # a restart, and points skipped inside the backbone and at its end
     assert counts[0] < counts[1] and counts[two] < counts[two + 1] and counts[-1] < max(counts)
-    held, anchor, top = [], [], 0
+    held, anchor, waiting, top, size = [], [], [], 0, cap or len(alphas)
     for i, count in enumerate(counts):
-        assert seen[i] == sorted({*held, *anchor, *alphas[i - 1:i]})
-        if count >= top:  # an anchor; a restart if the count rises
-            held, anchor, top = (held if count == top else []) + [alphas[i]], [alphas[i]], count
-        held = held[:cap]
+        if i % size == 0:  # the last batch was paired as its last point was read
+            waiting = []
+        assert seen[i] == sorted({*held, *anchor, *alphas[i - 1:i], *waiting})
+        if count > top:  # a restart drops the waiting pairs
+            held, waiting = [], []
+        elif count == top:
+            waiting += [*anchor, alphas[i]]
+        if count >= top:  # an anchor
+            held, anchor, top = held + [alphas[i]], [alphas[i]], count
+        held = held[:size]
     backbone = [alphas[i] for i in res.backbone.tolist()]
-    assert held == backbone[:cap] and len(backbone) > 3 and len(alphas) > len(backbone)
+    assert held == backbone[:size] and len(backbone) > 3 and len(alphas) > len(backbone)
     assert handed == [(held, held), ([], [])]
 
 
@@ -583,21 +597,88 @@ def test_bisection_matches_each_level_once_per_step(monkeypatch):
 def test_overlaps_of_neighbouring_alphas_leave_greedy_pairing_no_choice(n):
     # tr(P_i P_j) summed over j is m_i, so each row and column of the normalised overlaps sums
     # to at most 1 and no two entries above 1/2 share one: the sweep's rule, each level's
-    # partner above 1/2, pairs exactly as the entry-by-entry greedy loop does
+    # best_partners partner where its overlap is above 1/2, pairs exactly as the entry-by-entry
+    # greedy loop does on the S-block oracle's overlaps
     grid = [0.0, *np.geomspace(0.05, 12, 40).tolist(), 2.0, INFINITY]
     decs = list(spectra_module.momentum_decompositions(
         (RingSpec(n, alpha), 1e-9) for alpha in sorted(grid)))
     assert len(decs) == 43
-    for dec_a, dec_b in zip(decs[:-1], decs[1:]):
-        overlaps = spectra_module.overlap_matrix(dec_a, dec_b)
+    found = spectra_module.best_partners([(dec_a, np.arange(dec_a.energies.size), dec_b)
+                                          for dec_a, dec_b in zip(decs[:-1], decs[1:])])
+    for dec_a, dec_b, (partners, values) in zip(decs[:-1], decs[1:], found):
+        overlaps = oracles.spin_block_overlap_matrix(dec_a, dec_b)
         assert overlaps.sum(axis=0).max() <= 1 + 1e-12
         assert overlaps.sum(axis=1).max() <= 1 + 1e-12
-        partners = analysis_module._partners(overlaps)
-        rows = np.flatnonzero(partners >= 0)
+        rows = np.flatnonzero(values > 0.5)
         got = tuple(zip(rows.tolist(), partners[rows].tolist(),
                         overlaps[rows, partners[rows]].tolist()))
         assert got == oracles.match_levels(overlaps, 0.5, 0.05).pairs
         assert len(got) == (overlaps > 0.5).sum()
+
+
+def _threaded_by_oracle(decs) -> np.ndarray:
+    """The sweep's curve_idx from the S-block oracle's overlaps, one anchor at a time: each level
+    of an anchor pairs with the next anchor's level it overlaps by more than 1/2, if any."""
+    counts = [dec.energies.size for dec in decs]
+    anchor = None
+    for i, count in enumerate(counts):
+        if anchor is None or count > counts[anchor]:
+            curve_idx = np.full((count, len(decs)), -1)
+            curve_idx[:, i] = np.arange(count)
+        elif count == counts[anchor]:
+            overlaps = oracles.spin_block_overlap_matrix(decs[anchor], decs[i])
+            best = overlaps.argmax(axis=1)
+            partners = np.where(overlaps[np.arange(count), best] > 0.5, best, -1)
+            held = curve_idx[:, anchor]
+            curve_idx[:, i] = np.where(held >= 0, partners[held], -1)
+        else:
+            continue
+        anchor = i
+    return curve_idx
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_sweep_threads_each_batch_as_the_oracle_threads_its_points(n, monkeypatch):
+    # batches of three: [0, .3, .7] restarts inside the batch, [1.2, 1.6, 2] ends on a point
+    # skipped for its lower count, as does [2.5, 3.3, inf] where inf collapses; the sweep pairs
+    # each batch that holds a paired point in one best_partners call
+    grid = [0.0, 0.3, 0.7, 1.2, 1.6, 2.0, 2.5, 3.3, INFINITY]
+    want = _threaded_by_oracle([spectra_module.momentum_decomposition(RingSpec(n, alpha))
+                                for alpha in grid])
+    _batches_of(3, n, monkeypatch)
+    calls = _recording(monkeypatch, analysis_module, "best_partners")
+    result = sweep(n, grid)
+    counts = [p.count for p in result.points]
+    assert counts[0] < counts[1] == counts[2] and counts[5] < counts[4]
+    assert np.array_equal(np.array([c.level_indices for c in result.curves]), want)
+    assert len(calls) == 3
+    assert [len(matches) for (matches,), _ in calls] == [1, 2, 2 + (counts[8] == counts[7])]
+
+
+def test_report_pairs_its_sweep_in_one_pass_per_batch(monkeypatch, capsys):
+    # report-n8 at seed 0: the sweep's 43 points are one batch, so its 39 pairs are paired in
+    # one best_partners call
+    calls, inside = [], []
+    real_sweep, real_partners = cli_module.sweep, analysis_module.best_partners
+
+    def sweep_watched(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_sweep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def partners_watched(matches):
+        if inside:
+            calls.append(len(matches))
+        return real_partners(matches)
+
+    monkeypatch.setattr(cli_module, "sweep", sweep_watched)
+    monkeypatch.setattr(analysis_module, "best_partners", partners_watched)
+    assert main(["report", "--n", "8", "--grid", "0.05247959008761141:12.595101621026737:40:log",
+                 "--extra", "0", "--extra", "2", "--extra", "inf", "--resolution", "0.1"]) == 0
+    capsys.readouterr()
+    assert calls == [39]
 
 
 def test_report_event_pass_solves_each_point_once(monkeypatch, capsys):

@@ -12,8 +12,7 @@ from spinring.model import separation_weights, variant_map, weight_offsets
 from spinring import (INFINITY, IllConditionedError, RingSpec,
                       Variant, build_hamiltonian, default_alpha_grid,
                       diagonalize, energy_levels, lagrange_projector,
-                      momentum_decomposition, overlap_matrix, projector,
-                      total_weight, uniform_state)
+                      momentum_decomposition, projector, total_weight, uniform_state)
 
 
 def test_cluster_levels_groups_degeneracies():
@@ -74,13 +73,17 @@ def test_sector_blocks_match_dense_oracle(n, variant):
         assert np.array_equal(oracles.eigenvectors(d), dense.eigenvectors)
         # a generic neighbour: each of its levels lies inside one level at
         # alpha, so the best partner is unique (the reverse direction has
-        # exact ties between equally sized levels)
+        # exact ties between equally sized levels, which rounding breaks)
         near = RingSpec(n, alpha + 0.05 if alpha < INFINITY else 40.0, variant)
         d_near, dense_near = diagonalize(near), oracles.diagonalize(near)
         for a, b, dense_a, dense_b in ((d, d_near, dense, dense_near),
                                        (d_near, d, dense_near, dense)):
-            gap = overlap_matrix(a, b) - oracles.overlap_matrix(dense_a, dense_b)
-            assert np.max(np.abs(gap)) < 1e-12
+            want = oracles.overlap_matrix(dense_a, dense_b)
+            (partners, values), = spectra_module.best_partners(
+                [(a, np.arange(a.energies.size), b)])
+            rows = np.arange(partners.size)
+            assert np.max(np.abs(values - want.max(axis=1))) < 1e-14
+            assert np.all(want[rows, partners] > want.max(axis=1) - 1e-14)
         for index in range(len(d_near.levels)):
             assert oracles.best_partner(d_near, index, d)[0] == \
                 oracles.match_single_level(dense_near, index, dense)[0]
@@ -99,8 +102,9 @@ def test_momentum_overlaps_match_the_sector_overlaps(n):
                 assert [(lv.start, lv.multiplicity) for lv in got.levels] == \
                     [(lv.start, lv.multiplicity) for lv in want.levels]
             for a, b in ((0, 1), (1, 0)):
-                got = overlap_matrix(momentum[a], momentum[b])
-                assert np.max(np.abs(got - overlap_matrix(sector[a], sector[b]))) < 1e-12
+                got = oracles.spin_block_overlap_matrix(momentum[a], momentum[b])
+                want = oracles.overlap_matrix(sector[a], sector[b])
+                assert np.max(np.abs(got - want)) < 1e-12
             for index in range(len(sector[1].levels)):
                 got = oracles.best_partner(momentum[1], index, momentum[0])
                 want = oracles.best_partner(sector[1], index, sector[0])
@@ -225,7 +229,7 @@ def test_real_blocks_match_the_complex_momentum_blocks(n):
             _assert_same_levels(dec.levels, want)
             if alpha:  # each level at alpha lies in one level at 0, whatever mixes within it
                 near = RingSpec(n, BATCH_ALPHAS[0], variant)
-                gap = overlap_matrix(dec, momentum_decomposition(near)) - \
+                gap = oracles.spin_block_overlap_matrix(dec, momentum_decomposition(near)) - \
                     oracles.block_overlap_matrix(oracles.layout_decomposition(spec),
                                                  oracles.layout_decomposition(near))
                 assert np.max(np.abs(gap)) <= 1e-12
@@ -373,7 +377,10 @@ def test_grouped_overlaps_match_one_block_at_a_time(n):
             for dec_a, dec_b, layout in ((a, b, oracles.block_overlap_matrix(layout_a, layout_b)),
                                          (b, a, oracles.block_overlap_matrix(layout_b, layout_a))):
                 want = oracles.spin_block_overlap_matrix(dec_a, dec_b)
-                assert np.max(np.abs(overlap_matrix(dec_a, dec_b) - want)) < 1e-14
+                (partners, values), = spectra_module.best_partners(
+                    [(dec_a, np.arange(dec_a.energies.size), dec_b)])
+                assert np.array_equal(partners, want.argmax(axis=1))  # each row's first maximum
+                assert np.max(np.abs(values - want.max(axis=1))) < 1e-14
                 assert np.max(np.abs(want - layout)) < 1e-12
             # a generic neighbour's levels each lie inside one level at alpha
             want = oracles.spin_block_overlap_matrix(b, a)
@@ -559,15 +566,19 @@ def test_lagrange_projector_rejects_unlisted_target():
 
 
 def test_overlap_matrix_self_is_identity(dec):
-    d = dec(4, 1.0)
-    overlaps = overlap_matrix(d, d)
-    assert np.max(np.abs(overlaps - np.eye(len(d.levels)))) < 1e-12
+    d, m = dec(4, 1.0), momentum_decomposition(RingSpec(6, 1.0))
+    for a, overlaps in ((d, oracles.overlap_matrix(d, d)),
+                        (m, oracles.spin_block_overlap_matrix(m, m))):
+        assert np.max(np.abs(overlaps - np.eye(a.energies.size))) < 1e-12
+        (partners, values), = spectra_module.best_partners([(a, np.arange(a.energies.size), a)])
+        assert np.array_equal(partners, np.arange(a.energies.size))
+        assert np.max(np.abs(values - 1)) < 1e-14
 
 
 def test_match_levels_nearby_alpha(dec):
     a = dec(6, 1.00)
     b = dec(6, 1.02)
-    pairing = oracles.match_levels(overlap_matrix(a, b))
+    pairing = oracles.match_levels(oracles.overlap_matrix(a, b))
     assert pairing.is_bijection
     assert pairing.ambiguous == ()
     assert all(ov > 0.999 for _, _, ov in pairing.pairs)
